@@ -15,13 +15,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .info import DistributionError, InfoDensityDistribution, unit_ball_volume
+from .info import DistributionError, InfoDensityDistribution, log_unit_ball_volume
 
 __all__ = [
     "BoundReport",
     "lb_mi_smallball",
     "lb_info_density",
     "lb_diff_entropy",
+    "log_diff_entropy_constant",
     "fano_family",
     "mi_ub_single",
     "mi_ub_multi_iid",
@@ -217,10 +218,16 @@ def lb_diff_entropy(mi: float, h: float, d: int = 1, r: float = 1.0) -> BoundRep
         raise DistributionError("need dimension >= 1 and norm exponent >= 1")
     if mi < 0.0:
         raise DistributionError("mutual information cannot be negative")
-    const = (d / (r * math.e)) * (unit_ball_volume(d) * math.gamma(1.0 + d / r)) ** (-r / d)
+    const = math.exp(log_diff_entropy_constant(d, r))
     value = const * 2.0 ** (-(mi - h) * r / d)
     return BoundReport(value, "diff-entropy", {"constant": const},
                        {"mi": mi, "h": h, "d": d, "r": r})
+
+
+def log_diff_entropy_constant(d: int, r: float) -> float:
+    """ln of (d / (r e)) (V_d Gamma(1 + d/r))^{-r/d}, finite where its factors overflow."""
+    return math.log(d / (r * math.e)) \
+        - (r / d) * (log_unit_ball_volume(d) + math.lgamma(1.0 + d / r))
 
 
 def fano_family(mode: str, **kw) -> BoundReport:

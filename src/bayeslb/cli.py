@@ -30,8 +30,8 @@ from .scenarios import (ScenarioSpec, fig2_data, fig34_data,
                         scenario_hide_seek, scenario_hypercube,
                         scenario_minimax_cube, scenario_noisy_ceo,
                         scenario_xor)
-from .simulate import (SimulationConfig, sandwich_check, simulate_multi,
-                       simulate_single_processor)
+from .simulate import (SCHEMES, SimulationConfig, sandwich_check,
+                       simulate_multi, simulate_single_processor)
 
 __all__ = ["RunManifest", "main", "build_parser"]
 
@@ -48,12 +48,6 @@ _SCENARIO_FNS = {
     "xor": scenario_xor,
     "hide-seek": scenario_hide_seek,
 }
-
-_SINGLE_SCHEMES = ("gauss-gauss", "bern-bsc", "bsc-bit")
-_MULTI_SCHEMES = ("xor", "xor-colocated", "gauss-multi")
-_SCHEME_TAGS = {"gauss-gauss": "gauss-gauss", "bern-bsc": "bern-bsc",
-                "bsc-bit": "bsc-bit", "xor": "xor", "xor-colocated": "xor",
-                "gauss-multi": "dglm"}
 
 _SPEC_FLAGS = [
     ("n", "--n"), ("b", "--b"), ("T", "--T"), ("m", "--m"), ("d", "--d"),
@@ -364,7 +358,7 @@ def cmd_simulate(args) -> int:
         raise DistributionError("simulate needs --reps")
     seed = _resolve_seed(args)
     args.seed = seed
-    tag = _SCHEME_TAGS[args.scheme]
+    scheme = SCHEMES[args.scheme]
     if args.scheme == "gauss-multi":
         # the scheme ships raw local means; model them as 64-bit words so the
         # paired report's bit budget is not the binding term
@@ -372,13 +366,10 @@ def cmd_simulate(args) -> int:
             args.total_samples = args.m * args.n
         if args.total_bits is None:
             args.total_bits = 64.0 * args.m * args.d
-    spec = _spec_from_args(tag, args)
+    spec = _spec_from_args(scheme.tag, args)
     config = SimulationConfig(spec=spec, replications=args.reps, seed=seed,
                               parallelism=args.parallel, scheme=args.scheme)
-    if args.scheme in _SINGLE_SCHEMES:
-        result = simulate_single_processor(config)
-    else:
-        result = simulate_multi(config)
+    result = (simulate_multi if scheme.multi else simulate_single_processor)(config)
     extra = [("reps", "--reps"), ("seed", "--seed"), ("check", "--check")]
     tokens = _canonical(["simulate", args.scheme], args, _SPEC_FLAGS + extra)
     lines = _manifest(tokens, args, spec=spec, seed=seed).lines()
@@ -388,7 +379,7 @@ def cmd_simulate(args) -> int:
                            str(result.replications), str(result.seed)]))
     code = 0
     if args.check:
-        report = _scenario_report(tag, spec, args, seed)
+        report = _scenario_report(scheme.tag, spec, args, seed)
         verdict = sandwich_check(report, result)
         lines.append(f"# check: {'pass' if verdict.passed else 'FAIL'}")
         lines += [f"# check-failure: {text}" for text in verdict.hard_failures]
@@ -501,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scen.set_defaults(func=cmd_scenario)
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo run of one scheme")
-    p_sim.add_argument("scheme", choices=sorted(_SINGLE_SCHEMES + _MULTI_SCHEMES))
+    p_sim.add_argument("scheme", choices=sorted(SCHEMES))
     _add_spec_args(p_sim)
     p_sim.add_argument("--reps", type=int, default=None)
     p_sim.add_argument("--seed", type=int, default=None)

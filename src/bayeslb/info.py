@@ -50,6 +50,7 @@ __all__ = [
     "small_ball_mc",
     "differential_entropy",
     "unit_ball_volume",
+    "log_unit_ball_volume",
     "gamma_fn",
     "channel_capacity",
 ]
@@ -534,11 +535,16 @@ def gamma_fn(x: float) -> float:
     return math.gamma(x)
 
 
-def unit_ball_volume(d: int) -> float:
-    """Volume of the unit ell-2 ball in d dimensions."""
+def log_unit_ball_volume(d: int) -> float:
+    """Natural log of the unit ell-2 ball volume, finite for every d >= 1."""
     if d < 1:
         raise DistributionError("dimension must be at least 1")
-    return math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
+    return 0.5 * d * math.log(math.pi) - math.lgamma(0.5 * d + 1.0)
+
+
+def unit_ball_volume(d: int) -> float:
+    """Volume of the unit ell-2 ball in d dimensions (underflows to 0 for large d)."""
+    return math.exp(log_unit_ball_volume(d))
 
 
 def _ball_radius_for(rho: float, distortion: DistortionSpec) -> float:

@@ -10,19 +10,17 @@ behind the quantization-rate and hide-and-seek comparison plots.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import digamma, gammaln
 from scipy.stats import ncx2
 
-from .bounds import BoundReport
-from .info import (
-    DistributionError,
-    binary_entropy,
-    inv_binary_entropy,
-    unit_ball_volume,
-)
+from .bounds import BoundReport, log_diff_entropy_constant, mi_ub_single
+from .info import (DistributionError, PriorSpec, binary_entropy,
+                   differential_entropy, inv_binary_entropy,
+                   log_unit_ball_volume)
+from .sdpi import eta_bsc, eta_multi_use
 
 __all__ = [
     "ScenarioSpec",
@@ -97,6 +95,10 @@ class ScenarioSpec:
             raise DistributionError("norm exponent must be >= 1")
         if self.var_w <= 0.0 or self.var_noise <= 0.0 or self.radius <= 0.0:
             raise DistributionError("variances and radius must be positive")
+        if self.eta_uses is not None and not 0.0 <= self.eta_uses <= 1.0:
+            raise DistributionError("channel-use contraction must lie in [0, 1]")
+        if self.capacity is not None and not 0.0 <= self.capacity:
+            raise DistributionError("capacity cannot be negative")
 
 
 @dataclass(frozen=True)
@@ -107,19 +109,13 @@ class ScenarioReport:
     derived: dict = field(default_factory=dict)
 
 
-def _bsc_eta_multi(eps: float, T: int | None) -> float:
-    if T is None:
-        return 1.0
-    return 1.0 - (4.0 * eps * (1.0 - eps)) ** T
-
-
-def _channel_profile(spec: ScenarioSpec, uses: int | None = None) -> tuple[float, float]:
+def _channel_profile(spec: ScenarioSpec, uses: float | None = None) -> tuple[float, float]:
     """Per-protocol (eta over the channel uses, capacity per use)."""
     T = spec.T if uses is None else uses
     if spec.eta_uses is not None:
         eta_T = spec.eta_uses
-    elif spec.eps is not None:
-        eta_T = _bsc_eta_multi(spec.eps, T)
+    elif spec.eps is not None and T is not None:
+        eta_T = eta_multi_use(eta_bsc(spec.eps), T).value
     else:
         eta_T = 1.0
     if spec.capacity is not None:
@@ -129,6 +125,13 @@ def _channel_profile(spec: ScenarioSpec, uses: int | None = None) -> tuple[float
     else:
         cap = 1.0
     return eta_T, cap
+
+
+def _budget(i_wx: float, b: float, cap: float, T: int | None, eta_stat: float,
+            eta_T: float) -> BoundReport:
+    """Single-processor information budget; T=None drops the capacity term."""
+    return mi_ub_single(i_wx, math.inf, b, cap if T else math.inf, T or 1,
+                        eta_stat, eta_T)
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +274,7 @@ def scenario_gauss_ball(spec: ScenarioSpec, reps: int | None = None,
         gap = p_hat - 0.5
         root_term = math.sqrt(2.0 * math.pi * sigma2 / n)
         sharp = (1.0 / (2.0 * (1.0 + delta))) ** (1.0 / d) \
-            * unit_ball_volume(d) ** (-1.0 / d) * root_term * gap
+            * math.exp(-log_unit_ball_volume(d) / d) * root_term * gap
         # the root (1/(2(1+delta)))^{1/d} is at least 1/2 whenever
         # 2(1+delta) <= 2^d; outside that regime keep the plain reciprocal
         weak_const = 0.5 if 2.0 * (1.0 + delta) <= 2.0 ** d else 0.5 / (1.0 + delta)
@@ -336,21 +339,13 @@ def scenario_hypercube(spec: ScenarioSpec) -> ScenarioReport:
     d, b, delta = spec.d, spec.b, spec.delta
     eta_T, cap = _channel_profile(spec)
     i_wx = d * (1.0 - binary_entropy((1.0 - delta) / 2.0))
-    ct = cap * spec.T if spec.T is not None else math.inf
-    terms = {
-        "source": i_wx * eta_T,
-        "bits": delta * delta * b * eta_T,
-        "capacity": delta * delta * ct,
-    }
-    active = min(terms, key=terms.get)
-    mi_ub = BoundReport(terms[active], "hypercube-mi-ub",
-                        {"active": active, "terms": terms},
-                        {"d": d, "b": b, "delta": delta, "eta_T": eta_T})
+    mi_ub = replace(_budget(i_wx, b, cap, spec.T, delta * delta, eta_T),
+                    kind="hypercube-mi-ub")
     if delta < 1.0:
         zhang = 32.0 * delta * delta * min(d, b) / (1.0 - delta) ** 4
     else:
         zhang = math.inf
-    arg = 1.0 - terms[active] / d
+    arg = 1.0 - mi_ub.value / d
     if 0.0 <= arg <= 1.0:
         bit_error = BoundReport(inv_binary_entropy(arg), "hypercube-bit-error",
                                 {"h2_arg": arg}, {"d": d})
@@ -431,19 +426,16 @@ def scenario_bern_bsc(spec: ScenarioSpec) -> ScenarioReport:
     eps, n, b, T = spec.eps, spec.n, spec.b, spec.T
     if T is None and eps > 0.0:
         raise DistributionError("this scenario needs a finite use count")
-    eta_T = _bsc_eta_multi(eps, T)
+    eta_T = 1.0 if T is None else eta_multi_use(eta_bsc(eps), T).value
     eta_stat = 1.0 - 2.0 ** (-n)
     cap = 1.0 - binary_entropy(eps)
-    terms = {
-        "source": (0.5 * math.log2(n) + GAMMA_N_LIMIT) * eta_T,
-        "bits": eta_stat * b * eta_T,
-    }
-    if eps > 0.0:
-        # with a noiseless link the delivered bits are the only channel
-        # constraint, so the use-count term applies to the noisy case only
-        terms["capacity"] = eta_stat * cap * T
-    active = min(terms, key=terms.get)
-    i_star = terms[active]
+    # with a noiseless link the delivered bits are the only channel
+    # constraint, so the use-count term applies to the noisy case only
+    budget = _budget(0.5 * math.log2(n) + GAMMA_N_LIMIT, b, cap,
+                     T if eps > 0.0 else None, eta_stat, eta_T)
+    i_star, active = budget.value, budget.arguments["active"]
+    terms = {key: value for key, value in budget.arguments["terms"].items()
+             if eps > 0.0 or key != "capacity"}
     lower = {
         "mi": BoundReport(2.0 ** (-i_star) / (2.0 * math.e), "bern-bsc-mi",
                           {"active": active, "terms": terms,
@@ -505,16 +497,8 @@ def scenario_dglm_decentralized(spec: ScenarioSpec) -> ScenarioReport:
     var_w, var_noise = spec.var_w, spec.var_noise
     snr = N * var_w / var_noise
     eta_L, cap = _channel_profile(spec, uses=L)
-    if L is None:
-        eta_split, cl = 1.0, math.inf
-    else:
-        if spec.eta_uses is not None:
-            eta_split = spec.eta_uses
-        elif spec.eps is not None:
-            eta_split = 1.0 - (4.0 * spec.eps * (1.0 - spec.eps)) ** (L / m)
-        else:
-            eta_split = 1.0
-        cl = cap * L
+    eta_split, cl = ((1.0, math.inf) if L is None
+                     else (_channel_profile(spec, uses=L / m)[0], cap * L))
     first = d * var_w * (1.0 + snr) ** (-eta_L)
     shrink = N * var_w * math.log(4.0) / (N * var_w + m * var_noise)
     second = d * var_w * math.exp(-shrink * min(B * eta_split, cl) / d)
@@ -541,8 +525,7 @@ def scenario_minimax_cube(spec: ScenarioSpec) -> ScenarioReport:
     """Minimax mean estimation over distributions on [-1,1]^d, m processors."""
     d, b, m = spec.d, spec.b, spec.m
     eta_T, cap = _channel_profile(spec)
-    ct = cap * spec.T if spec.T is not None else math.inf
-    inner = min(d * eta_T, b * eta_T, ct)
+    inner = _budget(d, b, cap, spec.T, 1.0, eta_T).value
     if inner <= 0.0:
         ratio, delta_sq = 1.0, 1.0
     else:
@@ -575,10 +558,9 @@ def scenario_noisy_ceo(spec: ScenarioSpec, alpha: float, etas=None,
     if len(etas) != spec.m:
         raise DistributionError("need one observation contraction per processor")
     eta_T, _ = _channel_profile(spec)
-    h_w = 0.5 * d * math.log2(2.0 * math.pi * math.e * spec.var_w)
-    rhs = h_w - math.log2(
-        unit_ball_volume(d) * (alpha * r * math.e / d) ** (d / r)
-        * math.gamma(1.0 + d / r))
+    h_w = differential_entropy(PriorSpec.gaussian(spec.var_w, d))
+    # lb_diff_entropy solved for the budget that brings the floor to alpha
+    rhs = h_w + (d / r) * (log_diff_entropy_constant(d, r) / _LN2 - math.log2(alpha))
     requirement = BoundReport(max(rhs, 0.0), "ceo-sum-rate",
                               {"raw": rhs}, {"alpha": alpha, "d": d, "r": r},
                               clamped=rhs < 0.0)

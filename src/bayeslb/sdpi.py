@@ -320,17 +320,18 @@ def _as_value(eta) -> tuple[float, str]:
     return eta, "exact"
 
 
-def eta_multi_use(eta_single, T: int, feedback: bool = False,
+def eta_multi_use(eta_single, T: float, feedback: bool = False,
                   bsc_eps: float | None = None) -> ContractionEstimate:
     """Contraction bound for T channel uses: 1 - (1 - eta)^T.
 
+    T may be fractional, as for one processor's share of a use budget.
     With feedback this tensor bound is the only one available. Without
     feedback and for a BSC of known crossover, the product-channel Dobrushin
     coefficient ``bsc_product_dobrushin`` is also valid and the smaller of the
     two is returned.
     """
-    if T < 1:
-        raise DistributionError("use count must be at least 1")
+    if not T >= 0:
+        raise DistributionError("use count cannot be negative")
     value, kind = _as_value(eta_single)
     bound = 1.0 - (1.0 - value) ** T
     note = "tensor bound 1-(1-eta)^T"

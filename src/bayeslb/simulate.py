@@ -10,11 +10,15 @@ The simulated schemes are the ones whose risk the closed-form achievability
 bounds analyze, with one exception: the channel-limited Bernoulli scheme
 replaces the optimal block code by bit-wise repetition, which is weaker, so
 its empirical risk may exceed the corresponding closed-form upper bound.
+
+Each entry of the scheme table ``SCHEMES`` names the scenario a run is checked
+against and the bounds of its own protocol class in that scenario's report.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -25,6 +29,8 @@ __all__ = [
     "SimulationConfig",
     "SimulationResult",
     "SandwichVerdict",
+    "Scheme",
+    "SCHEMES",
     "simulate_single_processor",
     "simulate_multi",
     "sample_xor_block",
@@ -104,22 +110,21 @@ def _rep_gauss_gauss(spec: ScenarioSpec, rng: np.random.Generator) -> float:
     return abs(w - w_hat)
 
 
-def _rep_bern_quantize(spec: ScenarioSpec, rng: np.random.Generator) -> float:
-    w = rng.random()
-    xbar = rng.binomial(spec.n, w) / spec.n
-    return abs(w - _quantize_midpoint(xbar, spec.b))
-
-
 def _rep_bsc_bit(spec: ScenarioSpec, rng: np.random.Generator) -> float:
+    if spec.eps is None or spec.T is None:
+        raise DistributionError("bit transmission needs a crossover and a use count")
     w = int(rng.random() < 0.5)
     flips = rng.random(spec.T) < spec.eps
     received = np.bitwise_xor(w, flips.astype(np.int64))
     return float(w != _majority(received))
 
 
-def _rep_bern_bsc_case2(spec: ScenarioSpec, rng: np.random.Generator) -> float:
+def _rep_bern_bsc(spec: ScenarioSpec, rng: np.random.Generator) -> float:
     w = rng.random()
     k = int(rng.binomial(spec.n, w))
+    if not spec.eps:
+        # a noiseless link carries the sample mean's midpoint cell
+        return abs(w - _quantize_midpoint(k / spec.n, spec.b))
     num_bits = max(int(math.ceil(math.log2(spec.n + 1))), 1)
     looks = spec.T // num_bits
     if looks < 1:
@@ -131,36 +136,6 @@ def _rep_bern_bsc_case2(spec: ScenarioSpec, rng: np.random.Generator) -> float:
         noisy = np.bitwise_xor(sent, flips[j * looks:(j + 1) * looks].astype(np.int64))
         k_hat |= _majority(noisy) << j
     return abs(w - min(k_hat, spec.n) / spec.n)
-
-
-_SINGLE_SCHEMES = {
-    "gauss-gauss": _rep_gauss_gauss,
-    "bern-quantize": _rep_bern_quantize,
-    "bsc-bit": _rep_bsc_bit,
-    "bern-bsc-case2": _rep_bern_bsc_case2,
-}
-
-
-def simulate_single_processor(config: SimulationConfig) -> SimulationResult:
-    """Run a single-processor scheme: sample, quantize/encode, transmit, estimate.
-
-    Supported schemes: ``gauss-gauss`` (posterior mean, no channel),
-    ``bern-quantize`` (sample mean to midpoint cells, noiseless channel),
-    ``bsc-bit`` (repetition code with majority decoding, ties to 0), and
-    ``bern-bsc-case2`` (sample-mean bits each repeated over the channel).
-    """
-    name = config.scheme_name
-    if name == "bern-bsc":
-        name = "bern-quantize" if not config.spec.eps else "bern-bsc-case2"
-    rep = _SINGLE_SCHEMES.get(name)
-    if rep is None:
-        raise DistributionError(f"unsupported single-processor scheme {name!r}")
-    if name == "bsc-bit" and (config.spec.eps is None or config.spec.T is None):
-        raise DistributionError("bit transmission needs a crossover and a use count")
-    distortions = np.empty(config.replications)
-    for k in range(config.replications):
-        distortions[k] = rep(config.spec, _rep_rng(config.seed, k))
-    return _aggregate(distortions, config)
 
 
 # ---------------------------------------------------------------------------
@@ -207,11 +182,52 @@ def _rep_gauss_multi(spec: ScenarioSpec, rng: np.random.Generator) -> float:
     return float(((w - w_hat) ** 2).sum())
 
 
-_MULTI_SCHEMES = {
-    "xor": _rep_xor_oneproc,
-    "xor-colocated": _rep_xor_colocated,
-    "gauss-multi": _rep_gauss_multi,
+@dataclass(frozen=True)
+class Scheme:
+    """A simulated protocol: its scenario ``tag``, per-replication sampler, whether
+    it runs on m processors, and the report keys of the bounds it is held to."""
+
+    tag: str
+    sample: Callable[[ScenarioSpec, np.random.Generator], float]
+    multi: bool
+    lower: tuple
+    upper: tuple = ()
+
+
+SCHEMES = {
+    "gauss-gauss": Scheme("gauss-gauss", _rep_gauss_gauss, False,
+                          ("corollary", "s_half_chain", "unconditioned_asymptotic"),
+                          ("posterior_mean",)),
+    "bern-bsc": Scheme("bern-bsc", _rep_bern_bsc, False,
+                       ("mi", "case1", "case2"), ("case1", "case2")),
+    "bsc-bit": Scheme("bsc-bit", _rep_bsc_bit, False,
+                      ("no_feedback", "feedback"), ("repetition",)),
+    "xor": Scheme("xor", _rep_xor_oneproc, True, ("distributed", "colocated")),
+    "xor-colocated": Scheme("xor", _rep_xor_colocated, True, ("colocated",)),
+    "gauss-multi": Scheme("dglm", _rep_gauss_multi, True, ("decentralized",)),
 }
+
+
+def _simulate(config: SimulationConfig, multi: bool) -> SimulationResult:
+    scheme = SCHEMES.get(config.scheme_name)
+    if scheme is None or scheme.multi != multi:
+        kind = "multi" if multi else "single"
+        raise DistributionError(f"unsupported {kind}-processor scheme {config.scheme_name!r}")
+    distortions = np.empty(config.replications)
+    for k in range(config.replications):
+        distortions[k] = scheme.sample(config.spec, _rep_rng(config.seed, k))
+    return _aggregate(distortions, config)
+
+
+def simulate_single_processor(config: SimulationConfig) -> SimulationResult:
+    """Run a single-processor scheme: sample, quantize/encode, transmit, estimate.
+
+    Supported schemes: ``gauss-gauss`` (posterior mean, no channel),
+    ``bsc-bit`` (repetition code with majority decoding, ties to 0), and
+    ``bern-bsc``: the sample mean to midpoint cells over a noiseless link
+    (eps = 0), or its bits each repeated over the channel otherwise.
+    """
+    return _simulate(config, multi=False)
 
 
 def simulate_multi(config: SimulationConfig) -> SimulationResult:
@@ -222,14 +238,7 @@ def simulate_multi(config: SimulationConfig) -> SimulationResult:
     mb-bit quantizer for the parity mean; ``gauss-multi`` averages local
     Gaussian sample means with posterior shrinkage under squared loss.
     """
-    rep = _MULTI_SCHEMES.get(config.scheme_name)
-    if rep is None:
-        raise DistributionError(
-            f"unsupported multi-processor scheme {config.scheme_name!r}")
-    distortions = np.empty(config.replications)
-    for k in range(config.replications):
-        distortions[k] = rep(config.spec, _rep_rng(config.seed, k))
-    return _aggregate(distortions, config)
+    return _simulate(config, multi=True)
 
 
 # ---------------------------------------------------------------------------
@@ -286,34 +295,36 @@ class SandwichVerdict:
 
 def sandwich_check(report: ScenarioReport, result: SimulationResult,
                    ci_multiple: float = 3.0) -> SandwichVerdict:
-    """Check a simulation against a scenario's bounds.
+    """Check a simulation against the bounds its scheme's table entry names.
 
     Exact lower bounds must not exceed the empirical risk by more than
     ``ci_multiple`` half-widths, and the empirical risk must not exceed any
     exact upper bound by more than that; asymptotic or infeasible entries
-    produce advisories instead of failures.
+    produce advisories instead of failures. A non-finite margin, which any
+    non-finite risk or half-width makes, is always a hard failure.
     """
-    compatible = result.scheme.startswith(report.tag) or \
-        (report.tag, result.scheme) in {("dglm", "gauss-multi")}
-    if not compatible:
+    scheme = SCHEMES.get(result.scheme)
+    if scheme is None or scheme.tag != report.tag:
         raise DistributionError(
             f"scenario tag {report.tag!r} does not match scheme {result.scheme!r}")
-    slack = ci_multiple * result.ci_halfwidth
+    risk, slack = result.empirical_risk, ci_multiple * result.ci_halfwidth
+    checks = [(f"lower:{name}", risk + slack - bound.value,
+               f"asymptotic lower bound {name} above empirical risk"
+               if bound.asymptotic or bound.infeasible else None,
+               f"lower bound {name} = {bound.value:.6g} exceeds "
+               f"empirical risk {risk:.6g} + slack")
+              for name, bound in report.lower_bounds.items() if name in scheme.lower]
+    checks += [(f"upper:{name}", value - (risk - slack), None,
+                f"empirical risk {risk:.6g} exceeds upper bound {name} = "
+                f"{value:.6g} + slack")
+               for name, value in report.upper_bounds.items() if name in scheme.upper]
     hard, advice, margins = [], [], {}
-    for name, bound in report.lower_bounds.items():
-        margin = result.empirical_risk + slack - bound.value
-        margins[f"lower:{name}"] = margin
-        if bound.asymptotic or bound.infeasible:
-            if margin < 0.0:
-                advice.append(f"asymptotic lower bound {name} above empirical risk")
-            continue
-        if margin < 0.0:
-            hard.append(f"lower bound {name} = {bound.value:.6g} exceeds "
-                        f"empirical risk {result.empirical_risk:.6g} + slack")
-    for name, value in report.upper_bounds.items():
-        margin = value - (result.empirical_risk - slack)
-        margins[f"upper:{name}"] = margin
-        if margin < 0.0:
-            hard.append(f"empirical risk {result.empirical_risk:.6g} exceeds "
-                        f"upper bound {name} = {value:.6g} + slack")
+    for label, margin, advisory, failure in checks:
+        margins[label] = margin
+        if not math.isfinite(margin):
+            hard.append(f"{label} margin {margin:.6g} is not finite")
+        elif margin < 0.0 and advisory:
+            advice.append(advisory)
+        elif margin < 0.0:
+            hard.append(failure)
     return SandwichVerdict(not hard, tuple(hard), tuple(advice), margins)

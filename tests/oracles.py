@@ -113,3 +113,23 @@ def majority_error_rate(T: int, eps: float) -> float:
     err_given_1 = binom.cdf(T / 2.0, T, 1.0 - eps) if T % 2 == 0 \
         else binom.sf(T / 2.0, T, eps)
     return 0.5 * (err_given_0 + err_given_1)
+
+
+def ceo_requirement_mp(d: int, r: float, var_w: float, alpha: float) -> float:
+    """CEO sum-rate requirement h(W) - log2(V_d (alpha r e/d)^(d/r) Gamma(1+d/r)).
+
+    Evaluated at 50 digits in the textbook (not log-space) arrangement, so
+    none of the factors can overflow or underflow.
+    """
+    d, r, var_w, alpha = (mpmath.mpf(x) for x in (d, r, var_w, alpha))
+    h_w = d / 2 * mpmath.log(2 * mpmath.pi * mpmath.e * var_w, 2)
+    volume = mpmath.pi ** (d / 2) / mpmath.gamma(d / 2 + 1)
+    return float(h_w - mpmath.log(volume * (alpha * r * mpmath.e / d) ** (d / r)
+                                  * mpmath.gamma(1 + d / r), 2))
+
+
+def diff_entropy_constant_mp(d: int, r: float) -> float:
+    """(d / (r e)) (V_d Gamma(1 + d/r))^(-r/d) at 50 digits."""
+    d, r = mpmath.mpf(d), mpmath.mpf(r)
+    volume = mpmath.pi ** (d / 2) / mpmath.gamma(d / 2 + 1)
+    return float(d / (r * mpmath.e) * (volume * mpmath.gamma(1 + d / r)) ** (-r / d))

@@ -121,6 +121,17 @@ def test_diff_entropy_depends_only_on_gap(shift, mi, h):
     assert_allclose(a, b, rtol=1e-9)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 8, 64, 170, 171, 400, 1000])
+@pytest.mark.parametrize("r", [1.0, 1.5, 2.0, 5.0])
+def test_diff_entropy_constant_matches_mpmath(d, r):
+    # V_d and Gamma(1 + d/r) overflow a double past d ~ 170; their
+    # combination does not
+    report = lb_diff_entropy(0.0, 0.0, d=d, r=r)
+    want = oracles.diff_entropy_constant_mp(d, r)
+    assert_allclose(report.arguments["constant"], want, rtol=1e-13)
+    assert_allclose(report.value, want, rtol=1e-13)
+
+
 def test_diff_entropy_rejects_bad_dimension():
     with pytest.raises(DistributionError):
         lb_diff_entropy(1.0, 0.0, d=0)

@@ -96,6 +96,31 @@ def test_scenario_unknown_tag_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["scenario", "hypercube", "--d", "4", "--b", "3", "--eta-uses", "1.5"],
+    ["scenario", "minimax-cube", "--capacity", "-2", "--T", "3"],
+])
+def test_scenario_channel_override_out_of_range_exits_2(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert "error:" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["scenario", "ceo", "--d", "64", "--alpha", "1e-6"],
+    ["bound", "--thm", "3", "--I", "0", "--h", "0", "--d", "400", "--r", "1"],
+    ["scenario", "ceo", "--d", "400", "--alpha", "0.5"],
+    ["scenario", "gauss-ball", "--d", "400", "--n", "10", "--reps", "10"],
+])
+def test_high_dimension_ball_constants_stay_finite(argv, capsys):
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    cells = {cell for line in data_rows(out)
+             for cell in line.replace("=", ",").split(",")}
+    assert not cells & {"nan", "inf", "-inf"}
+
+
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -148,6 +173,23 @@ def test_manifest_command_replays_byte_identically(tmp_path, capsys):
     code, _, _ = run(tokens + ["--out", str(second)], capsys)
     assert code == 0
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_simulate_colocated_parity_meets_its_own_floor(capsys):
+    # one processor holds every stream, so the distributed floor (0.046)
+    # does not apply; the scheme's risk is about 0.016
+    code, out, _ = run(["simulate", "xor-colocated", "--m", "2", "--n",
+                        "10000", "--b", "2", "--reps", "2000", "--check"],
+                       capsys)
+    assert code == 0
+    assert "# check: pass" in out
+
+
+def test_simulate_nan_risk_fails_check(capsys):
+    code, out, _ = run(["simulate", "gauss-gauss", "--var-w", "inf",
+                        "--reps", "50", "--check"], capsys)
+    assert code == 1
+    assert "# check: FAIL" in out
 
 
 def test_check_failure_exits_1(tmp_path, capsys, monkeypatch):

@@ -28,6 +28,14 @@ def test_scenario_spec_validation():
         ScenarioSpec(tag="x", delta=1.5)
     with pytest.raises(DistributionError):
         ScenarioSpec(tag="x", var_noise=0.0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("eta_uses", 1.5), ("eta_uses", -0.1), ("eta_uses", math.nan),
+    ("capacity", -2.0), ("capacity", math.nan)])
+def test_scenario_spec_rejects_channel_overrides_out_of_range(field, value):
+    with pytest.raises(DistributionError):
+        ScenarioSpec(tag="x", **{field: value})
     with pytest.raises(DistributionError):
         ScenarioSpec(tag="x", r=0.5)
 
@@ -309,6 +317,15 @@ def test_dglm_channel_noise_term():
                     3.4955610284446923, rtol=1e-13)
 
 
+def test_dglm_share_of_fewer_uses_than_processors():
+    # each of 5 processors gets 2/5 of a channel use
+    spec = ScenarioSpec(tag="dglm", m=5, d=1, total_samples=100,
+                        total_bits=20.0, total_uses=2, eps=0.1)
+    report = scenario_dglm_decentralized(spec)
+    assert_allclose(report.derived["eta_split"], 1.0 - 0.36 ** 0.4, rtol=1e-14)
+    assert_allclose(report.derived["eta_L"], 1.0 - 0.36 ** 2, rtol=1e-14)
+
+
 def test_dglm_requires_enough_samples():
     with pytest.raises(DistributionError):
         scenario_dglm_decentralized(ScenarioSpec(tag="dglm", m=5, d=1,
@@ -350,6 +367,20 @@ def test_ceo_scalar_gaussian_reduction():
     report = scenario_noisy_ceo(spec, alpha=0.5)
     assert_allclose(report.lower_bounds["sum_rate_requirement"].value,
                     0.5 * math.log2(2.0 / 0.5), rtol=1e-13)
+
+
+@pytest.mark.parametrize("d, r, alpha", [
+    (1, 2.0, 0.5), (8, 1.0, 0.01), (48, 2.0, 1e-12), (64, 1.0, 1e-6),
+    (128, 2.0, 0.0017782794100389228), (160, 1.0, 1.7782794100389228),
+    (400, 1.0, 0.5), (1000, 3.0, 1e-3)])
+def test_ceo_requirement_matches_mpmath(d, r, alpha):
+    # the ball factor (alpha r e/d)^(d/r) underflows or overflows at most of
+    # these points; the requirement itself is a moderate number of bits
+    spec = ScenarioSpec(tag="ceo", d=d, r=r, var_w=2.0)
+    report = scenario_noisy_ceo(spec, alpha=alpha)
+    got = report.lower_bounds["sum_rate_requirement"].arguments["raw"]
+    want = oracles.ceo_requirement_mp(d, r, 2.0, alpha)
+    assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
 
 def test_ceo_zero_requirement_when_ball_is_big():

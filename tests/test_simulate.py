@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from bayeslb.cli import _SCENARIO_FNS
 from bayeslb.info import DiscreteDistribution, DistributionError, bsc
 from bayeslb.scenarios import (ScenarioSpec, scenario_gauss_gauss,
                                scenario_xor)
-from bayeslb.simulate import (SimulationConfig, _majority, _quantize_midpoint,
-                              _rep_rng, exact_chain_mi, sandwich_check,
+from bayeslb.simulate import (SCHEMES, SimulationConfig, SimulationResult,
+                              _majority, _quantize_midpoint, _rep_rng,
+                              exact_chain_mi, sandwich_check,
                               sample_xor_block, simulate_multi,
                               simulate_single_processor)
 
@@ -252,3 +254,86 @@ def test_sandwich_accepts_dglm_gauss_multi_pairing():
     result = simulate_multi(cfg)
     verdict = sandwich_check(report, result)
     assert verdict.passed
+
+
+def test_sandwich_accepts_dglm_gauss_multi_pairing_only_by_table():
+    spec = ScenarioSpec(tag="gauss-gauss", n=5)
+    result = simulate_single_processor(
+        SimulationConfig(spec=spec, replications=50, seed=1))
+    dglm = ScenarioSpec(tag="dglm", m=5, n=20, total_samples=100,
+                        total_bits=400.0)
+    with pytest.raises(DistributionError):
+        sandwich_check(_SCENARIO_FNS["dglm"](dglm), result)
+
+
+@pytest.mark.parametrize("risk, halfwidth", [
+    (math.nan, 0.01), (math.inf, 0.01), (0.3, math.nan), (0.3, math.inf)])
+def test_sandwich_non_finite_result_is_hard_failure(risk, halfwidth):
+    report = scenario_gauss_gauss(ScenarioSpec(tag="gauss-gauss", n=10))
+    result = SimulationResult(risk, halfwidth, 100, 0, "gauss-gauss")
+    verdict = sandwich_check(report, result)
+    assert verdict.passed is False
+    assert any("not finite" in msg for msg in verdict.hard_failures)
+
+
+# ---------------------------------------------------------------------------
+# the scheme table: which bounds each scheme is checked against
+
+
+def _checked_pair(name, reps=2000, **fields):
+    scheme = SCHEMES[name]
+    spec = ScenarioSpec(tag=scheme.tag, **fields)
+    run = simulate_multi if scheme.multi else simulate_single_processor
+    result = run(SimulationConfig(spec=spec, replications=reps, seed=4,
+                                  scheme=name))
+    return _SCENARIO_FNS[scheme.tag](spec), result
+
+
+PAIRINGS = [
+    ("gauss-gauss", {"n": 10},
+     {"lower:corollary", "lower:s_half_chain",
+      "lower:unconditioned_asymptotic", "upper:posterior_mean"}),
+    ("bern-bsc", {"n": 256, "b": 4.0, "eps": 0.0, "T": None},
+     {"lower:mi", "lower:case1", "upper:case1"}),
+    ("bern-bsc", {"n": 100, "b": 7.0, "eps": 0.1, "T": 70},
+     {"lower:mi", "lower:case2", "upper:case2"}),
+    ("bsc-bit", {"eps": 0.1, "T": 7},
+     {"lower:no_feedback", "lower:feedback", "upper:repetition"}),
+    ("xor", {"m": 2, "n": 16, "b": 2.0},
+     {"lower:distributed", "lower:colocated"}),
+    ("xor-colocated", {"m": 2, "n": 16, "b": 2.0}, {"lower:colocated"}),
+    ("gauss-multi", {"m": 5, "n": 20, "d": 2, "var_w": 1.0, "var_noise": 4.0,
+                     "total_samples": 100, "total_bits": 400.0},
+     {"lower:decentralized"}),
+]
+
+
+@pytest.mark.parametrize("name, fields, keys", PAIRINGS)
+def test_scheme_checked_against_its_own_bounds(name, fields, keys):
+    report, result = _checked_pair(name, **fields)
+    verdict = sandwich_check(report, result)
+    assert set(verdict.margins) == keys
+    assert verdict.passed
+
+
+@pytest.mark.parametrize("name, inflated, passed", [
+    ("xor-colocated", "colocated", False),
+    ("xor-colocated", "distributed", True),
+    ("xor", "distributed", False),
+    ("xor", "colocated", False)])
+def test_parity_schemes_fail_only_their_own_inflated_bounds(name, inflated,
+                                                            passed):
+    report, result = _checked_pair(name, m=2, n=16, b=2.0)
+    bound = report.lower_bounds[inflated]
+    report.lower_bounds[inflated] = dataclasses.replace(bound, value=1.0)
+    assert sandwich_check(report, result).passed is passed
+
+
+def test_schemes_run_only_in_their_processor_class():
+    xor = ScenarioSpec(tag="xor", m=2, n=4)
+    with pytest.raises(DistributionError):
+        simulate_single_processor(SimulationConfig(spec=xor, replications=5,
+                                                   seed=1, scheme="xor"))
+    gauss = ScenarioSpec(tag="gauss-gauss")
+    with pytest.raises(DistributionError):
+        simulate_multi(SimulationConfig(spec=gauss, replications=5, seed=1))
