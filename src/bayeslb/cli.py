@@ -30,7 +30,7 @@ from .scenarios import (ScenarioSpec, fig2_data, fig34_data,
                         scenario_hide_seek, scenario_hypercube,
                         scenario_minimax_cube, scenario_noisy_ceo,
                         scenario_xor)
-from .simulate import (SCHEMES, SimulationConfig, sandwich_check,
+from .simulate import (SCHEMES, SEED_LIMIT, SimulationConfig, sandwich_check,
                        simulate_multi, simulate_single_processor)
 
 __all__ = ["RunManifest", "main", "build_parser"]
@@ -122,15 +122,18 @@ def _load_config(path: str) -> dict:
 
 
 def _resolve_seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    env = os.environ.get("BAYESLB_SEED")
-    if env is not None:
+    seed, source = getattr(args, "seed", None), "--seed"
+    if seed is None:
+        env = os.environ.get("BAYESLB_SEED")
+        if env is None:
+            return 0
         try:
-            return int(env)
+            seed, source = int(env), "BAYESLB_SEED"
         except ValueError:
             raise DistributionError("BAYESLB_SEED must be an integer") from None
-    return 0
+    if not 0 <= seed < SEED_LIMIT:
+        raise DistributionError(f"{source} {seed} is outside [0, 2^64)")
+    return seed
 
 
 # ---------------------------------------------------------------------------
@@ -382,6 +385,8 @@ def cmd_simulate(args) -> int:
         report = _scenario_report(scheme.tag, spec, args, seed)
         verdict = sandwich_check(report, result)
         lines.append(f"# check: {'pass' if verdict.passed else 'FAIL'}")
+        lines += [f"# margin: {label}={_text(margin)}"
+                  for label, margin in verdict.margins.items()]
         lines += [f"# check-failure: {text}" for text in verdict.hard_failures]
         lines += [f"# advisory: {text}" for text in verdict.advisories]
         if not verdict.passed:

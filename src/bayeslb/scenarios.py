@@ -471,9 +471,10 @@ def scenario_bern_bsc(spec: ScenarioSpec) -> ScenarioReport:
                 "rate outside the linear regime of the random-coding "
                 "exponent; upper bound omitted")
         derived["random_coding_exponent_0"] = random_coding_exponent(eps, 0.0)
-        derived["feedback_exponent_0"] = feedback_zero_rate_exponent(eps)
-        derived["capacity_to_feedback_exponent"] = \
-            cap / feedback_zero_rate_exponent(eps)
+        feedback = feedback_zero_rate_exponent(eps)
+        derived["feedback_exponent_0"] = feedback
+        if feedback > 0.0:  # both terms vanish on a useless channel
+            derived["capacity_to_feedback_exponent"] = cap / feedback
     return ScenarioReport(spec.tag, lower_bounds=lower, upper_bounds=upper,
                           derived=derived)
 

@@ -1,10 +1,16 @@
 """Monte Carlo simulation of achievability schemes and exact small-chain oracles.
 
-Replication k of a run with seed s draws all of its randomness from the
-counter-based substream keyed by (s, k), so results are bit-identical for a
-given (config, seed) no matter how the replications are scheduled. The mean
-and confidence half-width are computed over the full replication array in
-index order with pairwise summation.
+Replications run in fixed blocks of ``BLOCK``; block b of a run with seed s
+draws all of its randomness from the counter-based substream keyed by
+(s, b), i.e. ``Philox(key=s + (b << 64))``. The block size does not depend on
+the parallelism hint, so results are bit-identical for a given (config, seed)
+however the run is scheduled. Blocks are concatenated in index order and
+the mean and confidence half-width are computed over the full replication
+array with pairwise summation.
+
+Each sampler draws, for a whole block at once, the statistic its estimator
+actually reads (a sample mean, a flip count, a success count), which has
+exactly the law of the statistic computed from the full sample.
 
 The simulated schemes are the ones whose risk the closed-form achievability
 bounds analyze, with one exception: the channel-limited Bernoulli scheme
@@ -26,6 +32,7 @@ from .info import DiscreteChannel, DiscreteDistribution, DistributionError, entr
 from .scenarios import ScenarioReport, ScenarioSpec
 
 __all__ = [
+    "BLOCK",
     "SimulationConfig",
     "SimulationResult",
     "SandwichVerdict",
@@ -37,6 +44,9 @@ __all__ = [
     "exact_chain_mi",
     "sandwich_check",
 ]
+
+BLOCK = 4096
+SEED_LIMIT = 2 ** 64
 
 
 @dataclass(frozen=True)
@@ -52,6 +62,8 @@ class SimulationConfig:
             raise DistributionError("replication count must be >= 1")
         if self.parallelism < 1:
             raise DistributionError("parallelism hint must be >= 1")
+        if not 0 <= self.seed < SEED_LIMIT:
+            raise DistributionError(f"seed {self.seed} is outside [0, 2^64)")
 
     @property
     def scheme_name(self) -> str:
@@ -67,9 +79,9 @@ class SimulationResult:
     scheme: str
 
 
-def _rep_rng(seed: int, k: int) -> np.random.Generator:
-    """Counter-based substream for replication k of a run seeded with seed."""
-    return np.random.Generator(np.random.Philox(key=seed + (k << 64)))
+def _block_rng(seed: int, block: int) -> np.random.Generator:
+    """Counter-based substream for block ``block`` of a run seeded with seed."""
+    return np.random.Generator(np.random.Philox(key=seed + (block << 64)))
 
 
 def _aggregate(distortions: np.ndarray, config: SimulationConfig) -> SimulationResult:
@@ -82,60 +94,62 @@ def _aggregate(distortions: np.ndarray, config: SimulationConfig) -> SimulationR
                             config.scheme_name)
 
 
-def _quantize_midpoint(value: float, bits: float) -> float:
-    """Uniform quantization of [0, 1] to the midpoint of the value's cell."""
+def _quantize_midpoint(values: np.ndarray, bits: float) -> np.ndarray:
+    """Uniform quantization of [0, 1] to the midpoint of each value's cell."""
     cells = round(2.0 ** bits)
     if cells <= 1:
-        return 0.5
-    idx = min(int(value * cells), cells - 1)
+        return np.full_like(values, 0.5)
+    idx = np.minimum(np.floor(values * cells), cells - 1)
     return (idx + 0.5) / cells
 
 
-def _majority(bits: np.ndarray) -> int:
+def _repeated_bits(sent: np.ndarray, looks: int, eps: float,
+                   rng: np.random.Generator) -> np.ndarray:
+    """Majority decode of the ``sent`` bits, each repeated ``looks`` times over
+    a BSC(eps); only the flip count of each bit is drawn."""
+    flips = rng.binomial(looks, eps, size=sent.shape)
+    ones = np.where(sent, looks - flips, flips)
     # ties go to 0, which only matters for an even number of looks
-    return 1 if int(bits.sum()) * 2 > bits.size else 0
+    return 2 * ones > looks
 
 
 # ---------------------------------------------------------------------------
 # single-processor schemes
 
 
-def _rep_gauss_gauss(spec: ScenarioSpec, rng: np.random.Generator) -> float:
-    sd_w = math.sqrt(spec.var_w)
-    sd = math.sqrt(spec.var_noise)
-    w = sd_w * rng.standard_normal()
-    samples = w + sd * rng.standard_normal(spec.n)
+def _sample_gauss_gauss(spec: ScenarioSpec, rng: np.random.Generator,
+                        size: int) -> np.ndarray:
+    w = math.sqrt(spec.var_w) * rng.standard_normal(size)
+    # the estimator reads only the sample mean, N(w, var_noise / n)
+    mean = w + math.sqrt(spec.var_noise / spec.n) * rng.standard_normal(size)
     shrink = spec.var_w / (spec.var_w + spec.var_noise / spec.n)
-    w_hat = shrink * float(samples.mean())
-    return abs(w - w_hat)
+    return np.abs(w - shrink * mean)
 
 
-def _rep_bsc_bit(spec: ScenarioSpec, rng: np.random.Generator) -> float:
+def _sample_bsc_bit(spec: ScenarioSpec, rng: np.random.Generator,
+                    size: int) -> np.ndarray:
     if spec.eps is None or spec.T is None:
         raise DistributionError("bit transmission needs a crossover and a use count")
-    w = int(rng.random() < 0.5)
-    flips = rng.random(spec.T) < spec.eps
-    received = np.bitwise_xor(w, flips.astype(np.int64))
-    return float(w != _majority(received))
+    w = rng.random(size) < 0.5
+    decoded = _repeated_bits(w, spec.T, spec.eps, rng)
+    return (w != decoded).astype(float)
 
 
-def _rep_bern_bsc(spec: ScenarioSpec, rng: np.random.Generator) -> float:
-    w = rng.random()
-    k = int(rng.binomial(spec.n, w))
+def _sample_bern_bsc(spec: ScenarioSpec, rng: np.random.Generator,
+                     size: int) -> np.ndarray:
+    w = rng.random(size)
+    k = rng.binomial(spec.n, w)
     if not spec.eps:
         # a noiseless link carries the sample mean's midpoint cell
-        return abs(w - _quantize_midpoint(k / spec.n, spec.b))
+        return np.abs(w - _quantize_midpoint(k / spec.n, spec.b))
     num_bits = max(int(math.ceil(math.log2(spec.n + 1))), 1)
-    looks = spec.T // num_bits
+    looks = (spec.T or 0) // num_bits
     if looks < 1:
         raise DistributionError("too few channel uses to repeat each message bit")
-    flips = rng.random(num_bits * looks) < spec.eps
-    k_hat = 0
-    for j in range(num_bits):
-        sent = (k >> j) & 1
-        noisy = np.bitwise_xor(sent, flips[j * looks:(j + 1) * looks].astype(np.int64))
-        k_hat |= _majority(noisy) << j
-    return abs(w - min(k_hat, spec.n) / spec.n)
+    weights = 1 << np.arange(num_bits)
+    sent = (k[:, None] & weights) != 0
+    k_hat = (_repeated_bits(sent, looks, spec.eps, rng) * weights).sum(axis=1)
+    return np.abs(w - np.minimum(k_hat, spec.n) / spec.n)
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +161,8 @@ def sample_xor_block(w: float, m: int, n: int, rng: np.random.Generator) -> np.n
 
     Column parities are Bern(w); each column is uniform over the vectors
     with its parity, realized by drawing the first m-1 entries fair and
-    setting the last to match.
+    setting the last to match. The samplers below draw only what their
+    estimators read from this law.
     """
     parity = (rng.random(n) < w).astype(np.int64)
     block = np.empty((m, n), dtype=np.int64)
@@ -156,56 +171,67 @@ def sample_xor_block(w: float, m: int, n: int, rng: np.random.Generator) -> np.n
     return block
 
 
-def _rep_xor_oneproc(spec: ScenarioSpec, rng: np.random.Generator) -> float:
-    w = rng.random()
-    sample_xor_block(w, spec.m, spec.n, rng)
+def _sample_xor_oneproc(spec: ScenarioSpec, rng: np.random.Generator,
+                        size: int) -> np.ndarray:
     # any single processor's stream is fair coin flips whatever w is, so the
-    # best the estimator can do is the prior centroid
-    return abs(w - 0.5)
+    # best the estimator can do is the prior centroid; the stream is never read
+    return np.abs(rng.random(size) - 0.5)
 
 
-def _rep_xor_colocated(spec: ScenarioSpec, rng: np.random.Generator) -> float:
-    w = rng.random()
-    block = sample_xor_block(w, spec.m, spec.n, rng)
-    z_mean = float((block.sum(axis=0) % 2).mean())
-    return abs(w - _quantize_midpoint(z_mean, spec.m * spec.b))
+def _sample_xor_colocated(spec: ScenarioSpec, rng: np.random.Generator,
+                          size: int) -> np.ndarray:
+    w = rng.random(size)
+    # the column parities are i.i.d. Bern(w), so their mean is Bin(n, w) / n
+    z_mean = rng.binomial(spec.n, w) / spec.n
+    return np.abs(w - _quantize_midpoint(z_mean, spec.m * spec.b))
 
 
-def _rep_gauss_multi(spec: ScenarioSpec, rng: np.random.Generator) -> float:
-    sd_w = math.sqrt(spec.var_w)
-    sd = math.sqrt(spec.var_noise)
-    w = sd_w * rng.standard_normal(spec.d)
-    local_means = w + sd / math.sqrt(spec.n) * rng.standard_normal((spec.m, spec.d))
+def _sample_gauss_multi(spec: ScenarioSpec, rng: np.random.Generator,
+                        size: int) -> np.ndarray:
     total = spec.m * spec.n
+    w = math.sqrt(spec.var_w) * rng.standard_normal((size, spec.d))
+    # the mean of the m local means is the pooled mean, N(w, var_noise / mn)
+    pooled = w + math.sqrt(spec.var_noise / total) * rng.standard_normal((size, spec.d))
     shrink = spec.var_w / (spec.var_w + spec.var_noise / total)
-    w_hat = shrink * local_means.mean(axis=0)
-    return float(((w - w_hat) ** 2).sum())
+    return ((w - shrink * pooled) ** 2).sum(axis=1)
 
 
 @dataclass(frozen=True)
 class Scheme:
-    """A simulated protocol: its scenario ``tag``, per-replication sampler, whether
-    it runs on m processors, and the report keys of the bounds it is held to."""
+    """A simulated protocol: its scenario ``tag``, block sampler, whether it runs
+    on m processors, and the report keys of the bounds it is held to.
+
+    ``sample(spec, rng, size)`` returns the distortions of ``size``
+    independent replications drawn from ``rng``.
+    """
 
     tag: str
-    sample: Callable[[ScenarioSpec, np.random.Generator], float]
+    sample: Callable[[ScenarioSpec, np.random.Generator, int], np.ndarray]
     multi: bool
     lower: tuple
     upper: tuple = ()
 
 
 SCHEMES = {
-    "gauss-gauss": Scheme("gauss-gauss", _rep_gauss_gauss, False,
+    "gauss-gauss": Scheme("gauss-gauss", _sample_gauss_gauss, False,
                           ("corollary", "s_half_chain", "unconditioned_asymptotic"),
                           ("posterior_mean",)),
-    "bern-bsc": Scheme("bern-bsc", _rep_bern_bsc, False,
+    "bern-bsc": Scheme("bern-bsc", _sample_bern_bsc, False,
                        ("mi", "case1", "case2"), ("case1", "case2")),
-    "bsc-bit": Scheme("bsc-bit", _rep_bsc_bit, False,
+    "bsc-bit": Scheme("bsc-bit", _sample_bsc_bit, False,
                       ("no_feedback", "feedback"), ("repetition",)),
-    "xor": Scheme("xor", _rep_xor_oneproc, True, ("distributed", "colocated")),
-    "xor-colocated": Scheme("xor", _rep_xor_colocated, True, ("colocated",)),
-    "gauss-multi": Scheme("dglm", _rep_gauss_multi, True, ("decentralized",)),
+    "xor": Scheme("xor", _sample_xor_oneproc, True, ("distributed", "colocated")),
+    "xor-colocated": Scheme("xor", _sample_xor_colocated, True, ("colocated",)),
+    "gauss-multi": Scheme("dglm", _sample_gauss_multi, True, ("decentralized",)),
 }
+
+
+def _distortions(config: SimulationConfig, scheme: Scheme) -> np.ndarray:
+    reps = config.replications
+    return np.concatenate([
+        scheme.sample(config.spec, _block_rng(config.seed, block),
+                      min(BLOCK, reps - start))
+        for block, start in enumerate(range(0, reps, BLOCK))])
 
 
 def _simulate(config: SimulationConfig, multi: bool) -> SimulationResult:
@@ -213,10 +239,7 @@ def _simulate(config: SimulationConfig, multi: bool) -> SimulationResult:
     if scheme is None or scheme.multi != multi:
         kind = "multi" if multi else "single"
         raise DistributionError(f"unsupported {kind}-processor scheme {config.scheme_name!r}")
-    distortions = np.empty(config.replications)
-    for k in range(config.replications):
-        distortions[k] = scheme.sample(config.spec, _rep_rng(config.seed, k))
-    return _aggregate(distortions, config)
+    return _aggregate(_distortions(config, scheme), config)
 
 
 def simulate_single_processor(config: SimulationConfig) -> SimulationResult:

@@ -133,3 +133,66 @@ def diff_entropy_constant_mp(d: int, r: float) -> float:
     d, r = mpmath.mpf(d), mpmath.mpf(r)
     volume = mpmath.pi ** (d / 2) / mpmath.gamma(d / 2 + 1)
     return float(d / (r * mpmath.e) * (volume * mpmath.gamma(1 + d / r)) ** (-r / d))
+
+
+def _beta_abs_dev(k: int, n: int, c) -> mpmath.mpf:
+    """E|W - c| for W ~ Beta(k+1, n-k+1), the posterior after k ones in n.
+
+    Uses |W - c| = (W - c) + 2 (c - W)^+ and E[W; W <= c] = mean I_c(a+1, b).
+    """
+    a, b, c = mpmath.mpf(k + 1), mpmath.mpf(n - k + 1), mpmath.mpf(c)
+    mean = a / (a + b)
+    below = mpmath.betainc(a, b, 0, c, regularized=True)
+    mean_below = mean * mpmath.betainc(a + 1, b, 0, c, regularized=True)
+    return mean - c + 2 * (c * below - mean_below)
+
+
+def _midpoint(count: int, n: int, bits: float) -> mpmath.mpf:
+    """Midpoint of the cell of count/n among round(2^bits) equal cells of [0, 1]."""
+    cells = round(2 ** bits)
+    if cells <= 1:
+        return mpmath.mpf(1) / 2
+    idx = min(count * cells // n, cells - 1)
+    return mpmath.mpf(2 * idx + 1) / (2 * cells)
+
+
+def quantized_count_risk(n: int, bits: float) -> float:
+    """Risk E|W - midpoint(K/n)| with W uniform and K | W ~ Bin(n, W).
+
+    K is uniform on {0..n} and W | K=k ~ Beta(k+1, n-k+1), so the risk is
+    sum_k 1/(n+1) E|W - c_k|. This is the noiseless bern-bsc scheme with b
+    bits, and the colocated parity scheme with mb bits (its parity mean is a
+    Bin(n, W) count over n).
+    """
+    total = sum(_beta_abs_dev(k, n, _midpoint(k, n, bits)) for k in range(n + 1))
+    return float(total / (n + 1))
+
+
+def repetition_count_risk(n: int, eps: float, T: int) -> float:
+    """Risk of sending the count K's bits, each repeated over a BSC(eps).
+
+    K has L = bit_length(n) bits; each is sent floor(T / L) times and decoded
+    by majority with ties to 0; the estimate is min(K_hat, n) / n. Every
+    decoded value is enumerated with its probability given k.
+    """
+    L = n.bit_length()
+    looks = T // L
+    eps = mpmath.mpf(eps)
+    flips = [mpmath.binomial(looks, f) * eps ** f * (1 - eps) ** (looks - f)
+             for f in range(looks + 1)]
+    # a sent 0 decodes to 1 on a strict majority of flips; a sent 1 decodes
+    # to 0 when its ones are at most half the looks
+    err = [sum(p for f, p in enumerate(flips) if 2 * f > looks),
+           sum(p for f, p in enumerate(flips) if 2 * (looks - f) <= looks)]
+    total = mpmath.mpf(0)
+    for k in range(n + 1):
+        mass = [mpmath.mpf(0)] * (n + 1)
+        for v in range(2 ** L):
+            prob = mpmath.mpf(1)
+            for j in range(L):
+                sent = (k >> j) & 1
+                prob *= err[sent] if (v >> j) & 1 != sent else 1 - err[sent]
+            mass[min(v, n)] += prob
+        total += sum(p * _beta_abs_dev(k, n, mpmath.mpf(c) / n)
+                     for c, p in enumerate(mass))
+    return float(total / (n + 1))

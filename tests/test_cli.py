@@ -3,7 +3,9 @@ import dataclasses
 import pytest
 
 from bayeslb import cli
-from bayeslb.scenarios import scenario_gauss_gauss
+from bayeslb.scenarios import ScenarioSpec, scenario_gauss_gauss
+from bayeslb.simulate import (SCHEMES, SimulationConfig, sandwich_check,
+                              simulate_multi, simulate_single_processor)
 
 
 def run(argv, capsys):
@@ -185,6 +187,60 @@ def test_simulate_colocated_parity_meets_its_own_floor(capsys):
     assert "# check: pass" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["scenario", "bern-bsc", "--eps", "0.5", "--T", "1"],
+    ["simulate", "bern-bsc", "--n", "10", "--b", "4", "--eps", "0.5", "--T",
+     "8", "--reps", "1000", "--check"],
+])
+def test_bern_bsc_useless_channel_runs(argv, capsys):
+    # capacity and feedback exponent are both 0 at eps = 1/2
+    code, out, err = run(argv, capsys)
+    assert code == 0
+    assert "Traceback" not in err
+    assert "nan" not in out
+    assert "capacity_to_feedback_exponent" not in out
+    if argv[0] == "simulate":
+        assert "# check: pass" in out
+
+
+# (scheme, flags) runs, one per scheme in the table
+MARGIN_RUNS = {
+    "gauss-gauss": {"n": 10},
+    "bern-bsc": {"n": 100, "b": 7.0, "eps": 0.1, "T": 70},
+    "bsc-bit": {"eps": 0.1, "T": 7},
+    "xor": {"m": 2, "n": 16, "b": 2.0},
+    "xor-colocated": {"m": 2, "n": 16, "b": 2.0},
+    "gauss-multi": {"m": 4, "n": 10, "d": 8},
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCHEMES))
+def test_simulate_prints_each_checked_margin(name, capsys):
+    fields = MARGIN_RUNS[name]
+    flags = [tok for key, value in fields.items()
+             for tok in (f"--{key}", str(value))]
+    code, out, _ = run(["simulate", name, *flags, "--reps", "2000",
+                        "--seed", "5", "--check"], capsys)
+    assert code == 0
+    lines = out.splitlines()
+    check = next(i for i, line in enumerate(lines)
+                 if line.startswith("# check: "))
+    margins = [line.removeprefix("# margin: ").split("=")
+               for line in lines if line.startswith("# margin: ")]
+    assert lines[check + 1].startswith("# margin: ")
+    scheme = SCHEMES[name]
+    if name == "gauss-multi":
+        fields = dict(fields, total_samples=40, total_bits=64.0 * 4 * 8)
+    spec = ScenarioSpec(tag=scheme.tag, **fields)
+    sim = simulate_multi if scheme.multi else simulate_single_processor
+    result = sim(SimulationConfig(spec=spec, replications=2000, seed=5,
+                                  scheme=name))
+    verdict = sandwich_check(cli._SCENARIO_FNS[scheme.tag](spec), result)
+    assert [label for label, _ in margins] == list(verdict.margins)
+    assert [value for _, value in margins] == \
+        [cli._text(value) for value in verdict.margins.values()]
+
+
 def test_simulate_nan_risk_fails_check(capsys):
     code, out, _ = run(["simulate", "gauss-gauss", "--var-w", "inf",
                         "--reps", "50", "--check"], capsys)
@@ -277,6 +333,32 @@ def test_config_missing_file_exits_2(tmp_path, capsys):
                         "simulate", "gauss-gauss", "--reps", "50"], capsys)
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize("seed", ["-5", str(2 ** 64)])
+def test_seed_outside_64_bits_exits_2(seed, tmp_path, capsys, monkeypatch):
+    code, out, err = run(["simulate", "gauss-gauss", "--reps", "50",
+                          "--seed", seed], capsys)
+    assert (code, out) == (2, "")
+    assert "error:" in err and "Traceback" not in err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"seed={seed}\n")
+    code, out, err = run(["--config", str(cfg), "simulate", "gauss-gauss",
+                          "--reps", "50"], capsys)
+    assert (code, out) == (2, "")
+    assert "error:" in err
+    monkeypatch.setenv("BAYESLB_SEED", seed)
+    code, out, err = run(["simulate", "gauss-gauss", "--reps", "50"], capsys)
+    assert (code, out) == (2, "")
+    assert "BAYESLB_SEED" in err
+
+
+def test_largest_seed_runs(capsys):
+    top = str(2 ** 64 - 1)
+    code, out, _ = run(["simulate", "gauss-gauss", "--reps", "50",
+                        "--seed", top, "--check"], capsys)
+    assert code == 0
+    assert data_rows(out)[1].split(",")[4] == top
 
 
 def test_env_seed_used_when_flag_absent(capsys, monkeypatch):

@@ -9,8 +9,9 @@ from bayeslb.cli import _SCENARIO_FNS
 from bayeslb.info import DiscreteDistribution, DistributionError, bsc
 from bayeslb.scenarios import (ScenarioSpec, scenario_gauss_gauss,
                                scenario_xor)
-from bayeslb.simulate import (SCHEMES, SimulationConfig, SimulationResult,
-                              _majority, _quantize_midpoint, _rep_rng,
+from bayeslb.simulate import (BLOCK, SCHEMES, SimulationConfig,
+                              SimulationResult, _block_rng, _distortions,
+                              _quantize_midpoint, _repeated_bits,
                               exact_chain_mi, sandwich_check,
                               sample_xor_block, simulate_multi,
                               simulate_single_processor)
@@ -29,26 +30,46 @@ def test_config_validation():
     assert cfg.scheme_name == "gauss-gauss"
 
 
-def test_rep_rng_keyed_by_replication_only():
-    a = _rep_rng(7, 3).standard_normal(4)
-    b = _rep_rng(7, 3).standard_normal(4)
-    c = _rep_rng(7, 4).standard_normal(4)
+@pytest.mark.parametrize("seed", [-1, 2 ** 64, 2 ** 64 + 7])
+def test_config_rejects_seed_outside_64_bits(seed):
+    spec = ScenarioSpec(tag="gauss-gauss", n=5)
+    with pytest.raises(DistributionError):
+        SimulationConfig(spec=spec, replications=10, seed=seed)
+
+
+def test_block_rng_keyed_by_seed_and_block():
+    a = _block_rng(7, 3).standard_normal(4)
+    b = _block_rng(7, 3).standard_normal(4)
+    c = _block_rng(7, 4).standard_normal(4)
+    d = _block_rng(8, 3).standard_normal(4)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+    assert not np.array_equal(a, d)
+    # the documented contract: block b of seed s is Philox(key=s + (b << 64))
+    philox = np.random.Generator(np.random.Philox(key=7 + (3 << 64)))
+    assert np.array_equal(a, philox.standard_normal(4))
 
 
 def test_quantize_midpoint_edges():
-    assert _quantize_midpoint(0.0, 2) == 0.125
-    assert _quantize_midpoint(0.999999, 2) == 0.875
+    got = _quantize_midpoint(np.array([0.0, 0.999999, 1.0]), 2)
     # values at the top of the range stay in the last cell
-    assert _quantize_midpoint(1.0, 2) == 0.875
-    assert _quantize_midpoint(0.3, 0) == 0.5
+    assert got.tolist() == [0.125, 0.875, 0.875]
+    assert _quantize_midpoint(np.array([0.3]), 0).tolist() == [0.5]
 
 
 def test_majority_ties_report_zero():
-    assert _majority(np.array([1, 0, 1, 0])) == 0
-    assert _majority(np.array([1, 1, 0, 0, 1])) == 1
-    assert _majority(np.array([0])) == 0
+    # over a useless channel two looks decode to 1 only on a 2-0 split of
+    # ones, probability 1/4 for either sent bit (3/4 if ties went to 1)
+    rng = np.random.default_rng(3)
+    for sent in (0, 1):
+        decoded = _repeated_bits(np.full(20000, sent), 2, 0.5, rng)
+        assert abs(decoded.mean() - 0.25) < 0.02
+    # with four looks a 2-2 split decodes to 0 whichever bit was sent
+    spec = ScenarioSpec(tag="bsc-bit", eps=0.1, T=4)
+    cfg = SimulationConfig(spec=spec, replications=30000, seed=9)
+    result = simulate_single_processor(cfg)
+    target = oracles.majority_error_rate(4, 0.1)
+    assert abs(result.empirical_risk - target) <= 3.0 * result.ci_halfwidth
 
 
 # ---------------------------------------------------------------------------
@@ -102,6 +123,25 @@ def test_multi_deterministic_across_parallelism():
     assert runs[0].empirical_risk == runs[1].empirical_risk
 
 
+def test_block_boundary_run():
+    reps = 2 * BLOCK + 1
+    spec = ScenarioSpec(tag="gauss-gauss", n=5)
+    cfg = SimulationConfig(spec=spec, replications=reps, seed=21)
+    scheme = SCHEMES["gauss-gauss"]
+    draws = _distortions(cfg, scheme)
+    assert draws.shape == (reps,)
+    # blocks are concatenated in index order, the last holding one draw
+    assert np.array_equal(draws[:BLOCK],
+                          scheme.sample(spec, _block_rng(21, 0), BLOCK))
+    assert np.array_equal(draws[2 * BLOCK:],
+                          scheme.sample(spec, _block_rng(21, 2), 1))
+    first = simulate_single_processor(cfg)
+    assert first.replications == reps
+    assert simulate_single_processor(cfg) == first
+    other = simulate_single_processor(dataclasses.replace(cfg, seed=22))
+    assert other.empirical_risk != first.empirical_risk
+
+
 def test_seed_changes_output():
     spec = ScenarioSpec(tag="gauss-gauss", n=5)
     a = simulate_single_processor(SimulationConfig(spec=spec,
@@ -129,6 +169,36 @@ def test_bsc_bit_matches_majority_oracle():
     result = simulate_single_processor(cfg)
     target = oracles.majority_error_rate(5, 0.1)
     assert abs(result.empirical_risk - target) <= 3.0 * result.ci_halfwidth
+
+
+DGLM = {"m": 5, "n": 20, "d": 2, "var_w": 1.0, "var_noise": 4.0,
+        "total_samples": 100, "total_bits": 400.0}
+
+# (scheme, spec fields, exact risk of the scheme)
+ORACLE_RUNS = [
+    ("gauss-gauss", {"n": 10}, lambda: oracles.mmae_gauss(math.sqrt(1.0 / 11.0))),
+    ("bern-bsc", {"n": 64, "b": 4.0, "eps": 0.0, "T": None},
+     lambda: oracles.quantized_count_risk(64, 4.0)),
+    ("bern-bsc", {"n": 20, "b": 5.0, "eps": 0.15, "T": 20},
+     lambda: oracles.repetition_count_risk(20, 0.15, 20)),
+    ("bsc-bit", {"eps": 0.1, "T": 7}, lambda: oracles.majority_error_rate(7, 0.1)),
+    # E|W - 1/2| for W uniform on [0, 1]
+    ("xor", {"m": 2, "n": 16, "b": 0.0}, lambda: 0.25),
+    ("xor-colocated", {"m": 2, "n": 16, "b": 2.0},
+     lambda: oracles.quantized_count_risk(16, 4.0)),
+    # d times the posterior variance var_w var_noise / (var_noise + mn var_w)
+    ("gauss-multi", DGLM, lambda: 2 * 4.0 / (4.0 + 100.0)),
+]
+
+
+@pytest.mark.parametrize("name, fields, oracle", ORACLE_RUNS)
+def test_scheme_matches_exact_oracle(name, fields, oracle):
+    scheme = SCHEMES[name]
+    spec = ScenarioSpec(tag=scheme.tag, **fields)
+    run = simulate_multi if scheme.multi else simulate_single_processor
+    result = run(SimulationConfig(spec=spec, replications=20000, seed=31,
+                                  scheme=name))
+    assert abs(result.empirical_risk - oracle()) <= 3.0 * result.ci_halfwidth
 
 
 def test_bern_bsc_routes_on_noise():
