@@ -219,7 +219,13 @@ def lb_diff_entropy(mi: float, h: float, d: int = 1, r: float = 1.0) -> BoundRep
     if mi < 0.0:
         raise DistributionError("mutual information cannot be negative")
     const = math.exp(log_diff_entropy_constant(d, r))
-    value = const * 2.0 ** (-(mi - h) * r / d)
+    try:
+        value = const * 2.0 ** (-(mi - h) * r / d)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        why = "exceeds the float range" if value > 0.0 else "is undefined"
+        raise DistributionError(f"the risk floor for I={mi}, h={h}, d={d}, r={r} {why}")
     return BoundReport(value, "diff-entropy", {"constant": const},
                        {"mi": mi, "h": h, "d": d, "r": r})
 

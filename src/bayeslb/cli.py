@@ -4,7 +4,9 @@ Every CSV the tool writes starts with '#'-prefixed manifest lines carrying
 the tool version, a canonical command line, the full model echo, and the
 resolved seed, so the file can be regenerated byte-for-byte by re-running
 the manifest command. Timestamps are added only on request since they break
-reproducibility. Exit codes: 0 success, 1 failed --check, 2 usage error.
+reproducibility. A --config file supplies flag defaults that are parsed
+exactly like flags given on the command line, which override them. Exit
+codes: 0 success, 1 failed --check, 2 usage error.
 """
 from __future__ import annotations
 
@@ -49,31 +51,6 @@ _SCENARIO_FNS = {
     "hide-seek": scenario_hide_seek,
 }
 
-_SPEC_FLAGS = [
-    ("n", "--n"), ("b", "--b"), ("T", "--T"), ("m", "--m"), ("d", "--d"),
-    ("eps", "--eps"), ("var_w", "--var-w"), ("var_noise", "--var-noise"),
-    ("delta", "--delta"), ("rho", "--rho"), ("radius", "--radius"),
-    ("total_samples", "--total-samples"), ("total_bits", "--total-bits"),
-    ("total_uses", "--total-uses"), ("feedback", "--feedback"),
-    ("r", "--r"), ("p", "--p"), ("capacity", "--capacity"),
-    ("eta_uses", "--eta-uses"),
-]
-
-_BOUND_FLAGS = [
-    ("I", "--I"), ("h", "--h"), ("hx", "--hx"), ("i_single", "--i-single"),
-    ("i_cond", "--i-cond"), ("b", "--b"), ("capacity", "--capacity"),
-    ("T", "--T"), ("m", "--m"), ("n", "--n"), ("d", "--d"), ("r", "--r"),
-    ("outside", "--outside"), ("eta_stat", "--eta-stat"),
-    ("eta_uses", "--eta-uses"), ("eta_uses_mt", "--eta-uses-mt"),
-    ("eta_s", "--eta-s"), ("alpha", "--alpha"),
-    ("colocated", "--colocated"), ("noiseless", "--noiseless"),
-    ("prior", "--prior"), ("prior_var", "--prior-var"),
-    ("prior_dim", "--prior-dim"), ("prior_radius", "--prior-radius"),
-    ("prior_size", "--prior-size"), ("distortion", "--distortion"),
-    ("distortion_r", "--distortion-r"),
-]
-
-
 def _parse_bool(text: str) -> bool:
     low = text.strip().lower()
     if low in ("1", "true", "yes", "on"):
@@ -87,37 +64,69 @@ def _parse_etas(text: str) -> tuple:
     return tuple(float(part) for part in text.split(","))
 
 
-_CONFIG_TYPES = {
-    "n": int, "b": float, "T": int, "m": int, "d": int, "eps": float,
-    "var_w": float, "var_noise": float, "delta": float, "rho": float,
-    "radius": float, "total_samples": int, "total_bits": float,
-    "total_uses": int, "feedback": _parse_bool, "r": float, "p": float,
-    "capacity": float, "eta_uses": float, "reps": int, "seed": int,
-    "alpha": float, "etas": _parse_etas, "points": int, "thm": int,
-    "I": float, "h": float, "hx": float, "i_single": float, "i_cond": float,
-    "eta_stat": float, "eta_s": float, "eta_uses_mt": float, "outside": int,
-    "colocated": _parse_bool, "noiseless": _parse_bool, "parallel": int,
-    "check": _parse_bool, "timestamp": _parse_bool, "csv": _parse_bool,
-    "prior": str, "prior_var": float, "prior_dim": int,
-    "prior_radius": float, "prior_size": int, "distortion": str,
-    "distortion_r": float,
+# Every valued flag or switch is one (dest, type, default[, help]) row, spelled
+# "--" + dest with "-" for "_". A subcommand's rows build its parser and, in
+# order, its manifest command; the model rows also build its ScenarioSpec.
+_MODEL_FLAGS = (
+    ("n", int, 1), ("b", float, 0.0), ("T", int, 1), ("m", int, 1),
+    ("d", int, 1), ("eps", float, None), ("var_w", float, 1.0),
+    ("var_noise", float, 1.0), ("delta", float, 1.0), ("rho", float, 0.0),
+    ("radius", float, 1.0), ("total_samples", int, None),
+    ("total_bits", float, None), ("total_uses", int, None),
+    ("feedback", bool, False), ("r", float, 1.0), ("p", float, None),
+    ("capacity", float, None), ("eta_uses", float, None),
+)
+_RUN_FLAGS = (
+    ("reps", int, None, "replications (simulate) or Monte Carlo draws for "
+                        "mass estimates (scenario gauss-ball)"),
+    ("seed", int, None),
+)
+_BOUND_FLAGS = (
+    ("I", float, None), ("h", float, None), ("hx", float, None),
+    ("i_single", float, None), ("i_cond", float, None), ("b", float, None),
+    ("capacity", float, None), ("T", int, 1), ("m", int, 1), ("n", int, 1),
+    ("d", int, 1), ("r", float, 1.0), ("outside", int, None),
+    ("eta_stat", float, 1.0), ("eta_uses", float, 1.0),
+    ("eta_uses_mt", float, None), ("eta_s", float, 1.0),
+    ("alpha", float, None), ("colocated", bool, False),
+    ("noiseless", bool, False), ("prior", str, None),
+    ("prior_var", float, None), ("prior_dim", int, 1),
+    ("prior_radius", float, None), ("prior_size", int, None),
+    ("distortion", str, None), ("distortion_r", float, 1.0),
+)
+_COMMAND_FLAGS = {
+    "bound": _BOUND_FLAGS,
+    "scenario": _MODEL_FLAGS + (
+        ("alpha", float, None, "small-ball level (CEO scenario)"),) + _RUN_FLAGS,
+    "simulate": _MODEL_FLAGS + _RUN_FLAGS + (
+        ("check", bool, False, "compare against the matching closed-form report"),),
+    "figure": (("p", float, 0.3), ("etas", _parse_etas, (1.0, 0.75, 0.5)),
+               ("points", int, 61), ("m", int, 10), ("d", int, 512),
+               ("b", float, None), ("rho", float, 0.01)),
 }
+# the figure flags each figure reads, the ones its manifest command echoes
+_FIGURE_READS = {"fig2": ("p", "etas", "points"), "fig3": ("m", "d", "b"),
+                 "fig4": ("m", "d", "b", "rho")}
 
 
 def _load_config(path: str) -> dict:
-    """Flat key=value file; '#' starts a comment, keys use flag spellings."""
+    """Flat key=value file; '#' starts a comment, keys use flag spellings.
+
+    Values stay text: ``build_parser`` makes them parser defaults.
+    """
+    try:
+        lines = Path(path).read_text().splitlines()
+    except UnicodeDecodeError:
+        raise DistributionError(f"config file {path!r} is not text") from None
     values = {}
-    for raw in Path(path).read_text().splitlines():
+    for raw in lines:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise DistributionError(f"config line {raw!r} is not key=value")
         key, text = (part.strip() for part in line.split("=", 1))
-        dest = key.replace("-", "_")
-        if dest not in _CONFIG_TYPES:
-            raise DistributionError(f"unknown config key {key!r}")
-        values[dest] = _CONFIG_TYPES[dest](text)
+        values[key.replace("-", "_")] = text
     return values
 
 
@@ -144,7 +153,7 @@ def _text(value) -> str:
     if isinstance(value, bool):
         return "True" if value else "False"
     if isinstance(value, (float, np.floating)):
-        return "%.9g" % value
+        return "%.9g" % (value + 0.0)  # + 0.0 turns -0.0 into 0.0
     return str(value)
 
 
@@ -156,17 +165,20 @@ def _arg_text(value) -> str:
     return str(value)
 
 
-def _canonical(head: list, args, flags) -> list:
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
+
+
+def _canonical(head: list, args, rows) -> list:
+    """``head`` plus every set value of the flag ``rows``, in row order."""
     tokens = list(head)
-    for dest, flag in flags:
-        value = getattr(args, dest, None)
-        if value is None:
+    for dest, *_ in rows:
+        value = getattr(args, dest)
+        if value is None or value is False:
             continue
-        if isinstance(value, bool):
-            if value:
-                tokens.append(flag)
-            continue
-        tokens.extend([flag, _arg_text(value)])
+        tokens.append(_flag(dest))
+        if value is not True:
+            tokens.append(_arg_text(value))
     return tokens
 
 
@@ -301,15 +313,8 @@ def cmd_bound(args) -> int:
 
 
 def _spec_from_args(tag: str, args) -> ScenarioSpec:
-    return ScenarioSpec(tag=tag, n=args.n, b=args.b, T=args.T, m=args.m,
-                        d=args.d, eps=args.eps, var_w=args.var_w,
-                        var_noise=args.var_noise, delta=args.delta,
-                        rho_bias=args.rho, radius=args.radius,
-                        total_samples=args.total_samples,
-                        total_bits=args.total_bits,
-                        total_uses=args.total_uses, feedback=args.feedback,
-                        r=args.r, p=args.p, capacity=args.capacity,
-                        eta_uses=args.eta_uses)
+    return ScenarioSpec(tag=tag, **{"rho_bias" if dest == "rho" else dest:
+                                    getattr(args, dest) for dest, *_ in _MODEL_FLAGS})
 
 
 def _scenario_report(tag: str, spec: ScenarioSpec, args, seed: int):
@@ -344,8 +349,7 @@ def cmd_scenario(args) -> int:
     args.seed = seed
     spec = _spec_from_args(args.tag, args)
     report = _scenario_report(args.tag, spec, args, seed)
-    extra = [("alpha", "--alpha"), ("reps", "--reps"), ("seed", "--seed")]
-    tokens = _canonical(["scenario", args.tag], args, _SPEC_FLAGS + extra)
+    tokens = _canonical(["scenario", args.tag], args, _COMMAND_FLAGS["scenario"])
     lines = _manifest(tokens, args, spec=spec, seed=seed).lines()
     lines += _report_rows(report)
     _emit(lines, args.out)
@@ -359,6 +363,8 @@ def cmd_scenario(args) -> int:
 def cmd_simulate(args) -> int:
     if args.reps is None:
         raise DistributionError("simulate needs --reps")
+    if args.parallel < 1:
+        raise DistributionError("--parallel must be >= 1")
     seed = _resolve_seed(args)
     args.seed = seed
     scheme = SCHEMES[args.scheme]
@@ -371,10 +377,9 @@ def cmd_simulate(args) -> int:
             args.total_bits = 64.0 * args.m * args.d
     spec = _spec_from_args(scheme.tag, args)
     config = SimulationConfig(spec=spec, replications=args.reps, seed=seed,
-                              parallelism=args.parallel, scheme=args.scheme)
+                              scheme=args.scheme)
     result = (simulate_multi if scheme.multi else simulate_single_processor)(config)
-    extra = [("reps", "--reps"), ("seed", "--seed"), ("check", "--check")]
-    tokens = _canonical(["simulate", args.scheme], args, _SPEC_FLAGS + extra)
+    tokens = _canonical(["simulate", args.scheme], args, _COMMAND_FLAGS["simulate"])
     lines = _manifest(tokens, args, spec=spec, seed=seed).lines()
     lines.append("scheme,empirical_risk,ci_halfwidth,replications,seed")
     lines.append(",".join([result.scheme, _text(result.empirical_risk),
@@ -403,19 +408,18 @@ def cmd_figure(args) -> int:
     if args.which == "fig2":
         grid = np.linspace(1.0 - 2.0 * args.p, 1.0, args.points)
         header, rows = fig2_data(p=args.p, delta_grid=grid, etas=args.etas)
-        flags = [("p", "--p"), ("etas", "--etas"), ("points", "--points")]
     else:
         if args.b is None:
             args.b = 3.0 * args.d
         if args.which == "fig3":
             header, rows = fig34_data(m=args.m, d=args.d, b=args.b,
                                       rho_rule="quarter_n")
-            flags = [("m", "--m"), ("d", "--d"), ("b", "--b")]
         else:
             header, rows = fig34_data(m=args.m, d=args.d, b=args.b,
                                       rho_rule="fixed", rho=args.rho)
-            flags = [("m", "--m"), ("d", "--d"), ("b", "--b"), ("rho", "--rho")]
-    tokens = _canonical(["figure", args.which], args, flags)
+    reads = _FIGURE_READS[args.which]
+    tokens = _canonical(["figure", args.which], args,
+                        [row for row in _COMMAND_FLAGS["figure"] if row[0] in reads])
     lines = _manifest(tokens, args).lines()
     lines.append(",".join(header))
     lines += [",".join(_text(cell) for cell in row) for row in rows]
@@ -427,108 +431,68 @@ def cmd_figure(args) -> int:
 # parser assembly
 
 
-def _add_common(parser) -> None:
-    parser.add_argument("--out", default=None, help="write output to this file")
-    parser.add_argument("--timestamp", action="store_true",
-                        help="include a timestamp line (breaks byte reproducibility)")
+def _add_flags(parser, rows) -> None:
+    for dest, kind, default, *help_text in rows:
+        more = {"help": help_text[0]} if help_text else {}
+        if kind is bool:
+            parser.add_argument(_flag(dest), action="store_true", **more)
+        else:
+            parser.add_argument(_flag(dest), type=kind, default=default, **more)
 
 
-def _add_spec_args(parser) -> None:
-    g = parser.add_argument_group("model parameters")
-    g.add_argument("--n", type=int, default=1)
-    g.add_argument("--b", type=float, default=0.0)
-    g.add_argument("--T", type=int, default=1)
-    g.add_argument("--m", type=int, default=1)
-    g.add_argument("--d", type=int, default=1)
-    g.add_argument("--eps", type=float, default=None)
-    g.add_argument("--var-w", dest="var_w", type=float, default=1.0)
-    g.add_argument("--var-noise", dest="var_noise", type=float, default=1.0)
-    g.add_argument("--delta", type=float, default=1.0)
-    g.add_argument("--rho", type=float, default=0.0)
-    g.add_argument("--radius", type=float, default=1.0)
-    g.add_argument("--total-samples", dest="total_samples", type=int, default=None)
-    g.add_argument("--total-bits", dest="total_bits", type=float, default=None)
-    g.add_argument("--total-uses", dest="total_uses", type=int, default=None)
-    g.add_argument("--feedback", action="store_true")
-    g.add_argument("--r", type=float, default=1.0)
-    g.add_argument("--p", type=float, default=None)
-    g.add_argument("--capacity", type=float, default=None)
-    g.add_argument("--eta-uses", dest="eta_uses", type=float, default=None)
+def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
+    """The CLI parser; ``config`` maps flag dests to text from a --config file.
 
-
-def build_parser() -> argparse.ArgumentParser:
+    Config values become the defaults of every subcommand that has the flag,
+    so argparse converts and rejects them exactly like flag text, and a flag
+    given on the command line, abbreviated or not, wins. Switches read their
+    text with ``_parse_bool``; a key no subcommand has is an error.
+    """
     parser = argparse.ArgumentParser(
         prog="bayeslb",
         description="Lower bounds and simulations for distributed estimation "
                     "under communication constraints.")
     parser.add_argument("--config", default=None,
-                        help="flat key=value file of defaults; flags override")
+                        help="flat key=value file of defaults, read like flags; "
+                             "flags override")
     sub = parser.add_subparsers(dest="cmd", required=True)
-
     p_bound = sub.add_parser("bound", help="evaluate one closed-form bound")
     p_bound.add_argument("--thm", type=int, required=True,
                          help="theorem number, 1-7")
-    for dest, flag in _BOUND_FLAGS:
-        if dest in ("colocated", "noiseless"):
-            p_bound.add_argument(flag, action="store_true")
-        elif dest in ("T", "m", "n", "d", "outside", "prior_dim", "prior_size"):
-            default = None if dest in ("outside", "prior_size") else 1
-            p_bound.add_argument(flag, dest=dest, type=int, default=default)
-        elif dest in ("prior", "distortion"):
-            p_bound.add_argument(flag, dest=dest, default=None)
-        else:
-            default = 1.0 if dest in ("eta_stat", "eta_uses", "eta_s",
-                                      "r", "distortion_r") else None
-            p_bound.add_argument(flag, dest=dest, type=float, default=default)
     p_bound.add_argument("--csv", action="store_true",
                          help="emit key,value CSV with a manifest header")
-    _add_common(p_bound)
     p_bound.set_defaults(func=cmd_bound)
-
     p_scen = sub.add_parser("scenario", help="closed-form report for one model")
     p_scen.add_argument("tag", choices=sorted(_SCENARIO_FNS))
-    _add_spec_args(p_scen)
-    p_scen.add_argument("--alpha", type=float, default=None,
-                        help="small-ball level (CEO scenario)")
-    p_scen.add_argument("--reps", type=int, default=None,
-                        help="Monte Carlo draws for mass estimates (gauss-ball)")
-    p_scen.add_argument("--seed", type=int, default=None)
-    _add_common(p_scen)
     p_scen.set_defaults(func=cmd_scenario)
-
     p_sim = sub.add_parser("simulate", help="Monte Carlo run of one scheme")
     p_sim.add_argument("scheme", choices=sorted(SCHEMES))
-    _add_spec_args(p_sim)
-    p_sim.add_argument("--reps", type=int, default=None)
-    p_sim.add_argument("--seed", type=int, default=None)
     p_sim.add_argument("--parallel", type=int, default=1,
-                       help="scheduling hint; never changes the output bytes")
-    p_sim.add_argument("--check", action="store_true",
-                       help="compare against the matching closed-form report")
-    _add_common(p_sim)
+                       help="accepted, never changes the output bytes")
     p_sim.set_defaults(func=cmd_simulate)
-
     p_fig = sub.add_parser("figure", help="emit the data behind a figure")
-    p_fig.add_argument("which", choices=("fig2", "fig3", "fig4"))
-    p_fig.add_argument("--p", type=float, default=0.3)
-    p_fig.add_argument("--etas", type=_parse_etas, default=(1.0, 0.75, 0.5))
-    p_fig.add_argument("--points", type=int, default=61)
-    p_fig.add_argument("--m", type=int, default=10)
-    p_fig.add_argument("--d", type=int, default=512)
-    p_fig.add_argument("--b", type=float, default=None)
-    p_fig.add_argument("--rho", type=float, default=0.01)
-    _add_common(p_fig)
+    p_fig.add_argument("which", choices=sorted(_FIGURE_READS))
     p_fig.set_defaults(func=cmd_figure)
+    for name, command in sub.choices.items():
+        # a group, unlike its parser, skips a help-formatter check per flag
+        _add_flags(command.add_argument_group("parameters"), _COMMAND_FLAGS[name])
+        command.add_argument("--out", default=None,
+                             help="write output to this file")
+        command.add_argument("--timestamp", action="store_true",
+                             help="include a timestamp line "
+                                  "(breaks byte reproducibility)")
+    for key, text in (config or {}).items():
+        owners = [(command, action) for command in sub.choices.values()
+                  for action in command._actions
+                  if action.dest == key and action.option_strings
+                  and key not in ("help", "out")]
+        if not owners:
+            raise DistributionError(f"unknown config key {key!r}")
+        for command, action in owners:
+            # a switch (nargs 0) never converts its default, so read it here
+            command.set_defaults(**{key: _parse_bool(text) if action.nargs == 0
+                                    else text})
     return parser
-
-
-def _apply_config(args, config: dict, given: list) -> None:
-    """Fill config values into parsed args for flags not given explicitly."""
-    for dest, value in config.items():
-        flag = "--" + dest.replace("_", "-")
-        explicit = any(tok == flag or tok.startswith(flag + "=") for tok in given)
-        if not explicit:
-            setattr(args, dest, value)
 
 
 def main(argv=None) -> int:
@@ -536,11 +500,9 @@ def main(argv=None) -> int:
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--config", default=None)
     pre_args, rest = pre.parse_known_args(raw)
-    parser = build_parser()
     try:
-        args = parser.parse_args(rest)
-        if pre_args.config is not None:
-            _apply_config(args, _load_config(pre_args.config), rest)
+        config = None if pre_args.config is None else _load_config(pre_args.config)
+        args = build_parser(config).parse_args(rest)
         return args.func(args)
     except (DistributionError, UnsupportedPairError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -51,7 +51,6 @@ __all__ = [
     "differential_entropy",
     "unit_ball_volume",
     "log_unit_ball_volume",
-    "gamma_fn",
     "channel_capacity",
 ]
 
@@ -320,7 +319,8 @@ def inv_binary_entropy(y: float) -> float:
         else:
             hi = mid
     p = 0.5 * (lo + hi)
-    assert p >= inv_binary_entropy_floor(y) - 1e-12
+    if p < inv_binary_entropy_floor(y) - 1e-12:
+        raise ConvergenceError(f"bisection for h^-1({y}) fell below its floor")
     return p
 
 
@@ -530,11 +530,6 @@ def std_normal_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
-def gamma_fn(x: float) -> float:
-    """Euler gamma function (relative error well below 1e-10)."""
-    return math.gamma(x)
-
-
 def log_unit_ball_volume(d: int) -> float:
     """Natural log of the unit ell-2 ball volume, finite for every d >= 1."""
     if d < 1:
@@ -653,7 +648,8 @@ def differential_entropy(prior: PriorSpec) -> float:
     if prior.family == "gaussian":
         return 0.5 * prior.dim * math.log2(2.0 * math.pi * math.e * prior.var)
     if prior.family == "ball":
-        return math.log2(unit_ball_volume(prior.dim) * prior.radius ** prior.dim)
+        return (log_unit_ball_volume(prior.dim)
+                + prior.dim * math.log(prior.radius)) / math.log(2.0)
     raise UnsupportedPairError(f"prior {prior.family!r} has no differential entropy")
 
 

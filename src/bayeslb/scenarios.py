@@ -77,6 +77,9 @@ class ScenarioSpec:
     eta_uses: float | None = None
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise DistributionError(f"{name} must be finite, not {value}")
         if self.n < 1 or self.m < 1 or self.d < 1:
             raise DistributionError("sample, processor and dimension counts must be >= 1")
         if self.T is not None and self.T < 1:

@@ -2,11 +2,10 @@
 
 Replications run in fixed blocks of ``BLOCK``; block b of a run with seed s
 draws all of its randomness from the counter-based substream keyed by
-(s, b), i.e. ``Philox(key=s + (b << 64))``. The block size does not depend on
-the parallelism hint, so results are bit-identical for a given (config, seed)
-however the run is scheduled. Blocks are concatenated in index order and
-the mean and confidence half-width are computed over the full replication
-array with pairwise summation.
+(s, b), i.e. ``Philox(key=s + (b << 64))``. The block size is fixed, so
+results are bit-identical for a given (config, seed). Blocks are concatenated
+in index order and the mean and confidence half-width are computed over the
+full replication array with pairwise summation.
 
 Each sampler draws, for a whole block at once, the statistic its estimator
 actually reads (a sample mean, a flip count, a success count), which has
@@ -54,14 +53,11 @@ class SimulationConfig:
     spec: ScenarioSpec
     replications: int
     seed: int
-    parallelism: int = 1
     scheme: str | None = None
 
     def __post_init__(self):
         if self.replications < 1:
             raise DistributionError("replication count must be >= 1")
-        if self.parallelism < 1:
-            raise DistributionError("parallelism hint must be >= 1")
         if not 0 <= self.seed < SEED_LIMIT:
             raise DistributionError(f"seed {self.seed} is outside [0, 2^64)")
 
@@ -96,7 +92,9 @@ def _aggregate(distortions: np.ndarray, config: SimulationConfig) -> SimulationR
 
 def _quantize_midpoint(values: np.ndarray, bits: float) -> np.ndarray:
     """Uniform quantization of [0, 1] to the midpoint of each value's cell."""
-    cells = round(2.0 ** bits)
+    # 2.0 ** bits overflows from bits = 1024 on, and 2^1023 cells already move
+    # no value in [0, 1] by more than 2^-1024
+    cells = round(2.0 ** bits) if bits < 1024 else 2 ** 1023
     if cells <= 1:
         return np.full_like(values, 0.5)
     idx = np.minimum(np.floor(values * cells), cells - 1)

@@ -128,6 +128,13 @@ def ceo_requirement_mp(d: int, r: float, var_w: float, alpha: float) -> float:
                                   * mpmath.gamma(1 + d / r), 2))
 
 
+def ball_entropy_mp(d: int, radius: float) -> float:
+    """log2 of the volume of the d-ball of the given radius, 50 digits."""
+    d, radius = mpmath.mpf(d), mpmath.mpf(radius)
+    return float(mpmath.log(mpmath.pi ** (d / 2) / mpmath.gamma(d / 2 + 1)
+                            * radius ** d, 2))
+
+
 def diff_entropy_constant_mp(d: int, r: float) -> float:
     """(d / (r e)) (V_d Gamma(1 + d/r))^(-r/d) at 50 digits."""
     d, r = mpmath.mpf(d), mpmath.mpf(r)

@@ -137,6 +137,14 @@ def test_diff_entropy_rejects_bad_dimension():
         lb_diff_entropy(1.0, 0.0, d=0)
 
 
+@pytest.mark.parametrize("h, message", [(5000.0, "float range"),
+                                        (math.inf, "float range"),
+                                        (math.nan, "undefined")])
+def test_diff_entropy_non_finite_floor_raises(h, message):
+    with pytest.raises(DistributionError, match=message):
+        lb_diff_entropy(0.0, h)
+
+
 # ---------------------------------------------------------------------------
 # Fano family
 

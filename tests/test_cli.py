@@ -109,6 +109,13 @@ def test_scenario_channel_override_out_of_range_exits_2(argv, capsys):
     assert "error:" in err
 
 
+def test_bound_thm3_floor_beyond_float_range_exits_2(capsys):
+    code, out, err = run(["bound", "--thm", "3", "--I", "0", "--h", "5000",
+                          "--d", "1"], capsys)
+    assert (code, out) == (2, "")
+    assert "error:" in err and "float range" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["scenario", "ceo", "--d", "64", "--alpha", "1e-6"],
     ["bound", "--thm", "3", "--I", "0", "--h", "0", "--d", "400", "--r", "1"],
@@ -199,6 +206,9 @@ def test_bern_bsc_useless_channel_runs(argv, capsys):
     assert "Traceback" not in err
     assert "nan" not in out
     assert "capacity_to_feedback_exponent" not in out
+    # i_star and the feedback exponent are 0 here, printed without a sign
+    assert "-0" not in {cell for line in data_rows(out)
+                        for cell in line.split(",")}
     if argv[0] == "simulate":
         assert "# check: pass" in out
 
@@ -241,11 +251,31 @@ def test_simulate_prints_each_checked_margin(name, capsys):
         [cli._text(value) for value in verdict.margins.values()]
 
 
-def test_simulate_nan_risk_fails_check(capsys):
-    code, out, _ = run(["simulate", "gauss-gauss", "--var-w", "inf",
-                        "--reps", "50", "--check"], capsys)
-    assert code == 1
-    assert "# check: FAIL" in out
+@pytest.mark.parametrize("argv", [
+    ["simulate", "gauss-gauss", "--var-w", "inf", "--reps", "50", "--check"],
+    ["scenario", "gauss-gauss", "--var-w", "nan"],
+], ids=["simulate-var-w-inf", "scenario-var-w-nan"])
+def test_non_finite_model_value_exits_2(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert "var_w must be finite" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "bern-bsc", "--n", "10", "--b", "2000", "--eps", "0"],
+    ["simulate", "xor-colocated", "--m", "2", "--n", "16", "--b", "600"],
+])
+def test_simulate_bit_budget_past_float_range(argv, capsys):
+    # from 2^1024 cells on, the quantizer is the identity, as it already is
+    # (to the printed digits) at 2^64
+    code, out, _ = run(argv + ["--reps", "3000", "--seed", "1"], capsys)
+    assert code == 0
+    row = data_rows(out)[1]
+    assert "nan" not in row and "inf" not in row
+    fine = argv[:argv.index("--b") + 1] + ["64"] + argv[argv.index("--b") + 2:]
+    code, out, _ = run(fine + ["--reps", "3000", "--seed", "1"], capsys)
+    assert code == 0
+    assert data_rows(out)[1] == row
 
 
 def test_check_failure_exits_1(tmp_path, capsys, monkeypatch):
@@ -314,18 +344,104 @@ def test_config_supplies_defaults_and_flags_win(tmp_path, capsys):
     _, out, _ = run(["--config", str(cfg), "simulate", "gauss-gauss",
                      "--reps", "50"], capsys)
     assert data_rows(out)[1].split(",")[4] == "41"
-    _, out, _ = run(["--config", str(cfg), "simulate", "gauss-gauss",
-                     "--reps", "50", "--seed", "9"], capsys)
-    assert data_rows(out)[1].split(",")[4] == "9"
+    for explicit in (["--seed", "9"], ["--see", "9"], ["--seed=9"]):
+        _, out, _ = run(["--config", str(cfg), "simulate", "gauss-gauss",
+                         "--reps", "50", *explicit], capsys)
+        assert data_rows(out)[1].split(",")[4] == "9"
 
 
 def test_config_unknown_key_exits_2(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("volume=11\n")
-    code, _, err = run(["--config", str(cfg), "simulate", "gauss-gauss",
-                        "--reps", "50"], capsys)
-    assert code == 2
-    assert "volume" in err
+    # no subcommand has these keys: a made-up one, the global --config,
+    # a positional, and the --out/--help flags
+    for key in ("volume", "config", "tag", "out", "help"):
+        cfg.write_text(f"{key}=11\n")
+        code, out, err = run(["--config", str(cfg), "simulate", "gauss-gauss",
+                              "--reps", "50"], capsys)
+        assert (code, out) == (2, "")
+        assert f"unknown config key '{key}'" in err
+
+
+# per subcommand: argv, a config for it (with a key of another subcommand,
+# which is ignored), and a configured flag, an abbreviation of it and a new
+# value for it
+CONFIG_RUNS = {
+    "bound": (["bound", "--thm", "7", "--csv"],
+              "alpha=0.5\nn=3\nm=2\nb=4\nI=5\nseed=8\n",
+              "--alpha", "--alph", "0.9"),
+    "scenario": (["scenario", "hide-seek"],
+                 "m=10\nd=512\nb=1536\nrho=0.01\nn=100\netas=1,0.5\n",
+                 "--rho", "--rh", "0.02"),
+    "simulate": (["simulate", "gauss-gauss"],
+                 "n=10\nvar-w=2\nreps=500\nseed=41\ncheck=yes\nparallel=2\n"
+                 "thm=4\n", "--seed", "--see", "9"),
+    "figure": (["figure", "fig2"], "p=0.2\npoints=11\netas=1,0.3\nreps=9\n",
+               "--points", "--poi", "5"),
+}
+
+
+def manifest_command(text):
+    line = next(line for line in text.splitlines()
+                if line.startswith("# command: "))
+    return line.removeprefix("# command: ").split()
+
+
+@pytest.mark.parametrize("name", sorted(CONFIG_RUNS))
+def test_config_run_replays_without_config(name, tmp_path, capsys):
+    argv, text, *_ = CONFIG_RUNS[name]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    code, _, _ = run(["--config", str(cfg), *argv, "--out", str(first)], capsys)
+    assert code == 0
+    tokens = manifest_command(first.read_text())
+    # --csv and --out pick the output form and are not echoed
+    form = ["--csv"] if "--csv" in argv else []
+    code, _, _ = run(tokens + form + ["--out", str(second)], capsys)
+    assert code == 0
+    assert first.read_bytes() == second.read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(CONFIG_RUNS))
+def test_config_explicit_flag_wins(name, tmp_path, capsys):
+    argv, text, flag, short, value = CONFIG_RUNS[name]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    for explicit in ([flag, value], [short, value], [f"{flag}={value}"]):
+        code, out, _ = run(["--config", str(cfg), *argv, *explicit], capsys)
+        assert code == 0
+        tokens = manifest_command(out)
+        assert tokens[tokens.index(flag) + 1] == value
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["bound", "--thm", "3", "--I", "0"], "h=abc"),
+    (["bound", "--thm", "6", "--outside", "2"], "colocated=sometimes"),
+    (["scenario", "gauss-gauss"], "n=abc"),
+    (["scenario", "gauss-ball"], "reps=1e3"),
+    (["simulate", "gauss-gauss", "--reps", "50"], "n=abc"),
+    (["simulate", "gauss-gauss", "--reps", "50"], "seed=1.5"),
+    (["simulate", "gauss-gauss", "--reps", "50"], "check=maybe"),
+    (["simulate", "gauss-gauss", "--reps", "50"], "n="),
+    (["simulate", "gauss-gauss", "--reps", "50"], "parallel=0"),
+    (["figure", "fig2"], "etas=a,b"),
+    (["figure", "fig3"], "d=1.5"),
+    (["figure", "fig2"], "points"),
+])
+def test_config_malformed_value_exits_2(argv, text, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text + "\n")
+    code, out, err = run(["--config", str(cfg), *argv], capsys)
+    assert (code, out) == (2, "")
+    assert "error:" in err and "Traceback" not in err
+
+
+def test_config_binary_file_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"\xff\xfe\x00n=1\n")
+    code, out, err = run(["--config", str(cfg), "figure", "fig2"], capsys)
+    assert (code, out) == (2, "")
+    assert "not text" in err
 
 
 def test_config_missing_file_exits_2(tmp_path, capsys):

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from bayeslb.info import (DiscreteChannel, DiscreteDistribution,
+from bayeslb import info
+from bayeslb.info import (ConvergenceError, DiscreteChannel,
+                          DiscreteDistribution,
                           DistortionSpec, DistributionError,
                           InfoDensityDistribution, JointPMF, PriorSpec,
                           UnsupportedPairError, bec, bsc, binary_entropy,
@@ -57,6 +59,13 @@ def test_inv_binary_entropy_round_trip(p):
 def test_inv_binary_entropy_floor_is_a_floor(y):
     """x/(2 log2(6/x)) never exceeds the true inverse."""
     assert inv_binary_entropy_floor(y) <= inv_binary_entropy(y) + 1e-12
+
+
+def test_inv_binary_entropy_raises_below_its_floor(monkeypatch):
+    # a broken entropy drives the bisection to 0, under the closed-form floor
+    monkeypatch.setattr(info, "binary_entropy", lambda p: 1.0)
+    with pytest.raises(ConvergenceError):
+        inv_binary_entropy(0.5)
 
 
 def test_binary_relative_entropy_matches_kl():
@@ -250,6 +259,14 @@ def test_differential_entropy_ball_is_log_volume():
     prior = PriorSpec.ball(radius=1.0, dim=3)
     assert_allclose(differential_entropy(prior),
                     math.log2(unit_ball_volume(3)), rtol=1e-14)
+
+
+@pytest.mark.parametrize("dim, radius", [(1, 0.5), (3, 1.0), (64, 3.0),
+                                         (1000, 1.0), (1000, 2.0)])
+def test_differential_entropy_ball_matches_closed_form(dim, radius):
+    # the unit-ball volume underflows to 0 long before d = 1000
+    assert_allclose(differential_entropy(PriorSpec.ball(radius=radius, dim=dim)),
+                    oracles.ball_entropy_mp(dim, radius), rtol=1e-13, atol=1e-13)
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,15 @@ def test_scenario_spec_rejects_channel_overrides_out_of_range(field, value):
         ScenarioSpec(tag="x", r=0.5)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("b", math.inf), ("r", math.nan), ("radius", math.inf),
+    ("total_bits", math.nan), ("var_w", math.nan), ("var_noise", math.inf),
+    ("eps", math.nan), ("delta", math.nan), ("p", math.nan), ("n", math.inf)])
+def test_scenario_spec_rejects_non_finite_fields(field, value):
+    with pytest.raises(DistributionError, match=f"{field} must be finite"):
+        ScenarioSpec(tag="x", **{field: value})
+
+
 # ---------------------------------------------------------------------------
 # Gaussian location, single processor
 

@@ -23,8 +23,6 @@ def test_config_validation():
     spec = ScenarioSpec(tag="gauss-gauss", n=5)
     with pytest.raises(DistributionError):
         SimulationConfig(spec=spec, replications=0, seed=1)
-    with pytest.raises(DistributionError):
-        SimulationConfig(spec=spec, replications=10, seed=1, parallelism=0)
     cfg = SimulationConfig(spec=spec, replications=10, seed=1,
                            scheme="gauss-gauss")
     assert cfg.scheme_name == "gauss-gauss"
@@ -55,6 +53,8 @@ def test_quantize_midpoint_edges():
     # values at the top of the range stay in the last cell
     assert got.tolist() == [0.125, 0.875, 0.875]
     assert _quantize_midpoint(np.array([0.3]), 0).tolist() == [0.5]
+    # 2^2000 cells is not a float; the grid is then the identity
+    assert _quantize_midpoint(np.array([0.3, 1.0]), 2000).tolist() == [0.3, 1.0]
 
 
 def test_majority_ties_report_zero():
@@ -100,27 +100,6 @@ def test_exact_chain_mi_guards():
 
 # ---------------------------------------------------------------------------
 # determinism
-
-
-def test_single_deterministic_across_parallelism():
-    spec = ScenarioSpec(tag="gauss-gauss", n=5)
-    runs = []
-    for workers in (1, 4):
-        cfg = SimulationConfig(spec=spec, replications=500, seed=11,
-                               parallelism=workers)
-        runs.append(simulate_single_processor(cfg))
-    assert runs[0].empirical_risk == runs[1].empirical_risk
-    assert runs[0].ci_halfwidth == runs[1].ci_halfwidth
-
-
-def test_multi_deterministic_across_parallelism():
-    spec = ScenarioSpec(tag="xor", m=3, n=8, b=2.0)
-    runs = []
-    for workers in (1, 3):
-        cfg = SimulationConfig(spec=spec, replications=400, seed=5,
-                               parallelism=workers, scheme="xor")
-        runs.append(simulate_multi(cfg))
-    assert runs[0].empirical_risk == runs[1].empirical_risk
 
 
 def test_block_boundary_run():
