@@ -131,7 +131,9 @@ def _load_config(path: str) -> dict:
 
 
 def _resolve_seed(args) -> int:
-    seed, source = getattr(args, "seed", None), "--seed"
+    seed = getattr(args, "seed", None)
+    # a seed the command line did not give came from the --config file
+    source = "--seed" if "seed" in getattr(args, "given", ()) else "config key seed"
     if seed is None:
         env = os.environ.get("BAYESLB_SEED")
         if env is None:
@@ -431,13 +433,23 @@ def cmd_figure(args) -> int:
 # parser assembly
 
 
+class _Given(argparse.Action):
+    """Stores a flag's value and adds its dest to ``namespace.given``, so a
+    value can be told apart from a --config default."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = getattr(namespace, "given", frozenset()) | {self.dest}
+
+
 def _add_flags(parser, rows) -> None:
     for dest, kind, default, *help_text in rows:
         more = {"help": help_text[0]} if help_text else {}
         if kind is bool:
             parser.add_argument(_flag(dest), action="store_true", **more)
         else:
-            parser.add_argument(_flag(dest), type=kind, default=default, **more)
+            parser.add_argument(_flag(dest), type=kind, default=default,
+                                action=_Given, **more)
 
 
 def build_parser(config: dict | None = None) -> argparse.ArgumentParser:

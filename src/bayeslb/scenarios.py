@@ -6,6 +6,11 @@ auxiliary quantities (capacities, contraction coefficients, exponents) that
 go into them. Asymptotic entries are flagged and must not be used in hard
 lower-vs-upper comparisons. ``fig2_data`` and ``fig34_data`` emit the rows
 behind the quantization-rate and hide-and-seek comparison plots.
+
+Only two evaluations need scipy, and each imports ``scipy.special`` itself,
+so importing this module (and the CLI) loads no scipy: ``bern_uniform_mi``
+(digamma, gammaln) and the Monte Carlo ball mass of ``scenario_gauss_ball``
+(the noncentral chi-square CDF ``chndtr``).
 """
 from __future__ import annotations
 
@@ -13,8 +18,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import digamma, gammaln
-from scipy.stats import ncx2
 
 from .bounds import BoundReport, log_diff_entropy_constant, mi_ub_single
 from .info import (DistributionError, PriorSpec, binary_entropy,
@@ -86,6 +89,8 @@ class ScenarioSpec:
             raise DistributionError("channel-use count must be >= 1 when set")
         if self.b < 0.0:
             raise DistributionError("bit budget cannot be negative")
+        if (self.total_bits or 0) < 0 or (self.total_uses or 0) < 0:
+            raise DistributionError("total bit and channel-use budgets cannot be negative")
         if self.eps is not None and not 0.0 <= self.eps <= 0.5:
             raise DistributionError("crossover probability must lie in [0, 1/2]")
         if not 0.0 <= self.delta <= 1.0:
@@ -190,6 +195,8 @@ def bern_uniform_mi(n: int) -> float:
     form obtained by integrating the binomial log-likelihood against the
     Beta(k+1, n-k+1) weights.
     """
+    from scipy.special import digamma, gammaln  # kept off CLI start-up
+
     if n < 1:
         raise DistributionError("need at least one sample")
     k = np.arange(n + 1, dtype=float)
@@ -229,9 +236,12 @@ def _posterior_mass_in_ball(spec: ScenarioSpec, reps: int, seed: int) -> np.ndar
     """Monte Carlo draws of the posterior normalizing mass c_n(sample mean).
 
     Given the mean of n Gaussian observations of a ball-uniform W, the mass
-    the untruncated Gaussian posterior puts inside the ball is a noncentral
-    chi-square tail and is evaluated exactly per draw.
+    the untruncated Gaussian posterior puts inside the ball is the noncentral
+    chi-square CDF ``scipy.special.chndtr`` (the function behind
+    ``scipy.stats.ncx2.cdf``) and is evaluated exactly per draw.
     """
+    from scipy.special import chndtr  # kept off CLI start-up
+
     d, n = spec.d, spec.n
     sigma2, a = spec.var_noise, spec.radius
     rng = np.random.Generator(np.random.Philox(key=seed))
@@ -240,7 +250,7 @@ def _posterior_mass_in_ball(spec: ScenarioSpec, reps: int, seed: int) -> np.ndar
     w = a * direction * rng.random(reps)[:, None] ** (1.0 / d)
     xbar = w + math.sqrt(sigma2 / n) * rng.normal(size=(reps, d))
     noncentrality = n * (xbar * xbar).sum(axis=1) / sigma2
-    return ncx2.cdf(a * a * n / sigma2, d, noncentrality)
+    return chndtr(a * a * n / sigma2, d, noncentrality)
 
 
 def scenario_gauss_ball(spec: ScenarioSpec, reps: int | None = None,

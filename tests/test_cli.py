@@ -101,6 +101,10 @@ def test_scenario_unknown_tag_exits_2(capsys):
 @pytest.mark.parametrize("argv", [
     ["scenario", "hypercube", "--d", "4", "--b", "3", "--eta-uses", "1.5"],
     ["scenario", "minimax-cube", "--capacity", "-2", "--T", "3"],
+    ["scenario", "dglm", "--total-samples", "100", "--total-bits", "-50",
+     "--m", "4"],
+    ["scenario", "dglm", "--total-samples", "100", "--total-bits", "50",
+     "--m", "4", "--total-uses", "-1"],
 ])
 def test_scenario_channel_override_out_of_range_exits_2(argv, capsys):
     code, out, err = run(argv, capsys)
@@ -462,7 +466,13 @@ def test_seed_outside_64_bits_exits_2(seed, tmp_path, capsys, monkeypatch):
     code, out, err = run(["--config", str(cfg), "simulate", "gauss-gauss",
                           "--reps", "50"], capsys)
     assert (code, out) == (2, "")
-    assert "error:" in err
+    assert f"error: config key seed {seed} is outside" in err
+    # a flag given next to the config is the seed, and the message names it
+    for explicit in (["--seed", seed], ["--see", seed], [f"--seed={seed}"]):
+        code, out, err = run(["--config", str(cfg), "simulate", "gauss-gauss",
+                              "--reps", "50", *explicit], capsys)
+        assert (code, out) == (2, "")
+        assert f"error: --seed {seed} is outside" in err
     monkeypatch.setenv("BAYESLB_SEED", seed)
     code, out, err = run(["simulate", "gauss-gauss", "--reps", "50"], capsys)
     assert (code, out) == (2, "")

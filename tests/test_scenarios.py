@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from bayeslb.info import DistributionError, binary_entropy
 from bayeslb.scenarios import (GAMMA_N_LIMIT, ScenarioSpec,
+                               _posterior_mass_in_ball,
                                bern_uniform_conditional_mi, bern_uniform_mi,
                                feedback_zero_rate_exponent, fig2_data,
                                fig34_data, random_coding_exponent,
@@ -32,7 +33,8 @@ def test_scenario_spec_validation():
 
 @pytest.mark.parametrize("field, value", [
     ("eta_uses", 1.5), ("eta_uses", -0.1), ("eta_uses", math.nan),
-    ("capacity", -2.0), ("capacity", math.nan)])
+    ("capacity", -2.0), ("capacity", math.nan), ("total_bits", -50.0),
+    ("total_bits", -1e-9), ("total_uses", -1)])
 def test_scenario_spec_rejects_channel_overrides_out_of_range(field, value):
     with pytest.raises(DistributionError):
         ScenarioSpec(tag="x", **{field: value})
@@ -151,6 +153,26 @@ def test_gauss_ball_mc_chain_deterministic_and_present():
     assert a.lower_bounds["finite_mc_sharp"].value > 0.0
     assert a.derived["p_hat"] > 0.5
     assert not a.lower_bounds["finite_mc_weak"].asymptotic
+
+
+@pytest.mark.parametrize("d, seed", [(1, 0), (1, 17), (3, 4), (3, 502),
+                                     (40, 9), (40, 2 ** 64 - 1)])
+def test_posterior_mass_in_ball_matches_ncx2_oracle(d, seed):
+    from scipy.stats import ncx2  # the oracle; the library never imports it
+
+    spec = ScenarioSpec(tag="gauss-ball", n=30, d=d, radius=2.5, var_noise=3.0)
+    reps = 4000
+    # the same draws as the library: W uniform on the ball, then the sample mean
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    direction = rng.normal(size=(reps, d))
+    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+    w = spec.radius * direction * rng.random(reps)[:, None] ** (1.0 / d)
+    xbar = w + math.sqrt(spec.var_noise / spec.n) * rng.normal(size=(reps, d))
+    noncentrality = spec.n * (xbar * xbar).sum(axis=1) / spec.var_noise
+    expected = ncx2.cdf(spec.radius ** 2 * spec.n / spec.var_noise, d, noncentrality)
+    mass = _posterior_mass_in_ball(spec, reps, seed)
+    assert np.array_equal(mass, expected)
+    assert 0.0 < mass.min() and mass.max() < 1.0
 
 
 def test_gauss_ball_without_reps_has_no_mc_entries():
