@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .info import DistributionError, InfoDensityDistribution, log_unit_ball_volume
+from .sdpi import _as_estimate
 
 __all__ = [
     "BoundReport",
@@ -87,13 +88,6 @@ def _grid_then_golden(f, grid) -> tuple[float, float]:
         if fx > vals[i]:
             return float(x), float(fx)
     return float(grid[i]), float(vals[i])
-
-
-def _eta_value(eta) -> float:
-    value = float(getattr(eta, "value", eta))
-    if not 0.0 <= value <= 1.0:
-        raise DistributionError("contraction coefficients lie in [0, 1]")
-    return value
 
 
 def _clamped_report(value, kind, arguments, inputs, asymptotic=False) -> BoundReport:
@@ -304,7 +298,19 @@ def fano_family(mode: str, **kw) -> BoundReport:
 # mutual-information upper bounds for communication protocols
 
 
+def _term(*factors) -> float:
+    """Product of a budget term's factors. A zero factor makes it 0 even next
+    to an unset (infinite) budget, since a zero contraction or resource passes
+    nothing; a NaN factor still makes it NaN."""
+    if 0.0 in factors and not any(math.isnan(f) for f in factors):
+        return 0.0
+    return math.prod(factors)
+
+
 def _min_terms(terms: dict) -> tuple[float, str]:
+    for name, value in terms.items():
+        if math.isnan(value):
+            raise DistributionError(f"budget term {name!r} is NaN")
     active = min(terms, key=terms.get)
     return terms[active], active
 
@@ -321,15 +327,16 @@ def mi_ub_single(i_wx: float, h_x: float, b: float, capacity: float, T: int,
     """
     if T < 1:
         raise DistributionError("use count must be at least 1")
-    eta_stat = _eta_value(eta_stat)
-    eta_uses = _eta_value(eta_uses)
+    eta_stat = _as_estimate(eta_stat).value
+    eta_uses = _as_estimate(eta_uses).value
+    data, _ = _min_terms({"h_x": h_x, "b": b})
     terms = {
-        "source": i_wx * eta_uses,
-        "bits": eta_stat * min(h_x, b) * eta_uses,
-        "capacity": eta_stat * capacity * T,
+        "source": _term(i_wx, eta_uses),
+        "bits": _term(eta_stat, data, eta_uses),
+        "capacity": _term(eta_stat, capacity, T),
     }
     value, active = _min_terms(terms)
-    odpi = min(i_wx, min(h_x, b), capacity * T)
+    odpi = min(i_wx, data, capacity * T)
     return BoundReport(value, "mi-ub-single",
                        {"active": active, "terms": terms, "odpi": odpi},
                        {"i_wx": i_wx, "h_x": h_x, "b": b,
@@ -349,13 +356,15 @@ def mi_ub_multi_iid(i_w_all: float, i_w_single: float, eta_stat, m: int,
     """
     if m < 1:
         raise DistributionError("processor count must be at least 1")
-    eta_stat = _eta_value(eta_stat)
-    eta_T = _eta_value(eta_uses_T)
-    eta_mT = 1.0 - (1.0 - eta_T) ** m if eta_uses_mT is None else _eta_value(eta_uses_mT)
+    eta_stat = _as_estimate(eta_stat).value
+    eta_T = _as_estimate(eta_uses_T).value
+    eta_mT = (1.0 - (1.0 - eta_T) ** m if eta_uses_mT is None
+              else _as_estimate(eta_uses_mT).value)
     terms = {
-        "source": min(i_w_all * eta_mT, m * i_w_single * eta_T),
-        "bits": eta_stat * m * b * eta_T,
-        "capacity": eta_stat * m * capacity * T,
+        "source": _min_terms({"joint": _term(i_w_all, eta_mT),
+                              "split": _term(m, i_w_single, eta_T)})[0],
+        "bits": _term(eta_stat, m, b, eta_T),
+        "capacity": _term(eta_stat, m, capacity, T),
     }
     value, active = _min_terms(terms)
     return BoundReport(value, "mi-ub-multi-iid",
@@ -385,15 +394,15 @@ def mi_ub_cutset(i_cond: float, eta_s, num_outside: int, b: float,
         return BoundReport(0.0, "mi-ub-cutset", {"active": "empty"}, {"num_outside": 0})
     if colocated and m is None:
         raise DistributionError("colocated form needs the processor count m")
-    eta_s = _eta_value(eta_s)
-    eta_uses = 1.0 if noiseless else _eta_value(eta_uses)
+    eta_s = _as_estimate(eta_s).value
+    eta_uses = 1.0 if noiseless else _as_estimate(eta_uses).value
     mult = m if colocated else num_outside
     terms = {
-        "source": i_cond * eta_uses,
-        "bits": eta_s * mult * b * eta_uses,
+        "source": _term(i_cond, eta_uses),
+        "bits": _term(eta_s, mult, b, eta_uses),
     }
     if not noiseless:
-        terms["capacity"] = eta_s * mult * capacity * T
+        terms["capacity"] = _term(eta_s, mult, capacity, T)
     value, active = _min_terms(terms)
     return BoundReport(value, "mi-ub-cutset",
                        {"active": active, "terms": terms},
@@ -418,7 +427,7 @@ def mi_ub_interactive(alpha: float, n: int, m: int, b: float,
         raise DistributionError("need n >= 0 samples and m >= 1 processors")
     terms = {
         "source": i_w_all,
-        "bits": (1.0 - alpha ** n) * m * b if n > 0 else 0.0,
+        "bits": _term(1.0 - alpha ** n, m, b),
     }
     value, active = _min_terms(terms)
     return BoundReport(value, "mi-ub-interactive",

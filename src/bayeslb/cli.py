@@ -104,9 +104,53 @@ _COMMAND_FLAGS = {
                ("points", int, 61), ("m", int, 10), ("d", int, 512),
                ("b", float, None), ("rho", float, 0.01)),
 }
-# the figure flags each figure reads, the ones its manifest command echoes
-_FIGURE_READS = {"fig2": ("p", "etas", "points"), "fig3": ("m", "d", "b"),
-                 "fig4": ("m", "d", "b", "rho")}
+
+# One row per theorem: the flags it cannot do without, and its bounds call.
+# The calls go through this module's names so that rebinding them (as a
+# tracer does) reaches every call. Unset budget flags are read as infinite.
+_BUDGETS = ("I", "hx", "b", "capacity", "i_single", "i_cond")
+_THEOREMS = {
+    1: (("I", "prior"), lambda a: lb_mi_smallball(a.I, _small_ball_profile(a))),
+    3: (("I", "h"), lambda a: lb_diff_entropy(a.I, a.h, d=a.d, r=a.r)),
+    4: ((), lambda a: mi_ub_single(a.I, a.hx, a.b, a.capacity, a.T,
+                                   a.eta_stat, a.eta_uses)),
+    5: ((), lambda a: mi_ub_multi_iid(a.I, a.i_single, a.eta_stat, a.m, a.b,
+                                      a.capacity, a.T, a.eta_uses,
+                                      eta_uses_mT=a.eta_uses_mt)),
+    6: (("outside",), lambda a: mi_ub_cutset(
+        a.i_cond, a.eta_s, a.outside, a.b, a.capacity, a.T, a.eta_uses,
+        colocated=a.colocated, m=a.m if a.colocated else None,
+        noiseless=a.noiseless)),
+    7: (("alpha",), lambda a: mi_ub_interactive(a.alpha, a.n, a.m, a.b, a.I)),
+}
+# One row per figure: the figure flags it reads, which its manifest command
+# echoes, and its data call, which returns (header, rows).
+_FIGURES = {
+    "fig2": (("p", "etas", "points"), lambda a: fig2_data(
+        p=a.p, delta_grid=np.linspace(1.0 - 2.0 * a.p, 1.0, a.points),
+        etas=a.etas)),
+    "fig3": (("m", "d", "b"), lambda a: fig34_data(
+        m=a.m, d=a.d, b=a.b, rho_rule="quarter_n")),
+    "fig4": (("m", "d", "b", "rho"), lambda a: fig34_data(
+        m=a.m, d=a.d, b=a.b, rho_rule="fixed", rho=a.rho)),
+}
+
+
+def _small_ball_profile(a):
+    """rho -> L(rho) for the --prior* and --distortion* flags."""
+    prior = PriorSpec(a.prior.replace("-", "_"), var=a.prior_var or 0.0,
+                      dim=a.prior_dim, radius=a.prior_radius or 0.0,
+                      size=a.prior_size or 0)
+    dist = DistortionSpec((a.distortion or "absolute").replace("-", "_"),
+                          r=a.distortion_r)
+    return lambda rho: small_ball(prior, rho, dist)
+
+
+def _require(args, needs, what: str) -> None:
+    """Refuse a run that leaves any flag of ``needs`` unset, naming them."""
+    missing = [_flag(dest) for dest in needs if getattr(args, dest) is None]
+    if missing:
+        raise DistributionError(f"{what} needs {' and '.join(missing)}")
 
 
 def _load_config(path: str) -> dict:
@@ -238,63 +282,11 @@ def _emit(lines: list, out_path) -> None:
 # bound subcommand
 
 
-def _prior_from_args(args) -> PriorSpec:
-    if args.prior is None:
-        raise DistributionError("this theorem needs --prior")
-    return PriorSpec(args.prior.replace("-", "_"),
-                     var=args.prior_var if args.prior_var is not None else 0.0,
-                     dim=args.prior_dim,
-                     radius=args.prior_radius if args.prior_radius is not None else 0.0,
-                     size=args.prior_size if args.prior_size is not None else 0)
-
-
-def _inf(value) -> float:
-    return math.inf if value is None else value
-
-
-def _bound_report(args):
-    if args.thm == 1:
-        if args.I is None:
-            raise DistributionError("--thm 1 needs --I and a prior family")
-        prior = _prior_from_args(args)
-        kind = (args.distortion or "absolute").replace("-", "_")
-        dist = DistortionSpec(kind, r=args.distortion_r)
-        return lb_mi_smallball(args.I, lambda rho: small_ball(prior, rho, dist))
-    if args.thm == 2:
-        raise DistributionError(
-            "--thm 2 needs a full information-density distribution; "
-            "drive bounds.lb_info_density from Python instead")
-    if args.thm == 3:
-        if args.I is None or args.h is None:
-            raise DistributionError("--thm 3 needs --I and --h")
-        return lb_diff_entropy(args.I, args.h, d=args.d, r=args.r)
-    if args.thm == 4:
-        return mi_ub_single(_inf(args.I), _inf(args.hx), _inf(args.b),
-                            _inf(args.capacity), args.T,
-                            args.eta_stat, args.eta_uses)
-    if args.thm == 5:
-        return mi_ub_multi_iid(_inf(args.I), _inf(args.i_single),
-                               args.eta_stat, args.m, _inf(args.b),
-                               _inf(args.capacity), args.T, args.eta_uses,
-                               eta_uses_mT=args.eta_uses_mt)
-    if args.thm == 6:
-        if args.outside is None:
-            raise DistributionError("--thm 6 needs --outside")
-        return mi_ub_cutset(_inf(args.i_cond), args.eta_s, args.outside,
-                            _inf(args.b), _inf(args.capacity), args.T,
-                            args.eta_uses, colocated=args.colocated,
-                            m=args.m if args.colocated else None,
-                            noiseless=args.noiseless)
-    if args.thm == 7:
-        if args.alpha is None:
-            raise DistributionError("--thm 7 needs --alpha")
-        return mi_ub_interactive(args.alpha, args.n, args.m, _inf(args.b),
-                                 _inf(args.I))
-    raise DistributionError(f"no theorem {args.thm}; choose from 1-7")
-
-
 def cmd_bound(args) -> int:
-    report = _bound_report(args)
+    needs, call = _THEOREMS[args.thm]
+    _require(args, needs, f"--thm {args.thm}")
+    unset = {dest: math.inf for dest in _BUDGETS if getattr(args, dest) is None}
+    report = call(argparse.Namespace(**{**vars(args), **unset}))
     pairs = [("value", report.value), ("kind", report.kind),
              ("clamped", report.clamped), ("asymptotic", report.asymptotic),
              ("infeasible", report.infeasible)]
@@ -321,8 +313,7 @@ def _spec_from_args(tag: str, args) -> ScenarioSpec:
 
 def _scenario_report(tag: str, spec: ScenarioSpec, args, seed: int):
     if tag == "ceo":
-        if args.alpha is None:
-            raise DistributionError("the CEO scenario needs --alpha")
+        _require(args, ("alpha",), "the CEO scenario")
         return scenario_noisy_ceo(spec, args.alpha)
     if tag == "gauss-ball":
         return scenario_gauss_ball(spec, reps=args.reps, seed=seed)
@@ -363,8 +354,7 @@ def cmd_scenario(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if args.reps is None:
-        raise DistributionError("simulate needs --reps")
+    _require(args, ("reps",), "simulate")
     if args.parallel < 1:
         raise DistributionError("--parallel must be >= 1")
     seed = _resolve_seed(args)
@@ -407,19 +397,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_figure(args) -> int:
-    if args.which == "fig2":
-        grid = np.linspace(1.0 - 2.0 * args.p, 1.0, args.points)
-        header, rows = fig2_data(p=args.p, delta_grid=grid, etas=args.etas)
-    else:
-        if args.b is None:
-            args.b = 3.0 * args.d
-        if args.which == "fig3":
-            header, rows = fig34_data(m=args.m, d=args.d, b=args.b,
-                                      rho_rule="quarter_n")
-        else:
-            header, rows = fig34_data(m=args.m, d=args.d, b=args.b,
-                                      rho_rule="fixed", rho=args.rho)
-    reads = _FIGURE_READS[args.which]
+    reads, call = _FIGURES[args.which]
+    if args.b is None:  # fig3 and fig4 default their bit budget to 3 d
+        args.b = 3.0 * args.d
+    header, rows = call(args)
     tokens = _canonical(["figure", args.which], args,
                         [row for row in _COMMAND_FLAGS["figure"] if row[0] in reads])
     lines = _manifest(tokens, args).lines()
@@ -470,7 +451,10 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="cmd", required=True)
     p_bound = sub.add_parser("bound", help="evaluate one closed-form bound")
     p_bound.add_argument("--thm", type=int, required=True,
-                         help="theorem number, 1-7")
+                         choices=sorted(_THEOREMS),
+                         help="theorem number; theorem 2 needs a full "
+                              "information-density distribution, so call "
+                              "bounds.lb_info_density from Python")
     p_bound.add_argument("--csv", action="store_true",
                          help="emit key,value CSV with a manifest header")
     p_bound.set_defaults(func=cmd_bound)
@@ -483,7 +467,7 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
                        help="accepted, never changes the output bytes")
     p_sim.set_defaults(func=cmd_simulate)
     p_fig = sub.add_parser("figure", help="emit the data behind a figure")
-    p_fig.add_argument("which", choices=sorted(_FIGURE_READS))
+    p_fig.add_argument("which", choices=sorted(_FIGURES))
     p_fig.set_defaults(func=cmd_figure)
     for name, command in sub.choices.items():
         # a group, unlike its parser, skips a help-formatter check per flag

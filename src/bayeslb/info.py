@@ -71,7 +71,8 @@ def _validated_pmf(p, what: str) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if p.ndim != 1 or p.size < 1:
         raise DistributionError(f"{what} must be a nonempty vector")
-    if np.any(p < 0.0) or np.any(p > 1.0):
+    # written so that a NaN entry fails the range check
+    if not np.all((p >= 0.0) & (p <= 1.0)):
         raise DistributionError(f"{what} entries must lie in [0, 1]")
     if abs(float(p.sum()) - 1.0) > PROB_ATOL:
         raise DistributionError(
@@ -167,12 +168,7 @@ class JointPMF:
         t = np.asarray(self.table, dtype=float)
         if t.ndim != 2 or t.shape[0] < 1 or t.shape[1] < 1:
             raise DistributionError("joint PMF must be a nonempty matrix")
-        if np.any(t < 0.0):
-            raise DistributionError("joint PMF entries must be nonnegative")
-        if abs(float(t.sum()) - 1.0) > PROB_ATOL:
-            raise DistributionError(
-                f"joint mass {t.sum():.17g} deviates from 1 by more than {PROB_ATOL}"
-            )
+        _validated_pmf(t.ravel(), "joint PMF")
         object.__setattr__(self, "table", t)
 
     @classmethod
@@ -180,12 +176,6 @@ class JointPMF:
         if dist.size != channel.num_inputs:
             raise DistributionError("input distribution does not match channel")
         return cls(dist.probs[:, None] * channel.rows)
-
-    def marginal_w(self) -> DiscreteDistribution:
-        return DiscreteDistribution(self.table.sum(axis=1))
-
-    def marginal_x(self) -> DiscreteDistribution:
-        return DiscreteDistribution(self.table.sum(axis=0))
 
 
 @dataclass(frozen=True)

@@ -232,6 +232,11 @@ def scenario_bern_uniform(spec: ScenarioSpec) -> ScenarioReport:
 # d-dimensional Gaussian mean, uniform prior on a ball
 
 
+# the margin delta: a draw counts when its posterior mass inside the ball
+# exceeds 1/(1+delta)
+CONCENTRATION_DELTA = 0.05
+
+
 def _posterior_mass_in_ball(spec: ScenarioSpec, reps: int, seed: int) -> np.ndarray:
     """Monte Carlo draws of the posterior normalizing mass c_n(sample mean).
 
@@ -254,8 +259,7 @@ def _posterior_mass_in_ball(spec: ScenarioSpec, reps: int, seed: int) -> np.ndar
 
 
 def scenario_gauss_ball(spec: ScenarioSpec, reps: int | None = None,
-                        seed: int = 0, concentration_delta: float = 0.05,
-                        ) -> ScenarioReport:
+                        seed: int = 0) -> ScenarioReport:
     """Gaussian mean with uniform prior on the radius-a ball, l2 loss.
 
     The asymptotic lower bound and the sample-mean upper bound are closed
@@ -279,9 +283,7 @@ def scenario_gauss_ball(spec: ScenarioSpec, reps: int | None = None,
     if reps is not None:
         if reps < 1:
             raise DistributionError("replication count must be >= 1")
-        delta = concentration_delta
-        if delta <= 0.0:
-            raise DistributionError("concentration margin must be positive")
+        delta = CONCENTRATION_DELTA
         mass = _posterior_mass_in_ball(spec, reps, seed)
         p_hat = float(np.mean(mass > 1.0 / (1.0 + delta)))
         gap = p_hat - 0.5

@@ -311,13 +311,19 @@ def bsc_product_dobrushin(eps: float, T: int) -> float:
     return 1.0 - (4.0 * eps * (1.0 - eps)) ** (T / 2.0) / math.sqrt(2.0 * T)
 
 
-def _as_value(eta) -> tuple[float, str]:
-    if isinstance(eta, ContractionEstimate):
-        return eta.value, eta.kind
-    eta = float(eta)
-    if not 0.0 <= eta <= 1.0:
-        raise DistributionError("contraction coefficients lie in [0, 1]")
-    return eta, "exact"
+def _as_estimate(eta, lower_ok: bool = False) -> ContractionEstimate:
+    """``eta`` as a range-checked estimate; a bare float counts as exact.
+
+    A numeric lower estimate is refused unless ``lower_ok``: an information
+    budget is an upper bound only if every contraction in it is one.
+    """
+    if not isinstance(eta, ContractionEstimate):
+        eta = ContractionEstimate(float(eta), "exact")
+    if not lower_ok and eta.kind == "numeric_lower_estimate":
+        raise DistributionError(
+            "a budget needs an exact or upper-bound contraction coefficient, "
+            f"not a numeric lower estimate ({eta.provenance})")
+    return eta
 
 
 def eta_multi_use(eta_single, T: float, feedback: bool = False,
@@ -332,17 +338,18 @@ def eta_multi_use(eta_single, T: float, feedback: bool = False,
     """
     if not T >= 0:
         raise DistributionError("use count cannot be negative")
-    value, kind = _as_value(eta_single)
-    bound = 1.0 - (1.0 - value) ** T
+    single = _as_estimate(eta_single, lower_ok=True)
+    bound = 1.0 - (1.0 - single.value) ** T
+    # the tensor bound is eta itself at T = 1 and an upper bound on the exact
+    # coefficient otherwise, so it stays a lower estimate if eta was one
+    kind = single.kind if T == 1 else max(single.kind, "upper_bound",
+                                          key=_KIND_RANK.get)
     note = "tensor bound 1-(1-eta)^T"
     if not feedback and bsc_eps is not None:
         alt = bsc_product_dobrushin(bsc_eps, T)
         if alt < bound:
-            bound, note = alt, "product-channel dobrushin"
-    out_kind = "upper_bound"
-    if T == 1 and note.startswith("tensor"):
-        out_kind = kind
-    return ContractionEstimate(bound, out_kind, note)
+            bound, kind, note = alt, "upper_bound", "product-channel dobrushin"
+    return ContractionEstimate(bound, kind, note)
 
 
 def tensorized_eta(estimates) -> ContractionEstimate:

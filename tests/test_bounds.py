@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -9,7 +10,8 @@ from bayeslb.bounds import (BoundReport, fano_family, lb_diff_entropy,
                             lb_info_density, lb_mi_smallball,
                             lb_multi_general, mi_ub_cutset,
                             mi_ub_interactive, mi_ub_multi_iid, mi_ub_single)
-from bayeslb.info import DistributionError, InfoDensityDistribution
+from bayeslb.info import DistributionError, InfoDensityDistribution, bsc
+from bayeslb.sdpi import eta_bsc, eta_numeric
 
 import oracles
 
@@ -250,6 +252,58 @@ def test_mi_ub_interactive():
     zero_rounds = mi_ub_interactive(0.5, 0, 4, 2.0, 10.0)
     assert zero_rounds.arguments["terms"]["bits"] == 0.0
     assert zero_rounds.value == 0.0
+
+
+# each budget with its contraction arguments as keywords, the rest fixed
+BUDGETS = {
+    "single": lambda eta_stat=0.9, eta_uses=0.8: mi_ub_single(
+        2.0, 1.5, 3.0, 0.5, 2, eta_stat, eta_uses),
+    "multi-iid": lambda eta_stat=1.0, eta_uses_T=0.4, eta_uses_mT=None:
+        mi_ub_multi_iid(4.0, 1.0, eta_stat, 3, 2.0, 0.5, 2, eta_uses_T,
+                        eta_uses_mT),
+    "cutset": lambda eta_s=0.5, eta_uses=0.7: mi_ub_cutset(
+        2.0, eta_s, 2, 3.0, 0.5, 2, eta_uses),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUDGETS))
+def test_budgets_refuse_a_numeric_lower_estimate(name):
+    budget = BUDGETS[name]
+    lower = eta_numeric(np.array([0.5, 0.5]), bsc(0.2))
+    exact = eta_bsc(0.2)
+    for arg in inspect.signature(budget).parameters:
+        # an exact estimate and its bare value build the same budget
+        assert budget(**{arg: exact}).value == \
+            budget(**{arg: exact.value}).value
+        with pytest.raises(DistributionError, match="numeric lower estimate"):
+            budget(**{arg: lower})
+
+
+@pytest.mark.parametrize("report", [
+    mi_ub_single(math.inf, math.inf, math.inf, math.inf, 1, 1.0, 0.0),
+    mi_ub_single(1.0, math.inf, math.inf, math.inf, 1, 0.0, 1.0),
+    mi_ub_multi_iid(math.inf, math.inf, 0.0, 1, math.inf, math.inf, 1, 0.0),
+    mi_ub_cutset(math.inf, 0.0, 2, math.inf, math.inf, 1, 1.0),
+    mi_ub_interactive(1.0, 3, 1, math.inf, math.inf),
+], ids=["single-uses", "single-stat", "multi-iid", "cutset", "interactive"])
+def test_zero_contraction_term_is_zero_next_to_unset_budgets(report):
+    # 0 * inf would be NaN; a zero contraction passes nothing
+    assert report.value == 0.0
+    assert not any(math.isnan(v) for v in report.arguments["terms"].values())
+
+
+@pytest.mark.parametrize("call", [
+    lambda: mi_ub_single(math.nan, 1.0, 1.0, 1.0, 1, 1.0, 1.0),
+    lambda: mi_ub_single(1.0, math.inf, math.nan, 1.0, 1, 1.0, 1.0),
+    lambda: mi_ub_multi_iid(1.0, math.nan, 1.0, 2, 1.0, 1.0, 1, 0.5),
+    lambda: mi_ub_cutset(math.nan, 0.5, 2, 1.0, 1.0, 1, 0.5),
+    lambda: mi_ub_interactive(0.5, 1, 1, 1.0, math.nan),
+    lambda: mi_ub_interactive(1.0, 1, 1, math.nan, 1.0),
+], ids=["single", "single-bits", "multi-iid", "cutset", "interactive",
+        "interactive-zero-contraction"])
+def test_budgets_refuse_a_nan_term(call):
+    with pytest.raises(DistributionError, match="is NaN"):
+        call()
 
 
 @given(st.integers(min_value=1, max_value=6),

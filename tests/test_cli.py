@@ -1,8 +1,12 @@
 import dataclasses
+import math
 
 import pytest
 
 from bayeslb import cli
+from bayeslb.bounds import (lb_diff_entropy, lb_mi_smallball, mi_ub_cutset,
+                            mi_ub_interactive, mi_ub_multi_iid, mi_ub_single)
+from bayeslb.info import DistortionSpec, PriorSpec, small_ball
 from bayeslb.scenarios import ScenarioSpec, scenario_gauss_gauss
 from bayeslb.simulate import (SCHEMES, SimulationConfig, sandwich_check,
                               simulate_multi, simulate_single_processor)
@@ -58,6 +62,87 @@ def test_bound_missing_flag_exits_2(capsys):
 def test_bound_without_thm_exits_2(capsys):
     code, _, _ = run(["bound"], capsys)
     assert code == 2
+
+
+# per theorem: the flags it needs, a few more, and the same bound called
+# directly; unset budgets are infinite
+INF = math.inf
+THEOREM_RUNS = {
+    1: ({"I": "1", "prior": "gaussian"}, {"prior_var": "2"},
+        lambda: lb_mi_smallball(1.0, lambda rho: small_ball(
+            PriorSpec.gaussian(2.0), rho, DistortionSpec("absolute")))),
+    3: ({"I": "1", "h": "0.5"}, {"d": "2"},
+        lambda: lb_diff_entropy(1.0, 0.5, d=2)),
+    4: ({}, {"I": "2", "b": "3", "eta_uses": "0.6"},
+        lambda: mi_ub_single(2.0, INF, 3.0, INF, 1, 1.0, 0.6)),
+    5: ({}, {"i_single": "1", "m": "3", "capacity": "0.5"},
+        lambda: mi_ub_multi_iid(INF, 1.0, 1.0, 3, INF, 0.5, 1, 1.0)),
+    6: ({"outside": "2"}, {"b": "3", "eta_s": "0.5", "colocated": True,
+                           "m": "4"},
+        lambda: mi_ub_cutset(INF, 0.5, 2, 3.0, INF, 1, 1.0, colocated=True,
+                             m=4)),
+    7: ({"alpha": "0.5"}, {"n": "3", "b": "4"},
+        lambda: mi_ub_interactive(0.5, 3, 1, 4.0, INF)),
+}
+
+
+def bound_argv(thm, flags):
+    argv = ["bound", "--thm", str(thm)]
+    for dest, value in flags.items():
+        argv.append(cli._flag(dest))
+        if value is not True:
+            argv.append(value)
+    return argv
+
+
+def test_theorem_runs_cover_the_table():
+    assert sorted(THEOREM_RUNS) == sorted(cli._THEOREMS)
+    for thm, (needs, _, _) in THEOREM_RUNS.items():
+        assert tuple(needs) == cli._THEOREMS[thm][0]
+
+
+@pytest.mark.parametrize("thm", sorted(THEOREM_RUNS))
+def test_bound_theorem_row_matches_direct_call(thm, capsys):
+    needs, more, direct = THEOREM_RUNS[thm]
+    code, out, err = run(bound_argv(thm, {**needs, **more}), capsys)
+    assert (code, err) == (0, "")
+    value = direct().value
+    assert math.isfinite(value)
+    assert kv(out)["value"] == cli._text(value)
+    for dest in needs:
+        rest = {key: text for key, text in {**needs, **more}.items()
+                if key != dest}
+        code, out, err = run(bound_argv(thm, rest), capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: --thm {thm} needs {cli._flag(dest)}\n"
+
+
+@pytest.mark.parametrize("thm", ["2", "8"])
+def test_bound_theorem_outside_table_exits_2(thm, capsys):
+    code, out, err = run(["bound", "--thm", thm, "--I", "1"], capsys)
+    assert (code, out) == (2, "")
+    assert "invalid choice" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--thm", "4", "--eta-uses", "0"],
+    ["--thm", "5", "--eta-stat", "0", "--eta-uses", "0"],
+    ["--thm", "4", "--eta-stat", "0", "--I", "1"],
+    ["--thm", "6", "--outside", "2", "--eta-s", "0"],
+    ["--thm", "7", "--alpha", "1", "--n", "3"],
+])
+def test_bound_zero_contraction_passes_nothing(argv, capsys):
+    code, out, _ = run(["bound", *argv], capsys)
+    assert code == 0
+    pairs = kv(out)
+    assert pairs["value"] == "0"
+    assert "nan" not in pairs.values()
+
+
+def test_bound_nan_budget_exits_2(capsys):
+    code, out, err = run(["bound", "--thm", "4", "--I", "nan"], capsys)
+    assert (code, out) == (2, "")
+    assert "is NaN" in err
 
 
 def test_bound_csv_output(capsys):

@@ -93,6 +93,21 @@ def test_pmf_validation_rejects_rather_than_renormalizes():
         DiscreteDistribution(np.array([0.5, -0.5, 1.0]))
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: DiscreteDistribution(np.array([NAN, 1.0])),
+    lambda: DiscreteChannel(np.array([[1.0, 0.0], [NAN, 1.0]])),
+    lambda: InfoDensityDistribution(values=np.array([0.0, 1.0]),
+                                    probs=np.array([NAN, 1.0])),
+    lambda: JointPMF(np.array([[0.5, NAN], [0.0, 0.5]])),
+], ids=["distribution", "channel-row", "info-density", "joint-pmf"])
+def test_pmf_validation_rejects_nan(build):
+    with pytest.raises(DistributionError, match=r"lie in \[0, 1\]"):
+        build()
+
+
 def test_channel_compose_tensor_push():
     k = bsc(0.25)
     composed = k.compose(k)

@@ -116,6 +116,16 @@ def test_eta_multi_use_non_feedback_bsc_takes_min():
     assert fb.value >= est.value
 
 
+def test_eta_multi_use_keeps_lower_estimate_kind():
+    lower = eta_numeric(FAIR, bsc(0.1))
+    for T in (1, 2, 3, 7.5):
+        assert eta_multi_use(lower, T).kind == "numeric_lower_estimate"
+    # the product-channel Dobrushin bound is an upper bound whatever eta was
+    est = eta_multi_use(lower, 3, bsc_eps=0.1)
+    assert (est.provenance, est.kind) == ("product-channel dobrushin",
+                                          "upper_bound")
+
+
 @given(st.floats(min_value=0.0, max_value=1.0), st.integers(min_value=1, max_value=30))
 @settings(max_examples=100, deadline=None)
 def test_eta_multi_use_monotone_in_T(eta, T):
