@@ -127,8 +127,8 @@ def lb_mi_smallball(mi: float, smallball, rho_grid=None,
     envelope_inv : optional callable p -> sup{rho : g(rho) <= p}.
     s_grid : grid for the envelope branch (default 199 points in (0, 1)).
     """
-    if mi < 0.0:
-        raise DistributionError("mutual information cannot be negative")
+    if not mi >= 0.0:  # also refuses NaN
+        raise DistributionError(f"mutual information must be >= 0, not {mi}")
 
     def objective(rho):
         L = _checked_smallball(smallball, rho)
@@ -208,8 +208,8 @@ def lb_diff_entropy(mi: float, h: float, d: int = 1, r: float = 1.0) -> BoundRep
     V_d the unit-ball volume, ``h`` the (conditional) differential entropy of
     the estimand in bits and ``mi`` the information budget in bits.
     """
-    if d < 1 or r < 1.0:
-        raise DistributionError("need dimension >= 1 and norm exponent >= 1")
+    if d < 1 or not 1.0 <= r < math.inf:
+        raise DistributionError("need dimension >= 1 and a finite norm exponent >= 1")
     if mi < 0.0:
         raise DistributionError("mutual information cannot be negative")
     const = math.exp(log_diff_entropy_constant(d, r))
@@ -308,9 +308,12 @@ def _term(*factors) -> float:
 
 
 def _min_terms(terms: dict) -> tuple[float, str]:
+    """The smallest budget term and its name; a NaN or negative term is refused,
+    since no information or bit budget is negative."""
     for name, value in terms.items():
-        if math.isnan(value):
-            raise DistributionError(f"budget term {name!r} is NaN")
+        if not value >= 0.0:
+            why = "NaN" if math.isnan(value) else f"negative ({value})"
+            raise DistributionError(f"budget term {name!r} is {why}")
     active = min(terms, key=terms.get)
     return terms[active], active
 

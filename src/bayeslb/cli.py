@@ -127,8 +127,7 @@ _THEOREMS = {
 # echoes, and its data call, which returns (header, rows).
 _FIGURES = {
     "fig2": (("p", "etas", "points"), lambda a: fig2_data(
-        p=a.p, delta_grid=np.linspace(1.0 - 2.0 * a.p, 1.0, a.points),
-        etas=a.etas)),
+        p=a.p, points=a.points, etas=a.etas)),
     "fig3": (("m", "d", "b"), lambda a: fig34_data(
         m=a.m, d=a.d, b=a.b, rho_rule="quarter_n")),
     "fig4": (("m", "d", "b", "rho"), lambda a: fig34_data(

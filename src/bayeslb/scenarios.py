@@ -1,16 +1,16 @@
 """Worked estimation scenarios with closed-form lower and upper bounds.
 
-Each ``scenario_*`` function evaluates one model end to end: the closed-form
-risk lower bounds, the matching achievability (upper) formulas, and the
-auxiliary quantities (capacities, contraction coefficients, exponents) that
-go into them. Asymptotic entries are flagged and must not be used in hard
-lower-vs-upper comparisons. ``fig2_data`` and ``fig34_data`` emit the rows
-behind the quantization-rate and hide-and-seek comparison plots.
+Each ``scenario_*`` function evaluates one model end to end: the risk lower
+bounds, the matching achievability (upper) formulas, and the auxiliary
+quantities (capacities, contraction coefficients, exponents) that go into
+them. The Bernoulli-bias, parity and hide-and-seek floors are a ``bounds``
+theorem (Theorem 3 or Fano) applied to a ``bounds`` information budget.
+Asymptotic entries are flagged and must not be used in hard lower-vs-upper
+comparisons. ``fig2_data`` and ``fig34_data`` emit the rows behind the
+quantization-rate and hide-and-seek comparison plots.
 
-Only two evaluations need scipy, and each imports ``scipy.special`` itself,
-so importing this module (and the CLI) loads no scipy: ``bern_uniform_mi``
-(digamma, gammaln) and the Monte Carlo ball mass of ``scenario_gauss_ball``
-(the noncentral chi-square CDF ``chndtr``).
+Only the Monte Carlo ball mass of ``scenario_gauss_ball`` needs scipy, and it
+imports ``scipy.special`` itself, so importing this module loads no scipy.
 """
 from __future__ import annotations
 
@@ -19,7 +19,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bounds import BoundReport, log_diff_entropy_constant, mi_ub_single
+from .bounds import (BoundReport, fano_family, lb_diff_entropy,
+                     log_diff_entropy_constant, mi_ub_cutset, mi_ub_interactive,
+                     mi_ub_single)
 from .info import (DistributionError, PriorSpec, binary_entropy,
                    differential_entropy, inv_binary_entropy,
                    log_unit_ball_volume)
@@ -191,19 +193,19 @@ def bern_uniform_mi(n: int) -> float:
     """I(W; X^n) in bits for W ~ U[0,1] and X_i ~ Bern(W).
 
     The sample sum K is sufficient and uniform on {0, ..., n}, so
-    I = log2(n+1) - H(K|W). The conditional entropy has an exact digamma
-    form obtained by integrating the binomial log-likelihood against the
-    Beta(k+1, n-k+1) weights.
+    I = log2(n+1) - H(K|W), and averaging the binomial log-likelihood over
+    the Beta(k+1, n-k+1) posteriors gives -H(K|W) in nats as the mean over k
+    of ln C(n,k) + k psi(k+1) + (n-k) psi(n-k+1) - n psi(n+2). With
+    psi(j+1) = H_j - gamma and sum_{k<=n} k H_k = n(n+1)(2 H_{n+1} - 1)/4
+    (summation by parts), the digamma terms add up to -n(n+1)/2 exactly.
     """
-    from scipy.special import digamma, gammaln  # kept off CLI start-up
-
     if n < 1:
         raise DistributionError("need at least one sample")
-    k = np.arange(n + 1, dtype=float)
-    log_binom = gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0)
-    inner = log_binom + k * digamma(k + 1.0) + (n - k) * digamma(n - k + 1.0) \
-        - n * digamma(n + 2.0)
-    return math.log2(n + 1.0) + float(inner.sum()) / ((n + 1.0) * _LN2)
+    log_fact = [math.lgamma(k + 1.0) for k in range(n + 1)]
+    sum_log_binom = math.fsum(log_fact[n] - a - b
+                              for a, b in zip(log_fact, reversed(log_fact)))
+    return math.log2(n + 1.0) \
+        + (sum_log_binom - 0.5 * n * (n + 1.0)) / ((n + 1.0) * _LN2)
 
 
 def bern_uniform_conditional_mi(n: int) -> float:
@@ -384,26 +386,26 @@ def scenario_hypercube(spec: ScenarioSpec) -> ScenarioReport:
                           derived=derived)
 
 
-def fig2_data(p: float = 0.3, delta_grid=None, etas=(1.0, 0.75, 0.5)):
+def fig2_data(p: float = 0.3, points: int = 61, etas=(1.0, 0.75, 0.5)):
     """Quantization-rate comparison rows: one per delta, one bound per eta.
 
     Returns (header, rows) where each row is
-    (delta, rate bound at each eta, asymptotic noisy-lossy rate, R(p)).
-    The rate bound treats eta as the end-to-end contraction of the uses.
+    (delta, rate bound at each eta, asymptotic noisy-lossy rate, R(p)), for
+    ``points`` values of delta evenly spaced on [1 - 2p, 1], where the noisy
+    source can meet distortion p. The rate bound treats eta as the end-to-end
+    contraction of the uses.
     """
     if not 0.0 < p < 0.5:
         raise DistributionError("target distortion must lie in (0, 1/2)")
     for eta in etas:
         if not 0.0 < eta <= 1.0:
             raise DistributionError("contraction values must lie in (0, 1]")
-    if delta_grid is None:
-        delta_grid = np.linspace(1.0 - 2.0 * p, 1.0, 61)
+    if points < 0:
+        raise DistributionError("point count cannot be negative")
     rate = 1.0 - binary_entropy(p)
     header = ["delta"] + [f"blb_eta_{eta:g}" for eta in etas] + ["tildeR", "R"]
     rows = []
-    for delta in np.asarray(delta_grid, dtype=float):
-        if not 1.0 - 2.0 * p <= delta <= 1.0 or delta <= 0.0:
-            raise DistributionError("delta grid outside the feasible range")
+    for delta in np.linspace(1.0 - 2.0 * p, 1.0, points):
         bounds = [rate / (delta * delta * eta) for eta in etas]
         tilde = 1.0 - binary_entropy((2.0 * p + delta - 1.0) / (2.0 * delta))
         rows.append((float(delta), *bounds, tilde, rate))
@@ -412,9 +414,6 @@ def fig2_data(p: float = 0.3, delta_grid=None, etas=(1.0, 0.75, 0.5)):
 
 # ---------------------------------------------------------------------------
 # Bernoulli bias over a BSC
-
-
-GAMMA_N_LIMIT = -0.6
 
 
 def random_coding_exponent(eps: float, rate: float) -> float:
@@ -430,51 +429,48 @@ def feedback_zero_rate_exponent(eps: float) -> float:
 def scenario_bern_bsc(spec: ScenarioSpec) -> ScenarioReport:
     """Bernoulli bias with uniform prior, quantized and sent over a BSC.
 
-    The information budget fixes the Clarke-Barron correction at its limit
-    value -0.6 for every n, so the budget (and anything derived from it) is
-    asymptotic whenever that term is active. The two special regimes are
-    evaluated when their premises hold: quantization-limited (eps = 0) and
-    channel-limited (b large enough to carry the sample mean exactly).
+    Each floor is ``lb_diff_entropy`` (h(W) = 0) of a term of the budget,
+    whose source term is the exact ``bern_uniform_mi(n)``: ``mi`` of the
+    smallest term, case 1 (eps = 0) of the bits term, case 2 (eps > 0) of the
+    source or the capacity term. Each special regime is evaluated when its
+    premise holds: quantization-limited (eps = 0) and channel-limited (b
+    large enough to carry the sample mean exactly).
     """
     if spec.eps is None:
         raise DistributionError("this scenario needs a crossover probability")
     eps, n, b, T = spec.eps, spec.n, spec.b, spec.T
     if T is None and eps > 0.0:
         raise DistributionError("this scenario needs a finite use count")
-    eta_T = 1.0 if T is None else eta_multi_use(eta_bsc(eps), T).value
+    eta_T, cap = _channel_profile(spec)
     eta_stat = 1.0 - 2.0 ** (-n)
-    cap = 1.0 - binary_entropy(eps)
     # with a noiseless link the delivered bits are the only channel
     # constraint, so the use-count term applies to the noisy case only
-    budget = _budget(0.5 * math.log2(n) + GAMMA_N_LIMIT, b, cap,
-                     T if eps > 0.0 else None, eta_stat, eta_T)
+    budget = _budget(bern_uniform_mi(n), b, cap, T if eps > 0.0 else None,
+                     eta_stat, eta_T)
     i_star, active = budget.value, budget.arguments["active"]
     terms = {key: value for key, value in budget.arguments["terms"].items()
              if eps > 0.0 or key != "capacity"}
+    floor = {key: lb_diff_entropy(value, 0.0).value for key, value in terms.items()}
     lower = {
-        "mi": BoundReport(2.0 ** (-i_star) / (2.0 * math.e), "bern-bsc-mi",
-                          {"active": active, "terms": terms,
-                           "caveat": "gamma_n held at its limit -0.6"},
-                          {"n": n, "b": b, "T": T, "eps": eps},
-                          asymptotic=(active == "source")),
+        "mi": BoundReport(floor[active], "bern-bsc-mi",
+                          {"active": active, "terms": terms},
+                          {"n": n, "b": b, "T": T, "eps": eps}),
     }
     upper: dict = {}
     derived = {"i_star": i_star, "eta_T": eta_T, "eta_stat": eta_stat,
                "capacity": cap}
     if eps == 0.0:
-        lower["case1"] = BoundReport(
-            2.0 ** (-eta_stat * b) / (2.0 * math.e), "bern-bsc-case1",
-            {}, {"n": n, "b": b})
+        lower["case1"] = BoundReport(floor["bits"], "bern-bsc-case1",
+                                     {}, {"n": n, "b": b})
         upper["case1"] = 1.0 / math.sqrt(6.0 * n) + 2.0 ** (-b)
-        derived["case1_floor"] = 1.0 / (2.0 * math.e * math.sqrt(n))
+        derived["case1_floor"] = floor["source"]
         derived["case1_cap"] = 1.41 / math.sqrt(n)
     else:
-        first = 2.0 ** (-GAMMA_N_LIMIT * eta_T) / (2.0 * math.e * n ** (eta_T / 2.0))
-        second = 2.0 ** (-eta_stat * cap * T) / (2.0 * math.e)
+        first, second = floor["source"], floor["capacity"]
         lower["case2"] = BoundReport(
             max(first, second), "bern-bsc-case2",
             {"polynomial_term": first, "exponential_term": second},
-            {"n": n, "T": T, "eps": eps}, asymptotic=(first >= second))
+            {"n": n, "T": T, "eps": eps})
         rate = math.log2(n + 1.0) / T
         rate_valid = rate <= 1.0 - binary_entropy(
             math.sqrt(eps) / (math.sqrt(eps) + math.sqrt(1.0 - eps)))
@@ -615,20 +611,19 @@ def scenario_xor(spec: ScenarioSpec) -> ScenarioReport:
         raise DistributionError("the parity construction needs at least two processors")
     n, b, m = spec.n, spec.b, spec.m
     eta_stat = 1.0 - 2.0 ** (-n)
-    distributed = BoundReport(2.0 ** (-eta_stat * b) / (2.0 * math.e),
-                              "xor-distributed", {"eta_stat": eta_stat},
-                              {"n": n, "b": b, "m": m})
-    colocated = BoundReport(2.0 ** (-eta_stat * m * b) / (2.0 * math.e),
-                            "xor-colocated", {"eta_stat": eta_stat},
-                            {"n": n, "b": b, "m": m})
+    lower = {}
+    for name, colocated in (("distributed", False), ("colocated", True)):
+        # the cut holds one processor's stream; its bits bind over noiseless links
+        bits = mi_ub_cutset(math.inf, eta_stat, 1, b, math.inf, 1, 1.0,
+                            colocated=colocated, m=m, noiseless=True).value
+        lower[name] = BoundReport(lb_diff_entropy(bits, 0.0).value, f"xor-{name}",
+                                  {"eta_stat": eta_stat}, {"n": n, "b": b, "m": m})
     return ScenarioReport(
-        spec.tag,
-        lower_bounds={"distributed": distributed, "colocated": colocated},
-        upper_bounds={},
+        spec.tag, lower_bounds=lower, upper_bounds={},
         derived={
-            "floor_no_bits": 1.0 / (2.0 * math.e),
-            "penalty_colocated": 1.0 / (2.0 * math.e * math.sqrt(n)),
-            "penalty_distributed": 1.0 / (2.0 * math.e * n ** (1.0 / (2.0 * m))),
+            "floor_no_bits": lb_diff_entropy(0.0, 0.0).value,
+            "penalty_colocated": lb_diff_entropy(0.5 * math.log2(n), 0.0).value,
+            "penalty_distributed": lb_diff_entropy(math.log2(n) / (2.0 * m), 0.0).value,
         })
 
 
@@ -637,11 +632,15 @@ def scenario_xor(spec: ScenarioSpec) -> ScenarioReport:
 
 
 def _hide_seek_ours(n: int, m: int, d: int, b: float, rho: float) -> float:
-    log_d = math.log2(d)
-    ratio_term = (1.0 - ((1.0 - 2.0 * rho) / (1.0 + 2.0 * rho)) ** n) * m * b + 1.0
-    info_term = min(4.0 * m * n * rho * rho, log_d) + 1.0
-    value = 1.0 - min(ratio_term, info_term) / log_d
-    return min(max(value, 0.0), 1.0)
+    """Fano's bound over the d hiding places on the interactive budget, whose
+    per-sample likelihood-ratio floor is (1 - 2 rho)/(1 + 2 rho)."""
+    if d < 2:
+        raise DistributionError("need at least two coordinates to hide in")
+    if not 0.0 <= rho <= 0.5:
+        raise DistributionError("coordinate bias must lie in [0, 1/2]")
+    budget = mi_ub_interactive((1.0 - 2.0 * rho) / (1.0 + 2.0 * rho), n, m, b,
+                               min(4.0 * m * n * rho * rho, math.log2(d)))
+    return fano_family("classic", mi=budget.value, m=d).value
 
 
 def _hide_seek_shamir(n: int, m: int, d: int, b: float, rho: float) -> float:
@@ -658,8 +657,6 @@ def scenario_hide_seek(spec: ScenarioSpec) -> ScenarioReport:
     Compares our error-probability lower bound against the earlier one,
     which is only stated for rho <= 1/(4n) and is zeroed outside that range.
     """
-    if spec.d < 2:
-        raise DistributionError("need at least two coordinates to hide in")
     n, m, d, b, rho = spec.n, spec.m, spec.d, spec.b, spec.rho_bias
     ours = BoundReport(_hide_seek_ours(n, m, d, b, rho), "hide-seek-ours",
                        {}, {"n": n, "m": m, "d": d, "b": b, "rho": rho})

@@ -10,6 +10,7 @@ import mpmath
 import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import linprog
+from scipy.special import betainc, betaincinv
 from scipy.stats import binom
 
 mpmath.mp.dps = 50
@@ -71,6 +72,32 @@ def quad_bern_uniform_mi(n: int) -> float:
         val, _ = quad(integrand, 0.0, 1.0, limit=200)
         total += val
     return total
+
+
+def bern_uniform_mi_mp(n: int) -> float:
+    """I(W; X^n) in bits for W uniform on [0,1], from the digamma form at 50 digits.
+
+    I = log2(n+1) + mean_k [ln C(n,k) + k psi(k+1) + (n-k) psi(n-k+1)
+    - n psi(n+2)] / ln 2, the posterior after k ones being Beta(k+1, n-k+1).
+    """
+    total = mpmath.mpf(0)
+    for k in range(n + 1):
+        total += (mpmath.log(mpmath.binomial(n, k)) + k * mpmath.digamma(k + 1)
+                  + (n - k) * mpmath.digamma(n - k + 1) - n * mpmath.digamma(n + 2))
+    return float(mpmath.log(n + 1, 2) + total / ((n + 1) * mpmath.log(2)))
+
+
+def bern_uniform_bayes_risk(n: int) -> float:
+    """Bayes risk E|W - median(W | X^n)| for W uniform and n Bernoulli(W) draws.
+
+    The count K is uniform on {0..n} and W | K=k ~ Beta(a, b) with a = k+1,
+    b = n-k+1. At the posterior median m, P(W <= m) = 1/2, so
+    E|W - m| = E[W] - 2 E[W; W <= m] = a/(a+b) (1 - 2 I_m(a+1, b)).
+    """
+    k = np.arange(n + 1, dtype=float)
+    a, b = k + 1.0, n - k + 1.0
+    median = betaincinv(a, b, 0.5)
+    return float(np.mean(a / (a + b) * (1.0 - 2.0 * betainc(a + 1.0, b, median))))
 
 
 def beta_posterior_tv_extremes(n: int) -> float:

@@ -145,6 +145,19 @@ def test_bound_nan_budget_exits_2(capsys):
     assert "is NaN" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--thm", "4", "--I", "-1"],
+    ["--thm", "7", "--alpha", "0.5", "--b", "-3"],
+    ["--thm", "1", "--I", "nan", "--prior", "uniform01"],
+    ["--thm", "3", "--I", "3", "--h", "3", "--r", "inf"],
+])
+def test_bound_impossible_budget_exits_2(argv, capsys):
+    # a negative or NaN information, or an infinite norm exponent
+    code, out, err = run(["bound", *argv], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+
+
 def test_bound_csv_output(capsys):
     code, out, _ = run(["bound", "--thm", "3", "--I", "1", "--h", "0",
                         "--csv"], capsys)
@@ -397,6 +410,31 @@ def test_figure_fig2_coincidence_row(capsys):
     assert last[1] == "0.118709101"
     assert last[4] == "0.118709101"
     assert last[5] == "0.118709101"
+
+
+@pytest.mark.parametrize("argv", [
+    ["fig3", "--d", "1"], ["fig3", "--d", "0"], ["fig4", "--d", "1"],
+    ["fig4", "--rho", "-1"], ["fig4", "--rho", "-0.5"], ["fig4", "--rho", "0.7"],
+    ["fig3", "--m", "0"], ["fig4", "--b", "-5"], ["fig2", "--points", "-1"],
+])
+def test_figure_impossible_model_exits_2(argv, capsys):
+    code, out, err = run(["figure", *argv], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+
+
+def test_bern_bsc_honours_channel_overrides(capsys):
+    code, out, _ = run(["scenario", "bern-bsc", "--n", "100", "--b", "7",
+                        "--eps", "0.1", "--T", "40", "--capacity", "0.01",
+                        "--eta-uses", "0.5"], capsys)
+    assert code == 0
+    rows = {tuple(line.split(",")[:2]): line.split(",")[2]
+            for line in data_rows(out)}
+    assert rows["derived", "capacity"] == "0.01"
+    assert rows["derived", "eta_T"] == "0.5"
+    # 0.01 bits a use over 40 uses is the binding term, far below 7 bits
+    assert float(rows["lower", "mi"]) == pytest.approx(
+        lb_diff_entropy(40 * 0.01 * (1.0 - 2.0 ** -100), 0.0).value, rel=1e-8)
 
 
 def test_figure_fig4_frozen_row(capsys):

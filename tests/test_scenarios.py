@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from bayeslb.bounds import lb_diff_entropy
 from bayeslb.info import DistributionError, binary_entropy
-from bayeslb.scenarios import (GAMMA_N_LIMIT, ScenarioSpec,
+from bayeslb.scenarios import (ScenarioSpec,
                                _posterior_mass_in_ball,
                                bern_uniform_conditional_mi, bern_uniform_mi,
                                feedback_zero_rate_exponent, fig2_data,
@@ -97,7 +98,7 @@ def test_gauss_gauss_asymptotic_flagged():
 # Bernoulli bias, clean samples
 
 
-# digamma closed form, cross-checked against quadrature below
+# log-factorial closed form, cross-checked against quadrature and mpmath below
 BU_MI = {1: 0.2786524795555183, 2: 0.47560079316552611,
          3: 0.62843868902713298, 10: 1.2320577353273232}
 
@@ -111,6 +112,27 @@ def test_bern_uniform_mi_frozen(n):
 def test_bern_uniform_mi_matches_quadrature(n):
     assert_allclose(bern_uniform_mi(n), oracles.quad_bern_uniform_mi(n),
                     rtol=1e-9)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 10, 64, 100, 256, 500, 871, 1000])
+def test_bern_uniform_mi_matches_mpmath(n):
+    want = oracles.bern_uniform_mi_mp(n)
+    assert abs(bern_uniform_mi(n) - want) <= 1e-12 * want
+
+
+def test_bern_uniform_floors_below_bayes_risk():
+    # the source-only floors use the whole sample, so the posterior-median
+    # risk bounds them; bit- or channel-limited floors may exceed it
+    for n in range(1, 201):
+        risk = oracles.bern_uniform_bayes_risk(n)
+        report = scenario_bern_bsc(ScenarioSpec(tag="bern-bsc", n=n, b=64.0,
+                                                eps=0.0, T=None))
+        source = report.derived["case1_floor"]
+        assert report.lower_bounds["mi"].arguments["active"] == "source"
+        assert report.lower_bounds["mi"].value == source
+        finite = scenario_bern_uniform(
+            ScenarioSpec(tag="bern-uniform", n=n)).lower_bounds["finite"].value
+        assert source < risk and finite < risk, n
 
 
 def test_bern_uniform_conditional_mi():
@@ -285,19 +307,52 @@ def test_bern_bsc_case1_frozen():
                     0.011496232536607573, rtol=1e-13)
     assert_allclose(report.upper_bounds["case1"],
                     0.088015518153991439, rtol=1e-13)
+    # 2^(-I(W; X^256)) / (2e), I(W; X^256) = 3.40592846179801567... bits
     assert_allclose(report.derived["case1_floor"],
-                    1.0 / (2.0 * math.e * 16.0), rtol=1e-14)
+                    0.017353572412542772, rtol=1e-13)
     assert_allclose(report.derived["case1_cap"], 1.41 / 16.0, rtol=1e-14)
     # with a noiseless link only sample and bit budgets can bind
     terms = report.lower_bounds["mi"].arguments["terms"]
     assert set(terms) == {"source", "bits"}
 
 
-def test_bern_bsc_gamma_caveat_recorded():
-    report = scenario_bern_bsc(ScenarioSpec(tag="bern-bsc", n=100, b=7.0,
-                                            eps=0.1, T=40))
-    assert GAMMA_N_LIMIT == -0.6
-    assert "-0.6" in report.lower_bounds["mi"].arguments["caveat"]
+def test_bern_bsc_source_term_is_the_exact_information():
+    # the Clarke-Barron limit 0.5 log2 n - 0.6 is negative at n = 1, 2
+    for n in (1, 2, 3, 100):
+        for eps, T in ((0.0, None), (0.1, 40)):
+            report = scenario_bern_bsc(ScenarioSpec(tag="bern-bsc", n=n, b=7.0,
+                                                    eps=eps, T=T))
+            terms = report.lower_bounds["mi"].arguments["terms"]
+            assert terms["source"] == report.derived["eta_T"] * bern_uniform_mi(n)
+            assert report.derived["i_star"] >= 0.0
+            assert not any(bound.asymptotic
+                           for bound in report.lower_bounds.values())
+
+
+# (n, b) for the noiseless scheme; (n, eps, T, b) for the repetition scheme,
+# which sends the count's n.bit_length() bits and so needs that many
+QUANTIZED = [(n, b) for n in (1, 2, 5, 16) for b in (0.0, 1.0, 2.0, 4.0)]
+REPEATED = [(n, eps, T, b) for n in (1, 3, 6) for eps in (0.05, 0.2)
+            for T in (n.bit_length(), 3 * n.bit_length() + 1)
+            for b in (float(n.bit_length()), 12.0)]
+
+
+@pytest.mark.parametrize("n, b", QUANTIZED)
+def test_bern_bsc_noiseless_floors_below_scheme_risk(n, b):
+    report = scenario_bern_bsc(ScenarioSpec(tag="bern-bsc", n=n, b=b, eps=0.0,
+                                            T=None))
+    risk = oracles.quantized_count_risk(n, b)
+    for bound in report.lower_bounds.values():
+        assert bound.value < risk
+
+
+@pytest.mark.parametrize("n, eps, T, b", REPEATED)
+def test_bern_bsc_noisy_floors_below_scheme_risk(n, eps, T, b):
+    report = scenario_bern_bsc(ScenarioSpec(tag="bern-bsc", n=n, b=b, eps=eps,
+                                            T=T))
+    risk = oracles.repetition_count_risk(n, eps, T)
+    for bound in report.lower_bounds.values():
+        assert bound.value < risk
 
 
 def test_bern_bsc_case2_structure():
@@ -308,6 +363,12 @@ def test_bern_bsc_case2_structure():
     second = case2.arguments["exponential_term"]
     assert case2.value == pytest.approx(max(first, second))
     assert "case2" in report.upper_bounds
+    # each floor is Theorem 3 (h(W) = 0) on a term of the budget
+    terms = report.lower_bounds["mi"].arguments["terms"]
+    assert first == lb_diff_entropy(terms["source"], 0.0).value
+    assert second == lb_diff_entropy(terms["capacity"], 0.0).value
+    assert report.lower_bounds["mi"].value \
+        == lb_diff_entropy(report.derived["i_star"], 0.0).value
 
 
 def test_bern_bsc_case2_upper_needs_valid_rate():

@@ -1,5 +1,6 @@
-"""The CLI starts without scipy: only the two evaluations that need it load
-scipy.special, and nothing loads scipy.stats.
+"""The CLI starts without scipy: only the Monte Carlo ball mass of
+``scenario gauss-ball --reps`` loads scipy.special, and nothing loads
+scipy.stats.
 
 Each case runs in a fresh interpreter, since this test session has scipy
 loaded already. Wall times are not asserted; the module set is the contract.
@@ -46,15 +47,20 @@ def scipy_modules_after(argv):
      "--b", "1536", "--rho", "0.01"],
     ["figure", "fig2"],
     ["simulate", "gauss-gauss", "--n", "10", "--reps", "200", "--check"],
-], ids=["import", "bound", "scenario-hide-seek", "figure-fig2", "simulate"])
+    ["scenario", "bern-uniform", "--n", "50"],
+    ["scenario", "bern-bsc", "--n", "100", "--b", "7", "--eps", "0.1", "--T",
+     "40"],
+    ["simulate", "bern-bsc", "--n", "100", "--b", "4", "--eps", "0.1", "--T",
+     "70", "--reps", "200", "--check"],
+], ids=["import", "bound", "scenario-hide-seek", "figure-fig2", "simulate",
+        "scenario-bern-uniform", "scenario-bern-bsc", "simulate-bern-bsc"])
 def test_cli_loads_no_scipy(argv):
     assert scipy_modules_after(argv) == set()
 
 
 @pytest.mark.parametrize("argv", [
     ["scenario", "gauss-ball", "--n", "400", "--d", "3", "--reps", "200"],
-    ["scenario", "bern-uniform", "--n", "50"],
-], ids=["gauss-ball-reps", "bern-uniform"])
+], ids=["gauss-ball-reps"])
 def test_scipy_special_only_where_needed(argv):
     loaded = scipy_modules_after(argv)
     assert "scipy.special" in loaded
