@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import os
 import sys
@@ -490,14 +491,20 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _default_parser() -> argparse.ArgumentParser:
+    """The parser without --config defaults, built once per process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     raw = list(sys.argv[1:]) if argv is None else list(argv)
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--config", default=None)
     pre_args, rest = pre.parse_known_args(raw)
     try:
-        config = None if pre_args.config is None else _load_config(pre_args.config)
-        args = build_parser(config).parse_args(rest)
+        args = (_default_parser() if pre_args.config is None
+                else build_parser(_load_config(pre_args.config))).parse_args(rest)
         return args.func(args)
     except (DistributionError, UnsupportedPairError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -94,11 +94,7 @@ def eta_closed_form(kind: str, param: float) -> ContractionEstimate:
 def dobrushin(channel: DiscreteChannel) -> ContractionEstimate:
     """Dobrushin coefficient: the largest total variation between two rows."""
     rows = channel.rows
-    worst = 0.0
-    for i in range(rows.shape[0]):
-        diff = np.abs(rows[i + 1:] - rows[i]).sum(axis=1)
-        if diff.size:
-            worst = max(worst, 0.5 * float(diff.max()))
+    worst = 0.5 * float(np.abs(rows[:, None] - rows[None]).sum(axis=-1).max())
     return ContractionEstimate(worst, "upper_bound", "dobrushin coefficient")
 
 
@@ -149,83 +145,70 @@ def pairwise_ratio_bound(channel: DiscreteChannel, n: int = 1) -> PairwiseRatioB
 
 
 _LN2 = math.log(2.0)
+_RESTARTS = 8  # restart r of the ascent in ``eta_numeric`` draws from default_rng(r)
 
 
-def _kl_shifted(base: np.ndarray, diff: np.ndarray) -> float:
-    """D(base + diff || base) in bits for a mass-preserving perturbation.
+def _kl_shifted(base: np.ndarray, diff: np.ndarray) -> np.ndarray:
+    """D(base + diff || base) in bits along the last axis, for mass-preserving diff.
 
     Evaluates the Bregman form sum_i base_i * g(diff_i / base_i) with
     g(u) = (1+u) log1p(u) - u, which equals the divergence whenever ``diff``
     sums to zero. Each summand is nonnegative and of order diff^2, so there
     is no cancellation, and residual mass error from floating point enters
     only quadratically; a truncated series handles |u| below 1e-2. Entries
-    with base == 0 must have diff == 0.
+    with base == 0 must have diff == 0 and are left out of the sum.
     """
     mask = base > 0.0
     b = base[mask]
-    u = diff[mask] / b
-    g = np.empty_like(u)
+    # C order, so that each row sums in numpy's pairwise order for a 1-D array
+    u = np.ascontiguousarray(diff[..., mask]) / b
     small = np.abs(u) <= 1e-2
-    us = u[small]
-    g[small] = us * us * (1.0 / 2.0 - us * (1.0 / 6.0 - us * (
+    dead = u <= -1.0
+    us = np.where(small, u, 0.0)
+    series = us * us * (1.0 / 2.0 - us * (1.0 / 6.0 - us * (
         1.0 / 12.0 - us * (1.0 / 20.0 - us * (1.0 / 30.0 - us / 42.0)))))
-    ub = u[~small]
-    dead = ub <= -1.0
-    ub = np.where(dead, 0.0, ub)
-    gb = (1.0 + ub) * np.log1p(ub) - ub
-    g[~small] = np.where(dead, 1.0, gb)
-    return float((b * g).sum()) / _LN2
+    ub = np.where(small | dead, 0.0, u)
+    g = np.where(small, series, np.where(dead, 1.0, (1.0 + ub) * np.log1p(ub) - ub))
+    return (b * g).sum(axis=-1) / _LN2
 
 
-def _ratio_along(mu, muK, K, direction, out_direction, t) -> float:
-    din = _kl_shifted(mu, t * direction)
-    if not din > 0.0:
-        return -math.inf
-    dout = _kl_shifted(muK, t * out_direction)
-    return dout / din
-
-
-def _max_step(mu: np.ndarray, direction: np.ndarray) -> float:
-    neg = direction < 0.0
-    if not np.any(neg):
-        return 1.0
-    return float((mu[neg] / -direction[neg]).min())
-
-
-def _scan_direction(mu, muK, K, direction, t_grid) -> tuple[float, float]:
-    """Best ratio along a fixed mixture direction; returns (ratio, step)."""
+def _scan(mu, muK, K, direction, fracs) -> tuple[float, float]:
+    """Best ratio D(nu K || mu K) / D(nu || mu) over nu = mu + t d, with d the
+    mass-preserving part of ``direction`` and t each of ``fracs`` times the
+    longest feasible step; returns (ratio, t) for the first maximal step, or
+    (-inf, 0) if no step moves nu."""
     direction = direction - direction.sum() * mu
-    t_max = _max_step(mu, direction)
+    neg = direction < 0.0
+    t_max = float((mu[neg] / -direction[neg]).min()) if neg.any() else 1.0
     if not t_max > 0.0 or not np.all(np.isfinite(direction)):
         return -math.inf, 0.0
-    out_direction = direction @ K
-    best, best_t = -math.inf, 0.0
-    for frac in t_grid:
-        t = frac * t_max
-        r = _ratio_along(mu, muK, K, direction, out_direction, t)
-        if r > best:
-            best, best_t = r, t
-    return best, best_t
+    steps = fracs * t_max
+    din = _kl_shifted(mu, steps[:, None] * direction)
+    dout = _kl_shifted(muK, steps[:, None] * (direction @ K))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = dout / din
+    ratios = np.where((din > 0.0) & ~np.isnan(ratios), ratios, -math.inf)
+    best = int(np.argmax(ratios))
+    if ratios[best] == -math.inf:
+        return -math.inf, 0.0
+    return float(ratios[best]), steps[best]
 
 
-def eta_numeric(mu, channel: DiscreteChannel, restarts: int = 8,
-                seed: int = 0) -> ContractionEstimate:
+def eta_numeric(mu, channel: DiscreteChannel) -> ContractionEstimate:
     """Numeric lower estimate of eta(mu, K) for alphabets up to 16.
 
     Strategy: scan mixture paths from mu toward every vertex and along every
     coordinate-pair direction with log-spaced step sizes, add the principal
     chi-square directions (singular vectors of the divergence transition
     matrix, whose local KL ratio attains the chi-square contraction), then
-    run seeded random restarts with coordinate ascent over the direction.
-    Every candidate is a feasible mixture, so the result can only undershoot
-    the true supremum.
+    run 8 random restarts of coordinate ascent over the direction, restart r
+    drawing from seed r. Every candidate is a feasible mixture, so the result
+    can only undershoot the true supremum.
 
     Parameters
     ----------
     mu : input distribution (full support required).
     channel : the channel K.
-    restarts : number of random-restart ascents.
-    seed : base seed; restart r uses seed + r.
 
     Returns
     -------
@@ -244,35 +227,28 @@ def eta_numeric(mu, channel: DiscreteChannel, restarts: int = 8,
     k = mu.size
     t_grid = np.geomspace(1e-6, 1.0, 60)
 
-    candidates = []
+    # vertices, then coordinate pairs, then the chi-square principal directions
     eye = np.eye(k)
-    for x in range(k):
-        candidates.append(eye[x] - mu)
-    for x in range(k):
-        for xp in range(k):
-            if x != xp:
-                candidates.append(eye[x] - eye[xp])
-    # chi-square principal directions
     used = muK > 0.0
     A = (np.sqrt(mu)[:, None] * K[:, used]) / np.sqrt(muK[used])[None, :]
     U, _, _ = np.linalg.svd(A, full_matrices=False)
-    for j in range(1, U.shape[1]):
-        candidates.append(np.sqrt(mu) * U[:, j])
+    candidates = np.concatenate([eye - mu,
+                                 (eye[:, None] - eye[None])[~np.eye(k, dtype=bool)],
+                                 (np.sqrt(mu)[:, None] * U[:, 1:]).T])
 
-    best = -math.inf
-    best_dir, best_t = None, 0.0
+    best, best_dir, best_t = -math.inf, None, 0.0
     for direction in candidates:
-        r, t = _scan_direction(mu, muK, K, direction, t_grid)
+        r, t = _scan(mu, muK, K, direction, t_grid)
         if r > best:
             best, best_dir, best_t = r, direction, t
 
     coarse = t_grid[::4]
-    for rstart in range(restarts):
-        rng = np.random.default_rng(seed + rstart)
+    for rstart in range(_RESTARTS):
+        rng = np.random.default_rng(rstart)
         v = rng.standard_normal(k)
         v -= v.mean()
         step = 0.5
-        cur, _ = _scan_direction(mu, muK, K, v, coarse)
+        cur, _ = _scan(mu, muK, K, v, coarse)
         for _ in range(40):
             improved = False
             for _ in range(k):
@@ -280,7 +256,7 @@ def eta_numeric(mu, channel: DiscreteChannel, restarts: int = 8,
                 if i == j:
                     continue
                 trial = v + step * (eye[i] - eye[j])
-                r, _ = _scan_direction(mu, muK, K, trial, coarse)
+                r, _ = _scan(mu, muK, K, trial, coarse)
                 if r > cur:
                     cur, v = r, trial
                     improved = True
@@ -288,7 +264,7 @@ def eta_numeric(mu, channel: DiscreteChannel, restarts: int = 8,
                 step *= 0.5
                 if step < 1e-4:
                     break
-        r, t = _scan_direction(mu, muK, K, v, t_grid)
+        r, t = _scan(mu, muK, K, v, t_grid)
         if r > best:
             best, best_dir, best_t = r, v, t
 

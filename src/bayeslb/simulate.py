@@ -13,8 +13,9 @@ exactly the law of the statistic computed from the full sample.
 
 The simulated schemes are the ones whose risk the closed-form achievability
 bounds analyze, with one exception: the channel-limited Bernoulli scheme
-replaces the optimal block code by bit-wise repetition, which is weaker, so
-its empirical risk may exceed the corresponding closed-form upper bound.
+replaces the optimal block code by bit-wise repetition of the count (or of the
+sample mean's floor(b)-bit midpoint cell when b bits cannot carry the count),
+which is weaker, so its empirical risk may exceed the closed-form upper bound.
 
 Each entry of the scheme table ``SCHEMES`` names the scenario a run is checked
 against and the bounds of its own protocol class in that scenario's report.
@@ -90,6 +91,11 @@ def _aggregate(distortions: np.ndarray, config: SimulationConfig) -> SimulationR
                             config.scheme_name)
 
 
+def _cell_index(values: np.ndarray, cells: int) -> np.ndarray:
+    """Index of each value's cell among ``cells`` equal cells of [0, 1]."""
+    return np.minimum(np.floor(values * cells), cells - 1)
+
+
 def _quantize_midpoint(values: np.ndarray, bits: float) -> np.ndarray:
     """Uniform quantization of [0, 1] to the midpoint of each value's cell."""
     # 2.0 ** bits overflows from bits = 1024 on, and 2^1023 cells already move
@@ -97,8 +103,7 @@ def _quantize_midpoint(values: np.ndarray, bits: float) -> np.ndarray:
     cells = round(2.0 ** bits) if bits < 1024 else 2 ** 1023
     if cells <= 1:
         return np.full_like(values, 0.5)
-    idx = np.minimum(np.floor(values * cells), cells - 1)
-    return (idx + 0.5) / cells
+    return (_cell_index(values, cells) + 0.5) / cells
 
 
 def _repeated_bits(sent: np.ndarray, looks: int, eps: float,
@@ -141,13 +146,21 @@ def _sample_bern_bsc(spec: ScenarioSpec, rng: np.random.Generator,
         # a noiseless link carries the sample mean's midpoint cell
         return np.abs(w - _quantize_midpoint(k / spec.n, spec.b))
     num_bits = max(int(math.ceil(math.log2(spec.n + 1))), 1)
-    looks = (spec.T or 0) // num_bits
+    whole = spec.b >= num_bits
+    # the count's bits if b bits carry it, else its floor(b)-bit midpoint cell
+    bits = num_bits if whole else int(spec.b)
+    if bits == 0:
+        return np.abs(w - 0.5)
+    looks = (spec.T or 0) // bits
     if looks < 1:
         raise DistributionError("too few channel uses to repeat each message bit")
-    weights = 1 << np.arange(num_bits)
-    sent = (k[:, None] & weights) != 0
-    k_hat = (_repeated_bits(sent, looks, spec.eps, rng) * weights).sum(axis=1)
-    return np.abs(w - np.minimum(k_hat, spec.n) / spec.n)
+    message = k if whole else _cell_index(k / spec.n, 1 << bits).astype(np.int64)
+    weights = 1 << np.arange(bits)
+    sent = (message[:, None] & weights) != 0
+    decoded = (_repeated_bits(sent, looks, spec.eps, rng) * weights).sum(axis=1)
+    if whole:
+        return np.abs(w - np.minimum(decoded, spec.n) / spec.n)
+    return np.abs(w - (decoded + 0.5) / (1 << bits))
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +259,9 @@ def simulate_single_processor(config: SimulationConfig) -> SimulationResult:
     Supported schemes: ``gauss-gauss`` (posterior mean, no channel),
     ``bsc-bit`` (repetition code with majority decoding, ties to 0), and
     ``bern-bsc``: the sample mean to midpoint cells over a noiseless link
-    (eps = 0), or its bits each repeated over the channel otherwise.
+    (eps = 0); otherwise each bit of the count, or of the floor(b)-bit midpoint
+    cell if b is below the count's ceil(log2(n+1)) bits, repeated T // bits
+    times over the channel (b < 1 gives the prior centroid 1/2).
     """
     return _simulate(config, multi=False)
 

@@ -202,15 +202,14 @@ def quantized_count_risk(n: int, bits: float) -> float:
     return float(total / (n + 1))
 
 
-def repetition_count_risk(n: int, eps: float, T: int) -> float:
-    """Risk of sending the count K's bits, each repeated over a BSC(eps).
+def _repetition_risk(n: int, eps: float, T: int, bits: int, encode, decode) -> float:
+    """Risk of sending the ``bits``-bit word encode(K) over a BSC(eps).
 
-    K has L = bit_length(n) bits; each is sent floor(T / L) times and decoded
-    by majority with ties to 0; the estimate is min(K_hat, n) / n. Every
-    decoded value is enumerated with its probability given k.
+    Each bit is sent floor(T / bits) times and decoded by majority with ties
+    to 0; the estimate is decode(V) for the decoded word V. Every decoded
+    word is enumerated with its probability given k.
     """
-    L = n.bit_length()
-    looks = T // L
+    looks = T // bits
     eps = mpmath.mpf(eps)
     flips = [mpmath.binomial(looks, f) * eps ** f * (1 - eps) ** (looks - f)
              for f in range(looks + 1)]
@@ -220,13 +219,66 @@ def repetition_count_risk(n: int, eps: float, T: int) -> float:
            sum(p for f, p in enumerate(flips) if 2 * (looks - f) <= looks)]
     total = mpmath.mpf(0)
     for k in range(n + 1):
-        mass = [mpmath.mpf(0)] * (n + 1)
-        for v in range(2 ** L):
+        word, mass = encode(k), {}
+        for v in range(2 ** bits):
             prob = mpmath.mpf(1)
-            for j in range(L):
-                sent = (k >> j) & 1
+            for j in range(bits):
+                sent = (word >> j) & 1
                 prob *= err[sent] if (v >> j) & 1 != sent else 1 - err[sent]
-            mass[min(v, n)] += prob
-        total += sum(p * _beta_abs_dev(k, n, mpmath.mpf(c) / n)
-                     for c, p in enumerate(mass))
+            mass[decode(v)] = mass.get(decode(v), 0) + prob
+        total += sum(p * _beta_abs_dev(k, n, c) for c, p in mass.items())
     return float(total / (n + 1))
+
+
+def repetition_count_risk(n: int, eps: float, T: int) -> float:
+    """Risk of sending the count K's bit_length(n) bits, each repeated over a
+    BSC(eps); the estimate is min(K_hat, n) / n."""
+    return _repetition_risk(n, eps, T, n.bit_length(), lambda k: k,
+                            lambda v: mpmath.mpf(min(v, n)) / n)
+
+
+def cell_repetition_risk(n: int, bits: int, eps: float, T: int) -> float:
+    """Risk of sending the ``bits``-bit midpoint cell of K/n, each bit
+    repeated over a BSC(eps); the estimate is the decoded cell's midpoint."""
+    cells = 2 ** bits
+    return _repetition_risk(n, eps, T, bits,
+                            lambda k: min(k * cells // n, cells - 1),
+                            lambda v: mpmath.mpf(2 * v + 1) / (2 * cells))
+
+
+def _kl_shifted_1d(base, diff) -> float:
+    """D(base + diff || base) in bits for one mass-preserving diff, one
+    vector at a time: the scalar form ``sdpi._kl_shifted`` must match bit
+    for bit (Bregman form, series below |u| = 1e-2, base == 0 left out)."""
+    mask = base > 0.0
+    b = base[mask]
+    u = diff[mask] / b
+    g = np.empty_like(u)
+    small = np.abs(u) <= 1e-2
+    us = u[small]
+    g[small] = us * us * (1.0 / 2.0 - us * (1.0 / 6.0 - us * (
+        1.0 / 12.0 - us * (1.0 / 20.0 - us * (1.0 / 30.0 - us / 42.0)))))
+    ub = u[~small]
+    dead = ub <= -1.0
+    ub = np.where(dead, 0.0, ub)
+    g[~small] = np.where(dead, 1.0, (1.0 + ub) * np.log1p(ub) - ub)
+    return float((b * g).sum()) / math.log(2.0)
+
+
+def scan_step_by_step(mu, muK, K, direction, fracs):
+    """``sdpi._scan`` as a loop over steps with a strict ``>``, so the first
+    maximal step wins; returns (ratio, step)."""
+    direction = direction - direction.sum() * mu
+    neg = direction < 0.0
+    t_max = float((mu[neg] / -direction[neg]).min()) if np.any(neg) else 1.0
+    if not t_max > 0.0 or not np.all(np.isfinite(direction)):
+        return -math.inf, 0.0
+    out_direction = direction @ K
+    best, best_t = -math.inf, 0.0
+    for frac in fracs:
+        t = frac * t_max
+        din = _kl_shifted_1d(mu, t * direction)
+        r = _kl_shifted_1d(muK, t * out_direction) / din if din > 0.0 else -math.inf
+        if r > best:
+            best, best_t = r, t
+    return best, best_t

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import pytest
@@ -315,6 +316,16 @@ def test_bern_bsc_useless_channel_runs(argv, capsys):
         assert "# check: pass" in out
 
 
+@pytest.mark.parametrize("n", [5, 100, 1000])
+def test_bern_bsc_noisy_grid_passes_check(n, capsys):
+    # below ceil(log2(n+1)) bits the scheme sends the sample mean's b-bit cell
+    for b, eps, T in itertools.product((0, 1, 2, 3), (0.05, 0.1), (30, 70)):
+        code, out, _ = run(["simulate", "bern-bsc", "--n", str(n), "--b", str(b),
+                            "--eps", str(eps), "--T", str(T), "--reps", "5000",
+                            "--check"], capsys)
+        assert (code, "# check: pass" in out) == (0, True), (b, eps, T)
+
+
 # (scheme, flags) runs, one per scheme in the table
 MARGIN_RUNS = {
     "gauss-gauss": {"n": 10},
@@ -475,6 +486,15 @@ def test_config_supplies_defaults_and_flags_win(tmp_path, capsys):
         _, out, _ = run(["--config", str(cfg), "simulate", "gauss-gauss",
                          "--reps", "50", *explicit], capsys)
         assert data_rows(out)[1].split(",")[4] == "9"
+
+
+def test_config_does_not_outlive_its_call(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n=7\n")
+    argv = ["simulate", "gauss-gauss", "--reps", "50"]
+    for prefix, n in (([], 1), (["--config", str(cfg)], 7), ([], 1)):
+        _, out, _ = run([*prefix, *argv], capsys)
+        assert f" n={n} " in out
 
 
 def test_config_unknown_key_exits_2(tmp_path, capsys):

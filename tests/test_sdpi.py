@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from bayeslb import sdpi
 from bayeslb.info import DiscreteChannel, DiscreteDistribution, DistributionError, bec, bsc
 from bayeslb.sdpi import (ContractionEstimate, bsc_product_dobrushin,
                           dobrushin, dobrushin_bern_uniform_posterior,
@@ -65,21 +66,75 @@ def test_eta_numeric_bec():
     assert -1e-3 <= dev <= 1e-9
 
 
-def test_eta_numeric_deterministic_given_seed():
-    a = eta_numeric(FAIR, bsc(0.3), seed=2)
-    b = eta_numeric(FAIR, bsc(0.3), seed=2)
+def test_eta_numeric_deterministic():
+    a = eta_numeric(FAIR, bsc(0.3))
+    b = eta_numeric(FAIR, bsc(0.3))
     assert a.value == b.value
 
 
-@given(st.integers(min_value=0, max_value=10**6))
+def _eta_chi2(mu, rows) -> float:
+    """Squared second singular value of the divergence transition matrix."""
+    out = mu @ rows
+    used = out > 0.0
+    dtm = np.sqrt(mu)[:, None] * rows[:, used] / np.sqrt(out[used])[None, :]
+    sv = np.linalg.svd(dtm, compute_uv=False)
+    return float(sv[1] ** 2) if sv.size > 1 else 0.0
+
+
+@given(st.integers(min_value=0, max_value=10**6), st.integers(2, 6),
+       st.integers(2, 6), st.sampled_from([0.3, 2.0]))
 @settings(max_examples=15, deadline=None)
-def test_eta_numeric_below_dobrushin(seed):
-    """The numeric lower estimate can never exceed the Dobrushin coefficient."""
+def test_eta_numeric_below_dobrushin(seed, inputs, outputs, alpha):
+    """The numeric lower estimate lies between the chi-square contraction,
+    which lower-bounds the KL one, and the Dobrushin coefficient."""
     rng = np.random.default_rng(seed)
-    channel = DiscreteChannel(rng.dirichlet(np.full(3, 2.0), size=2))
-    mu = DiscreteDistribution(rng.dirichlet(np.ones(2)))
-    est = eta_numeric(mu, channel, restarts=4, seed=seed)
+    channel = DiscreteChannel(rng.dirichlet(np.full(outputs, alpha), size=inputs))
+    mu = DiscreteDistribution(rng.dirichlet(np.ones(inputs)))
+    est = eta_numeric(mu, channel)
+    assert _eta_chi2(mu.probs, channel.rows) - 1e-6 <= est.value
     assert est.value <= dobrushin(channel).value + 1e-9
+
+
+@pytest.mark.parametrize("k, outputs", [(2, 2), (3, 5), (4, 4), (8, 12), (16, 16)])
+def test_scan_matches_the_step_by_step_loop(k, outputs):
+    rng = np.random.default_rng([k, outputs])
+    rows = rng.dirichlet(np.full(outputs, 0.5), size=k)
+    rows[:, 0] = 0.0  # an output no input reaches is left out of D(. || mu K)
+    rows /= rows.sum(axis=1, keepdims=True)
+    mu = rng.dirichlet(np.ones(k))
+    fracs = np.geomspace(1e-6, 1.0, 60)
+    directions = [*(np.eye(k) - mu), *rng.standard_normal((20, k))]
+    for direction in directions:
+        for grid in (fracs, fracs[::4]):
+            assert (sdpi._scan(mu, mu @ rows, rows, direction, grid)
+                    == oracles.scan_step_by_step(mu, mu @ rows, rows, direction, grid))
+
+
+def _seeded_pair(k):
+    rng = np.random.default_rng(k)
+    mu = rng.dirichlet(np.ones(k))
+    return mu, DiscreteChannel(rng.dirichlet(np.ones(k), size=k))
+
+
+# eta_numeric values as the scalar per-step search computed them
+PINNED_ETA = {
+    "bsc-0.1": (lambda: (FAIR, bsc(0.1)), "0x1.47ae147ae1323p-1"),
+    "bsc-0.25": (lambda: (FAIR, bsc(0.25)), "0x1.ffffffffffb9bp-3"),
+    "bsc-0.4": (lambda: (FAIR, bsc(0.4)), "0x1.47ae147ae10e0p-5"),
+    "bec-0.1": (lambda: (FAIR, bec(0.1)), "0x1.cccccccccccf5p-1"),
+    "bec-0.25": (lambda: (FAIR, bec(0.25)), "0x1.8000000000056p-1"),
+    "bec-0.4": (lambda: (FAIR, bec(0.4)), "0x1.3333333333377p-1"),
+    "dirichlet-k2": (lambda: _seeded_pair(2), "0x1.82a089727d885p-9"),
+    "dirichlet-k4": (lambda: _seeded_pair(4), "0x1.4e764d6db0738p-2"),
+    "dirichlet-k8": (lambda: _seeded_pair(8), "0x1.3642289b797f4p-2"),
+    "dirichlet-k16": (lambda: _seeded_pair(16), "0x1.38cf4e9b0b6b0p-2"),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_ETA)
+def test_eta_numeric_values_are_pinned(name):
+    case, pinned = PINNED_ETA[name]
+    assert eta_numeric(*case()).value.hex() == pinned
 
 
 def test_pairwise_ratio_bound_bsc049():

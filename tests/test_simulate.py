@@ -186,10 +186,30 @@ def test_bern_bsc_routes_on_noise():
     cfg = SimulationConfig(spec=clean, replications=200, seed=2)
     clean_result = simulate_single_processor(cfg)
     assert clean_result.scheme == "bern-bsc"
-    noisy = ScenarioSpec(tag="bern-bsc", n=64, b=4.0, eps=0.1, T=40)
+    # b = 7 carries the whole count, which a noisy link sends bit by bit
+    noisy = ScenarioSpec(tag="bern-bsc", n=64, b=7.0, eps=0.1, T=40)
     cfg = SimulationConfig(spec=noisy, replications=200, seed=2)
     noisy_result = simulate_single_processor(cfg)
     assert noisy_result.empirical_risk != clean_result.empirical_risk
+
+
+@pytest.mark.parametrize("n, bits, eps, T", [(100, 4, 0.1, 70), (20, 2, 0.15, 20),
+                                             (33, 3, 0.05, 9)])
+def test_bern_bsc_sends_the_b_bit_cell_below_the_count(n, bits, eps, T):
+    # fewer than bit_length(n) bits carry the sample mean's midpoint cell
+    spec = ScenarioSpec(tag="bern-bsc", n=n, b=bits + 0.5, eps=eps, T=T)
+    result = simulate_single_processor(
+        SimulationConfig(spec=spec, replications=20000, seed=31))
+    oracle = oracles.cell_repetition_risk(n, bits, eps, T)
+    assert abs(result.empirical_risk - oracle) <= 3.0 * result.ci_halfwidth
+
+
+def test_bern_bsc_zero_bits_give_the_prior_centroid():
+    spec = ScenarioSpec(tag="bern-bsc", n=100, b=0.0, eps=0.1, T=70)
+    result = simulate_single_processor(
+        SimulationConfig(spec=spec, replications=20000, seed=31))
+    # E|W - 1/2| for W uniform on [0, 1]
+    assert abs(result.empirical_risk - 0.25) <= 3.0 * result.ci_halfwidth
 
 
 def test_bern_bsc_case2_needs_enough_uses():
