@@ -48,19 +48,19 @@ class BoundReport:
     infeasible: bool = False
 
 
-def _log_grid(lo: float, hi: float, points: int = 200) -> np.ndarray:
+def _log_grid(lo: float, hi: float) -> np.ndarray:
     if not 0.0 < lo < hi:
         raise DistributionError("grid endpoints must satisfy 0 < lo < hi")
-    return np.geomspace(lo, hi, points)
+    return np.geomspace(lo, hi, 200)
 
 
-def _golden_max(f, lo: float, hi: float, iters: int = 60) -> tuple[float, float]:
-    """Golden-section maximization of f on [lo, hi]."""
+def _golden_max(f, lo: float, hi: float) -> tuple[float, float]:
+    """Golden-section maximization of f on [lo, hi], in 60 steps."""
     a, b = lo, hi
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
     f1, f2 = f(x1), f(x2)
-    for _ in range(iters):
+    for _ in range(60):
         if f1 < f2:
             a, x1, f1 = x1, x2, f2
             x2 = a + _GOLDEN * (b - a)
@@ -109,15 +109,15 @@ def _checked_smallball(smallball, rho: float) -> float:
 
 
 def lb_mi_smallball(mi: float, smallball, rho_grid=None,
-                    envelope_inv=None, s_grid=None) -> BoundReport:
+                    envelope_inv=None) -> BoundReport:
     """Risk lower bound from a mutual-information budget and small-ball profile.
 
     Maximizes rho * (1 - (mi + 1) / log2(1 / L(rho))) over the radius grid,
     where L is the (expected conditional) small-ball probability. When the
     caller supplies ``envelope_inv``, the generalized inverse of an increasing
     envelope g with L(rho) <= g(rho), the alternative parameterization
-    sup_s s * g^{-1}(2^{-(mi+1)/(1-s)}) over s in (0, 1) is evaluated as well
-    and the larger of the two is returned.
+    sup_s s * g^{-1}(2^{-(mi+1)/(1-s)}) over 199 points of s in (0, 1) is
+    evaluated as well and the larger of the two is returned.
 
     Parameters
     ----------
@@ -125,7 +125,6 @@ def lb_mi_smallball(mi: float, smallball, rho_grid=None,
     smallball : callable rho -> L(rho), values required to lie in (0, 1].
     rho_grid : radii to scan (default log grid over [1e-6, 1]).
     envelope_inv : optional callable p -> sup{rho : g(rho) <= p}.
-    s_grid : grid for the envelope branch (default 199 points in (0, 1)).
     """
     if not mi >= 0.0:  # also refuses NaN
         raise DistributionError(f"mutual information must be >= 0, not {mi}")
@@ -146,15 +145,13 @@ def lb_mi_smallball(mi: float, smallball, rho_grid=None,
         arguments = {"rho": rho_star, "branch": "direct"}
 
     if envelope_inv is not None:
-        if s_grid is None:
-            s_grid = np.linspace(0.005, 0.995, 199)
-
         def env_objective(s):
             if not 0.0 < s < 1.0:
                 return -math.inf
             return s * float(envelope_inv(2.0 ** (-(mi + 1.0) / (1.0 - s))))
 
-        s_star, val = _grid_then_golden(env_objective, s_grid)
+        s_star, val = _grid_then_golden(env_objective,
+                                        np.linspace(0.005, 0.995, 199))
         if val > best:
             best = val
             arguments = {"s": s_star, "branch": "envelope"}
@@ -162,14 +159,14 @@ def lb_mi_smallball(mi: float, smallball, rho_grid=None,
     return _clamped_report(best, "mi-smallball", arguments, {"mi": mi})
 
 
-def lb_info_density(density, smallball, rho_grid=None, gamma_grid=None,
+def lb_info_density(density, smallball, gamma_grid=None,
                     inf_ratio: float | None = None) -> BoundReport:
     """Risk lower bound from the information-density distribution.
 
     Maximizes rho * (P[i < log2 gamma] - gamma * L(rho)) jointly over the
-    radius and threshold grids. With ``inf_ratio`` (the essential infimum of
-    the prior-to-posterior density ratio) the sharper form adds
-    gamma * inf_ratio * P[i >= log2 gamma].
+    threshold grid and a log grid of radii over [1e-6, 1]. With ``inf_ratio``
+    (the essential infimum of the prior-to-posterior density ratio) the
+    sharper form adds gamma * inf_ratio * P[i >= log2 gamma].
 
     ``density`` may be an ``InfoDensityDistribution`` or a callable mapping a
     threshold in bits to P[i < threshold].
@@ -178,8 +175,7 @@ def lb_info_density(density, smallball, rho_grid=None, gamma_grid=None,
         prob_below = density.prob_below
     else:
         prob_below = density
-    if rho_grid is None:
-        rho_grid = _log_grid(1e-6, 1.0)
+    rho_grid = _log_grid(1e-6, 1.0)
     if gamma_grid is None:
         gamma_grid = _log_grid(1e-3, 1e3)
 
@@ -237,12 +233,12 @@ def fano_family(mode: str, **kw) -> BoundReport:
 
     * ``classic``: ``mi``, ``m`` — 1 - (mi + 1)/log2(m) for m hypotheses.
     * ``han_verdu``: ``mi``, ``pmax`` — 1 - (mi + 1)/log2(1/pmax).
-    * ``poor_verdu``: ``density``, ``m``, optional ``gamma_grid`` —
-      sup_gamma (1 - gamma/m) P[i < log2 gamma].
+    * ``poor_verdu``: ``density``, ``m`` — sup_gamma (1 - gamma/m)
+      P[i < log2 gamma] over a log grid of gamma in [1e-3, m].
     * ``continuum_mi``: ``mi``, ``smallball_value`` — excess-distortion
       probability bound 1 - (mi + 1)/log2(1/L).
-    * ``continuum_id``: ``density``, ``smallball_value``, optional
-      ``gamma_grid`` — sup_gamma (P[i < log2 gamma] - gamma L).
+    * ``continuum_id``: ``density``, ``smallball_value`` — sup_gamma
+      (P[i < log2 gamma] - gamma L) over a log grid of gamma in [1e-3, 1e3].
 
     The raw right-hand side is recorded under ``arguments['raw']``; the
     returned value is clamped to be a valid probability lower bound.
@@ -261,14 +257,11 @@ def fano_family(mode: str, **kw) -> BoundReport:
         return _clamped_report(raw, "fano-han-verdu", {"raw": raw}, {"mi": mi, "pmax": pmax})
     if mode == "poor_verdu":
         density, m = kw["density"], kw["m"]
-        gamma_grid = kw.get("gamma_grid")
-        if gamma_grid is None:
-            gamma_grid = _log_grid(1e-3, float(m))
 
         def objective(gamma):
             return (1.0 - gamma / m) * density.prob_below(math.log2(gamma))
 
-        gamma_star, raw = _grid_then_golden(objective, gamma_grid)
+        gamma_star, raw = _grid_then_golden(objective, _log_grid(1e-3, float(m)))
         return _clamped_report(raw, "fano-poor-verdu",
                                {"raw": raw, "gamma": gamma_star}, {"m": m})
     if mode == "continuum_mi":
@@ -280,14 +273,11 @@ def fano_family(mode: str, **kw) -> BoundReport:
                                {"mi": mi, "smallball_value": L})
     if mode == "continuum_id":
         density, L = kw["density"], kw["smallball_value"]
-        gamma_grid = kw.get("gamma_grid")
-        if gamma_grid is None:
-            gamma_grid = _log_grid(1e-3, 1e3)
 
         def objective(gamma):
             return density.prob_below(math.log2(gamma)) - gamma * L
 
-        gamma_star, raw = _grid_then_golden(objective, gamma_grid)
+        gamma_star, raw = _grid_then_golden(objective, _log_grid(1e-3, 1e3))
         return _clamped_report(raw, "fano-continuum-id",
                                {"raw": raw, "gamma": gamma_star},
                                {"smallball_value": L})
@@ -438,8 +428,7 @@ def mi_ub_interactive(alpha: float, n: int, m: int, b: float,
                        {"alpha": alpha, "n": n, "m": m, "b": b})
 
 
-def lb_multi_general(cutsets, mode: str, d: int = 1, r: float = 1.0,
-                     rho_grid=None, envelope_inv=None) -> BoundReport:
+def lb_multi_general(cutsets, mode: str, d: int = 1, r: float = 1.0) -> BoundReport:
     """Best risk lower bound over a collection of cutsets.
 
     Each entry of ``cutsets`` is a tuple; for mode ``diffentropy`` it is
@@ -459,8 +448,7 @@ def lb_multi_general(cutsets, mode: str, d: int = 1, r: float = 1.0,
             rep = lb_diff_entropy(i_cond, h_cond, d=d, r=r)
         elif mode == "smallball":
             label, i_cond, smallball = entry
-            rep = lb_mi_smallball(i_cond, smallball, rho_grid=rho_grid,
-                                  envelope_inv=envelope_inv)
+            rep = lb_mi_smallball(i_cond, smallball)
         else:
             raise DistributionError(f"unknown cutset mode {mode!r}")
         if best is None or rep.value > best.value:

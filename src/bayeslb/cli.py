@@ -36,7 +36,7 @@ from .scenarios import (ScenarioSpec, fig2_data, fig34_data,
 from .simulate import (SCHEMES, SEED_LIMIT, SimulationConfig, sandwich_check,
                        simulate_multi, simulate_single_processor)
 
-__all__ = ["RunManifest", "main", "build_parser"]
+__all__ = ["main", "build_parser"]
 
 _SCENARIO_FNS = {
     "gauss-gauss": scenario_gauss_gauss,
@@ -241,33 +241,19 @@ def _flat_items(mapping: dict, prefix: str = "") -> list:
     return items
 
 
-@dataclasses.dataclass(frozen=True)
-class RunManifest:
-    command: str
-    spec: ScenarioSpec | None = None
-    seed: int | None = None
-    version: str = __version__
-    timestamp: str | None = None
-
-    def lines(self) -> list:
-        out = [f"# bayeslb {self.version}", f"# command: {self.command}"]
-        if self.spec is not None:
-            echo = " ".join(
-                f"{field.name}={_arg_text(getattr(self.spec, field.name))}"
-                for field in dataclasses.fields(self.spec))
-            out.append(f"# spec: {echo}")
-        if self.seed is not None:
-            out.append(f"# seed: {self.seed}")
-        if self.timestamp is not None:
-            out.append(f"# timestamp: {self.timestamp}")
-        return out
-
-
-def _manifest(tokens: list, args, spec=None, seed=None) -> RunManifest:
-    stamp = None
-    if getattr(args, "timestamp", False):
+def _manifest(tokens: list, args, spec=None, seed=None) -> list:
+    """The '#' header lines: version, command, spec echo, seed, timestamp."""
+    out = [f"# bayeslb {__version__}", f"# command: {' '.join(tokens)}"]
+    if spec is not None:
+        echo = " ".join(f"{field.name}={_arg_text(getattr(spec, field.name))}"
+                        for field in dataclasses.fields(spec))
+        out.append(f"# spec: {echo}")
+    if seed is not None:
+        out.append(f"# seed: {seed}")
+    if args.timestamp:
         stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
-    return RunManifest(" ".join(tokens), spec=spec, seed=seed, timestamp=stamp)
+        out.append(f"# timestamp: {stamp}")
+    return out
 
 
 def _emit(lines: list, out_path) -> None:
@@ -294,7 +280,7 @@ def cmd_bound(args) -> int:
     pairs += _flat_items(report.inputs, "input.")
     if args.csv:
         tokens = _canonical(["bound", "--thm", str(args.thm)], args, _BOUND_FLAGS)
-        lines = _manifest(tokens, args).lines()
+        lines = _manifest(tokens, args)
         lines += ["key,value"] + [f"{k},{_text(v)}" for k, v in pairs]
     else:
         lines = [f"{k}={_text(v)}" for k, v in pairs]
@@ -343,7 +329,7 @@ def cmd_scenario(args) -> int:
     spec = _spec_from_args(args.tag, args)
     report = _scenario_report(args.tag, spec, args, seed)
     tokens = _canonical(["scenario", args.tag], args, _COMMAND_FLAGS["scenario"])
-    lines = _manifest(tokens, args, spec=spec, seed=seed).lines()
+    lines = _manifest(tokens, args, spec=spec, seed=seed)
     lines += _report_rows(report)
     _emit(lines, args.out)
     return 0
@@ -372,7 +358,7 @@ def cmd_simulate(args) -> int:
                               scheme=args.scheme)
     result = (simulate_multi if scheme.multi else simulate_single_processor)(config)
     tokens = _canonical(["simulate", args.scheme], args, _COMMAND_FLAGS["simulate"])
-    lines = _manifest(tokens, args, spec=spec, seed=seed).lines()
+    lines = _manifest(tokens, args, spec=spec, seed=seed)
     lines.append("scheme,empirical_risk,ci_halfwidth,replications,seed")
     lines.append(",".join([result.scheme, _text(result.empirical_risk),
                            _text(result.ci_halfwidth),
@@ -403,7 +389,7 @@ def cmd_figure(args) -> int:
     header, rows = call(args)
     tokens = _canonical(["figure", args.which], args,
                         [row for row in _COMMAND_FLAGS["figure"] if row[0] in reads])
-    lines = _manifest(tokens, args).lines()
+    lines = _manifest(tokens, args)
     lines.append(",".join(header))
     lines += [",".join(_text(cell) for cell in row) for row in rows]
     _emit(lines, args.out)

@@ -378,10 +378,10 @@ class InfoDensityDistribution:
         return float(self.probs[self.values >= threshold].sum())
 
 
-def information_density(joint: JointPMF, merge_tol: float = 1e-12) -> InfoDensityDistribution:
+def information_density(joint: JointPMF) -> InfoDensityDistribution:
     """Distribution of i(w; x) = log2 P(w|x)/P(w) under the joint PMF.
 
-    Atoms with equal value (within ``merge_tol``) are merged. The expectation
+    Atoms whose values agree to a relative 1e-12 are merged. The expectation
     of the result is I(W; X); construction fails if the two disagree by more
     than 1e-9, which would indicate a corrupted joint.
     """
@@ -396,7 +396,7 @@ def information_density(joint: JointPMF, merge_tol: float = 1e-12) -> InfoDensit
     vals, ps = vals[order], ps[order]
     merged_v, merged_p = [vals[0]], [ps[0]]
     for v, p in zip(vals[1:], ps[1:]):
-        if v - merged_v[-1] <= merge_tol * max(1.0, abs(v)):
+        if v - merged_v[-1] <= 1e-12 * max(1.0, abs(v)):
             merged_p[-1] += p
         else:
             merged_v.append(v)
@@ -647,20 +647,19 @@ def differential_entropy(prior: PriorSpec) -> float:
 # channel capacity
 
 
-def channel_capacity(channel: DiscreteChannel, tol: float = 1e-9,
-                     max_iter: int = 100_000) -> float:
+def channel_capacity(channel: DiscreteChannel, tol: float = 1e-9) -> float:
     """Capacity of a DMC in bits per use, by alternating maximization.
 
     Stops once the duality gap max_x D(K_x || q) - I(r) drops below ``tol``,
     which brackets the capacity to that accuracy. Raises ``ConvergenceError``
-    if the iteration cap is exhausted first.
+    if 100 000 iterations do not get there.
     """
     K = channel.rows
     mask = K > 0.0
     logK = np.zeros_like(K)
     logK[mask] = np.log2(K[mask])
     r = np.full(K.shape[0], 1.0 / K.shape[0])
-    for _ in range(max_iter):
+    for _ in range(100_000):
         q = r @ K
         logq = np.zeros_like(q)
         used = q > 0.0
@@ -673,4 +672,4 @@ def channel_capacity(channel: DiscreteChannel, tol: float = 1e-9,
         w = np.exp2(per_input - per_input.max())
         r = r * w
         r = r / r.sum()
-    raise ConvergenceError(f"capacity iteration cap {max_iter} exhausted")
+    raise ConvergenceError("capacity iteration cap 100000 exhausted")

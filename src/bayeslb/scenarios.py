@@ -113,10 +113,20 @@ class ScenarioSpec:
 
 @dataclass(frozen=True)
 class ScenarioReport:
+    """A model's bounds, each finite, and its derived values, which may be inf."""
+
     tag: str
     lower_bounds: dict = field(default_factory=dict)
     upper_bounds: dict = field(default_factory=dict)
     derived: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        for group, bounds in (("lower", self.lower_bounds), ("upper", self.upper_bounds)):
+            for name, bound in bounds.items():
+                value = getattr(bound, "value", bound)
+                if not math.isfinite(value):
+                    raise DistributionError(f"{self.tag} {group} bound {name} is {value}: "
+                                            "the model leaves the float range")
 
 
 def _channel_profile(spec: ScenarioSpec, uses: float | None = None) -> tuple[float, float]:
@@ -201,11 +211,19 @@ def bern_uniform_mi(n: int) -> float:
     """
     if n < 1:
         raise DistributionError("need at least one sample")
-    log_fact = [math.lgamma(k + 1.0) for k in range(n + 1)]
-    sum_log_binom = math.fsum(log_fact[n] - a - b
-                              for a, b in zip(log_fact, reversed(log_fact)))
+    sum_log_binom = math.fsum(_log_binomials(n))
     return math.log2(n + 1.0) \
         + (sum_log_binom - 0.5 * n * (n + 1.0)) / ((n + 1.0) * _LN2)
+
+
+def _log_binomials(n: int):
+    """lgamma(n+1) - lgamma(k+1) - lgamma(n-k+1) for k = 0..n; k and n-k share lgammas."""
+    L = math.lgamma(n + 1.0)
+    for k in range(n // 2 + 1):
+        a, b = math.lgamma(k + 1.0), math.lgamma(n - k + 1.0)
+        yield L - a - b
+        if k != n - k:
+            yield L - b - a
 
 
 def bern_uniform_conditional_mi(n: int) -> float:
@@ -294,7 +312,7 @@ def scenario_gauss_ball(spec: ScenarioSpec, reps: int | None = None,
             * math.exp(-log_unit_ball_volume(d) / d) * root_term * gap
         # the root (1/(2(1+delta)))^{1/d} is at least 1/2 whenever
         # 2(1+delta) <= 2^d; outside that regime keep the plain reciprocal
-        weak_const = 0.5 if 2.0 * (1.0 + delta) <= 2.0 ** d else 0.5 / (1.0 + delta)
+        weak_const = 0.5 if math.log2(2.0 * (1.0 + delta)) <= d else 0.5 / (1.0 + delta)
         weak = weak_const * (math.sqrt(d) / 5.0) * root_term * gap
         mc_args = {"p_hat": p_hat, "delta": delta, "reps": reps, "seed": seed}
         lower["finite_mc_sharp"] = BoundReport(
@@ -375,11 +393,11 @@ def scenario_hypercube(spec: ScenarioSpec) -> ScenarioReport:
     if spec.p is not None:
         p = spec.p
         derived["rate_distortion"] = 1.0 - binary_entropy(p)
-        if delta > 0.0 and eta_T > 0.0:
+        if delta * delta * eta_T > 0.0:  # also skips a product that underflows to 0
             lower["rate_per_coordinate"] = BoundReport(
                 (1.0 - binary_entropy(p)) / (delta * delta * eta_T),
                 "hypercube-rate-lb", {}, {"p": p, "delta": delta, "eta_T": eta_T})
-        if (1.0 - delta) / 2.0 <= p:
+        if delta > 0.0 and (1.0 - delta) / 2.0 <= p:
             derived["noisy_lossy_rate"] = 1.0 - binary_entropy(
                 (2.0 * p + delta - 1.0) / (2.0 * delta))
     return ScenarioReport(spec.tag, lower_bounds=lower, upper_bounds={},
@@ -397,12 +415,15 @@ def fig2_data(p: float = 0.3, points: int = 61, etas=(1.0, 0.75, 0.5)):
     """
     if not 0.0 < p < 0.5:
         raise DistributionError("target distortion must lie in (0, 1/2)")
+    rate = 1.0 - binary_entropy(p)
+    low = 1.0 - 2.0 * p  # the smallest delta, where each rate bound is largest
     for eta in etas:
         if not 0.0 < eta <= 1.0:
             raise DistributionError("contraction values must lie in (0, 1]")
+        if low * low * eta == 0.0 or math.isinf(rate / (low * low * eta)):
+            raise DistributionError(f"the rate bound at eta {eta:g} exceeds the float range")
     if points < 0:
         raise DistributionError("point count cannot be negative")
-    rate = 1.0 - binary_entropy(p)
     header = ["delta"] + [f"blb_eta_{eta:g}" for eta in etas] + ["tildeR", "R"]
     rows = []
     for delta in np.linspace(1.0 - 2.0 * p, 1.0, points):
@@ -555,20 +576,15 @@ def scenario_minimax_cube(spec: ScenarioSpec) -> ScenarioReport:
 # CEO problem over noisy channels
 
 
-def scenario_noisy_ceo(spec: ScenarioSpec, alpha: float, etas=None,
-                       rates=None) -> ScenarioReport:
+def scenario_noisy_ceo(spec: ScenarioSpec, alpha: float) -> ScenarioReport:
     """Sum-rate requirement for estimating an i.i.d. Gaussian sequence.
 
-    ``alpha`` is the per-letter distortion target, ``etas`` the per-processor
-    observation contractions (default all 1), ``rates`` optional per-processor
-    quantization rates b_i/n to check against the requirement.
+    ``alpha`` is the per-letter distortion target; each of the m processors
+    observes through a contraction of 1 and sends at an equal rate.
     """
     if alpha <= 0.0:
         raise DistributionError("distortion target must be positive")
     d, r = spec.d, spec.r
-    etas = [1.0] * spec.m if etas is None else list(etas)
-    if len(etas) != spec.m:
-        raise DistributionError("need one observation contraction per processor")
     eta_T, _ = _channel_profile(spec)
     h_w = differential_entropy(PriorSpec.gaussian(spec.var_w, d))
     # lb_diff_entropy solved for the budget that brings the floor to alpha
@@ -577,7 +593,7 @@ def scenario_noisy_ceo(spec: ScenarioSpec, alpha: float, etas=None,
                               {"raw": rhs}, {"alpha": alpha, "d": d, "r": r},
                               clamped=rhs < 0.0)
     derived = {"h_w_bits": h_w, "eta_T": eta_T}
-    eta_sum = eta_T * sum(etas)
+    eta_sum = eta_T * spec.m
     if rhs <= 0.0:
         derived["min_equal_rate"] = 0.0
         derived["feasible"] = True
@@ -585,13 +601,6 @@ def scenario_noisy_ceo(spec: ScenarioSpec, alpha: float, etas=None,
         derived["min_equal_rate"] = rhs / eta_sum
     else:
         derived["min_equal_rate"] = math.inf
-    if rates is not None:
-        rates = list(rates)
-        if len(rates) != spec.m:
-            raise DistributionError("need one rate per processor")
-        lhs = eta_T * sum(rate * eta for rate, eta in zip(rates, etas))
-        derived["weighted_sum_rate"] = lhs
-        derived["feasible"] = lhs >= rhs
     return ScenarioReport(spec.tag,
                           lower_bounds={"sum_rate_requirement": requirement},
                           upper_bounds={}, derived=derived)
@@ -670,8 +679,8 @@ def scenario_hide_seek(spec: ScenarioSpec) -> ScenarioReport:
 
 
 def fig34_data(m: int = 10, d: int = 512, b: float | None = None,
-               n_grid=None, rho_rule: str = "quarter_n", rho: float = 0.01):
-    """Hide-and-seek comparison rows (n, ours, shamir).
+               rho_rule: str = "quarter_n", rho: float = 0.01):
+    """Hide-and-seek comparison rows (n, ours, shamir) for n = 1, ..., 1000.
 
     ``rho_rule`` is ``quarter_n`` (rho = 1/(4n), always inside the earlier
     bound's validity range) or ``fixed`` (constant rho, the earlier bound
@@ -681,11 +690,10 @@ def fig34_data(m: int = 10, d: int = 512, b: float | None = None,
         raise DistributionError(f"unknown rho rule {rho_rule!r}")
     if b is None:
         b = 3.0 * d
-    if n_grid is None:
-        n_grid = range(1, 1001)
+    if not 0.0 <= b < math.inf:
+        raise DistributionError(f"bit budget must be finite and >= 0, not {b}")
     rows = []
-    for n in n_grid:
-        n = int(n)
+    for n in range(1, 1001):
         r = 1.0 / (4.0 * n) if rho_rule == "quarter_n" else rho
         rows.append((n, _hide_seek_ours(n, m, d, b, r),
                      _hide_seek_shamir(n, m, d, b, r)))

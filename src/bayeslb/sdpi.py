@@ -27,7 +27,6 @@ from .info import (
 __all__ = [
     "ContractionEstimate",
     "PairwiseRatioBound",
-    "eta_closed_form",
     "eta_bsc",
     "eta_bec",
     "eta_gaussian",
@@ -83,14 +82,6 @@ def eta_gaussian(rho_corr: float) -> ContractionEstimate:
     return ContractionEstimate(rho_corr ** 2, "exact", "jointly gaussian closed form")
 
 
-def eta_closed_form(kind: str, param: float) -> ContractionEstimate:
-    """Dispatch to one of the closed forms: ``bsc``, ``bec`` or ``gaussian``."""
-    table = {"bsc": eta_bsc, "bec": eta_bec, "gaussian": eta_gaussian}
-    if kind not in table:
-        raise DistributionError(f"no closed form for channel kind {kind!r}")
-    return table[kind](param)
-
-
 def dobrushin(channel: DiscreteChannel) -> ContractionEstimate:
     """Dobrushin coefficient: the largest total variation between two rows."""
     rows = channel.rows
@@ -106,11 +97,10 @@ def doeblin_bound(channel: DiscreteChannel) -> ContractionEstimate:
 
 @dataclass(frozen=True)
 class PairwiseRatioBound:
-    """Row-ratio contraction bound; applies in both chain directions."""
+    """Row-ratio contraction bound; ``forward`` holds in both chain directions."""
 
     alpha: float
     forward: ContractionEstimate
-    backward: ContractionEstimate
     degenerate: bool
 
 
@@ -118,7 +108,7 @@ def pairwise_ratio_bound(channel: DiscreteChannel, n: int = 1) -> PairwiseRatioB
     """Bound 1 - alpha^n from alpha = min over outputs and row pairs of K(y|x)/K(y|x').
 
     The same constant bounds the contraction of the channel and of its
-    backward (posterior) channel; with n conditionally independent
+    posterior (reverse) channel; with n conditionally independent
     observations the bound weakens to 1 - alpha^n. A zero entry forces
     alpha = 0 and the vacuous bound 1, flagged ``degenerate``.
     """
@@ -130,14 +120,9 @@ def pairwise_ratio_bound(channel: DiscreteChannel, n: int = 1) -> PairwiseRatioB
         alpha = 0.0
     else:
         alpha = float((rows.min(axis=0) / rows.max(axis=0)).min())
-    value = 1.0 - alpha ** n
     note = f"pairwise row ratio, {n} sample(s)"
     return PairwiseRatioBound(
-        alpha,
-        ContractionEstimate(value, "upper_bound", note),
-        ContractionEstimate(value, "upper_bound", note + ", backward"),
-        degenerate,
-    )
+        alpha, ContractionEstimate(1.0 - alpha ** n, "upper_bound", note), degenerate)
 
 
 # ---------------------------------------------------------------------------

@@ -329,12 +329,11 @@ class SandwichVerdict:
     margins: dict
 
 
-def sandwich_check(report: ScenarioReport, result: SimulationResult,
-                   ci_multiple: float = 3.0) -> SandwichVerdict:
+def sandwich_check(report: ScenarioReport, result: SimulationResult) -> SandwichVerdict:
     """Check a simulation against the bounds its scheme's table entry names.
 
     Exact lower bounds must not exceed the empirical risk by more than
-    ``ci_multiple`` half-widths, and the empirical risk must not exceed any
+    three half-widths, and the empirical risk must not exceed any
     exact upper bound by more than that; asymptotic or infeasible entries
     produce advisories instead of failures. A non-finite margin, which any
     non-finite risk or half-width makes, is always a hard failure.
@@ -343,7 +342,7 @@ def sandwich_check(report: ScenarioReport, result: SimulationResult,
     if scheme is None or scheme.tag != report.tag:
         raise DistributionError(
             f"scenario tag {report.tag!r} does not match scheme {result.scheme!r}")
-    risk, slack = result.empirical_risk, ci_multiple * result.ci_halfwidth
+    risk, slack = result.empirical_risk, 3.0 * result.ci_halfwidth
     checks = [(f"lower:{name}", risk + slack - bound.value,
                f"asymptotic lower bound {name} above empirical risk"
                if bound.asymptotic or bound.infeasible else None,

@@ -375,6 +375,19 @@ def test_non_finite_model_value_exits_2(argv, capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["scenario", "gauss-gauss", "--var-w", "1e308", "--n", "1000"],
+    ["scenario", "gauss-ball", "--d", "1", "--n", "1", "--reps", "10",
+     "--var-noise", "1e308"],
+    ["figure", "fig2", "--etas", "1e-320"],
+], ids=["gauss-gauss-nan", "gauss-ball-inf", "fig2-inf"])
+def test_non_finite_bound_exits_2(argv, capsys):
+    # finite model values whose bounds leave the float range print no row
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert "exceeds the float range" in err or "leaves the float range" in err
+
+
+@pytest.mark.parametrize("argv", [
     ["simulate", "bern-bsc", "--n", "10", "--b", "2000", "--eps", "0"],
     ["simulate", "xor-colocated", "--m", "2", "--n", "16", "--b", "600"],
 ])

@@ -9,7 +9,7 @@ from bayeslb import sdpi
 from bayeslb.info import DiscreteChannel, DiscreteDistribution, DistributionError, bec, bsc
 from bayeslb.sdpi import (ContractionEstimate, bsc_product_dobrushin,
                           dobrushin, dobrushin_bern_uniform_posterior,
-                          doeblin_bound, eta_bec, eta_bsc, eta_closed_form,
+                          doeblin_bound, eta_bec, eta_bsc,
                           eta_gaussian, eta_multi_use, eta_numeric,
                           gaussian_sample_mean_eta, pairwise_ratio_bound,
                           sufficient_statistic_reduction, tensorized_eta)
@@ -28,13 +28,6 @@ def test_eta_bsc_closed_form(eps):
 def test_eta_bec_and_gaussian():
     assert eta_bec(0.3).value == pytest.approx(0.7)
     assert eta_gaussian(0.6).value == pytest.approx(0.36)
-
-
-def test_eta_closed_form_dispatch():
-    assert eta_closed_form("bsc", 0.25).value == pytest.approx(0.25)
-    assert eta_closed_form("bec", 0.25).value == pytest.approx(0.75)
-    with pytest.raises(DistributionError):
-        eta_closed_form("awgn", 0.25)
 
 
 def test_dobrushin_bsc_is_one_minus_two_eps():
