@@ -77,7 +77,12 @@ def _grid_then_golden(f, grid) -> tuple[float, float]:
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise DistributionError("optimization grid must be nonempty")
-    vals = np.array([f(x) for x in grid])
+    return _refine(f, grid, np.array([f(x) for x in grid]))
+
+
+def _refine(f, grid: np.ndarray, vals: np.ndarray) -> tuple[float, float]:
+    """Golden-refine f between the grid neighbours of the first maximum of
+    ``vals`` = f(grid); the refined point wins only if strictly better."""
     i = int(np.argmax(vals))
     if not math.isfinite(vals[i]):
         return float(grid[i]), float(vals[i])
@@ -122,7 +127,8 @@ def lb_mi_smallball(mi: float, smallball, rho_grid=None,
     Parameters
     ----------
     mi : information budget in bits (conditional or unconditional).
-    smallball : callable rho -> L(rho), values required to lie in (0, 1].
+    smallball : callable rho -> L(rho), values required to lie in (0, 1];
+        it must be nondecreasing, as a small-ball probability is.
     rho_grid : radii to scan (default log grid over [1e-6, 1]).
     envelope_inv : optional callable p -> sup{rho : g(rho) <= p}.
     """
@@ -169,7 +175,15 @@ def lb_info_density(density, smallball, gamma_grid=None,
     sharper form adds gamma * inf_ratio * P[i >= log2 gamma].
 
     ``density`` may be an ``InfoDensityDistribution`` or a callable mapping a
-    threshold in bits to P[i < threshold].
+    threshold in bits to P[i < threshold]. ``smallball`` maps a radius to
+    L(rho) in (0, 1] and must be nondecreasing, as a small-ball probability
+    is; a profile that decreases on the radius grid is refused.
+
+    The whole threshold-by-radius grid is scored as one array. Each
+    threshold's best grid radius is then refined by golden section, in
+    descending order of a bound on what refinement can reach, until that
+    bound falls below the best value found; ties go to the earliest
+    threshold.
     """
     if isinstance(density, InfoDensityDistribution):
         prob_below = density.prob_below
@@ -178,21 +192,40 @@ def lb_info_density(density, smallball, gamma_grid=None,
     rho_grid = _log_grid(1e-6, 1.0)
     if gamma_grid is None:
         gamma_grid = _log_grid(1e-3, 1e3)
+    gammas = np.asarray(gamma_grid, dtype=float)
+    p_below = np.array([float(prob_below(math.log2(g))) for g in gammas])
+    extra = (gammas * inf_ratio * (1.0 - p_below) if inf_ratio is not None
+             else np.zeros_like(p_below))
+    L = np.array([_checked_smallball(smallball, rho) for rho in rho_grid])
+    if np.any(L[1:] < L[:-1]):
+        i = int(np.argmax(L[1:] < L[:-1]))
+        raise DistributionError(
+            f"small-ball profile decreases from {L[i]:.6g} at radius "
+            f"{rho_grid[i]:.6g} to {L[i + 1]:.6g} at {rho_grid[i + 1]:.6g}")
+    vals = rho_grid * ((p_below[:, None] - gammas[:, None] * L) + extra[:, None])
 
-    best = -math.inf
+    # L >= L(lo) on a bracket [lo, hi], so golden section there can reach at
+    # most x * y with y = p - gamma * L(lo) + e, i.e. lo * y or hi * y
+    top = np.argmax(vals, axis=1)
+    peak = vals[np.arange(gammas.size), top]
+    lo = np.maximum(top - 1, 0)
+    hi = np.minimum(top + 1, rho_grid.size - 1)
+    y = (p_below - gammas * L[lo]) + extra
+    reach = np.maximum(np.maximum(rho_grid[lo] * y, rho_grid[hi] * y), peak)
+
+    best, best_g = -math.inf, None
     arguments: dict = {}
-    for gamma in gamma_grid:
-        log_gamma = math.log2(gamma)
-        p_below = float(prob_below(log_gamma))
-        extra = gamma * inf_ratio * (1.0 - p_below) if inf_ratio is not None else 0.0
+    for g in np.argsort(-reach, kind="stable"):
+        if not reach[g] >= best:  # also ends at the NaN rows, sorted last
+            break
 
-        def objective(rho, _g=gamma, _p=p_below, _e=extra):
+        def objective(rho, _g=gammas[g], _p=p_below[g], _e=extra[g]):
             return rho * (_p - _g * _checked_smallball(smallball, rho) + _e)
 
-        rho_star, val = _grid_then_golden(objective, rho_grid)
-        if val > best:
-            best = val
-            arguments = {"rho": rho_star, "gamma": float(gamma)}
+        rho_star, val = _refine(objective, rho_grid, vals[g])
+        if val > best or (val == best and best_g is not None and g < best_g):
+            best, best_g = val, g
+            arguments = {"rho": rho_star, "gamma": float(gammas[g])}
 
     return _clamped_report(best, "info-density", arguments, {})
 

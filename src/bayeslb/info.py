@@ -290,10 +290,13 @@ def inv_binary_entropy_floor(y: float) -> float:
 
 
 def inv_binary_entropy(y: float) -> float:
-    """Inverse of the binary entropy on [0, 1/2].
+    """Inverse of the binary entropy on [0, 1/2], from below.
 
-    Bisection to absolute accuracy 1e-12 in the argument; the result always
-    dominates the closed-form floor ``inv_binary_entropy_floor``.
+    Bisects until the bracket [lo, hi] is narrower than 1e-12 * hi or has no
+    float strictly inside, then returns lo, at which the entropy is below y:
+    a lower estimate within a relative 1e-12 however small the inverse is.
+    The result always dominates the closed-form floor
+    ``inv_binary_entropy_floor``.
     """
     if not 0.0 <= y <= 1.0:
         raise DistributionError("argument must lie in [0, 1]")
@@ -302,16 +305,17 @@ def inv_binary_entropy(y: float) -> float:
     if y == 1.0:
         return 0.5
     lo, hi = 0.0, 0.5
-    while hi - lo > 1e-12:
+    while hi - lo > 1e-12 * hi:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         if binary_entropy(mid) < y:
             lo = mid
         else:
             hi = mid
-    p = 0.5 * (lo + hi)
-    if p < inv_binary_entropy_floor(y) - 1e-12:
+    if lo < inv_binary_entropy_floor(y) - 1e-12:
         raise ConvergenceError(f"bisection for h^-1({y}) fell below its floor")
-    return p
+    return lo
 
 
 def entropy(p) -> float:
@@ -650,9 +654,14 @@ def differential_entropy(prior: PriorSpec) -> float:
 def channel_capacity(channel: DiscreteChannel, tol: float = 1e-9) -> float:
     """Capacity of a DMC in bits per use, by alternating maximization.
 
-    Stops once the duality gap max_x D(K_x || q) - I(r) drops below ``tol``,
-    which brackets the capacity to that accuracy. Raises ``ConvergenceError``
-    if 100 000 iterations do not get there.
+    Returns the upper end max_x D(K_x || q) of the duality bracket
+    [I(r), max_x D(K_x || q)] at the last iterate: for every output law q
+    that maximum bounds the capacity from above (the min-max form of
+    capacity), so the result is an upper estimate and may feed a budget.
+    Iteration stops once the bracket is narrower than ``tol`` or after
+    100 000 steps, whichever comes first; the result is within ``tol`` of
+    the capacity in the first case and only an upper estimate in the
+    second, so the solver never raises.
     """
     K = channel.rows
     mask = K > 0.0
@@ -668,8 +677,8 @@ def channel_capacity(channel: DiscreteChannel, tol: float = 1e-9) -> float:
         lower = float(r @ per_input)
         upper = float(per_input.max())
         if upper - lower <= tol:
-            return 0.5 * (lower + upper)
+            break
         w = np.exp2(per_input - per_input.max())
         r = r * w
         r = r / r.sum()
-    raise ConvergenceError("capacity iteration cap 100000 exhausted")
+    return upper

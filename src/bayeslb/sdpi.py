@@ -162,21 +162,36 @@ def _scan(mu, muK, K, direction, fracs) -> tuple[float, float]:
     mass-preserving part of ``direction`` and t each of ``fracs`` times the
     longest feasible step; returns (ratio, t) for the first maximal step, or
     (-inf, 0) if no step moves nu."""
-    direction = direction - direction.sum() * mu
-    neg = direction < 0.0
-    t_max = float((mu[neg] / -direction[neg]).min()) if neg.any() else 1.0
-    if not t_max > 0.0 or not np.all(np.isfinite(direction)):
-        return -math.inf, 0.0
-    steps = fracs * t_max
-    din = _kl_shifted(mu, steps[:, None] * direction)
-    dout = _kl_shifted(muK, steps[:, None] * (direction @ K))
+    ratios, steps = _scan_many(mu, muK, K, direction[None], fracs)
+    return float(ratios[0]), steps[0]
+
+
+def _scan_many(mu, muK, K, directions, fracs) -> tuple[np.ndarray, np.ndarray]:
+    """``_scan`` of each row of ``directions``, scored as one (R, T, k) array.
+
+    Row r of the result is bit for bit what ``_scan`` gives for row r: sums
+    run along contiguous rows in numpy's pairwise order, and d @ K is taken
+    one row at a time, since a batched product may sum in another order.
+    """
+    directions = directions - directions.sum(axis=1)[:, None] * mu
+    neg = directions < 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_max = np.where(neg, mu / -directions, math.inf).min(axis=1)
+    t_max = np.where(neg.any(axis=1), t_max, 1.0)
+    # a direction that cannot move nu scans as zero steps, so its ratios are -inf
+    ok = (t_max > 0.0) & np.isfinite(directions).all(axis=1)
+    steps = fracs * np.where(ok, t_max, 0.0)[:, None]
+    moved = np.where(ok[:, None], directions, 0.0)
+    din = _kl_shifted(mu, steps[:, :, None] * moved[:, None])
+    out = np.array([d @ K for d in moved])
+    dout = _kl_shifted(muK, steps[:, :, None] * out[:, None])
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = dout / din
     ratios = np.where((din > 0.0) & ~np.isnan(ratios), ratios, -math.inf)
-    best = int(np.argmax(ratios))
-    if ratios[best] == -math.inf:
-        return -math.inf, 0.0
-    return float(ratios[best]), steps[best]
+    best = np.argmax(ratios, axis=1)
+    rows = np.arange(best.size)
+    ratio = ratios[rows, best]
+    return ratio, np.where(ratio == -math.inf, 0.0, steps[rows, best])
 
 
 def eta_numeric(mu, channel: DiscreteChannel) -> ContractionEstimate:
@@ -187,8 +202,9 @@ def eta_numeric(mu, channel: DiscreteChannel) -> ContractionEstimate:
     chi-square directions (singular vectors of the divergence transition
     matrix, whose local KL ratio attains the chi-square contraction), then
     run 8 random restarts of coordinate ascent over the direction, restart r
-    drawing from seed r. Every candidate is a feasible mixture, so the result
-    can only undershoot the true supremum.
+    drawing from seed r; the restarts step in lockstep, so each round scores
+    all their trial directions as one array. Every candidate is a feasible
+    mixture, so the result can only undershoot the true supremum.
 
     Parameters
     ----------
@@ -227,28 +243,41 @@ def eta_numeric(mu, channel: DiscreteChannel) -> ContractionEstimate:
         if r > best:
             best, best_dir, best_t = r, direction, t
 
+    # each restart keeps its own generator, acceptance, step and stop, so
+    # the lockstep changes only how the trials are scored, not which win
     coarse = t_grid[::4]
-    for rstart in range(_RESTARTS):
-        rng = np.random.default_rng(rstart)
+    rngs = [np.random.default_rng(r) for r in range(_RESTARTS)]
+    vs = []
+    for rng in rngs:
         v = rng.standard_normal(k)
         v -= v.mean()
-        step = 0.5
-        cur, _ = _scan(mu, muK, K, v, coarse)
-        for _ in range(40):
-            improved = False
-            for _ in range(k):
-                i, j = rng.integers(0, k, 2)
-                if i == j:
-                    continue
-                trial = v + step * (eye[i] - eye[j])
-                r, _ = _scan(mu, muK, K, trial, coarse)
-                if r > cur:
-                    cur, v = r, trial
-                    improved = True
-            if not improved:
-                step *= 0.5
-                if step < 1e-4:
-                    break
+        vs.append(v)
+    cur = list(_scan_many(mu, muK, K, np.array(vs), coarse)[0])
+    step = [0.5] * _RESTARTS
+    active = list(range(_RESTARTS))
+    for _ in range(40):
+        improved = set()
+        for _ in range(k):
+            owners, trials = [], []
+            for r in active:
+                i, j = rngs[r].integers(0, k, 2)
+                if i != j:
+                    owners.append(r)
+                    trials.append(vs[r] + step[r] * (eye[i] - eye[j]))
+            if not trials:
+                continue
+            ratios, _ = _scan_many(mu, muK, K, np.array(trials), coarse)
+            for r, trial, ratio in zip(owners, trials, ratios):
+                if ratio > cur[r]:
+                    cur[r], vs[r] = ratio, trial
+                    improved.add(r)
+        for r in [r for r in active if r not in improved]:
+            step[r] *= 0.5
+            if step[r] < 1e-4:
+                active.remove(r)
+        if not active:
+            break
+    for v in vs:
         r, t = _scan(mu, muK, K, v, t_grid)
         if r > best:
             best, best_dir, best_t = r, v, t

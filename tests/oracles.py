@@ -282,3 +282,64 @@ def scan_step_by_step(mu, muK, K, direction, fracs):
         if r > best:
             best, best_t = r, t
     return best, best_t
+
+
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_max(f, lo, hi):
+    """Golden-section maximization of f on [lo, hi] in 60 steps, as
+    ``bounds._golden_max`` does it."""
+    a, b = lo, hi
+    x1 = b - _GOLDEN * (b - a)
+    x2 = a + _GOLDEN * (b - a)
+    f1, f2 = f(x1), f(x2)
+    for _ in range(60):
+        if f1 < f2:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + _GOLDEN * (b - a)
+            f2 = f(x2)
+        else:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - _GOLDEN * (b - a)
+            f1 = f(x1)
+    return (x1, f1) if f1 >= f2 else (x2, f2)
+
+
+def _grid_then_golden(f, grid):
+    """Scalar grid maximization of f, then golden section between the
+    neighbours of the first maximum; returns (argument, value)."""
+    vals = np.array([f(x) for x in grid])
+    i = int(np.argmax(vals))
+    if not math.isfinite(vals[i]):
+        return float(grid[i]), float(vals[i])
+    lo = grid[max(i - 1, 0)]
+    hi = grid[min(i + 1, grid.size - 1)]
+    if lo < hi:
+        x, fx = _golden_max(f, lo, hi)
+        if fx > vals[i]:
+            return float(x), float(fx)
+    return float(grid[i]), float(vals[i])
+
+
+def info_density_exhaustive(prob_below, smallball, gamma_grid=None,
+                            inf_ratio=None):
+    """``bounds.lb_info_density`` as a loop over thresholds, each scanning
+    the radius grid one point at a time and refining by golden section; the
+    first threshold with the largest value wins. Returns (value, rho, gamma)
+    before clamping, with rho and gamma None if no threshold beats -inf."""
+    rho_grid = np.geomspace(1e-6, 1.0, 200)
+    if gamma_grid is None:
+        gamma_grid = np.geomspace(1e-3, 1e3, 200)
+    best, rho_best, gamma_best = -math.inf, None, None
+    for gamma in gamma_grid:
+        p_below = float(prob_below(math.log2(gamma)))
+        extra = gamma * inf_ratio * (1.0 - p_below) if inf_ratio is not None else 0.0
+
+        def objective(rho, _g=gamma, _p=p_below, _e=extra):
+            return rho * (_p - _g * float(smallball(rho)) + _e)
+
+        rho_star, val = _grid_then_golden(objective, rho_grid)
+        if val > best:
+            best, rho_best, gamma_best = val, rho_star, float(gamma)
+    return best, rho_best, gamma_best

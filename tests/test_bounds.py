@@ -10,7 +10,9 @@ from bayeslb.bounds import (BoundReport, fano_family, lb_diff_entropy,
                             lb_info_density, lb_mi_smallball,
                             lb_multi_general, mi_ub_cutset,
                             mi_ub_interactive, mi_ub_multi_iid, mi_ub_single)
-from bayeslb.info import DistributionError, InfoDensityDistribution, bsc
+from bayeslb.info import (DiscreteChannel, DiscreteDistribution, DistortionSpec,
+                          DistributionError, InfoDensityDistribution, JointPMF,
+                          PriorSpec, bsc, information_density, small_ball)
 from bayeslb.sdpi import eta_bsc, eta_numeric
 
 import oracles
@@ -71,13 +73,67 @@ def test_info_density_bound_matches_dense_scan():
     density = _toy_density()
     gammas = np.geomspace(1e-3, 1e3, 200)
     report = lb_info_density(density, uniform01_smallball, gamma_grid=gammas)
-    best = 0.0
-    for gamma in gammas:
-        p_below = density.prob_below(math.log2(gamma))
-        for rho in np.geomspace(1e-9, 1.0, 20000):
-            best = max(best, rho * (p_below - gamma * uniform01_smallball(rho)))
+    p_below = np.array([density.prob_below(math.log2(g)) for g in gammas])
+    rhos = np.geomspace(1e-9, 1.0, 20000)
+    # rho * (p_below - gamma * L(rho)) on the whole grid, L = uniform01_smallball
+    scan = gammas[:, None] * np.minimum(2.0 * rhos, 1.0)
+    np.subtract(p_below[:, None], scan, out=scan)
+    scan *= rhos
+    best = max(0.0, float(scan.max()))
     assert report.value >= best - 1e-12
     assert report.value <= best + 1e-6
+
+
+def _seeded_density(k: int) -> InfoDensityDistribution:
+    rng = np.random.default_rng([k, 5])
+    mu = DiscreteDistribution(rng.dirichlet(np.ones(k)))
+    channel = DiscreteChannel(rng.dirichlet(np.ones(k), size=k))
+    return information_density(JointPMF.from_input_channel(mu, channel))
+
+
+def _gaussian_smallball(rho: float) -> float:
+    return small_ball(PriorSpec.gaussian(0.3), rho, DistortionSpec("absolute"))
+
+
+@pytest.mark.parametrize("k", [2, 4, 8, 16])
+@pytest.mark.parametrize("inf_ratio", [None, 0.2])
+def test_info_density_matches_the_per_threshold_loop(k, inf_ratio):
+    density = _seeded_density(k)
+    for gamma_grid, smallball in ((None, uniform01_smallball),
+                                  (np.geomspace(0.05, 40.0, 37), _gaussian_smallball)):
+        report = lb_info_density(density, smallball, gamma_grid, inf_ratio)
+        value, rho, gamma = oracles.info_density_exhaustive(
+            density.prob_below, smallball, gamma_grid, inf_ratio)
+        assert not report.clamped
+        assert report.value.hex() == value.hex()
+        assert (report.arguments["rho"].hex(), report.arguments["gamma"].hex()) \
+            == (rho.hex(), gamma.hex())
+
+
+def test_info_density_refines_a_threshold_whose_grid_peak_is_lower():
+    # L is flat just below a jump that falls between grid radii, so golden
+    # section lifts the second threshold's grid peak ~7% past the first's
+    rhos = np.geomspace(1e-6, 1.0, 200)
+    jump1, jump2 = rhos[100] * (1 + 1e-9), rhos[150] * (1 - 1e-5)
+
+    def smallball(rho):
+        return 0.01 if rho < jump1 else (0.02 if rho < jump2 else 1.0)
+
+    p_low = 0.02 + 0.97 * 0.4 * rhos[100] / rhos[149]
+
+    def prob_below(threshold):
+        return 1.0 if threshold > 1.0 else p_low
+
+    report = lb_info_density(prob_below, smallball, gamma_grid=[60.0, 1.0])
+    value, rho, gamma = oracles.info_density_exhaustive(prob_below, smallball,
+                                                        [60.0, 1.0])
+    assert (report.value, report.arguments) == (value, {"rho": rho, "gamma": 1.0})
+    assert gamma == 1.0
+
+
+def test_info_density_refuses_a_decreasing_smallball():
+    with pytest.raises(DistributionError, match="decreases"):
+        lb_info_density(_toy_density(), lambda rho: 0.5 if rho < 1e-3 else 0.4)
 
 
 def test_info_density_ratio_floor_only_helps():

@@ -224,6 +224,14 @@ def test_bsc_bit_exponents():
     assert_allclose(report.derived["exponent_feedback"], 2 * base, rtol=1e-14)
 
 
+def test_bsc_bit_floors_stay_below_repetition_at_tiny_eps():
+    # the floors are inverse entropies near 6e-73 and 8e-143 here
+    report = scenario_bsc_bit(ScenarioSpec(tag="bsc-bit", eps=1e-140, T=1))
+    assert report.upper_bounds["repetition"] == pytest.approx(2e-70)
+    for lower in report.lower_bounds.values():
+        assert 0.0 < lower.value <= report.upper_bounds["repetition"]
+
+
 def test_bsc_bit_needs_noisy_channel():
     with pytest.raises(DistributionError):
         scenario_bsc_bit(ScenarioSpec(tag="bsc-bit", eps=None, T=4))

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -96,38 +97,47 @@ def test_scan_matches_the_step_by_step_loop(k, outputs):
     rows /= rows.sum(axis=1, keepdims=True)
     mu = rng.dirichlet(np.ones(k))
     fracs = np.geomspace(1e-6, 1.0, 60)
-    directions = [*(np.eye(k) - mu), *rng.standard_normal((20, k))]
-    for direction in directions:
-        for grid in (fracs, fracs[::4]):
-            assert (sdpi._scan(mu, mu @ rows, rows, direction, grid)
-                    == oracles.scan_step_by_step(mu, mu @ rows, rows, direction, grid))
+    # a zero and a NaN direction cannot move nu
+    directions = np.array([*(np.eye(k) - mu), *rng.standard_normal((20, k)),
+                           np.zeros(k), np.full(k, np.nan)])
+    for grid in (fracs, fracs[::4]):
+        one_by_one = [sdpi._scan(mu, mu @ rows, rows, d, grid) for d in directions]
+        assert one_by_one == [oracles.scan_step_by_step(mu, mu @ rows, rows, d, grid)
+                              for d in directions]
+        ratios, steps = sdpi._scan_many(mu, mu @ rows, rows, directions, grid)
+        assert list(zip(ratios.tolist(), steps.tolist())) == one_by_one
 
 
-def _seeded_pair(k):
-    rng = np.random.default_rng(k)
+def _seeded_pair(k, outputs=None):
+    rng = np.random.default_rng(k if outputs is None else [k, outputs])
     mu = rng.dirichlet(np.ones(k))
-    return mu, DiscreteChannel(rng.dirichlet(np.ones(k), size=k))
+    return mu, DiscreteChannel(rng.dirichlet(np.ones(outputs or k), size=k))
 
 
-# eta_numeric values as the scalar per-step search computed them
+# eta_numeric values, and a SHA-256 prefix of the argmax bytes, as the
+# scalar per-step search with one restart after another computed them
 PINNED_ETA = {
-    "bsc-0.1": (lambda: (FAIR, bsc(0.1)), "0x1.47ae147ae1323p-1"),
-    "bsc-0.25": (lambda: (FAIR, bsc(0.25)), "0x1.ffffffffffb9bp-3"),
-    "bsc-0.4": (lambda: (FAIR, bsc(0.4)), "0x1.47ae147ae10e0p-5"),
-    "bec-0.1": (lambda: (FAIR, bec(0.1)), "0x1.cccccccccccf5p-1"),
-    "bec-0.25": (lambda: (FAIR, bec(0.25)), "0x1.8000000000056p-1"),
-    "bec-0.4": (lambda: (FAIR, bec(0.4)), "0x1.3333333333377p-1"),
-    "dirichlet-k2": (lambda: _seeded_pair(2), "0x1.82a089727d885p-9"),
-    "dirichlet-k4": (lambda: _seeded_pair(4), "0x1.4e764d6db0738p-2"),
-    "dirichlet-k8": (lambda: _seeded_pair(8), "0x1.3642289b797f4p-2"),
-    "dirichlet-k16": (lambda: _seeded_pair(16), "0x1.38cf4e9b0b6b0p-2"),
+    "bsc-0.1": (lambda: (FAIR, bsc(0.1)), "0x1.47ae147ae1323p-1", "b27b8205cf6e4858"),
+    "bsc-0.25": (lambda: (FAIR, bsc(0.25)), "0x1.ffffffffffb9bp-3", "979c727444412bf3"),
+    "bsc-0.4": (lambda: (FAIR, bsc(0.4)), "0x1.47ae147ae10e0p-5", "b27b8205cf6e4858"),
+    "bec-0.1": (lambda: (FAIR, bec(0.1)), "0x1.cccccccccccf5p-1", "518d6f1a8047a539"),
+    "bec-0.25": (lambda: (FAIR, bec(0.25)), "0x1.8000000000056p-1", "9561b7d647f757d5"),
+    "bec-0.4": (lambda: (FAIR, bec(0.4)), "0x1.3333333333377p-1", "9561b7d647f757d5"),
+    "dirichlet-k2": (lambda: _seeded_pair(2), "0x1.82a089727d885p-9", "a0c01a06f0d57ea8"),
+    "dirichlet-k4": (lambda: _seeded_pair(4), "0x1.4e764d6db0738p-2", "df705da6809d36f2"),
+    "dirichlet-k8": (lambda: _seeded_pair(8), "0x1.3642289b797f4p-2", "f941260e1b0ab8ed"),
+    "dirichlet-k16": (lambda: _seeded_pair(16), "0x1.38cf4e9b0b6b0p-2", "3b61b5289e816dda"),
+    "dirichlet-3x5": (lambda: _seeded_pair(3, outputs=5), "0x1.803f24972bd60p-2",
+                      "7984405694f753eb"),
 }
 
 
 @pytest.mark.parametrize("name", PINNED_ETA)
 def test_eta_numeric_values_are_pinned(name):
-    case, pinned = PINNED_ETA[name]
-    assert eta_numeric(*case()).value.hex() == pinned
+    case, value, argmax = PINNED_ETA[name]
+    est = eta_numeric(*case())
+    assert est.value.hex() == value
+    assert hashlib.sha256(est.argmax.tobytes()).hexdigest()[:16] == argmax
 
 
 def test_pairwise_ratio_bound_bsc049():
