@@ -24,12 +24,11 @@ __all__ = [
     "lb_info_density",
     "lb_diff_entropy",
     "log_diff_entropy_constant",
-    "fano_family",
+    "fano",
     "mi_ub_single",
     "mi_ub_multi_iid",
     "mi_ub_cutset",
     "mi_ub_interactive",
-    "lb_multi_general",
 ]
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -72,14 +71,6 @@ def _golden_max(f, lo: float, hi: float) -> tuple[float, float]:
     return (x1, f1) if f1 >= f2 else (x2, f2)
 
 
-def _grid_then_golden(f, grid) -> tuple[float, float]:
-    """Maximize f over a grid, then refine locally by golden section."""
-    grid = np.asarray(grid, dtype=float)
-    if grid.size == 0:
-        raise DistributionError("optimization grid must be nonempty")
-    return _refine(f, grid, np.array([f(x) for x in grid]))
-
-
 def _refine(f, grid: np.ndarray, vals: np.ndarray) -> tuple[float, float]:
     """Golden-refine f between the grid neighbours of the first maximum of
     ``vals`` = f(grid); the refined point wins only if strictly better."""
@@ -113,24 +104,18 @@ def _checked_smallball(smallball, rho: float) -> float:
 # risk lower bounds
 
 
-def lb_mi_smallball(mi: float, smallball, rho_grid=None,
-                    envelope_inv=None) -> BoundReport:
+def lb_mi_smallball(mi: float, smallball) -> BoundReport:
     """Risk lower bound from a mutual-information budget and small-ball profile.
 
-    Maximizes rho * (1 - (mi + 1) / log2(1 / L(rho))) over the radius grid,
-    where L is the (expected conditional) small-ball probability. When the
-    caller supplies ``envelope_inv``, the generalized inverse of an increasing
-    envelope g with L(rho) <= g(rho), the alternative parameterization
-    sup_s s * g^{-1}(2^{-(mi+1)/(1-s)}) over 199 points of s in (0, 1) is
-    evaluated as well and the larger of the two is returned.
+    Maximizes rho * (1 - (mi + 1) / log2(1 / L(rho))) over a log grid of
+    radii over [1e-6, 1], where L is the (expected conditional) small-ball
+    probability.
 
     Parameters
     ----------
     mi : information budget in bits (conditional or unconditional).
     smallball : callable rho -> L(rho), values required to lie in (0, 1];
         it must be nondecreasing, as a small-ball probability is.
-    rho_grid : radii to scan (default log grid over [1e-6, 1]).
-    envelope_inv : optional callable p -> sup{rho : g(rho) <= p}.
     """
     if not mi >= 0.0:  # also refuses NaN
         raise DistributionError(f"mutual information must be >= 0, not {mi}")
@@ -141,27 +126,11 @@ def lb_mi_smallball(mi: float, smallball, rho_grid=None,
             return -math.inf
         return rho * (1.0 - (mi + 1.0) / math.log2(1.0 / L))
 
-    arguments: dict = {}
-    best = -math.inf
-    if rho_grid is None:
-        rho_grid = _log_grid(1e-6, 1.0)
-    rho_star, val = _grid_then_golden(objective, rho_grid)
-    if val > best:
-        best = val
-        arguments = {"rho": rho_star, "branch": "direct"}
-
-    if envelope_inv is not None:
-        def env_objective(s):
-            if not 0.0 < s < 1.0:
-                return -math.inf
-            return s * float(envelope_inv(2.0 ** (-(mi + 1.0) / (1.0 - s))))
-
-        s_star, val = _grid_then_golden(env_objective,
-                                        np.linspace(0.005, 0.995, 199))
-        if val > best:
-            best = val
-            arguments = {"s": s_star, "branch": "envelope"}
-
+    grid = _log_grid(1e-6, 1.0)
+    rho_star, val = _refine(objective, grid, np.array([objective(x) for x in grid]))
+    best, arguments = -math.inf, {}
+    if val > best:  # false when every radius scores -inf or NaN
+        best, arguments = val, {"rho": rho_star, "branch": "direct"}
     return _clamped_report(best, "mi-smallball", arguments, {"mi": mi})
 
 
@@ -259,62 +228,17 @@ def log_diff_entropy_constant(d: int, r: float) -> float:
         - (r / d) * (log_unit_ball_volume(d) + math.lgamma(1.0 + d / r))
 
 
-def fano_family(mode: str, **kw) -> BoundReport:
-    """Lower bounds on error probability in the Fano family.
-
-    Modes and their keyword arguments:
-
-    * ``classic``: ``mi``, ``m`` — 1 - (mi + 1)/log2(m) for m hypotheses.
-    * ``han_verdu``: ``mi``, ``pmax`` — 1 - (mi + 1)/log2(1/pmax).
-    * ``poor_verdu``: ``density``, ``m`` — sup_gamma (1 - gamma/m)
-      P[i < log2 gamma] over a log grid of gamma in [1e-3, m].
-    * ``continuum_mi``: ``mi``, ``smallball_value`` — excess-distortion
-      probability bound 1 - (mi + 1)/log2(1/L).
-    * ``continuum_id``: ``density``, ``smallball_value`` — sup_gamma
-      (P[i < log2 gamma] - gamma L) over a log grid of gamma in [1e-3, 1e3].
+def fano(mi: float, m: int) -> BoundReport:
+    """Fano's lower bound 1 - (mi + 1)/log2(m) on the error probability of
+    identifying one of m equiprobable hypotheses from ``mi`` bits.
 
     The raw right-hand side is recorded under ``arguments['raw']``; the
     returned value is clamped to be a valid probability lower bound.
     """
-    if mode == "classic":
-        mi, m = kw["mi"], kw["m"]
-        if m < 2:
-            raise DistributionError("need at least two hypotheses")
-        raw = 1.0 - (mi + 1.0) / math.log2(m)
-        return _clamped_report(raw, "fano-classic", {"raw": raw}, {"mi": mi, "m": m})
-    if mode == "han_verdu":
-        mi, pmax = kw["mi"], kw["pmax"]
-        if not 0.0 < pmax < 1.0:
-            raise DistributionError("largest prior mass must be interior")
-        raw = 1.0 - (mi + 1.0) / math.log2(1.0 / pmax)
-        return _clamped_report(raw, "fano-han-verdu", {"raw": raw}, {"mi": mi, "pmax": pmax})
-    if mode == "poor_verdu":
-        density, m = kw["density"], kw["m"]
-
-        def objective(gamma):
-            return (1.0 - gamma / m) * density.prob_below(math.log2(gamma))
-
-        gamma_star, raw = _grid_then_golden(objective, _log_grid(1e-3, float(m)))
-        return _clamped_report(raw, "fano-poor-verdu",
-                               {"raw": raw, "gamma": gamma_star}, {"m": m})
-    if mode == "continuum_mi":
-        mi, L = kw["mi"], kw["smallball_value"]
-        if not 0.0 < L < 1.0:
-            raise DistributionError("small-ball value must lie in (0, 1)")
-        raw = 1.0 - (mi + 1.0) / math.log2(1.0 / L)
-        return _clamped_report(raw, "fano-continuum-mi", {"raw": raw},
-                               {"mi": mi, "smallball_value": L})
-    if mode == "continuum_id":
-        density, L = kw["density"], kw["smallball_value"]
-
-        def objective(gamma):
-            return density.prob_below(math.log2(gamma)) - gamma * L
-
-        gamma_star, raw = _grid_then_golden(objective, _log_grid(1e-3, 1e3))
-        return _clamped_report(raw, "fano-continuum-id",
-                               {"raw": raw, "gamma": gamma_star},
-                               {"smallball_value": L})
-    raise DistributionError(f"unknown fano mode {mode!r}")
+    if m < 2:
+        raise DistributionError("need at least two hypotheses")
+    raw = 1.0 - (mi + 1.0) / math.log2(m)
+    return _clamped_report(raw, "fano-classic", {"raw": raw}, {"mi": mi, "m": m})
 
 
 # ---------------------------------------------------------------------------
@@ -460,33 +384,3 @@ def mi_ub_interactive(alpha: float, n: int, m: int, b: float,
                        {"active": active, "terms": terms},
                        {"alpha": alpha, "n": n, "m": m, "b": b})
 
-
-def lb_multi_general(cutsets, mode: str, d: int = 1, r: float = 1.0) -> BoundReport:
-    """Best risk lower bound over a collection of cutsets.
-
-    Each entry of ``cutsets`` is a tuple; for mode ``diffentropy`` it is
-    (label, i_cond, h_cond) and feeds ``lb_diff_entropy``; for mode
-    ``smallball`` it is (label, i_cond, smallball_fn) and feeds
-    ``lb_mi_smallball``. The report of the winning cutset is returned with
-    its label recorded.
-    """
-    cutsets = list(cutsets)
-    if not cutsets:
-        raise DistributionError("at least one cutset is required")
-    best: BoundReport | None = None
-    best_label = None
-    for entry in cutsets:
-        if mode == "diffentropy":
-            label, i_cond, h_cond = entry
-            rep = lb_diff_entropy(i_cond, h_cond, d=d, r=r)
-        elif mode == "smallball":
-            label, i_cond, smallball = entry
-            rep = lb_mi_smallball(i_cond, smallball)
-        else:
-            raise DistributionError(f"unknown cutset mode {mode!r}")
-        if best is None or rep.value > best.value:
-            best, best_label = rep, label
-    arguments = dict(best.arguments)
-    arguments["cutset"] = best_label
-    return BoundReport(best.value, best.kind, arguments, best.inputs,
-                       clamped=best.clamped, asymptotic=best.asymptotic)

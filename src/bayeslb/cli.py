@@ -338,6 +338,11 @@ def cmd_scenario(args) -> int:
 # ---------------------------------------------------------------------------
 # simulate subcommand
 
+# model flags the gauss-multi sampler cannot honour, so its check would hold
+# it to a channel or budget it never ran
+_GAUSS_MULTI_MODEL = ("eps", "eta_uses", "capacity", "total_uses",
+                      "total_samples", "total_bits")
+
 
 def cmd_simulate(args) -> int:
     _require(args, ("reps",), "simulate")
@@ -347,12 +352,18 @@ def cmd_simulate(args) -> int:
     args.seed = seed
     scheme = SCHEMES[args.scheme]
     if args.scheme == "gauss-multi":
-        # the scheme ships raw local means; model them as 64-bit words so the
-        # paired report's bit budget is not the binding term
-        if args.total_samples is None:
-            args.total_samples = args.m * args.n
-        if args.total_bits is None:
-            args.total_bits = 64.0 * args.m * args.d
+        # the scheme ships raw local means whatever the channel; model them as
+        # 64-bit words so the paired report's bit budget is not the binding
+        # term. A replayed manifest repeats these two values, so they pass.
+        own = {"total_samples": args.m * args.n, "total_bits": 64.0 * args.m * args.d}
+        refused = [_flag(dest) for dest in _GAUSS_MULTI_MODEL
+                   if getattr(args, dest) not in (None, own.get(dest))]
+        if refused:
+            raise DistributionError(
+                "simulate gauss-multi ships pooled means over a noiseless link, "
+                f"so it refuses {', '.join(refused)} (--total-samples and "
+                "--total-bits may only repeat m*n and 64*m*d)")
+        vars(args).update(own)
     spec = _spec_from_args(scheme.tag, args)
     config = SimulationConfig(spec=spec, replications=args.reps, seed=seed,
                               scheme=args.scheme)

@@ -33,7 +33,6 @@ __all__ = [
     "NPPropertyReport",
     "bsc",
     "bec",
-    "identity_channel",
     "binary_entropy",
     "binary_relative_entropy",
     "inv_binary_entropy",
@@ -41,13 +40,11 @@ __all__ = [
     "entropy",
     "kl_divergence",
     "mutual_information",
-    "conditional_mutual_information",
     "information_density",
     "neyman_pearson_beta",
     "verify_np_properties",
     "std_normal_cdf",
     "small_ball",
-    "small_ball_mc",
     "differential_entropy",
     "unit_ball_volume",
     "log_unit_ball_volume",
@@ -134,11 +131,6 @@ class DiscreteChannel:
         """Independent parallel use of two channels."""
         return DiscreteChannel(np.kron(self.rows, other.rows))
 
-    def push(self, dist: DiscreteDistribution) -> DiscreteDistribution:
-        if dist.size != self.num_inputs:
-            raise DistributionError("input distribution does not match channel")
-        return DiscreteDistribution(dist.probs @ self.rows)
-
 
 def bsc(eps: float) -> DiscreteChannel:
     """Binary symmetric channel with crossover probability ``eps``."""
@@ -152,10 +144,6 @@ def bec(eps: float) -> DiscreteChannel:
     if not 0.0 <= eps <= 1.0:
         raise DistributionError("erasure probability must lie in [0, 1]")
     return DiscreteChannel(np.array([[1.0 - eps, eps, 0.0], [0.0, eps, 1.0 - eps]]))
-
-
-def identity_channel(k: int) -> DiscreteChannel:
-    return DiscreteChannel(np.eye(k))
 
 
 @dataclass(frozen=True, eq=False)
@@ -344,14 +332,6 @@ def mutual_information(joint: JointPMF) -> float:
     prod = np.outer(pw, px)
     mask = joint.table > 0.0
     return float((joint.table[mask] * np.log2(joint.table[mask] / prod[mask])).sum())
-
-
-def conditional_mutual_information(weights, joints) -> float:
-    """I(W; X | U) = sum_u P(u) I(W; X | U = u) for finitely many contexts u."""
-    weights = _validated_pmf(weights, "context weights")
-    if len(joints) != weights.size:
-        raise DistributionError("one joint PMF is needed per context")
-    return float(sum(w * mutual_information(j) for w, j in zip(weights, joints)))
 
 
 # ---------------------------------------------------------------------------
@@ -553,7 +533,7 @@ def small_ball(prior: PriorSpec, rho: float, distortion: DistortionSpec) -> floa
     Closed forms: uniform [0,1] and scalar Gaussian priors under absolute
     (or squared, by monotone reduction) distortion, the uniform d-ball under
     ell-2 norm distortion, and the discrete uniform prior under 0-1 loss.
-    Other pairs raise ``UnsupportedPairError``; use ``small_ball_mc``.
+    Other pairs raise ``UnsupportedPairError``.
     """
     if not rho > 0.0:
         raise DistributionError("ball radius must be positive")
@@ -570,69 +550,6 @@ def small_ball(prior: PriorSpec, rho: float, distortion: DistortionSpec) -> floa
     raise UnsupportedPairError(
         f"no closed form for prior {prior.family!r} with distortion {distortion.kind!r}"
     )
-
-
-def _sample_prior(prior: PriorSpec, reps: int, rng: np.random.Generator) -> np.ndarray:
-    if prior.family == "uniform01":
-        return rng.random((reps, 1))
-    if prior.family == "gaussian":
-        return math.sqrt(prior.var) * rng.standard_normal((reps, prior.dim))
-    if prior.family == "ball":
-        g = rng.standard_normal((reps, prior.dim))
-        g /= np.linalg.norm(g, axis=1, keepdims=True)
-        u = rng.random(reps) ** (1.0 / prior.dim)
-        return prior.radius * g * u[:, None]
-    if prior.family == "hypercube":
-        return 2.0 * rng.integers(0, 2, (reps, prior.dim)) - 1.0
-    if prior.family == "discrete_uniform":
-        return rng.integers(0, prior.size, (reps, 1)).astype(float)
-    raise DistributionError(f"unknown prior family {prior.family!r}")
-
-
-def _prior_center(prior: PriorSpec) -> np.ndarray:
-    if prior.family == "uniform01":
-        return np.array([0.5])
-    if prior.family in ("gaussian", "ball"):
-        return np.zeros(prior.dim)
-    if prior.family == "hypercube":
-        return np.ones(prior.dim)
-    return np.zeros(1)
-
-
-def _distortion_to_center(samples: np.ndarray, center: np.ndarray,
-                          distortion: DistortionSpec) -> np.ndarray:
-    diff = samples - center[None, :]
-    if distortion.kind == "absolute":
-        return np.abs(diff[:, 0])
-    if distortion.kind == "squared":
-        return diff[:, 0] ** 2
-    if distortion.kind == "l2r":
-        return np.linalg.norm(diff, axis=1) ** distortion.r
-    if distortion.kind == "zero_one":
-        return (np.abs(diff) > 0).any(axis=1).astype(float)
-    if distortion.kind == "hamming":
-        return (np.abs(diff) > 0).mean(axis=1)
-    raise DistributionError(f"unknown distortion kind {distortion.kind!r}")
-
-
-def small_ball_mc(prior: PriorSpec, rho: float, distortion: DistortionSpec,
-                  reps: int = 100_000, seed: int = 0) -> tuple[float, float]:
-    """Monte Carlo small-ball probability around the prior's symmetry center.
-
-    Returns the estimate together with a 95% CI half-width. Fallback for
-    (prior, distortion) pairs without a closed form; for the symmetric
-    families handled here the centered ball attains the supremum.
-    """
-    if not rho > 0.0:
-        raise DistributionError("ball radius must be positive")
-    if reps < 1:
-        raise DistributionError("at least one replication is needed")
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    samples = _sample_prior(prior, reps, rng)
-    hits = _distortion_to_center(samples, _prior_center(prior), distortion) < rho
-    est = float(hits.mean())
-    ci = 1.96 * math.sqrt(max(est * (1.0 - est), 1e-300) / reps)
-    return est, ci
 
 
 def differential_entropy(prior: PriorSpec) -> float:

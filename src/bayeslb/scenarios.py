@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bounds import (BoundReport, fano_family, lb_diff_entropy,
+from .bounds import (BoundReport, fano, lb_diff_entropy,
                      log_diff_entropy_constant, mi_ub_cutset, mi_ub_interactive,
                      mi_ub_single)
 from .info import (DistributionError, PriorSpec, binary_entropy,
@@ -649,7 +649,7 @@ def _hide_seek_ours(n: int, m: int, d: int, b: float, rho: float) -> float:
         raise DistributionError("coordinate bias must lie in [0, 1/2]")
     budget = mi_ub_interactive((1.0 - 2.0 * rho) / (1.0 + 2.0 * rho), n, m, b,
                                min(4.0 * m * n * rho * rho, math.log2(d)))
-    return fano_family("classic", mi=budget.value, m=d).value
+    return fano(budget.value, d).value
 
 
 def _hide_seek_shamir(n: int, m: int, d: int, b: float, rho: float) -> float:

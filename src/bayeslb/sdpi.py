@@ -6,7 +6,7 @@ For an input distribution mu and channel K, the contraction coefficient is
 
 and eta(K) is its supremum over mu. Every estimate carries a ``kind`` tag:
 ``exact`` for closed forms, ``upper_bound`` for structural bounds (Dobrushin,
-Doeblin, tensor products, sufficient-statistic reductions), and
+the pairwise row ratio, the multi-use tensor bound), and
 ``numeric_lower_estimate`` for the search in ``eta_numeric``, which scans
 feasible mixtures and therefore can only undershoot the supremum.
 """
@@ -28,17 +28,10 @@ __all__ = [
     "ContractionEstimate",
     "PairwiseRatioBound",
     "eta_bsc",
-    "eta_bec",
-    "eta_gaussian",
     "dobrushin",
-    "doeblin_bound",
     "pairwise_ratio_bound",
     "eta_numeric",
     "eta_multi_use",
-    "bsc_product_dobrushin",
-    "tensorized_eta",
-    "sufficient_statistic_reduction",
-    "gaussian_sample_mean_eta",
     "dobrushin_bern_uniform_posterior",
 ]
 
@@ -68,31 +61,11 @@ def eta_bsc(eps: float) -> ContractionEstimate:
     return ContractionEstimate((1.0 - 2.0 * eps) ** 2, "exact", "bsc closed form")
 
 
-def eta_bec(eps: float) -> ContractionEstimate:
-    """Contraction of the binary erasure channel: 1 - eps (externally sourced closed form)."""
-    if not 0.0 <= eps <= 1.0:
-        raise DistributionError("erasure probability must lie in [0, 1]")
-    return ContractionEstimate(1.0 - eps, "exact", "bec closed form")
-
-
-def eta_gaussian(rho_corr: float) -> ContractionEstimate:
-    """Contraction of a jointly Gaussian pair: the squared correlation."""
-    if not -1.0 <= rho_corr <= 1.0:
-        raise DistributionError("correlation must lie in [-1, 1]")
-    return ContractionEstimate(rho_corr ** 2, "exact", "jointly gaussian closed form")
-
-
 def dobrushin(channel: DiscreteChannel) -> ContractionEstimate:
     """Dobrushin coefficient: the largest total variation between two rows."""
     rows = channel.rows
     worst = 0.5 * float(np.abs(rows[:, None] - rows[None]).sum(axis=-1).max())
     return ContractionEstimate(worst, "upper_bound", "dobrushin coefficient")
-
-
-def doeblin_bound(channel: DiscreteChannel) -> ContractionEstimate:
-    """Doeblin minorization bound 1 - sum_y min_x K(y|x)."""
-    alpha = float(channel.rows.min(axis=0).sum())
-    return ContractionEstimate(1.0 - alpha, "upper_bound", "doeblin minorization")
 
 
 @dataclass(frozen=True)
@@ -292,15 +265,6 @@ def eta_numeric(mu, channel: DiscreteChannel) -> ContractionEstimate:
 # combinators
 
 
-def bsc_product_dobrushin(eps: float, T: int) -> float:
-    """Dobrushin coefficient bound 1 - (4 eps (1-eps))^{T/2} / sqrt(2T) for T parallel BSC uses."""
-    if T < 1:
-        raise DistributionError("use count must be at least 1")
-    if not 0.0 <= eps <= 0.5:
-        raise DistributionError("crossover must lie in [0, 1/2]")
-    return 1.0 - (4.0 * eps * (1.0 - eps)) ** (T / 2.0) / math.sqrt(2.0 * T)
-
-
 def _as_estimate(eta, lower_ok: bool = False) -> ContractionEstimate:
     """``eta`` as a range-checked estimate; a bare float counts as exact.
 
@@ -316,15 +280,10 @@ def _as_estimate(eta, lower_ok: bool = False) -> ContractionEstimate:
     return eta
 
 
-def eta_multi_use(eta_single, T: float, feedback: bool = False,
-                  bsc_eps: float | None = None) -> ContractionEstimate:
+def eta_multi_use(eta_single, T: float) -> ContractionEstimate:
     """Contraction bound for T channel uses: 1 - (1 - eta)^T.
 
     T may be fractional, as for one processor's share of a use budget.
-    With feedback this tensor bound is the only one available. Without
-    feedback and for a BSC of known crossover, the product-channel Dobrushin
-    coefficient ``bsc_product_dobrushin`` is also valid and the smaller of the
-    two is returned.
     """
     if not T >= 0:
         raise DistributionError("use count cannot be negative")
@@ -334,48 +293,7 @@ def eta_multi_use(eta_single, T: float, feedback: bool = False,
     # coefficient otherwise, so it stays a lower estimate if eta was one
     kind = single.kind if T == 1 else max(single.kind, "upper_bound",
                                           key=_KIND_RANK.get)
-    note = "tensor bound 1-(1-eta)^T"
-    if not feedback and bsc_eps is not None:
-        alt = bsc_product_dobrushin(bsc_eps, T)
-        if alt < bound:
-            bound, kind, note = alt, "upper_bound", "product-channel dobrushin"
-    return ContractionEstimate(bound, kind, note)
-
-
-def tensorized_eta(estimates) -> ContractionEstimate:
-    """Contraction of a product of independent pairs: the max of the components.
-
-    The returned kind is the weakest among the inputs (a single numeric
-    lower estimate degrades the whole product to a lower estimate).
-    """
-    estimates = list(estimates)
-    if not estimates:
-        raise DistributionError("at least one component is required")
-    value = max(e.value for e in estimates)
-    kind = max((e.kind for e in estimates), key=_KIND_RANK.get)
-    return ContractionEstimate(value, kind, "tensorization max")
-
-
-def sufficient_statistic_reduction(eta_stat: ContractionEstimate) -> ContractionEstimate:
-    """Reinterpret eta for a sufficient statistic of the sample as a bound for the full sample."""
-    kind = "upper_bound" if eta_stat.kind == "exact" else eta_stat.kind
-    return ContractionEstimate(eta_stat.value, kind,
-                               f"sufficient statistic: {eta_stat.provenance}")
-
-
-def gaussian_sample_mean_eta(n: int, var_w: float, var_noise: float) -> ContractionEstimate:
-    """Contraction bound for n Gaussian observations via the sample-mean statistic.
-
-    The pair (W, sample mean) is jointly Gaussian with squared correlation
-    n var_w / (n var_w + var_noise), which bounds the full-sample coefficient.
-    """
-    if n < 1:
-        raise DistributionError("sample count must be at least 1")
-    if not (var_w > 0.0 and var_noise > 0.0):
-        raise DistributionError("variances must be positive")
-    rho2 = n * var_w / (n * var_w + var_noise)
-    return sufficient_statistic_reduction(
-        ContractionEstimate(rho2, "exact", "gaussian sample mean"))
+    return ContractionEstimate(bound, kind, "tensor bound 1-(1-eta)^T")
 
 
 # ---------------------------------------------------------------------------

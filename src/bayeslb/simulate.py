@@ -9,7 +9,9 @@ full replication array with pairwise summation.
 
 Each sampler draws, for a whole block at once, the statistic its estimator
 actually reads (a sample mean, a flip count, a success count), which has
-exactly the law of the statistic computed from the full sample.
+exactly the law of the statistic computed from the full sample. The
+parity-coupled law behind the ``xor`` samplers is drawn in full by
+``sample_xor_block`` in ``tests/oracles.py``.
 
 The simulated schemes are the ones whose risk the closed-form achievability
 bounds analyze, with one exception: the channel-limited Bernoulli scheme
@@ -40,7 +42,6 @@ __all__ = [
     "SCHEMES",
     "simulate_single_processor",
     "simulate_multi",
-    "sample_xor_block",
     "exact_chain_mi",
     "sandwich_check",
 ]
@@ -165,21 +166,6 @@ def _sample_bern_bsc(spec: ScenarioSpec, rng: np.random.Generator,
 
 # ---------------------------------------------------------------------------
 # multi-processor schemes
-
-
-def sample_xor_block(w: float, m: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """One m x n sample array from the parity-coupled law with parameter w.
-
-    Column parities are Bern(w); each column is uniform over the vectors
-    with its parity, realized by drawing the first m-1 entries fair and
-    setting the last to match. The samplers below draw only what their
-    estimators read from this law.
-    """
-    parity = (rng.random(n) < w).astype(np.int64)
-    block = np.empty((m, n), dtype=np.int64)
-    block[:m - 1] = (rng.random((m - 1, n)) < 0.5).astype(np.int64)
-    block[m - 1] = np.bitwise_xor(block[:m - 1].sum(axis=0) % 2, parity)
-    return block
 
 
 def _sample_xor_oneproc(spec: ScenarioSpec, rng: np.random.Generator,

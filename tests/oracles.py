@@ -343,3 +343,18 @@ def info_density_exhaustive(prob_below, smallball, gamma_grid=None,
         if val > best:
             best, rho_best, gamma_best = val, rho_star, float(gamma)
     return best, rho_best, gamma_best
+
+
+def sample_xor_block(w: float, m: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """One m x n sample array from the parity-coupled law with parameter w.
+
+    Column parities are Bern(w); each column is uniform over the vectors
+    with its parity, realized by drawing the first m-1 entries fair and
+    setting the last to match. The ``xor`` samplers of ``bayeslb.simulate``
+    draw only what their estimators read from this law.
+    """
+    parity = (rng.random(n) < w).astype(np.int64)
+    block = np.empty((m, n), dtype=np.int64)
+    block[:m - 1] = (rng.random((m - 1, n)) < 0.5).astype(np.int64)
+    block[m - 1] = np.bitwise_xor(block[:m - 1].sum(axis=0) % 2, parity)
+    return block

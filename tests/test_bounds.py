@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from bayeslb.bounds import (BoundReport, fano_family, lb_diff_entropy,
-                            lb_info_density, lb_mi_smallball,
-                            lb_multi_general, mi_ub_cutset,
+from bayeslb.bounds import (BoundReport, fano, lb_diff_entropy,
+                            lb_info_density, lb_mi_smallball, mi_ub_cutset,
                             mi_ub_interactive, mi_ub_multi_iid, mi_ub_single)
 from bayeslb.info import (DiscreteChannel, DiscreteDistribution, DistortionSpec,
                           DistributionError, InfoDensityDistribution, JointPMF,
@@ -37,23 +36,9 @@ def test_mi_smallball_against_dense_grid():
     assert 0.0 < report.arguments["rho"] < 0.5
 
 
-def test_mi_smallball_envelope_branch_agrees_on_exact_inverse():
-    """With the exact inverse of L the two parameterizations share a supremum."""
-    direct = lb_mi_smallball(2.0, uniform01_smallball)
-    enveloped = lb_mi_smallball(2.0, lambda rho: 1.0,
-                                envelope_inv=lambda y: y / 2.0)
-    assert_allclose(enveloped.value, direct.value, rtol=1e-5)
-    assert enveloped.arguments["branch"] == "envelope"
-
-
 def test_mi_smallball_zero_information_still_positive():
     report = lb_mi_smallball(0.0, uniform01_smallball)
     assert report.value > 0.0
-
-
-def test_mi_smallball_rejects_bad_grid():
-    with pytest.raises(DistributionError):
-        lb_mi_smallball(1.0, uniform01_smallball, rho_grid=np.array([-1.0, 1.0]))
 
 
 @given(st.floats(min_value=0.0, max_value=6.0))
@@ -208,36 +193,12 @@ def test_diff_entropy_non_finite_floor_raises(h, message):
 
 
 def test_fano_classic_values():
-    assert_allclose(fano_family("classic", mi=0.5, m=4).value, 0.25, rtol=1e-15)
-    report = fano_family("classic", mi=3.0, m=4)
-    assert report.value == 0.0 and report.clamped
+    assert_allclose(fano(0.5, 4).value, 0.25, rtol=1e-15)
+    report = fano(3.0, 4)
+    assert (report.kind, report.value, report.clamped) == ("fano-classic", 0.0, True)
     assert report.arguments["raw"] == pytest.approx(-1.0)
-
-
-def test_fano_han_verdu():
-    report = fano_family("han_verdu", mi=0.5, pmax=0.25)
-    assert_allclose(report.value, 0.25, rtol=1e-15)
-
-
-def test_fano_poor_verdu_dominates_nothing_weird():
-    density = _toy_density()
-    report = fano_family("poor_verdu", density=density, m=4)
-    gammas = np.geomspace(1e-3, 4.0, 400)
-    best = max((1.0 - g / 4.0) * density.prob_below(math.log2(g)) for g in gammas)
-    assert report.value >= best - 1e-9
-    assert 0.0 <= report.value <= 1.0
-
-
-def test_fano_continuum_forms():
-    cm = fano_family("continuum_mi", mi=1.0, smallball_value=0.125)
-    assert_allclose(cm.value, 1.0 - 2.0 / 3.0, rtol=1e-12)
-    ci = fano_family("continuum_id", density=_toy_density(), smallball_value=0.125)
-    assert 0.0 <= ci.value <= 1.0
-
-
-def test_fano_unknown_mode():
     with pytest.raises(DistributionError):
-        fano_family("bayesian", mi=1.0, m=2)
+        fano(1.0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -372,20 +333,6 @@ def test_mi_ub_multi_monotone_in_resources(m, b, T):
     more_T = mi_ub_multi_iid(3.0, 1.0, 0.9, m, b, 0.5, T + 1, 0.4).value
     assert more_b >= base - 1e-12
     assert more_T >= base - 1e-12
-
-
-def test_lb_multi_general_picks_best_cutset():
-    report = lb_multi_general([("a", 2.0, 0.0), ("b", 0.5, 0.0)],
-                              mode="diffentropy")
-    assert report.arguments["cutset"] == "b"
-    assert_allclose(report.value, INV_2E * 2.0 ** (-0.5), rtol=1e-13)
-
-
-def test_lb_multi_general_smallball_mode():
-    report = lb_multi_general(
-        [("only", 1.0, uniform01_smallball)], mode="smallball")
-    direct = lb_mi_smallball(1.0, uniform01_smallball)
-    assert_allclose(report.value, direct.value, rtol=1e-12)
 
 
 def test_bound_report_defaults():

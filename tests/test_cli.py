@@ -364,6 +364,29 @@ def test_simulate_prints_each_checked_margin(name, capsys):
         [cli._text(value) for value in verdict.margins.values()]
 
 
+# gauss-multi ships pooled means over a noiseless link, so a channel or
+# budget flag would check it against a model it never ran (--eta-uses 0
+# --reps 2000 --check fails a correct bound)
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("flag, value", [
+    ("--eps", "0.1"), ("--eta-uses", "0"), ("--capacity", "0.5"),
+    ("--total-uses", "4"), ("--total-samples", "16"), ("--total-bits", "1"),
+])
+def test_simulate_gauss_multi_refuses_model_flags(flag, value, source,
+                                                  tmp_path, capsys):
+    argv = ["simulate", "gauss-multi", "--m", "3", "--n", "5", "--d", "2",
+            "--reps", "2000", "--check"]
+    if source == "flag":
+        argv += [flag, value]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{flag[2:]}={value}\n")
+        argv = ["--config", str(cfg), *argv]
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert f"refuses {flag} " in err
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "gauss-gauss", "--var-w", "inf", "--reps", "50", "--check"],
     ["scenario", "gauss-gauss", "--var-w", "nan"],
@@ -522,7 +545,8 @@ def test_config_unknown_key_exits_2(tmp_path, capsys):
         assert f"unknown config key '{key}'" in err
 
 
-# per subcommand: argv, a config for it (with a key of another subcommand,
+# per subcommand, and for gauss-multi, whose manifest spells out the budgets
+# its scheme fixes: argv, a config for it (with a key of another subcommand,
 # which is ignored), and a configured flag, an abbreviation of it and a new
 # value for it
 CONFIG_RUNS = {
@@ -535,6 +559,9 @@ CONFIG_RUNS = {
     "simulate": (["simulate", "gauss-gauss"],
                  "n=10\nvar-w=2\nreps=500\nseed=41\ncheck=yes\nparallel=2\n"
                  "thm=4\n", "--seed", "--see", "9"),
+    "simulate-gauss-multi": (["simulate", "gauss-multi"],
+                             "m=3\nn=5\nd=2\nreps=200\nseed=4\n",
+                             "--seed", "--see", "9"),
     "figure": (["figure", "fig2"], "p=0.2\npoints=11\netas=1,0.3\nreps=9\n",
                "--points", "--poi", "5"),
 }

@@ -1,5 +1,4 @@
 import hashlib
-import math
 
 import numpy as np
 import pytest
@@ -8,12 +7,9 @@ from numpy.testing import assert_allclose
 
 from bayeslb import sdpi
 from bayeslb.info import DiscreteChannel, DiscreteDistribution, DistributionError, bec, bsc
-from bayeslb.sdpi import (ContractionEstimate, bsc_product_dobrushin,
-                          dobrushin, dobrushin_bern_uniform_posterior,
-                          doeblin_bound, eta_bec, eta_bsc,
-                          eta_gaussian, eta_multi_use, eta_numeric,
-                          gaussian_sample_mean_eta, pairwise_ratio_bound,
-                          sufficient_statistic_reduction, tensorized_eta)
+from bayeslb.sdpi import (ContractionEstimate, dobrushin,
+                          dobrushin_bern_uniform_posterior, eta_bsc,
+                          eta_multi_use, eta_numeric, pairwise_ratio_bound)
 
 import oracles
 
@@ -26,11 +22,6 @@ def test_eta_bsc_closed_form(eps):
     assert eta_bsc(eps).kind == "exact"
 
 
-def test_eta_bec_and_gaussian():
-    assert eta_bec(0.3).value == pytest.approx(0.7)
-    assert eta_gaussian(0.6).value == pytest.approx(0.36)
-
-
 def test_dobrushin_bsc_is_one_minus_two_eps():
     assert_allclose(dobrushin(bsc(0.2)).value, 0.6, rtol=0, atol=1e-15)
 
@@ -38,11 +29,6 @@ def test_dobrushin_bsc_is_one_minus_two_eps():
 def test_dobrushin_dominates_eta_numeric_on_bsc():
     est = eta_numeric(FAIR, bsc(0.2))
     assert est.value <= dobrushin(bsc(0.2)).value + 1e-9
-
-
-def test_doeblin_bound_bsc():
-    # columnwise minima sum to 2 eps, so the bound is 1 - 2 eps
-    assert_allclose(doeblin_bound(bsc(0.25)).value, 0.5, rtol=0, atol=1e-15)
 
 
 def test_eta_numeric_bsc_tolerance_window():
@@ -155,55 +141,22 @@ def test_pairwise_ratio_bound_degenerate_when_support_differs():
     assert bound.forward.value == 1.0
 
 
-def test_bsc_product_dobrushin_frozen():
-    # (1/sqrt(10)) 0.6^5 subtracted from one, for eps = 0.1 over T = 5 uses
-    assert_allclose(bsc_product_dobrushin(0.1, 5), 0.97541012891453068,
-                    rtol=1e-14)
-
-
 def test_eta_multi_use_product_rule():
     est = eta_multi_use(0.25, 4)
     assert_allclose(est.value, 1.0 - 0.75 ** 4, rtol=1e-15)
     assert_allclose(est.value, 0.68359375, rtol=0, atol=1e-15)
 
 
-def test_eta_multi_use_non_feedback_bsc_takes_min():
-    est = eta_multi_use(eta_bsc(0.1).value, 5, feedback=False, bsc_eps=0.1)
-    assert_allclose(est.value, 0.9754101289145307, rtol=1e-13)
-    fb = eta_multi_use(eta_bsc(0.1).value, 5, feedback=True, bsc_eps=0.1)
-    assert fb.value >= est.value
-
-
 def test_eta_multi_use_keeps_lower_estimate_kind():
     lower = eta_numeric(FAIR, bsc(0.1))
     for T in (1, 2, 3, 7.5):
         assert eta_multi_use(lower, T).kind == "numeric_lower_estimate"
-    # the product-channel Dobrushin bound is an upper bound whatever eta was
-    est = eta_multi_use(lower, 3, bsc_eps=0.1)
-    assert (est.provenance, est.kind) == ("product-channel dobrushin",
-                                          "upper_bound")
 
 
 @given(st.floats(min_value=0.0, max_value=1.0), st.integers(min_value=1, max_value=30))
 @settings(max_examples=100, deadline=None)
 def test_eta_multi_use_monotone_in_T(eta, T):
     assert eta_multi_use(eta, T + 1).value >= eta_multi_use(eta, T).value - 1e-15
-
-
-def test_tensorized_eta_takes_max():
-    est = tensorized_eta([eta_bsc(0.25), eta_bec(0.5)])
-    assert est.value == pytest.approx(0.5)
-
-
-def test_sufficient_statistic_reduction_weakens_kind():
-    est = sufficient_statistic_reduction(gaussian_sample_mean_eta(10, 1.0, 1.0))
-    assert est.value == pytest.approx(10.0 / 11.0)
-    assert est.kind == "upper_bound"
-
-
-def test_gaussian_sample_mean_eta_frozen():
-    assert_allclose(gaussian_sample_mean_eta(10, 1.0, 1.0).value,
-                    0.9090909090909091, rtol=1e-15)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])

@@ -13,8 +13,7 @@ from bayeslb.simulate import (BLOCK, SCHEMES, SimulationConfig,
                               SimulationResult, _block_rng, _distortions,
                               _quantize_midpoint, _repeated_bits,
                               exact_chain_mi, sandwich_check,
-                              sample_xor_block, simulate_multi,
-                              simulate_single_processor)
+                              simulate_multi, simulate_single_processor)
 
 import oracles
 
@@ -226,7 +225,7 @@ def test_xor_block_parity_law():
     freq_ones = np.zeros(m)
     for _ in range(50):
         w = rng.uniform()
-        block = sample_xor_block(w, m, n, rng)
+        block = oracles.sample_xor_block(w, m, n, rng)
         assert block.shape == (m, n)
         freq_ones += block.mean(axis=1) / 50.0
         # column parities are Bernoulli(w): a five-sigma band at n = 2000
