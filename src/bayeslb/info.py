@@ -14,8 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+# numpy is imported inside the functions that build arrays, so that the
+# closed-form commands start without it
+if TYPE_CHECKING:
+    import numpy as np
 
 PROB_ATOL = 1e-12
 
@@ -65,6 +69,7 @@ class ConvergenceError(RuntimeError):
 
 
 def _validated_pmf(p, what: str) -> np.ndarray:
+    import numpy as np
     p = np.asarray(p, dtype=float)
     if p.ndim != 1 or p.size < 1:
         raise DistributionError(f"{what} must be a nonempty vector")
@@ -96,6 +101,7 @@ class DiscreteDistribution:
 
     @classmethod
     def uniform(cls, k: int) -> "DiscreteDistribution":
+        import numpy as np
         return cls(np.full(k, 1.0 / k))
 
 
@@ -106,6 +112,7 @@ class DiscreteChannel:
     rows: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
         rows = np.asarray(self.rows, dtype=float)
         if rows.ndim != 2 or rows.shape[0] < 1 or rows.shape[1] < 1:
             raise DistributionError("channel must be a nonempty matrix")
@@ -129,11 +136,13 @@ class DiscreteChannel:
 
     def tensor(self, other: "DiscreteChannel") -> "DiscreteChannel":
         """Independent parallel use of two channels."""
+        import numpy as np
         return DiscreteChannel(np.kron(self.rows, other.rows))
 
 
 def bsc(eps: float) -> DiscreteChannel:
     """Binary symmetric channel with crossover probability ``eps``."""
+    import numpy as np
     if not 0.0 <= eps <= 1.0:
         raise DistributionError("crossover probability must lie in [0, 1]")
     return DiscreteChannel(np.array([[1.0 - eps, eps], [eps, 1.0 - eps]]))
@@ -141,6 +150,7 @@ def bsc(eps: float) -> DiscreteChannel:
 
 def bec(eps: float) -> DiscreteChannel:
     """Binary erasure channel; output alphabet is (0, erasure, 1)."""
+    import numpy as np
     if not 0.0 <= eps <= 1.0:
         raise DistributionError("erasure probability must lie in [0, 1]")
     return DiscreteChannel(np.array([[1.0 - eps, eps, 0.0], [0.0, eps, 1.0 - eps]]))
@@ -153,6 +163,7 @@ class JointPMF:
     table: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
         t = np.asarray(self.table, dtype=float)
         if t.ndim != 2 or t.shape[0] < 1 or t.shape[1] < 1:
             raise DistributionError("joint PMF must be a nonempty matrix")
@@ -308,6 +319,7 @@ def inv_binary_entropy(y: float) -> float:
 
 def entropy(p) -> float:
     """Shannon entropy of a probability vector, in bits."""
+    import numpy as np
     p = p.probs if isinstance(p, DiscreteDistribution) else np.asarray(p, dtype=float)
     pos = p[p > 0.0]
     return float(-(pos * np.log2(pos)).sum())
@@ -315,6 +327,7 @@ def entropy(p) -> float:
 
 def kl_divergence(p, q) -> float:
     """D(p || q) in bits; ``math.inf`` when p is not dominated by q."""
+    import numpy as np
     p = p.probs if isinstance(p, DiscreteDistribution) else np.asarray(p, dtype=float)
     q = q.probs if isinstance(q, DiscreteDistribution) else np.asarray(q, dtype=float)
     if p.shape != q.shape:
@@ -327,6 +340,7 @@ def kl_divergence(p, q) -> float:
 
 def mutual_information(joint: JointPMF) -> float:
     """I(W; X) of a joint PMF, in bits."""
+    import numpy as np
     pw = joint.table.sum(axis=1)
     px = joint.table.sum(axis=0)
     prod = np.outer(pw, px)
@@ -346,6 +360,7 @@ class InfoDensityDistribution:
     probs: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
         object.__setattr__(self, "probs", _validated_pmf(self.probs, "density probabilities"))
         if self.values.shape != self.probs.shape:
@@ -358,9 +373,6 @@ class InfoDensityDistribution:
         """P[i(W;X) < threshold] with strict inequality."""
         return float(self.probs[self.values < threshold].sum())
 
-    def prob_at_least(self, threshold: float) -> float:
-        return float(self.probs[self.values >= threshold].sum())
-
 
 def information_density(joint: JointPMF) -> InfoDensityDistribution:
     """Distribution of i(w; x) = log2 P(w|x)/P(w) under the joint PMF.
@@ -369,6 +381,7 @@ def information_density(joint: JointPMF) -> InfoDensityDistribution:
     of the result is I(W; X); construction fails if the two disagree by more
     than 1e-9, which would indicate a corrupted joint.
     """
+    import numpy as np
     pw = joint.table.sum(axis=1)
     px = joint.table.sum(axis=0)
     if np.any(pw == 0.0) or np.any(px == 0.0):
@@ -413,6 +426,7 @@ def neyman_pearson_beta(alpha: float, p, q) -> float:
     float
         beta_alpha(p, q), the exact infimum.
     """
+    import numpy as np
     if not 0.0 <= alpha <= 1.0:
         raise DistributionError("power requirement must lie in [0, 1]")
     p = _validated_pmf(p.probs if isinstance(p, DiscreteDistribution) else p, "P")
@@ -471,6 +485,7 @@ def verify_np_properties(p, q, channel: DiscreteChannel, alphas, gammas) -> NPPr
     is evaluated. All three hold with exact arithmetic, so the reported
     violations measure floating-point error only.
     """
+    import numpy as np
     p = _validated_pmf(p.probs if isinstance(p, DiscreteDistribution) else p, "P")
     q = _validated_pmf(q.probs if isinstance(q, DiscreteDistribution) else q, "Q")
     pk = p @ channel.rows
@@ -580,6 +595,7 @@ def channel_capacity(channel: DiscreteChannel, tol: float = 1e-9) -> float:
     the capacity in the first case and only an upper estimate in the
     second, so the solver never raises.
     """
+    import numpy as np
     K = channel.rows
     mask = K > 0.0
     logK = np.zeros_like(K)

@@ -9,15 +9,20 @@ Asymptotic entries are flagged and must not be used in hard lower-vs-upper
 comparisons. ``fig2_data`` and ``fig34_data`` emit the rows behind the
 quantization-rate and hide-and-seek comparison plots.
 
-Only the Monte Carlo ball mass of ``scenario_gauss_ball`` needs scipy, and it
-imports ``scipy.special`` itself, so importing this module loads no scipy.
+Only the Monte Carlo ball mass of ``scenario_gauss_ball`` needs numpy and
+scipy, and it imports them itself (``scipy.special`` alone), so importing
+this module, or evaluating any closed form in it, loads neither.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
-import numpy as np
+# numpy is imported inside the functions that build arrays, so that the
+# closed-form commands start without it
+if TYPE_CHECKING:
+    import numpy as np
 
 from .bounds import (BoundReport, fano, lb_diff_entropy,
                      log_diff_entropy_constant, mi_ub_cutset, mi_ub_interactive,
@@ -265,6 +270,7 @@ def _posterior_mass_in_ball(spec: ScenarioSpec, reps: int, seed: int) -> np.ndar
     chi-square CDF ``scipy.special.chndtr`` (the function behind
     ``scipy.stats.ncx2.cdf``) and is evaluated exactly per draw.
     """
+    import numpy as np
     from scipy.special import chndtr  # kept off CLI start-up
 
     d, n = spec.d, spec.n
@@ -305,7 +311,7 @@ def scenario_gauss_ball(spec: ScenarioSpec, reps: int | None = None,
             raise DistributionError("replication count must be >= 1")
         delta = CONCENTRATION_DELTA
         mass = _posterior_mass_in_ball(spec, reps, seed)
-        p_hat = float(np.mean(mass > 1.0 / (1.0 + delta)))
+        p_hat = float((mass > 1.0 / (1.0 + delta)).mean())
         gap = p_hat - 0.5
         root_term = math.sqrt(2.0 * math.pi * sigma2 / n)
         sharp = (1.0 / (2.0 * (1.0 + delta))) ** (1.0 / d) \
@@ -425,11 +431,16 @@ def fig2_data(p: float = 0.3, points: int = 61, etas=(1.0, 0.75, 0.5)):
     if points < 0:
         raise DistributionError("point count cannot be negative")
     header = ["delta"] + [f"blb_eta_{eta:g}" for eta in etas] + ["tildeR", "R"]
+    # np.linspace(low, 1.0, points) bit for bit, without loading numpy
+    step = (1.0 - low) / (points - 1) if points > 1 else 1.0 - low
+    deltas = [i * step + low for i in range(points)]
+    if points > 1:
+        deltas[-1] = 1.0
     rows = []
-    for delta in np.linspace(1.0 - 2.0 * p, 1.0, points):
+    for delta in deltas:
         bounds = [rate / (delta * delta * eta) for eta in etas]
         tilde = 1.0 - binary_entropy((2.0 * p + delta - 1.0) / (2.0 * delta))
-        rows.append((float(delta), *bounds, tilde, rate))
+        rows.append((delta, *bounds, tilde, rate))
     return header, rows
 
 

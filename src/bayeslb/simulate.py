@@ -26,9 +26,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-import numpy as np
+# numpy is imported inside the functions that build arrays, so that the
+# closed-form commands start without it
+if TYPE_CHECKING:
+    import numpy as np
 
 from .info import DiscreteChannel, DiscreteDistribution, DistributionError, entropy
 from .scenarios import ScenarioReport, ScenarioSpec
@@ -79,10 +82,12 @@ class SimulationResult:
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:
     """Counter-based substream for block ``block`` of a run seeded with seed."""
+    import numpy as np
     return np.random.Generator(np.random.Philox(key=seed + (block << 64)))
 
 
 def _aggregate(distortions: np.ndarray, config: SimulationConfig) -> SimulationResult:
+    import numpy as np
     risk = float(np.mean(distortions))
     if config.replications > 1:
         ci = 1.96 * float(np.std(distortions, ddof=1)) / math.sqrt(config.replications)
@@ -94,11 +99,13 @@ def _aggregate(distortions: np.ndarray, config: SimulationConfig) -> SimulationR
 
 def _cell_index(values: np.ndarray, cells: int) -> np.ndarray:
     """Index of each value's cell among ``cells`` equal cells of [0, 1]."""
+    import numpy as np
     return np.minimum(np.floor(values * cells), cells - 1)
 
 
 def _quantize_midpoint(values: np.ndarray, bits: float) -> np.ndarray:
     """Uniform quantization of [0, 1] to the midpoint of each value's cell."""
+    import numpy as np
     # 2.0 ** bits overflows from bits = 1024 on, and 2^1023 cells already move
     # no value in [0, 1] by more than 2^-1024
     cells = round(2.0 ** bits) if bits < 1024 else 2 ** 1023
@@ -111,6 +118,7 @@ def _repeated_bits(sent: np.ndarray, looks: int, eps: float,
                    rng: np.random.Generator) -> np.ndarray:
     """Majority decode of the ``sent`` bits, each repeated ``looks`` times over
     a BSC(eps); only the flip count of each bit is drawn."""
+    import numpy as np
     flips = rng.binomial(looks, eps, size=sent.shape)
     ones = np.where(sent, looks - flips, flips)
     # ties go to 0, which only matters for an even number of looks
@@ -123,6 +131,7 @@ def _repeated_bits(sent: np.ndarray, looks: int, eps: float,
 
 def _sample_gauss_gauss(spec: ScenarioSpec, rng: np.random.Generator,
                         size: int) -> np.ndarray:
+    import numpy as np
     w = math.sqrt(spec.var_w) * rng.standard_normal(size)
     # the estimator reads only the sample mean, N(w, var_noise / n)
     mean = w + math.sqrt(spec.var_noise / spec.n) * rng.standard_normal(size)
@@ -141,6 +150,7 @@ def _sample_bsc_bit(spec: ScenarioSpec, rng: np.random.Generator,
 
 def _sample_bern_bsc(spec: ScenarioSpec, rng: np.random.Generator,
                      size: int) -> np.ndarray:
+    import numpy as np
     w = rng.random(size)
     k = rng.binomial(spec.n, w)
     if not spec.eps:
@@ -170,6 +180,7 @@ def _sample_bern_bsc(spec: ScenarioSpec, rng: np.random.Generator,
 
 def _sample_xor_oneproc(spec: ScenarioSpec, rng: np.random.Generator,
                         size: int) -> np.ndarray:
+    import numpy as np
     # any single processor's stream is fair coin flips whatever w is, so the
     # best the estimator can do is the prior centroid; the stream is never read
     return np.abs(rng.random(size) - 0.5)
@@ -177,6 +188,7 @@ def _sample_xor_oneproc(spec: ScenarioSpec, rng: np.random.Generator,
 
 def _sample_xor_colocated(spec: ScenarioSpec, rng: np.random.Generator,
                           size: int) -> np.ndarray:
+    import numpy as np
     w = rng.random(size)
     # the column parities are i.i.d. Bern(w), so their mean is Bin(n, w) / n
     z_mean = rng.binomial(spec.n, w) / spec.n
@@ -224,6 +236,7 @@ SCHEMES = {
 
 
 def _distortions(config: SimulationConfig, scheme: Scheme) -> np.ndarray:
+    import numpy as np
     reps = config.replications
     return np.concatenate([
         scheme.sample(config.spec, _block_rng(config.seed, block),
@@ -276,6 +289,7 @@ def exact_chain_mi(prior: DiscreteDistribution, stages: list[DiscreteChannel],
     output-tuple law, so the output alphabet to the power T must stay at or
     below 2^20.
     """
+    import numpy as np
     if uses < 0:
         raise DistributionError("use count cannot be negative")
     if uses == 0:

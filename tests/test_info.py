@@ -148,7 +148,6 @@ def test_information_density_tail_conventions():
     dens = InfoDensityDistribution(values=np.array([-1.0, 0.0, 2.0]),
                                    probs=np.array([0.2, 0.3, 0.5]))
     assert dens.prob_below(0.0) == pytest.approx(0.2)   # strict <
-    assert dens.prob_at_least(0.0) == pytest.approx(0.8)
     assert dens.prob_below(3.0) == pytest.approx(1.0)
 
 

@@ -1,9 +1,12 @@
-"""The CLI starts without scipy: only the Monte Carlo ball mass of
-``scenario gauss-ball --reps`` loads scipy.special, and nothing loads
-scipy.stats.
+"""The CLI starts without numpy or scipy. The closed-form commands (bounds
+other than Theorem 1, scenarios without Monte Carlo, figures) load neither;
+numpy is loaded on first use by the commands that build arrays, such as
+``simulate``. Only the Monte Carlo ball mass of ``scenario gauss-ball --reps``
+loads scipy.special, and nothing loads scipy.stats.
 
-Each case runs in a fresh interpreter, since this test session has scipy
-loaded already. Wall times are not asserted; the module set is the contract.
+Each case runs in a fresh interpreter, since this test session has numpy and
+scipy loaded already. Wall times are not asserted; the module set is the
+contract.
 """
 import json
 import os
@@ -24,12 +27,12 @@ if argv:
         code = bayeslb.cli.main(argv)
     assert code == 0, code
 print(json.dumps(sorted(name for name in sys.modules
-                        if name == "scipy" or name.startswith("scipy."))))
+                        if name.split(".")[0] in ("numpy", "scipy"))))
 """
 
 
-def scipy_modules_after(argv):
-    """The scipy modules a fresh interpreter holds after cli.main(argv)."""
+def modules_after(argv):
+    """The numpy and scipy modules a fresh interpreter holds after cli.main(argv)."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
@@ -40,28 +43,42 @@ def scipy_modules_after(argv):
     return set(json.loads(proc.stdout))
 
 
-@pytest.mark.parametrize("argv", [
-    [],
-    ["bound", "--thm", "3", "--I", "2", "--h", "1", "--d", "2"],
-    ["scenario", "hide-seek", "--n", "100", "--m", "10", "--d", "512",
-     "--b", "1536", "--rho", "0.01"],
-    ["figure", "fig2"],
-    ["simulate", "gauss-gauss", "--n", "10", "--reps", "200", "--check"],
-    ["scenario", "bern-uniform", "--n", "50"],
-    ["scenario", "bern-bsc", "--n", "100", "--b", "7", "--eps", "0.1", "--T",
-     "40"],
-    ["simulate", "bern-bsc", "--n", "100", "--b", "4", "--eps", "0.1", "--T",
-     "70", "--reps", "200", "--check"],
-], ids=["import", "bound", "scenario-hide-seek", "figure-fig2", "simulate",
-        "scenario-bern-uniform", "scenario-bern-bsc", "simulate-bern-bsc"])
-def test_cli_loads_no_scipy(argv):
-    assert scipy_modules_after(argv) == set()
+# (id, argv, whether the command builds arrays and so may load numpy)
+CASES = [
+    ("import", [], False),
+    ("bound", ["bound", "--thm", "3", "--I", "2", "--h", "1", "--d", "2"], False),
+    ("bound-thm4-csv", ["bound", "--thm", "4", "--I", "2", "--hx", "3", "--b",
+                        "2", "--capacity", "0.5", "--T", "4", "--eta-stat",
+                        "0.8", "--eta-uses", "0.6", "--csv"], False),
+    ("scenario-hide-seek", ["scenario", "hide-seek", "--n", "100", "--m", "10",
+                            "--d", "512", "--b", "1536", "--rho", "0.01"], False),
+    ("scenario-bern-uniform", ["scenario", "bern-uniform", "--n", "50"], False),
+    ("scenario-bern-bsc", ["scenario", "bern-bsc", "--n", "100", "--b", "7",
+                           "--eps", "0.1", "--T", "40"], False),
+    ("figure-fig2", ["figure", "fig2"], False),
+    ("figure-fig3", ["figure", "fig3"], False),
+    ("figure-fig4", ["figure", "fig4"], False),
+    ("simulate", ["simulate", "gauss-gauss", "--n", "10", "--reps", "200",
+                  "--check"], True),
+    ("simulate-bern-bsc", ["simulate", "bern-bsc", "--n", "100", "--b", "4",
+                           "--eps", "0.1", "--T", "70", "--reps", "200",
+                           "--check"], True),
+]
+
+
+@pytest.mark.parametrize("argv, arrays", [case[1:] for case in CASES],
+                         ids=[case[0] for case in CASES])
+def test_cli_loads_no_scipy(argv, arrays):
+    loaded = modules_after(argv)
+    assert not {name for name in loaded if name.split(".")[0] == "scipy"}
+    if not arrays:
+        assert "numpy" not in loaded
 
 
 @pytest.mark.parametrize("argv", [
     ["scenario", "gauss-ball", "--n", "400", "--d", "3", "--reps", "200"],
 ], ids=["gauss-ball-reps"])
 def test_scipy_special_only_where_needed(argv):
-    loaded = scipy_modules_after(argv)
+    loaded = modules_after(argv)
     assert "scipy.special" in loaded
     assert "scipy.stats" not in loaded
