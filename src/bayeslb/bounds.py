@@ -12,15 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
-# numpy is imported inside the functions that build arrays, so that the
-# closed-form commands start without it
-if TYPE_CHECKING:
-    import numpy as np
-
-from .info import DistributionError, InfoDensityDistribution, log_unit_ball_volume
+from .info import (DistributionError, InfoDensityDistribution, _Numpy,
+                   log_unit_ball_volume)
 from .sdpi import _as_estimate
+
+np = _Numpy(globals())
 
 __all__ = [
     "BoundReport",
@@ -52,7 +49,6 @@ class BoundReport:
 
 
 def _log_grid(lo: float, hi: float) -> np.ndarray:
-    import numpy as np
     if not 0.0 < lo < hi:
         raise DistributionError("grid endpoints must satisfy 0 < lo < hi")
     return np.geomspace(lo, hi, 200)
@@ -79,7 +75,6 @@ def _golden_max(f, lo: float, hi: float) -> tuple[float, float]:
 def _refine(f, grid: np.ndarray, vals: np.ndarray) -> tuple[float, float]:
     """Golden-refine f between the grid neighbours of the first maximum of
     ``vals`` = f(grid); the refined point wins only if strictly better."""
-    import numpy as np
     i = int(np.argmax(vals))
     if not math.isfinite(vals[i]):
         return float(grid[i]), float(vals[i])
@@ -123,7 +118,6 @@ def lb_mi_smallball(mi: float, smallball) -> BoundReport:
     smallball : callable rho -> L(rho), values required to lie in (0, 1];
         it must be nondecreasing, as a small-ball probability is.
     """
-    import numpy as np
     if not mi >= 0.0:  # also refuses NaN
         raise DistributionError(f"mutual information must be >= 0, not {mi}")
 
@@ -161,7 +155,6 @@ def lb_info_density(density, smallball, gamma_grid=None,
     bound falls below the best value found; ties go to the earliest
     threshold.
     """
-    import numpy as np
     if isinstance(density, InfoDensityDistribution):
         prob_below = density.prob_below
     else:

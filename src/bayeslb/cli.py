@@ -193,17 +193,10 @@ def _resolve_seed(args) -> int:
 # formatting
 
 
-def _numpy_type(name: str) -> tuple:
-    """numpy's type ``name``, or no type while numpy is not loaded: then no
-    value can be a numpy value, and a closed-form command never loads it."""
-    numpy = sys.modules.get("numpy")
-    return () if numpy is None else (getattr(numpy, name),)
-
-
 def _text(value) -> str:
     if isinstance(value, bool):
         return "True" if value else "False"
-    if isinstance(value, (float, *_numpy_type("floating"))):
+    if isinstance(value, float):
         return "%.9g" % (value + 0.0)  # + 0.0 turns -0.0 into 0.0
     return str(value)
 
@@ -239,7 +232,7 @@ def _flat_items(mapping: dict, prefix: str = "") -> list:
         name = f"{prefix}{key}"
         if isinstance(value, dict):
             items.extend(_flat_items(value, name + "."))
-        elif isinstance(value, (list, tuple, *_numpy_type("ndarray"))):
+        elif isinstance(value, (list, tuple)):
             continue
         else:
             items.append((name, value))
@@ -323,7 +316,7 @@ def _report_rows(report) -> list:
         if hasattr(value, "value"):
             rows.append(("derived", name, value.value, value.kind,
                          value.asymptotic, value.clamped, value.infeasible))
-        elif isinstance(value, (bool, int, float, *_numpy_type("floating"))):
+        elif isinstance(value, (bool, int, float)):
             rows.append(("derived", name, value, "derived", False, False, False))
     return [header] + [",".join(_text(cell) for cell in row) for row in rows]
 

@@ -14,12 +14,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
-# numpy is imported inside the functions that build arrays, so that the
-# closed-form commands start without it
-if TYPE_CHECKING:
-    import numpy as np
+
+class _Numpy:
+    """Stands in for numpy as a module's global ``np``, so that the
+    closed-form commands start without it: the first attribute read imports
+    numpy and rebinds that global to numpy itself."""
+
+    def __init__(self, namespace: dict):
+        self._namespace = namespace
+
+    def __getattr__(self, name: str):
+        import numpy
+        self._namespace["np"] = numpy
+        return getattr(numpy, name)
+
+
+np = _Numpy(globals())
 
 PROB_ATOL = 1e-12
 
@@ -69,7 +80,6 @@ class ConvergenceError(RuntimeError):
 
 
 def _validated_pmf(p, what: str) -> np.ndarray:
-    import numpy as np
     p = np.asarray(p, dtype=float)
     if p.ndim != 1 or p.size < 1:
         raise DistributionError(f"{what} must be a nonempty vector")
@@ -96,12 +106,8 @@ class DiscreteDistribution:
     def size(self) -> int:
         return self.probs.size
 
-    def entropy(self) -> float:
-        return entropy(self.probs)
-
     @classmethod
     def uniform(cls, k: int) -> "DiscreteDistribution":
-        import numpy as np
         return cls(np.full(k, 1.0 / k))
 
 
@@ -112,7 +118,6 @@ class DiscreteChannel:
     rows: np.ndarray
 
     def __post_init__(self):
-        import numpy as np
         rows = np.asarray(self.rows, dtype=float)
         if rows.ndim != 2 or rows.shape[0] < 1 or rows.shape[1] < 1:
             raise DistributionError("channel must be a nonempty matrix")
@@ -136,13 +141,11 @@ class DiscreteChannel:
 
     def tensor(self, other: "DiscreteChannel") -> "DiscreteChannel":
         """Independent parallel use of two channels."""
-        import numpy as np
         return DiscreteChannel(np.kron(self.rows, other.rows))
 
 
 def bsc(eps: float) -> DiscreteChannel:
     """Binary symmetric channel with crossover probability ``eps``."""
-    import numpy as np
     if not 0.0 <= eps <= 1.0:
         raise DistributionError("crossover probability must lie in [0, 1]")
     return DiscreteChannel(np.array([[1.0 - eps, eps], [eps, 1.0 - eps]]))
@@ -150,7 +153,6 @@ def bsc(eps: float) -> DiscreteChannel:
 
 def bec(eps: float) -> DiscreteChannel:
     """Binary erasure channel; output alphabet is (0, erasure, 1)."""
-    import numpy as np
     if not 0.0 <= eps <= 1.0:
         raise DistributionError("erasure probability must lie in [0, 1]")
     return DiscreteChannel(np.array([[1.0 - eps, eps, 0.0], [0.0, eps, 1.0 - eps]]))
@@ -163,7 +165,6 @@ class JointPMF:
     table: np.ndarray
 
     def __post_init__(self):
-        import numpy as np
         t = np.asarray(self.table, dtype=float)
         if t.ndim != 2 or t.shape[0] < 1 or t.shape[1] < 1:
             raise DistributionError("joint PMF must be a nonempty matrix")
@@ -186,7 +187,6 @@ class PriorSpec:
     * ``uniform01``: uniform on [0, 1] (scalar),
     * ``gaussian``: N(0, var I) in ``dim`` dimensions,
     * ``ball``: uniform on the centered ell-2 ball of radius ``radius``,
-    * ``hypercube``: uniform on {-1, +1}^dim,
     * ``discrete_uniform``: uniform on ``size`` symbols.
     """
 
@@ -197,7 +197,7 @@ class PriorSpec:
     size: int = 0
 
     def __post_init__(self):
-        if self.family not in ("uniform01", "gaussian", "ball", "hypercube", "discrete_uniform"):
+        if self.family not in ("uniform01", "gaussian", "ball", "discrete_uniform"):
             raise DistributionError(f"unknown prior family {self.family!r}")
         if self.dim < 1:
             raise DistributionError("dimension must be at least 1")
@@ -209,24 +209,8 @@ class PriorSpec:
             raise DistributionError("discrete uniform prior needs at least 2 symbols")
 
     @classmethod
-    def uniform01(cls) -> "PriorSpec":
-        return cls("uniform01")
-
-    @classmethod
     def gaussian(cls, var: float, dim: int = 1) -> "PriorSpec":
         return cls("gaussian", var=var, dim=dim)
-
-    @classmethod
-    def ball(cls, radius: float, dim: int) -> "PriorSpec":
-        return cls("ball", radius=radius, dim=dim)
-
-    @classmethod
-    def hypercube(cls, dim: int) -> "PriorSpec":
-        return cls("hypercube", dim=dim)
-
-    @classmethod
-    def discrete_uniform(cls, size: int) -> "PriorSpec":
-        return cls("discrete_uniform", size=size)
 
 
 @dataclass(frozen=True)
@@ -234,15 +218,14 @@ class DistortionSpec:
     """Distortion function used in small-ball probabilities and risk bounds.
 
     Kinds: ``absolute`` |w - v|, ``squared`` (w - v)^2, ``l2r`` the ell-2 norm
-    raised to exponent ``r``, ``zero_one`` the indicator of a miss, and
-    ``hamming`` the fraction of differing coordinates.
+    raised to exponent ``r``, and ``zero_one`` the indicator of a miss.
     """
 
     kind: str
     r: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("absolute", "squared", "l2r", "zero_one", "hamming"):
+        if self.kind not in ("absolute", "squared", "l2r", "zero_one"):
             raise DistributionError(f"unknown distortion kind {self.kind!r}")
         if self.kind == "l2r" and not self.r >= 1.0:
             raise DistributionError("norm exponent must be at least 1")
@@ -262,15 +245,14 @@ def binary_entropy(p: float) -> float:
 
 
 def binary_relative_entropy(p: float, q: float) -> float:
-    """Divergence between Bernoulli(p) and Bernoulli(q), in bits."""
+    """Divergence between Bernoulli(p) and Bernoulli(q), in bits; ``math.inf``
+    when q is 0 or 1 and p is not equal to it."""
     if not 0.0 <= p <= 1.0:
         raise DistributionError("first argument must lie in [0, 1]")
     if not 0.0 <= q <= 1.0:
         raise DistributionError("second argument must lie in [0, 1]")
     if q in (0.0, 1.0):
-        if p == q:
-            return 0.0
-        raise DistributionError("reference probability must be interior unless equal")
+        return 0.0 if p == q else math.inf
     out = 0.0
     if p > 0.0:
         out += p * math.log2(p / q)
@@ -319,7 +301,6 @@ def inv_binary_entropy(y: float) -> float:
 
 def entropy(p) -> float:
     """Shannon entropy of a probability vector, in bits."""
-    import numpy as np
     p = p.probs if isinstance(p, DiscreteDistribution) else np.asarray(p, dtype=float)
     pos = p[p > 0.0]
     return float(-(pos * np.log2(pos)).sum())
@@ -327,7 +308,6 @@ def entropy(p) -> float:
 
 def kl_divergence(p, q) -> float:
     """D(p || q) in bits; ``math.inf`` when p is not dominated by q."""
-    import numpy as np
     p = p.probs if isinstance(p, DiscreteDistribution) else np.asarray(p, dtype=float)
     q = q.probs if isinstance(q, DiscreteDistribution) else np.asarray(q, dtype=float)
     if p.shape != q.shape:
@@ -340,7 +320,6 @@ def kl_divergence(p, q) -> float:
 
 def mutual_information(joint: JointPMF) -> float:
     """I(W; X) of a joint PMF, in bits."""
-    import numpy as np
     pw = joint.table.sum(axis=1)
     px = joint.table.sum(axis=0)
     prod = np.outer(pw, px)
@@ -360,7 +339,6 @@ class InfoDensityDistribution:
     probs: np.ndarray
 
     def __post_init__(self):
-        import numpy as np
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
         object.__setattr__(self, "probs", _validated_pmf(self.probs, "density probabilities"))
         if self.values.shape != self.probs.shape:
@@ -381,7 +359,6 @@ def information_density(joint: JointPMF) -> InfoDensityDistribution:
     of the result is I(W; X); construction fails if the two disagree by more
     than 1e-9, which would indicate a corrupted joint.
     """
-    import numpy as np
     pw = joint.table.sum(axis=1)
     px = joint.table.sum(axis=0)
     if np.any(pw == 0.0) or np.any(px == 0.0):
@@ -426,7 +403,6 @@ def neyman_pearson_beta(alpha: float, p, q) -> float:
     float
         beta_alpha(p, q), the exact infimum.
     """
-    import numpy as np
     if not 0.0 <= alpha <= 1.0:
         raise DistributionError("power requirement must lie in [0, 1]")
     p = _validated_pmf(p.probs if isinstance(p, DiscreteDistribution) else p, "P")
@@ -467,13 +443,6 @@ class NPPropertyReport:
                    self.strong_converse_violation)
 
 
-def _d2_extended(a: float, b: float) -> float:
-    """Binary divergence extended with +inf on support violations."""
-    if b in (0.0, 1.0):
-        return 0.0 if a == b else math.inf
-    return binary_relative_entropy(a, b)
-
-
 def verify_np_properties(p, q, channel: DiscreteChannel, alphas, gammas) -> NPPropertyReport:
     """Check data-processing, weak-converse and strong-converse inequalities.
 
@@ -485,7 +454,6 @@ def verify_np_properties(p, q, channel: DiscreteChannel, alphas, gammas) -> NPPr
     is evaluated. All three hold with exact arithmetic, so the reported
     violations measure floating-point error only.
     """
-    import numpy as np
     p = _validated_pmf(p.probs if isinstance(p, DiscreteDistribution) else p, "P")
     q = _validated_pmf(q.probs if isinstance(q, DiscreteDistribution) else q, "Q")
     pk = p @ channel.rows
@@ -500,7 +468,7 @@ def verify_np_properties(p, q, channel: DiscreteChannel, alphas, gammas) -> NPPr
         beta = neyman_pearson_beta(alpha, p, q)
         beta_k = neyman_pearson_beta(alpha, pk, qk)
         dpi_v = max(dpi_v, beta - beta_k)
-        d_ab = _d2_extended(alpha, beta) if beta > 0.0 or alpha == 0.0 else math.inf
+        d_ab = binary_relative_entropy(alpha, beta)
         if not d_ab <= d_pq:
             weak_v = max(weak_v, d_ab - d_pq)
         for gamma in gammas:
@@ -595,7 +563,6 @@ def channel_capacity(channel: DiscreteChannel, tol: float = 1e-9) -> float:
     the capacity in the first case and only an upper estimate in the
     second, so the solver never raises.
     """
-    import numpy as np
     K = channel.rows
     mask = K > 0.0
     logK = np.zeros_like(K)

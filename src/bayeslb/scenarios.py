@@ -10,27 +10,24 @@ comparisons. ``fig2_data`` and ``fig34_data`` emit the rows behind the
 quantization-rate and hide-and-seek comparison plots.
 
 Only the Monte Carlo ball mass of ``scenario_gauss_ball`` needs numpy and
-scipy, and it imports them itself (``scipy.special`` alone), so importing
-this module, or evaluating any closed form in it, loads neither.
+scipy: it reads numpy through the module's ``np`` handle, which imports
+numpy on first use, and imports ``scipy.special`` itself, so importing this
+module, or evaluating any closed form in it, loads neither.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING
-
-# numpy is imported inside the functions that build arrays, so that the
-# closed-form commands start without it
-if TYPE_CHECKING:
-    import numpy as np
 
 from .bounds import (BoundReport, fano, lb_diff_entropy,
                      log_diff_entropy_constant, mi_ub_cutset, mi_ub_interactive,
                      mi_ub_single)
-from .info import (DistributionError, PriorSpec, binary_entropy,
+from .info import (DistributionError, PriorSpec, _Numpy, binary_entropy,
                    differential_entropy, inv_binary_entropy,
                    log_unit_ball_volume)
 from .sdpi import eta_bsc, eta_multi_use
+
+np = _Numpy(globals())
 
 __all__ = [
     "ScenarioSpec",
@@ -270,7 +267,6 @@ def _posterior_mass_in_ball(spec: ScenarioSpec, reps: int, seed: int) -> np.ndar
     chi-square CDF ``scipy.special.chndtr`` (the function behind
     ``scipy.stats.ncx2.cdf``) and is evaluated exactly per draw.
     """
-    import numpy as np
     from scipy.special import chndtr  # kept off CLI start-up
 
     d, n = spec.d, spec.n
@@ -280,7 +276,10 @@ def _posterior_mass_in_ball(spec: ScenarioSpec, reps: int, seed: int) -> np.ndar
     direction /= np.linalg.norm(direction, axis=1, keepdims=True)
     w = a * direction * rng.random(reps)[:, None] ** (1.0 / d)
     xbar = w + math.sqrt(sigma2 / n) * rng.normal(size=(reps, d))
-    noncentrality = n * (xbar * xbar).sum(axis=1) / sigma2
+    # a sample mean beyond ~1e154 overflows its square to +inf, where chndtr
+    # gives mass 0: the limit for a mean that far outside a smaller ball
+    with np.errstate(over="ignore"):
+        noncentrality = n * (xbar * xbar).sum(axis=1) / sigma2
     return chndtr(a * a * n / sigma2, d, noncentrality)
 
 

@@ -14,19 +14,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
-
-# numpy is imported inside the functions that build arrays, so that the
-# closed-form commands start without it
-if TYPE_CHECKING:
-    import numpy as np
 
 from .info import (
     DiscreteChannel,
     DiscreteDistribution,
     DistributionError,
+    _Numpy,
     _validated_pmf,
 )
+
+np = _Numpy(globals())
 
 __all__ = [
     "ContractionEstimate",
@@ -67,7 +64,6 @@ def eta_bsc(eps: float) -> ContractionEstimate:
 
 def dobrushin(channel: DiscreteChannel) -> ContractionEstimate:
     """Dobrushin coefficient: the largest total variation between two rows."""
-    import numpy as np
     rows = channel.rows
     worst = 0.5 * float(np.abs(rows[:, None] - rows[None]).sum(axis=-1).max())
     return ContractionEstimate(worst, "upper_bound", "dobrushin coefficient")
@@ -90,7 +86,6 @@ def pairwise_ratio_bound(channel: DiscreteChannel, n: int = 1) -> PairwiseRatioB
     observations the bound weakens to 1 - alpha^n. A zero entry forces
     alpha = 0 and the vacuous bound 1, flagged ``degenerate``.
     """
-    import numpy as np
     if n < 1:
         raise DistributionError("sample count must be at least 1")
     rows = channel.rows
@@ -122,7 +117,6 @@ def _kl_shifted(base: np.ndarray, diff: np.ndarray) -> np.ndarray:
     only quadratically; a truncated series handles |u| below 1e-2. Entries
     with base == 0 must have diff == 0 and are left out of the sum.
     """
-    import numpy as np
     mask = base > 0.0
     b = base[mask]
     # C order, so that each row sums in numpy's pairwise order for a 1-D array
@@ -153,7 +147,6 @@ def _scan_many(mu, muK, K, directions, fracs) -> tuple[np.ndarray, np.ndarray]:
     run along contiguous rows in numpy's pairwise order, and d @ K is taken
     one row at a time, since a batched product may sum in another order.
     """
-    import numpy as np
     directions = directions - directions.sum(axis=1)[:, None] * mu
     neg = directions < 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -197,7 +190,6 @@ def eta_numeric(mu, channel: DiscreteChannel) -> ContractionEstimate:
     ContractionEstimate
         kind ``numeric_lower_estimate`` with the best ratio and its argmax.
     """
-    import numpy as np
     mu = _validated_pmf(mu.probs if isinstance(mu, DiscreteDistribution) else mu, "input")
     if mu.size > 16:
         raise DistributionError("numeric search is limited to alphabets of size 16")
@@ -318,7 +310,6 @@ def _beta_cdf_int(a: int, b: int, x: float) -> float:
 
 def _beta_density_coeffs(n: int, s: int) -> np.ndarray:
     """Monomial coefficients of (n+1) C(n,s) w^s (1-w)^{n-s}."""
-    import numpy as np
     coeffs = np.zeros(n + 1)
     lead = (n + 1) * math.comb(n, s)
     for j in range(n - s + 1):
@@ -328,7 +319,6 @@ def _beta_density_coeffs(n: int, s: int) -> np.ndarray:
 
 def _beta_tv(n: int, s: int, sp: int) -> float:
     """Total variation between Beta(s+1, n-s+1) and Beta(sp+1, n-sp+1)."""
-    import numpy as np
     diff = _beta_density_coeffs(n, s) - _beta_density_coeffs(n, sp)
     roots = np.polynomial.polynomial.polyroots(diff)
     cuts = [0.0]

@@ -26,15 +26,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
-# numpy is imported inside the functions that build arrays, so that the
-# closed-form commands start without it
-if TYPE_CHECKING:
-    import numpy as np
-
-from .info import DiscreteChannel, DiscreteDistribution, DistributionError, entropy
+from .info import (DiscreteChannel, DiscreteDistribution, DistributionError,
+                   _Numpy, entropy)
 from .scenarios import ScenarioReport, ScenarioSpec
+
+np = _Numpy(globals())
 
 __all__ = [
     "BLOCK",
@@ -82,12 +80,10 @@ class SimulationResult:
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:
     """Counter-based substream for block ``block`` of a run seeded with seed."""
-    import numpy as np
     return np.random.Generator(np.random.Philox(key=seed + (block << 64)))
 
 
 def _aggregate(distortions: np.ndarray, config: SimulationConfig) -> SimulationResult:
-    import numpy as np
     risk = float(np.mean(distortions))
     if config.replications > 1:
         ci = 1.96 * float(np.std(distortions, ddof=1)) / math.sqrt(config.replications)
@@ -99,13 +95,11 @@ def _aggregate(distortions: np.ndarray, config: SimulationConfig) -> SimulationR
 
 def _cell_index(values: np.ndarray, cells: int) -> np.ndarray:
     """Index of each value's cell among ``cells`` equal cells of [0, 1]."""
-    import numpy as np
     return np.minimum(np.floor(values * cells), cells - 1)
 
 
 def _quantize_midpoint(values: np.ndarray, bits: float) -> np.ndarray:
     """Uniform quantization of [0, 1] to the midpoint of each value's cell."""
-    import numpy as np
     # 2.0 ** bits overflows from bits = 1024 on, and 2^1023 cells already move
     # no value in [0, 1] by more than 2^-1024
     cells = round(2.0 ** bits) if bits < 1024 else 2 ** 1023
@@ -118,11 +112,28 @@ def _repeated_bits(sent: np.ndarray, looks: int, eps: float,
                    rng: np.random.Generator) -> np.ndarray:
     """Majority decode of the ``sent`` bits, each repeated ``looks`` times over
     a BSC(eps); only the flip count of each bit is drawn."""
-    import numpy as np
     flips = rng.binomial(looks, eps, size=sent.shape)
     ones = np.where(sent, looks - flips, flips)
     # ties go to 0, which only matters for an even number of looks
     return 2 * ones > looks
+
+
+def _posterior_mean_error(spec: ScenarioSpec, rng: np.random.Generator,
+                          shape: int | tuple, samples: int) -> np.ndarray:
+    """W ~ N(0, var_w) minus its posterior mean given the mean of ``samples``
+    observations, which is all the estimator reads: N(w, var_noise / samples)."""
+    w = math.sqrt(spec.var_w) * rng.standard_normal(shape)
+    mean = w + math.sqrt(spec.var_noise / samples) * rng.standard_normal(shape)
+    shrink = spec.var_w / (spec.var_w + spec.var_noise / samples)
+    return w - shrink * mean
+
+
+def _quantized_mean_error(spec: ScenarioSpec, rng: np.random.Generator,
+                          size: int, bits: float) -> np.ndarray:
+    """|W - the midpoint of the mean's cell at ``bits`` bits| for W ~ U[0, 1],
+    when the estimator reads the mean of n Bern(W) bits, Bin(n, W) / n."""
+    w = rng.random(size)
+    return np.abs(w - _quantize_midpoint(rng.binomial(spec.n, w) / spec.n, bits))
 
 
 # ---------------------------------------------------------------------------
@@ -131,12 +142,7 @@ def _repeated_bits(sent: np.ndarray, looks: int, eps: float,
 
 def _sample_gauss_gauss(spec: ScenarioSpec, rng: np.random.Generator,
                         size: int) -> np.ndarray:
-    import numpy as np
-    w = math.sqrt(spec.var_w) * rng.standard_normal(size)
-    # the estimator reads only the sample mean, N(w, var_noise / n)
-    mean = w + math.sqrt(spec.var_noise / spec.n) * rng.standard_normal(size)
-    shrink = spec.var_w / (spec.var_w + spec.var_noise / spec.n)
-    return np.abs(w - shrink * mean)
+    return np.abs(_posterior_mean_error(spec, rng, size, spec.n))
 
 
 def _sample_bsc_bit(spec: ScenarioSpec, rng: np.random.Generator,
@@ -150,12 +156,11 @@ def _sample_bsc_bit(spec: ScenarioSpec, rng: np.random.Generator,
 
 def _sample_bern_bsc(spec: ScenarioSpec, rng: np.random.Generator,
                      size: int) -> np.ndarray:
-    import numpy as np
-    w = rng.random(size)
-    k = rng.binomial(spec.n, w)
     if not spec.eps:
         # a noiseless link carries the sample mean's midpoint cell
-        return np.abs(w - _quantize_midpoint(k / spec.n, spec.b))
+        return _quantized_mean_error(spec, rng, size, spec.b)
+    w = rng.random(size)
+    k = rng.binomial(spec.n, w)
     num_bits = max(int(math.ceil(math.log2(spec.n + 1))), 1)
     whole = spec.b >= num_bits
     # the count's bits if b bits carry it, else its floor(b)-bit midpoint cell
@@ -180,7 +185,6 @@ def _sample_bern_bsc(spec: ScenarioSpec, rng: np.random.Generator,
 
 def _sample_xor_oneproc(spec: ScenarioSpec, rng: np.random.Generator,
                         size: int) -> np.ndarray:
-    import numpy as np
     # any single processor's stream is fair coin flips whatever w is, so the
     # best the estimator can do is the prior centroid; the stream is never read
     return np.abs(rng.random(size) - 0.5)
@@ -188,21 +192,15 @@ def _sample_xor_oneproc(spec: ScenarioSpec, rng: np.random.Generator,
 
 def _sample_xor_colocated(spec: ScenarioSpec, rng: np.random.Generator,
                           size: int) -> np.ndarray:
-    import numpy as np
-    w = rng.random(size)
-    # the column parities are i.i.d. Bern(w), so their mean is Bin(n, w) / n
-    z_mean = rng.binomial(spec.n, w) / spec.n
-    return np.abs(w - _quantize_midpoint(z_mean, spec.m * spec.b))
+    # the column parities are i.i.d. Bern(w), and m b bits carry their mean
+    return _quantized_mean_error(spec, rng, size, spec.m * spec.b)
 
 
 def _sample_gauss_multi(spec: ScenarioSpec, rng: np.random.Generator,
                         size: int) -> np.ndarray:
-    total = spec.m * spec.n
-    w = math.sqrt(spec.var_w) * rng.standard_normal((size, spec.d))
-    # the mean of the m local means is the pooled mean, N(w, var_noise / mn)
-    pooled = w + math.sqrt(spec.var_noise / total) * rng.standard_normal((size, spec.d))
-    shrink = spec.var_w / (spec.var_w + spec.var_noise / total)
-    return ((w - shrink * pooled) ** 2).sum(axis=1)
+    # the mean of the m local means is the pooled mean of all m n samples
+    error = _posterior_mean_error(spec, rng, (size, spec.d), spec.m * spec.n)
+    return (error ** 2).sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -236,7 +234,6 @@ SCHEMES = {
 
 
 def _distortions(config: SimulationConfig, scheme: Scheme) -> np.ndarray:
-    import numpy as np
     reps = config.replications
     return np.concatenate([
         scheme.sample(config.spec, _block_rng(config.seed, block),
@@ -289,7 +286,6 @@ def exact_chain_mi(prior: DiscreteDistribution, stages: list[DiscreteChannel],
     output-tuple law, so the output alphabet to the power T must stay at or
     below 2^20.
     """
-    import numpy as np
     if uses < 0:
         raise DistributionError("use count cannot be negative")
     if uses == 0:

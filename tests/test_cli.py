@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import warnings
 
 import pytest
 
@@ -408,6 +409,17 @@ def test_non_finite_bound_exits_2(argv, capsys):
     code, out, err = run(argv, capsys)
     assert (code, out) == (2, "")
     assert "exceeds the float range" in err or "leaves the float range" in err
+
+
+def test_gauss_ball_overflowing_sample_mean_warns_nothing(capsys):
+    # a noise variance near the float limit overflows the squared sample
+    # mean, whose ball mass is then 0, the limit: nothing to warn about
+    argv = ["scenario", "gauss-ball", "--d", "1", "--n", "1", "--reps", "2000",
+            "--var-noise", "2e307", "--seed", "0"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, err = run(argv, capsys)
+    assert (code, err, caught) == (0, "", [])
 
 
 @pytest.mark.parametrize("argv", [

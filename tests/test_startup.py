@@ -1,12 +1,14 @@
 """The CLI starts without numpy or scipy. The closed-form commands (bounds
 other than Theorem 1, scenarios without Monte Carlo, figures) load neither;
 numpy is loaded on first use by the commands that build arrays, such as
-``simulate``. Only the Monte Carlo ball mass of ``scenario gauss-ball --reps``
+``simulate``: each module reads it through its own global ``np``, a handle
+whose first attribute read imports numpy and rebinds that global to numpy
+itself. Only the Monte Carlo ball mass of ``scenario gauss-ball --reps``
 loads scipy.special, and nothing loads scipy.stats.
 
-Each case runs in a fresh interpreter, since this test session has numpy and
-scipy loaded already. Wall times are not asserted; the module set is the
-contract.
+Each command case runs in a fresh interpreter, since this test session has
+numpy and scipy loaded already. Wall times are not asserted; the module set
+is the contract.
 """
 import json
 import os
@@ -82,3 +84,12 @@ def test_scipy_special_only_where_needed(argv):
     loaded = modules_after(argv)
     assert "scipy.special" in loaded
     assert "scipy.stats" not in loaded
+
+
+def test_numpy_handle_rebinds_to_numpy_on_first_use():
+    import numpy
+
+    from bayeslb import info, sdpi
+    sdpi.dobrushin(info.bsc(0.1))
+    # later reads go to numpy through an ordinary module global
+    assert sdpi.np is numpy
