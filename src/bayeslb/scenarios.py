@@ -280,7 +280,13 @@ def _posterior_mass_in_ball(spec: ScenarioSpec, reps: int, seed: int) -> np.ndar
     # gives mass 0: the limit for a mean that far outside a smaller ball
     with np.errstate(over="ignore"):
         noncentrality = n * (xbar * xbar).sum(axis=1) / sigma2
-    return chndtr(a * a * n / sigma2, d, noncentrality)
+    threshold = a * a * n / sigma2
+    mass = chndtr(threshold, d, noncentrality)
+    if np.isnan(mass).any():
+        raise DistributionError(
+            f"the ball threshold a^2 n / sigma^2 = {threshold:.3g} is beyond the "
+            "range of scipy.special.chndtr, whose posterior mass is NaN from about 1e19")
+    return mass
 
 
 def scenario_gauss_ball(spec: ScenarioSpec, reps: int | None = None,

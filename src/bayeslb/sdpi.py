@@ -105,10 +105,12 @@ def pairwise_ratio_bound(channel: DiscreteChannel, n: int = 1) -> PairwiseRatioB
 
 _LN2 = math.log(2.0)
 _RESTARTS = 8  # restart r of the ascent in ``eta_numeric`` draws from default_rng(r)
+_BLOCK = 8192
 
 
-def _kl_shifted(base: np.ndarray, diff: np.ndarray) -> np.ndarray:
-    """D(base + diff || base) in bits along the last axis, for mass-preserving diff.
+def _kl_shifted(base: np.ndarray, diff: np.ndarray, split: int) -> tuple[np.ndarray, np.ndarray]:
+    """D(base + diff || base) in bits along the last axis, over base[:split]
+    and over base[split:] apart, for diff that preserves the mass of each part.
 
     Evaluates the Bregman form sum_i base_i * g(diff_i / base_i) with
     g(u) = (1+u) log1p(u) - u, which equals the divergence whenever ``diff``
@@ -119,6 +121,7 @@ def _kl_shifted(base: np.ndarray, diff: np.ndarray) -> np.ndarray:
     """
     mask = base > 0.0
     b = base[mask]
+    cut = int(mask[:split].sum())
     # C order, so that each row sums in numpy's pairwise order for a 1-D array
     u = np.ascontiguousarray(diff[..., mask]) / b
     small = np.abs(u) <= 1e-2
@@ -128,24 +131,20 @@ def _kl_shifted(base: np.ndarray, diff: np.ndarray) -> np.ndarray:
         1.0 / 12.0 - us * (1.0 / 20.0 - us * (1.0 / 30.0 - us / 42.0)))))
     ub = np.where(small | dead, 0.0, u)
     g = np.where(small, series, np.where(dead, 1.0, (1.0 + ub) * np.log1p(ub) - ub))
-    return (b * g).sum(axis=-1) / _LN2
-
-
-def _scan(mu, muK, K, direction, fracs) -> tuple[float, float]:
-    """Best ratio D(nu K || mu K) / D(nu || mu) over nu = mu + t d, with d the
-    mass-preserving part of ``direction`` and t each of ``fracs`` times the
-    longest feasible step; returns (ratio, t) for the first maximal step, or
-    (-inf, 0) if no step moves nu."""
-    ratios, steps = _scan_many(mu, muK, K, direction[None], fracs)
-    return float(ratios[0]), steps[0]
+    terms = b * g
+    return terms[..., :cut].sum(axis=-1) / _LN2, terms[..., cut:].sum(axis=-1) / _LN2
 
 
 def _scan_many(mu, muK, K, directions, fracs) -> tuple[np.ndarray, np.ndarray]:
-    """``_scan`` of each row of ``directions``, scored as one (R, T, k) array.
+    """Best ratio D(nu K || mu K) / D(nu || mu) over nu = mu + t d, for each
+    row of ``directions``, scored as one (R, T, k) array.
 
-    Row r of the result is bit for bit what ``_scan`` gives for row r: sums
-    run along contiguous rows in numpy's pairwise order, and d @ K is taken
-    one row at a time, since a batched product may sum in another order.
+    d is the mass-preserving part of the row and t each of ``fracs`` times
+    the longest feasible step. Returns, per row, the ratio and t of the
+    first maximal step, or (-inf, 0) if no step moves nu. Row r of the
+    result is bit for bit what a one-row call gives: sums run along
+    contiguous rows in numpy's pairwise order, and d @ K is taken one row
+    at a time, since a batched product may sum in another order.
     """
     directions = directions - directions.sum(axis=1)[:, None] * mu
     neg = directions < 0.0
@@ -156,9 +155,11 @@ def _scan_many(mu, muK, K, directions, fracs) -> tuple[np.ndarray, np.ndarray]:
     ok = (t_max > 0.0) & np.isfinite(directions).all(axis=1)
     steps = fracs * np.where(ok, t_max, 0.0)[:, None]
     moved = np.where(ok[:, None], directions, 0.0)
-    din = _kl_shifted(mu, steps[:, :, None] * moved[:, None])
     out = np.array([d @ K for d in moved])
-    dout = _kl_shifted(muK, steps[:, :, None] * out[:, None])
+    # one pass scores D(nu || mu) and D(nu K || mu K) side by side
+    din, dout = _kl_shifted(np.concatenate([mu, muK]),
+                            steps[:, :, None] * np.concatenate([moved, out], axis=1)[:, None],
+                            mu.size)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = dout / din
     ratios = np.where((din > 0.0) & ~np.isnan(ratios), ratios, -math.inf)
@@ -166,6 +167,17 @@ def _scan_many(mu, muK, K, directions, fracs) -> tuple[np.ndarray, np.ndarray]:
     rows = np.arange(best.size)
     ratio = ratios[rows, best]
     return ratio, np.where(ratio == -math.inf, 0.0, steps[rows, best])
+
+
+def _scan_blocks(mu, muK, K, directions, fracs) -> tuple[np.ndarray, np.ndarray]:
+    """``_scan_many`` in blocks of at most ``_BLOCK`` elements (R * T * k):
+    each call costs a fixed numpy overhead, and blocks larger than that
+    fall out of cache and score slower per row."""
+    rows = max(1, _BLOCK // (fracs.size * mu.size))
+    parts = [_scan_many(mu, muK, K, directions[i:i + rows], fracs)
+             for i in range(0, len(directions), rows)]
+    return (np.concatenate([ratios for ratios, _ in parts]),
+            np.concatenate([steps for _, steps in parts]))
 
 
 def eta_numeric(mu, channel: DiscreteChannel) -> ContractionEstimate:
@@ -211,11 +223,7 @@ def eta_numeric(mu, channel: DiscreteChannel) -> ContractionEstimate:
                                  (eye[:, None] - eye[None])[~np.eye(k, dtype=bool)],
                                  (np.sqrt(mu)[:, None] * U[:, 1:]).T])
 
-    best, best_dir, best_t = -math.inf, None, 0.0
-    for direction in candidates:
-        r, t = _scan(mu, muK, K, direction, t_grid)
-        if r > best:
-            best, best_dir, best_t = r, direction, t
+    scores, steps = _scan_blocks(mu, muK, K, candidates, t_grid)
 
     # each restart keeps its own generator, acceptance, step and stop, so
     # the lockstep changes only how the trials are scored, not which win
@@ -251,12 +259,16 @@ def eta_numeric(mu, channel: DiscreteChannel) -> ContractionEstimate:
                 active.remove(r)
         if not active:
             break
-    for v in vs:
-        r, t = _scan(mu, muK, K, v, t_grid)
-        if r > best:
-            best, best_dir, best_t = r, v, t
-
-    argmax = mu + best_t * (best_dir - best_dir.sum() * mu) if best_dir is not None else None
+    # the first maximal candidate wins, then the first maximal restart
+    directions = np.concatenate([candidates, vs])
+    final_scores, final_steps = _scan_blocks(mu, muK, K, directions[len(candidates):], t_grid)
+    scores = np.concatenate([scores, final_scores])
+    i = int(np.argmax(scores))
+    best = float(scores[i])
+    argmax = None
+    if best > -math.inf:
+        t = np.concatenate([steps, final_steps])[i]
+        argmax = mu + t * (directions[i] - directions[i].sum() * mu)
     value = min(max(best, 0.0), 1.0)
     return ContractionEstimate(value, "numeric_lower_estimate",
                                "mixture-path scan with restarts", argmax)

@@ -266,8 +266,8 @@ def _kl_shifted_1d(base, diff) -> float:
 
 
 def scan_step_by_step(mu, muK, K, direction, fracs):
-    """``sdpi._scan`` as a loop over steps with a strict ``>``, so the first
-    maximal step wins; returns (ratio, step)."""
+    """One row of ``sdpi._scan_many`` as a loop over steps with a strict ``>``,
+    so the first maximal step wins; returns (ratio, step)."""
     direction = direction - direction.sum() * mu
     neg = direction < 0.0
     t_max = float((mu[neg] / -direction[neg]).min()) if np.any(neg) else 1.0

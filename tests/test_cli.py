@@ -422,6 +422,19 @@ def test_gauss_ball_overflowing_sample_mean_warns_nothing(capsys):
     assert (code, err, caught) == (0, "", [])
 
 
+def test_gauss_ball_nan_ball_mass_exits_2(capsys):
+    # scipy.special.chndtr returns NaN once the ball threshold a^2 n / sigma^2
+    # reaches about 1e19; counted as misses, those draws pulled p_hat to 0
+    argv = ["scenario", "gauss-ball", "--d", "2", "--n", "1", "--reps", "200",
+            "--seed", "0", "--radius"]
+    code, out, err = run(argv + ["1e20"], capsys)
+    assert (code, out) == (2, "")
+    assert "chndtr" in err and "Traceback" not in err
+    code, out, _ = run(argv + ["1e5"], capsys)
+    assert code == 0
+    assert any(row.startswith("derived,p_hat,1,") for row in data_rows(out))
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "bern-bsc", "--n", "10", "--b", "2000", "--eps", "0"],
     ["simulate", "xor-colocated", "--m", "2", "--n", "16", "--b", "600"],

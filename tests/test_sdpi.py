@@ -87,11 +87,13 @@ def test_scan_matches_the_step_by_step_loop(k, outputs):
     directions = np.array([*(np.eye(k) - mu), *rng.standard_normal((20, k)),
                            np.zeros(k), np.full(k, np.nan)])
     for grid in (fracs, fracs[::4]):
-        one_by_one = [sdpi._scan(mu, mu @ rows, rows, d, grid) for d in directions]
+        one_by_one = [tuple(x[0].item() for x in sdpi._scan_many(mu, mu @ rows, rows, d[None], grid))
+                      for d in directions]
         assert one_by_one == [oracles.scan_step_by_step(mu, mu @ rows, rows, d, grid)
                               for d in directions]
-        ratios, steps = sdpi._scan_many(mu, mu @ rows, rows, directions, grid)
-        assert list(zip(ratios.tolist(), steps.tolist())) == one_by_one
+        for scan in (sdpi._scan_many, sdpi._scan_blocks):
+            ratios, steps = scan(mu, mu @ rows, rows, directions, grid)
+            assert list(zip(ratios.tolist(), steps.tolist())) == one_by_one
 
 
 def _seeded_pair(k, outputs=None):
