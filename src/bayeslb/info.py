@@ -581,6 +581,7 @@ def _newton_direction(K, r, q, per_input, lower):
     basis = np.linalg.svd(np.ones((1, m)))[2][1:].T
     curvature, axes = np.linalg.eigh(basis.T @ hessian @ basis)
     slope = axes.T @ (basis.T @ per_input[inputs])
+    # relative to the strongest curvature; below it I(r) is linear to working precision
     flat = curvature >= -1e-12 * np.abs(curvature).max()
     step = basis @ (axes @ np.where(flat, 0.0, slope / -np.where(flat, -1.0, curvature)))
     drift = basis @ (axes @ np.where(flat, slope, 0.0))
@@ -611,7 +612,7 @@ def _newton_move(K, evaluate, r, point):
     edge = int(np.argmin(ratios))
     inside = float(ratios[edge])
     alpha = 1.0
-    for _ in range(60):
+    for _ in range(60):  # lengths far below any that can still raise I(r)
         if alpha > inside:
             trial_in = _project_to_simplex(r_in + alpha * step)
         else:

@@ -87,7 +87,8 @@ def test_scan_matches_the_step_by_step_loop(k, outputs):
     directions = np.array([*(np.eye(k) - mu), *rng.standard_normal((20, k)),
                            np.zeros(k), np.full(k, np.nan)])
     for grid in (fracs, fracs[::4]):
-        one_by_one = [tuple(x[0].item() for x in sdpi._scan_many(mu, mu @ rows, rows, d[None], grid))
+        one_by_one = [tuple(x[0].item()
+                            for x in sdpi._scan_many(mu, mu @ rows, rows, d[None], grid))
                       for d in directions]
         assert one_by_one == [oracles.scan_step_by_step(mu, mu @ rows, rows, d, grid)
                               for d in directions]
