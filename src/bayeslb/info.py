@@ -587,7 +587,12 @@ def _newton_direction(K, r, q, per_input, lower):
     drift = basis @ (axes @ np.where(flat, slope, 0.0))
     out = drift < 0.0
     if out.any():
-        step += float((r[inputs][out] / -drift[out]).min()) * drift
+        # to the first boundary the drift meets, or further if that one is
+        # an input of negligible mass; the projection clips the overshoot
+        step += max(float((r[inputs][out] / -drift[out]).min()),
+                    1.0 / float(np.abs(drift).max())) * drift
+    if not np.isfinite(step).all():
+        return inputs, None
     return inputs, step
 
 
@@ -597,7 +602,8 @@ def _newton_move(K, evaluate, r, point):
 
     ``point`` is ``evaluate(r)``: (q, D(K_x || q) per input, I(r), the
     upper end). A step longer than the longest one inside the simplex is
-    also tried at exactly that length, which zeroes one input. Near the
+    also tried at exactly that length, which zeroes one input. A length is
+    taken only if no output loses more than half its probability. Near the
     optimum I(r) stops rising in floating point before the upper end stops
     falling, so a step that keeps I(r) and lowers the upper end also counts.
     """
@@ -623,9 +629,8 @@ def _newton_move(K, evaluate, r, point):
         trial = np.zeros_like(r)
         trial[inputs] = trial_in
         found = evaluate(trial)
-        # an output that some input reaches must keep positive probability,
-        # or the divergence of that input would be infinite
-        if (found[0][reached] > 0.0).all() and (
+        # the quadratic model misses the log barrier of an output running dry
+        if (found[0][reached] >= 0.5 * q[reached]).all() and (
                 found[2] > lower or (found[2] == lower and found[3] < upper)):
             return trial, found
         alpha = inside if alpha > inside > alpha / 2.0 else alpha / 2.0
@@ -639,9 +644,13 @@ def _capacity_bracket(K: np.ndarray, tol: float) -> tuple[float, float, int]:
     Each iteration takes a Newton step (``_newton_move``) and then one
     Blahut-Arimoto step. Before the latter, an input at exactly zero whose
     D(K_x || q) exceeds I(r) gets a small mass back, since the
-    multiplicative update cannot revive it. After a Newton step is refused,
-    the next 1, 2, 4, ... iterations skip Newton, so a channel where Newton
-    never helps costs few more evaluations than plain Blahut-Arimoto.
+    multiplicative update cannot revive it. After a Newton step that is
+    refused, or that leaves the bracket more than twice as wide, the next
+    1, 2, 4, ... iterations skip Newton, and any other step resets that
+    wait to 1. Past the 200th iteration Newton is tried only at iterations
+    256, 512, 1 024, ...: every channel it helps has closed its bracket by
+    then, so a channel it does not help costs about what plain
+    Blahut-Arimoto does.
     """
     mask = K > 0.0
     logK = np.zeros_like(K)
@@ -663,11 +672,13 @@ def _capacity_bracket(K: np.ndarray, tol: float) -> tuple[float, float, int]:
             return point[2], point[3], iteration - 1
         if wait > 0:
             wait -= 1
-        else:
+        elif iteration <= 200 or iteration & (iteration - 1) == 0:
             moved = _newton_move(K, evaluate, r, point)
-            if moved is None:
+            if moved is None or moved[1][3] - moved[1][2] > 2.0 * (point[3] - point[2]):
                 wait, skip = skip, 2 * skip
             else:
+                skip = 1
+            if moved is not None:
                 r, point = moved
                 if point[3] - point[2] <= tol:
                     return point[2], point[3], iteration

@@ -320,6 +320,23 @@ def test_capacity_iteration_closes_the_bracket_in_few_iterations():
         assert iterations <= 50
 
 
+@pytest.mark.parametrize("inputs, outputs, seeds", [(10, 2, (0, 67, 72)),
+                                                     (12, 12, (45, 49, 129))],
+                         ids=["10x2", "12x12"])
+def test_capacity_iteration_closes_the_bracket_on_near_deterministic_channels(
+        inputs, outputs, seeds):
+    # Dirichlet(0.03) rows hold entries down to 1e-100 and near-duplicate
+    # rows: plain Blahut-Arimoto ends its 100 000 steps on the 10 x 2 ones
+    # with a bracket of about 1e-6, and a Newton step that lets an output
+    # run dry, or stops at a row of negligible mass, stalls
+    for seed in seeds:
+        rows = np.random.default_rng([seed, inputs, outputs]).dirichlet(
+            np.full(outputs, 0.03), size=inputs)
+        lower, upper, iterations = info._capacity_bracket(rows, 1e-9)
+        assert upper - lower <= 1e-9
+        assert iterations <= 50
+
+
 @pytest.mark.parametrize("inputs, outputs", [(3, 5), (5, 3), (16, 4), (4, 16)])
 def test_capacity_bounds_the_information_of_every_input_law(inputs, outputs):
     rng = np.random.default_rng([inputs, outputs])
