@@ -568,8 +568,9 @@ def _newton_direction(K, r, q, per_input, lower):
     The Hessian -(1/ln 2) K diag(1/q) K^T is taken on an orthonormal basis of
     the mass-preserving moves and inverted where it curves (a min-norm
     solve). Along a direction it leaves flat (dependent rows) I(r) is
-    linear, so the step also follows the slope there, up to the boundary of
-    the simplex; without that, channels with more inputs than outputs stall.
+    linear, so the step also follows the slope there, at least to the first
+    boundary of the simplex it meets; without that, channels with more
+    inputs than outputs stall.
     """
     inputs = (r > 0.0) | (per_input > lower)
     m = int(inputs.sum())
@@ -611,7 +612,6 @@ def _newton_move(K, evaluate, r, point):
     inputs, step = _newton_direction(K, r, q, per_input, lower)
     if step is None:
         return None
-    reached = (K > 0.0).any(axis=0)
     r_in = r[inputs]
     shrink = step < 0.0
     ratios = np.where(shrink, r_in, math.inf) / -np.where(shrink, step, -1.0)
@@ -630,7 +630,7 @@ def _newton_move(K, evaluate, r, point):
         trial[inputs] = trial_in
         found = evaluate(trial)
         # the quadratic model misses the log barrier of an output running dry
-        if (found[0][reached] >= 0.5 * q[reached]).all() and (
+        if (found[0] >= 0.5 * q).all() and (
                 found[2] > lower or (found[2] == lower and found[3] < upper)):
             return trial, found
         alpha = inside if alpha > inside > alpha / 2.0 else alpha / 2.0
@@ -668,20 +668,21 @@ def _capacity_bracket(K: np.ndarray, tol: float) -> tuple[float, float, int]:
     point = evaluate(r)
     wait, skip = 0, 1
     for iteration in range(1, 100_001):
-        if point[3] - point[2] <= tol:
+        width = point[3] - point[2]
+        if width <= tol:
             return point[2], point[3], iteration - 1
         if wait > 0:
             wait -= 1
         elif iteration <= 200 or iteration & (iteration - 1) == 0:
             moved = _newton_move(K, evaluate, r, point)
-            if moved is None or moved[1][3] - moved[1][2] > 2.0 * (point[3] - point[2]):
-                wait, skip = skip, 2 * skip
-            else:
-                skip = 1
             if moved is not None:
                 r, point = moved
                 if point[3] - point[2] <= tol:
                     return point[2], point[3], iteration
+            if moved is None or point[3] - point[2] > 2.0 * width:
+                wait, skip = skip, 2 * skip
+            else:
+                skip = 1
         _, per_input, lower, upper = point
         revive = (r == 0.0) & (per_input > lower)
         if revive.any():
