@@ -103,21 +103,22 @@ def _seeded_pair(k, outputs=None):
     return mu, DiscreteChannel(rng.dirichlet(np.ones(outputs or k), size=k))
 
 
-# eta_numeric values, and a SHA-256 prefix of the argmax bytes, as the
-# scalar per-step search with one restart after another computed them
+# eta_numeric values, and a SHA-256 prefix of the argmax bytes, as the scan
+# followed by mirror ascent computes them; none is below the value the earlier
+# coordinate-ascent restarts gave by more than 1e-12
 PINNED_ETA = {
-    "bsc-0.1": (lambda: (FAIR, bsc(0.1)), "0x1.47ae147ae1323p-1", "b27b8205cf6e4858"),
+    "bsc-0.1": (lambda: (FAIR, bsc(0.1)), "0x1.47ae147ae1323p-1", "979c727444412bf3"),
     "bsc-0.25": (lambda: (FAIR, bsc(0.25)), "0x1.ffffffffffb9bp-3", "979c727444412bf3"),
     "bsc-0.4": (lambda: (FAIR, bsc(0.4)), "0x1.47ae147ae10e0p-5", "b27b8205cf6e4858"),
     "bec-0.1": (lambda: (FAIR, bec(0.1)), "0x1.cccccccccccf5p-1", "518d6f1a8047a539"),
-    "bec-0.25": (lambda: (FAIR, bec(0.25)), "0x1.8000000000056p-1", "9561b7d647f757d5"),
-    "bec-0.4": (lambda: (FAIR, bec(0.4)), "0x1.3333333333377p-1", "9561b7d647f757d5"),
-    "dirichlet-k2": (lambda: _seeded_pair(2), "0x1.82a089727d885p-9", "a0c01a06f0d57ea8"),
-    "dirichlet-k4": (lambda: _seeded_pair(4), "0x1.4e764d6db0738p-2", "df705da6809d36f2"),
-    "dirichlet-k8": (lambda: _seeded_pair(8), "0x1.3642289b797f4p-2", "f941260e1b0ab8ed"),
-    "dirichlet-k16": (lambda: _seeded_pair(16), "0x1.38cf4e9b0b6b0p-2", "3b61b5289e816dda"),
-    "dirichlet-3x5": (lambda: _seeded_pair(3, outputs=5), "0x1.803f24972bd60p-2",
-                      "7984405694f753eb"),
+    "bec-0.25": (lambda: (FAIR, bec(0.25)), "0x1.8000000000036p-1", "a1b11019eefc3aa5"),
+    "bec-0.4": (lambda: (FAIR, bec(0.4)), "0x1.333333333334ep-1", "71163c1df553d874"),
+    "dirichlet-k2": (lambda: _seeded_pair(2), "0x1.82af4820d1131p-9", "9551f84bd53f266d"),
+    "dirichlet-k4": (lambda: _seeded_pair(4), "0x1.4e972eacc30c8p-2", "7d5bc5b11efa6ba7"),
+    "dirichlet-k8": (lambda: _seeded_pair(8), "0x1.38d9dfe319137p-2", "33a76b426e0667cb"),
+    "dirichlet-k16": (lambda: _seeded_pair(16), "0x1.3e880985bd80fp-2", "718b879452733201"),
+    "dirichlet-3x5": (lambda: _seeded_pair(3, outputs=5), "0x1.822c91e65d656p-2",
+                      "fca564eef76cae32"),
 }
 
 
