@@ -358,3 +358,27 @@ def sample_xor_block(w: float, m: int, n: int, rng: np.random.Generator) -> np.n
     block[:m - 1] = (rng.random((m - 1, n)) < 0.5).astype(np.int64)
     block[m - 1] = np.bitwise_xor(block[:m - 1].sum(axis=0) % 2, parity)
     return block
+
+
+def _pmf_mp(p) -> list:
+    """``p`` at 50 digits, rescaled to sum to exactly 1."""
+    p = [mpmath.mpf(float(x)) for x in p]
+    total = mpmath.fsum(p)
+    return [x / total for x in p]
+
+
+def kl_pair_mp(mu, rows, nu) -> tuple[float, float]:
+    """D(nu || mu) and D(nu K || mu K) in bits, each the plain sum of
+    p log2(p / q) at 50 digits. nu and mu are first rescaled to sum to 1: a
+    float pmf misses 1 by about 1e-16, which would move a divergence of
+    1e-12 by 1e-4."""
+    nu, mu = _pmf_mp(nu), _pmf_mp(mu)
+
+    def push(p):
+        return [mpmath.fsum(px * mpmath.mpf(float(rows[x][y])) for x, px in enumerate(p))
+                for y in range(len(rows[0]))]
+
+    def kl(p, q):
+        return mpmath.fsum(pi * mpmath.log(pi / qi, 2) for pi, qi in zip(p, q) if pi > 0)
+
+    return float(kl(nu, mu)), float(kl(push(nu), push(mu)))

@@ -15,6 +15,9 @@ import oracles
 
 FAIR = DiscreteDistribution(np.array([0.5, 0.5]))
 
+# eta_numeric guards its own logs and divisions: no RuntimeWarning may escape
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 @pytest.mark.parametrize("eps", [0.0, 0.1, 0.25, 0.4, 0.5])
 def test_eta_bsc_closed_form(eps):
@@ -47,9 +50,19 @@ def test_eta_numeric_bec():
 
 
 def test_eta_numeric_deterministic():
-    a = eta_numeric(FAIR, bsc(0.3))
-    b = eta_numeric(FAIR, bsc(0.3))
-    assert a.value == b.value
+    """Equal inputs give equal values and argmax bytes, whatever the state of
+    numpy's global generator, on a square and a non-square channel."""
+    state = np.random.get_state()
+    try:
+        for case in (lambda: (FAIR, bsc(0.3)), lambda: _seeded_pair(3, outputs=5)):
+            np.random.seed(1)
+            a = eta_numeric(*case())
+            np.random.seed(2)
+            b = eta_numeric(*case())
+            assert a.value.hex() == b.value.hex()
+            assert a.argmax.tobytes() == b.argmax.tobytes()
+    finally:
+        np.random.set_state(state)
 
 
 def _eta_chi2(mu, rows) -> float:
@@ -128,6 +141,78 @@ def test_eta_numeric_values_are_pinned(name):
     est = eta_numeric(*case())
     assert est.value.hex() == value
     assert hashlib.sha256(est.argmax.tobytes()).hexdigest()[:16] == argmax
+
+
+def _rng0_3x4():
+    rng = np.random.default_rng(0)
+    mu = rng.dirichlet(np.ones(3))
+    return mu, DiscreteChannel(rng.dirichlet(np.ones(4), size=3))
+
+
+def _assert_argmax_scores_value(mu, channel, est):
+    """The argmax is a pmf other than mu, and its ratio, recomputed from two
+    plain divergences, is the value."""
+    nu = est.argmax
+    assert np.all(nu >= 0.0) and abs(nu.sum() - 1.0) <= 1e-12
+    din, dout = oracles.kl_pair_mp(getattr(mu, "probs", mu), channel.rows, nu)
+    assert din > 0.0
+    assert abs(dout / din - est.value) <= 1e-9 * est.value
+
+
+# a search that drifts onto nu = mu scores the ratio of rounding noise: on
+# rng0-3x4, whose Dobrushin coefficient is 0.55, such a search reported 0.98
+@pytest.mark.parametrize("name", [*PINNED_ETA, "rng0-3x4"])
+def test_eta_numeric_argmax_scores_its_value(name):
+    mu, channel = _rng0_3x4() if name == "rng0-3x4" else PINNED_ETA[name][0]()
+    est = eta_numeric(mu, channel)
+    _assert_argmax_scores_value(mu, channel, est)
+    assert est.value <= dobrushin(channel).value + 1e-12
+
+
+def _corpus_pair(k, i):
+    """Channel i of the regression corpus: k - 1 to k + 2 outputs, rows from
+    Dirichlet(1), Dirichlet(0.3) or near-deterministic Dirichlet(0.03), an
+    output no input reaches when i % 4 == 3, and mu from Dirichlet(1 or 4)."""
+    rng = np.random.default_rng([16, k, i])
+    rows = rng.dirichlet(np.full(max(2, k - 1 + i % 4), (1.0, 0.3, 0.03)[i % 3]), size=k)
+    if i % 4 == 3:
+        rows[:, 0] = 0.0
+        rows /= rows.sum(axis=1, keepdims=True)
+    return rng.dirichlet(np.full(k, 4.0 if i % 2 else 1.0)), DiscreteChannel(rows)
+
+
+# eta_numeric(*_corpus_pair(k, i)) for i = 0..7, computed at the commit before
+# mirror ascent replaced the coordinate-ascent restarts; the ascent falls
+# short of none of them
+CORPUS_ETA = {
+    2: ["0x1.3130ee52b0eaep-2", "0x1.086d60305f466p-4", "0x1.ffffffffa110ep-1",
+        "0x1.3689150e17328p-7", "0x1.aec468ddaa4fep-4", "0x1.fffffffffffcfp-1",
+        "0x1.01c83e1a6ac38p-4", "0x1.a5a8ec29f2a6fp-3"],
+    3: ["0x1.bbc4ce5d750dap-2", "0x1.b80f8cf1b93fbp-1", "0x1.fde250452a105p-1",
+        "0x1.1276f11cd3e0cp-3", "0x1.068dc6ca96723p-2", "0x1.fffdd480bda58p-1",
+        "0x1.56b5d9728acafp-2", "0x1.1584f18333a35p-1"],
+    4: ["0x1.7c67df611550bp-3", "0x1.20b3df534da9ep-1", "0x1.feb552adca254p-1",
+        "0x1.9e9524d466af5p-3", "0x1.d2ffc4e41beedp-1", "0x1.2adf5270f93cdp-4",
+        "0x1.0dc2553aa303ep-2", "0x1.b18372db027f2p-1"],
+    8: ["0x1.5fa23491e2c0dp-2", "0x1.e8dd6fac05509p-2", "0x1.fd6d6e4500854p-1",
+        "0x1.f005ea1452b04p-3", "0x1.c0e13e0cb8d2dp-2", "0x1.d32240f164698p-1",
+        "0x1.9622457b2edbcp-2", "0x1.3c5e0f7a268a7p-1"],
+    16: ["0x1.10edb0d431d74p-2", "0x1.49089506db13cp-1", "0x1.f7a1a00686244p-1",
+         "0x1.e084d8c7f7841p-3", "0x1.d631228d490c4p-2", "0x1.ec15e894f4bf9p-1",
+         "0x1.2cfa4939ee39dp-2", "0x1.d39e5d620b3c7p-2"],
+}
+
+
+@pytest.mark.parametrize("k", CORPUS_ETA)
+def test_eta_numeric_keeps_the_corpus_values(k):
+    """No earlier value is lost, and each lies between the chi-square and the
+    Dobrushin coefficient, at the tolerances of the bound-pipeline check."""
+    for i, pinned in enumerate(CORPUS_ETA[k]):
+        mu, channel = _corpus_pair(k, i)
+        est = eta_numeric(mu, channel)
+        assert est.value >= float.fromhex(pinned) - 1e-9, i
+        assert _eta_chi2(mu, channel.rows) - 1e-6 <= est.value <= dobrushin(channel).value + 1e-12
+        _assert_argmax_scores_value(mu, channel, est)
 
 
 def test_pairwise_ratio_bound_bsc049():
