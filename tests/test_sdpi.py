@@ -122,23 +122,36 @@ def _rng0_3x4():
     return mu, DiscreteChannel(rng.dirichlet(np.ones(4), size=3))
 
 
+def _boundary_3x5():
+    """A 3x5 channel with an unreached output whose optimum lies about 1e-4
+    from the vertex e_0, on the simplex's boundary."""
+    rng = np.random.default_rng([18, 3, 31])
+    rows = rng.dirichlet(np.full(5, 0.3), size=3)
+    rows[:, 0] = 0.0
+    rows /= rows.sum(axis=1, keepdims=True)
+    return rng.dirichlet(np.ones(3)), DiscreteChannel(rows)
+
+
 # eta_numeric values, and a SHA-256 prefix of the argmax bytes, as the scan
-# followed by mirror ascent computes them; none is below the value the earlier
-# coordinate-ascent restarts gave by more than 1e-12
+# toward the vertices and along both signs of each chi-square direction,
+# followed by mirror ascent from its best points nudged 1e-6 toward mu,
+# computes them; none is below the value the earlier scan with coordinate-pair
+# rays gave by more than 1e-12
 PINNED_ETA = {
     "bsc-0.1": (lambda: (FAIR, bsc(0.1)), "0x1.47ae147ae1323p-1", "979c727444412bf3"),
     "bsc-0.25": (lambda: (FAIR, bsc(0.25)), "0x1.ffffffffffb9bp-3", "979c727444412bf3"),
-    "bsc-0.4": (lambda: (FAIR, bsc(0.4)), "0x1.47ae147ae10e0p-5", "b27b8205cf6e4858"),
-    "bec-0.1": (lambda: (FAIR, bec(0.1)), "0x1.cccccccccccf5p-1", "518d6f1a8047a539"),
+    "bsc-0.4": (lambda: (FAIR, bsc(0.4)), "0x1.47ae147ae10e0p-5", "979c727444412bf3"),
+    "bec-0.1": (lambda: (FAIR, bec(0.1)), "0x1.cccccccccccdbp-1", "580f71e530c941eb"),
     "bec-0.25": (lambda: (FAIR, bec(0.25)), "0x1.8000000000036p-1", "a1b11019eefc3aa5"),
-    "bec-0.4": (lambda: (FAIR, bec(0.4)), "0x1.333333333334ep-1", "71163c1df553d874"),
+    "bec-0.4": (lambda: (FAIR, bec(0.4)), "0x1.333333333334ep-1", "518d6f1a8047a539"),
     "dirichlet-k2": (lambda: _seeded_pair(2), "0x1.82af4820d1131p-9", "9551f84bd53f266d"),
-    "dirichlet-k4": (lambda: _seeded_pair(4), "0x1.4e972eacc30c8p-2", "7d5bc5b11efa6ba7"),
+    "dirichlet-k4": (lambda: _seeded_pair(4), "0x1.4e972eacc30dcp-2", "8e86c5f1f86ae994"),
     "dirichlet-k8": (lambda: _seeded_pair(8), "0x1.38d9dfe319137p-2", "33a76b426e0667cb"),
-    "dirichlet-k16": (lambda: _seeded_pair(16), "0x1.3e880985bd80fp-2", "718b879452733201"),
-    "dirichlet-3x5": (lambda: _seeded_pair(3, outputs=5), "0x1.822c91e65d656p-2",
-                      "fca564eef76cae32"),
-    "rng0-3x4": (_rng0_3x4, "0x1.5d3bab7bdd878p-3", "53a6dab3539c4342"),
+    "dirichlet-k16": (lambda: _seeded_pair(16), "0x1.3e880985bd80fp-2", "db41f4c020d025cf"),
+    "dirichlet-3x5": (lambda: _seeded_pair(3, outputs=5), "0x1.822c91e65d65dp-2",
+                      "df643a9d84f375d4"),
+    "rng0-3x4": (_rng0_3x4, "0x1.5d3bab7bdd857p-3", "bb5235db4c91e910"),
+    "boundary-3x5": (_boundary_3x5, "0x1.b19fe74705992p-2", "26a8f9d4bca32d2f"),
 }
 
 
@@ -209,11 +222,37 @@ def test_eta_numeric_keeps_the_corpus_values(k):
     """No earlier value is lost, and each lies between the chi-square and the
     Dobrushin coefficient, at the tolerances of the bound-pipeline check."""
     for i, pinned in enumerate(CORPUS_ETA[k]):
-        mu, channel = _corpus_pair(k, i)
-        est = eta_numeric(mu, channel)
-        assert est.value >= float.fromhex(pinned) - 1e-9, i
-        assert _eta_chi2(mu, channel.rows) - 1e-6 <= est.value <= dobrushin(channel).value + 1e-12
-        _assert_argmax_scores_value(mu, channel, est)
+        _assert_keeps_value(*_corpus_pair(k, i), pinned)
+
+
+def _assert_keeps_value(mu, channel, pinned):
+    est = eta_numeric(mu, channel)
+    assert est.value >= float.fromhex(pinned) - 1e-9
+    assert _eta_chi2(mu, channel.rows) - 1e-6 <= est.value <= dobrushin(channel).value + 1e-12
+    _assert_argmax_scores_value(mu, channel, est)
+
+
+def test_eta_numeric_keeps_the_boundary_optimum():
+    """The value the coordinate-pair rays found on boundary-3x5; mirror ascent
+    reaches it only from a start nudged off the simplex's face, since a
+    multiplicative step cannot grow a zero entry (without the nudge it falls
+    1.7e-5 short)."""
+    _assert_keeps_value(*_boundary_3x5(), "0x1.b19fe74705992p-2")
+
+
+def test_candidate_scan_is_linear_in_the_alphabet(monkeypatch):
+    """The candidate scan hands ``_scan_blocks`` the k vertex rays and both
+    signs of the k - 1 chi-square directions: at most 3k rows, not the
+    k(k - 1) coordinate pairs."""
+    rows, scan = [], sdpi._scan_blocks
+
+    def counting(mu, muK, K, directions, fracs):
+        rows.append(len(directions))
+        return scan(mu, muK, K, directions, fracs)
+
+    monkeypatch.setattr(sdpi, "_scan_blocks", counting)
+    eta_numeric(*_seeded_pair(16))
+    assert 0 < rows[0] <= 3 * 16
 
 
 def test_pairwise_ratio_bound_bsc049():
