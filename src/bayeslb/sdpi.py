@@ -113,9 +113,10 @@ _BLOCK = 8192
 _FLOOR = 1e-12
 
 
-def _kl_shifted(base: np.ndarray, diff: np.ndarray, split: int) -> tuple[np.ndarray, np.ndarray]:
-    """D(base + diff || base) in bits along the last axis, over base[:split]
-    and over base[split:] apart, for diff that preserves the mass of each part.
+def _kl_shifted(base: np.ndarray, split: int):
+    """The map diff -> D(base + diff || base) in bits along the last axis,
+    over base[:split] and over base[split:] apart, for diff that preserves
+    the mass of each part; what depends on ``base`` alone is built once.
 
     Evaluates the Bregman form sum_i base_i * g(diff_i / base_i) with
     g(u) = (1+u) log1p(u) - u, which equals the divergence whenever ``diff``
@@ -125,19 +126,21 @@ def _kl_shifted(base: np.ndarray, diff: np.ndarray, split: int) -> tuple[np.ndar
     with base == 0 must have diff == 0 and are left out of the sum.
     """
     mask = base > 0.0
-    b = base[mask]
-    cut = int(mask[:split].sum())
-    # C order, so that each row sums in numpy's pairwise order for a 1-D array
-    u = np.ascontiguousarray(diff[..., mask]) / b
-    small = np.abs(u) <= 1e-2
-    dead = u <= -1.0
-    us = np.where(small, u, 0.0)
-    series = us * us * (1.0 / 2.0 - us * (1.0 / 6.0 - us * (
-        1.0 / 12.0 - us * (1.0 / 20.0 - us * (1.0 / 30.0 - us / 42.0)))))
-    ub = np.where(small | dead, 0.0, u)
-    g = np.where(small, series, np.where(dead, 1.0, (1.0 + ub) * np.log1p(ub) - ub))
-    terms = b * g
-    return terms[..., :cut].sum(axis=-1) / _LN2, terms[..., cut:].sum(axis=-1) / _LN2
+    b, cut, every = base[mask], int(mask[:split].sum()), bool(mask.all())
+
+    def kl(diff) -> tuple[np.ndarray, np.ndarray]:
+        # C order, so that each row sums in numpy's pairwise order for a 1-D array
+        u = np.ascontiguousarray(diff if every else diff[..., mask]) / b
+        small = np.abs(u) <= 1e-2
+        dead = u <= -1.0
+        us = np.where(small, u, 0.0)
+        series = us * us * (1.0 / 2.0 - us * (1.0 / 6.0 - us * (
+            1.0 / 12.0 - us * (1.0 / 20.0 - us * (1.0 / 30.0 - us / 42.0)))))
+        ub = np.where(small | dead, 0.0, u)
+        g = np.where(small, series, np.where(dead, 1.0, (1.0 + ub) * np.log1p(ub) - ub))
+        terms = b * g
+        return terms[..., :cut].sum(axis=-1) / _LN2, terms[..., cut:].sum(axis=-1) / _LN2
+    return kl
 
 
 def _scan_many(mu, muK, K, directions, fracs) -> tuple[np.ndarray, np.ndarray]:
@@ -162,9 +165,8 @@ def _scan_many(mu, muK, K, directions, fracs) -> tuple[np.ndarray, np.ndarray]:
     moved = np.where(ok[:, None], directions, 0.0)
     out = np.array([d @ K for d in moved])
     # one pass scores D(nu || mu) and D(nu K || mu K) side by side
-    din, dout = _kl_shifted(np.concatenate([mu, muK]),
-                            steps[:, :, None] * np.concatenate([moved, out], axis=1)[:, None],
-                            mu.size)
+    din, dout = _kl_shifted(np.concatenate([mu, muK]), mu.size)(
+        steps[:, :, None] * np.concatenate([moved, out], axis=1)[:, None])
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = dout / din
     ratios = np.where((din > 0.0) & ~np.isnan(ratios), ratios, -math.inf)
@@ -195,10 +197,10 @@ def _ascend(mu, K, muK, nu) -> tuple[np.ndarray, np.ndarray]:
     else flips sign and halves (1e-8 <= |l| <= 1). Stops after 500
     iterations, or 10 that raised the best ratio at most 1e-12 relative.
     """
-    base, Ku, muKu = np.concatenate([mu, muK]), K[:, muK > 0.0], muK[muK > 0.0]
+    kl, Ku, muKu = _kl_shifted(np.concatenate([mu, muK]), mu.size), K[:, muK > 0.0], muK[muK > 0.0]
 
     def scores(nu):
-        din, dout = _kl_shifted(base, np.concatenate([nu - mu, (nu - mu) @ K], axis=1), mu.size)
+        din, dout = kl(np.concatenate([nu - mu, (nu - mu) @ K], axis=1))
         return np.where(din >= _FLOOR, dout / np.maximum(din, _FLOOR), -math.inf), din
 
     (f, din), S = scores(nu), len(nu)
@@ -217,8 +219,10 @@ def _ascend(mu, K, muK, nu) -> tuple[np.ndarray, np.ndarray]:
         lam *= np.where(ft[S:] > f, 2.0, -0.5)
         lam = np.copysign(np.clip(np.abs(lam), 1e-8, 1.0), lam)
         # per row, the first maximal of nu and its two trials
-        at = np.arange(S) + S * np.argmax(np.stack([f, ft[:S], ft[S:]]), axis=0)
-        nu, f, din = (np.concatenate([a, b])[at] for a, b in ((nu, trials), (f, ft), (din, dt)))
+        pick = np.argmax(np.stack([f, ft[:S], ft[S:]]), axis=0)
+        one, two = pick == 1, pick == 2
+        nu = np.where(one[:, None], trials[:S], np.where(two[:, None], trials[S:], nu))
+        f, din = (np.where(one, b[:S], np.where(two, b[S:], a)) for a, b in ((f, ft), (din, dt)))
         best.append(float(f.max()))
         if len(best) > 10 and not best[-1] > best[-11] * (1.0 + 1e-12):
             break
