@@ -66,9 +66,9 @@ def eta_bsc(eps: float) -> ContractionEstimate:
 
 
 def dobrushin(channel: DiscreteChannel) -> ContractionEstimate:
-    """Dobrushin coefficient: the largest total variation between two rows."""
+    """Dobrushin coefficient: the largest total variation between two rows, capped at 1."""
     rows = channel.rows
-    worst = 0.5 * float(np.abs(rows[:, None] - rows[None]).sum(axis=-1).max())
+    worst = min(0.5 * float(np.abs(rows[:, None] - rows[None]).sum(axis=-1).max()), 1.0)
     return ContractionEstimate(worst, "upper_bound", "dobrushin coefficient")
 
 

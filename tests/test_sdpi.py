@@ -29,6 +29,13 @@ def test_dobrushin_bsc_is_one_minus_two_eps():
     assert_allclose(dobrushin(bsc(0.2)).value, 0.6, rtol=0, atol=1e-15)
 
 
+def test_dobrushin_is_at_most_one_on_a_near_deterministic_channel():
+    """Half the rows' summed differences rounds to 1.0000000000000002 here."""
+    rows = np.random.default_rng(73).dirichlet(np.full(6, 0.01), size=4)
+    assert 0.5 * np.abs(rows[:, None] - rows[None]).sum(axis=-1).max() > 1.0
+    assert dobrushin(DiscreteChannel(rows)).value == 1.0
+
+
 def test_dobrushin_dominates_eta_numeric_on_bsc():
     est = eta_numeric(FAIR, bsc(0.2))
     assert est.value <= dobrushin(bsc(0.2)).value + 1e-9
