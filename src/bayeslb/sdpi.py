@@ -217,9 +217,9 @@ def _ascend(mu, K, muK, nu) -> tuple[np.ndarray, np.ndarray]:
         ft, dt = scores(trials)
         step *= np.where(ft[:S] > f, 2.0, 0.5)
         lam *= np.where(ft[S:] > f, 2.0, -0.5)
-        lam = np.copysign(np.clip(np.abs(lam), 1e-8, 1.0), lam)
+        lam = np.copysign(np.minimum(np.maximum(np.abs(lam), 1e-8), 1.0), lam)
         # per row, the first maximal of nu and its two trials
-        pick = np.argmax(np.stack([f, ft[:S], ft[S:]]), axis=0)
+        pick = np.concatenate([f, ft]).reshape(3, S).argmax(axis=0)
         one, two = pick == 1, pick == 2
         nu = np.where(one[:, None], trials[:S], np.where(two[:, None], trials[S:], nu))
         f, din = (np.where(one, b[:S], np.where(two, b[S:], a)) for a, b in ((f, ft), (din, dt)))
