@@ -130,8 +130,8 @@ def _rng0_3x4():
 
 
 def _boundary_3x5():
-    """A 3x5 channel with an unreached output whose optimum lies about 1e-4
-    from the vertex e_0, on the simplex's boundary."""
+    """A 3x5 channel with an unreached output whose best known point lies
+    about 1e-4 from the vertex e_0, next to a face of the simplex."""
     rng = np.random.default_rng([18, 3, 31])
     rows = rng.dirichlet(np.full(5, 0.3), size=3)
     rows[:, 0] = 0.0
