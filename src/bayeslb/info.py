@@ -107,10 +107,6 @@ class DiscreteDistribution:
     def size(self) -> int:
         return self.probs.size
 
-    @classmethod
-    def uniform(cls, k: int) -> "DiscreteDistribution":
-        return cls(np.full(k, 1.0 / k))
-
 
 @dataclass(frozen=True, eq=False)
 class DiscreteChannel:

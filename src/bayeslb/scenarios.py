@@ -598,8 +598,8 @@ def scenario_noisy_ceo(spec: ScenarioSpec, alpha: float) -> ScenarioReport:
     ``alpha`` is the per-letter distortion target; each of the m processors
     observes through a contraction of 1 and sends at an equal rate.
     """
-    if alpha <= 0.0:
-        raise DistributionError("distortion target must be positive")
+    if not 0.0 < alpha < math.inf:
+        raise DistributionError(f"distortion target must lie in (0, inf), not {alpha}")
     d, r = spec.d, spec.r
     eta_T, _ = _channel_profile(spec)
     h_w = differential_entropy(PriorSpec.gaussian(spec.var_w, d))

@@ -7,11 +7,12 @@ For an input distribution mu and channel K, the contraction coefficient is
 and eta(K) is its supremum over mu. Every estimate carries a ``kind`` tag:
 ``exact`` for closed forms, ``upper_bound`` for structural bounds (Dobrushin,
 the pairwise row ratio, the multi-use tensor bound), and
-``numeric_lower_estimate`` for ``eta_numeric``: a scan of mixture paths
-toward the vertices and along both signs of the chi-square directions, then
-mirror ascent on nu, from the best of them nudged toward mu, that skips
-D(nu || mu) < 1e-12 bits. Both score feasible mixtures only, so the estimate
-can only undershoot the supremum.
+``numeric_lower_estimate`` for ``eta_numeric``: mirror ascent on nu that
+skips D(nu || mu) < 1e-12 bits, started where a scan of mixture paths toward
+the vertices and along both signs of the chi-square directions scores best.
+Scan and ascent score through one ratio kernel, the value is the ascent's
+best end, and every point is a feasible mixture, so the estimate can only
+undershoot the supremum.
 """
 from __future__ import annotations
 
@@ -107,30 +108,31 @@ def pairwise_ratio_bound(channel: DiscreteChannel, n: int = 1) -> PairwiseRatioB
 
 
 _LN2 = math.log(2.0)
-_BLOCK = 8192
-# the ascent scores no nu with D(nu || mu) below this many bits, about where a
-# step of 1e-6 toward a vertex lands: nearer mu, nu - mu is rounding noise
+# no nu with D(nu || mu) below this many bits is scored, about where a step
+# of 1e-6 toward a vertex lands: nearer mu, nu - mu is rounding noise
 _FLOOR = 1e-12
 
 
-def _kl_shifted(base: np.ndarray, split: int):
-    """The map diff -> D(base + diff || base) in bits along the last axis,
-    over base[:split] and over base[split:] apart, for diff that preserves
-    the mass of each part; what depends on ``base`` alone is built once.
+def _ratio(mu, K):
+    """The map diff -> (D(nu K || mu K) / D(nu || mu), D(nu || mu) in bits)
+    for nu = mu + diff along the last axis, with the ratio -inf where
+    D(nu || mu) < ``_FLOOR``; what depends on mu and K alone is built once.
 
-    Evaluates the Bregman form sum_i base_i * g(diff_i / base_i) with
-    g(u) = (1+u) log1p(u) - u, which equals the divergence whenever ``diff``
-    sums to zero. Each summand is nonnegative and of order diff^2, so there
-    is no cancellation, and residual mass error from floating point enters
-    only quadratically; a truncated series handles |u| below 1e-2. Entries
-    with base == 0 must have diff == 0 and are left out of the sum.
+    Evaluates each D(base + diff || base) in the Bregman form
+    sum_i base_i * g(diff_i / base_i) with g(u) = (1+u) log1p(u) - u, which
+    equals the divergence whenever ``diff`` sums to zero. Each summand is
+    nonnegative and of order diff^2, so there is no cancellation, and
+    residual mass error from floating point enters only quadratically; a
+    truncated series handles |u| below 1e-2. Entries with base == 0, such as
+    outputs no input reaches, must have diff == 0 and are left out of the sum.
     """
+    base = np.concatenate([mu, mu @ K])
     mask = base > 0.0
-    b, cut, every = base[mask], int(mask[:split].sum()), bool(mask.all())
+    b, cut, every = base[mask], int(mask[:mu.size].sum()), bool(mask.all())
 
-    def kl(diff) -> tuple[np.ndarray, np.ndarray]:
-        # C order, so that each row sums in numpy's pairwise order for a 1-D array
-        u = np.ascontiguousarray(diff if every else diff[..., mask]) / b
+    def ratio(diff) -> tuple[np.ndarray, np.ndarray]:
+        u = np.concatenate([diff, diff @ K], axis=-1)
+        u = (u if every else u[..., mask]) / b
         small = np.abs(u) <= 1e-2
         dead = u <= -1.0
         us = np.where(small, u, 0.0)
@@ -139,71 +141,24 @@ def _kl_shifted(base: np.ndarray, split: int):
         ub = np.where(small | dead, 0.0, u)
         g = np.where(small, series, np.where(dead, 1.0, (1.0 + ub) * np.log1p(ub) - ub))
         terms = b * g
-        return terms[..., :cut].sum(axis=-1) / _LN2, terms[..., cut:].sum(axis=-1) / _LN2
-    return kl
+        din, dout = terms[..., :cut].sum(axis=-1) / _LN2, terms[..., cut:].sum(axis=-1) / _LN2
+        return np.where(din >= _FLOOR, dout / np.maximum(din, _FLOOR), -math.inf), din
+    return ratio
 
 
-def _scan_many(mu, muK, K, directions, fracs) -> tuple[np.ndarray, np.ndarray]:
-    """Best ratio D(nu K || mu K) / D(nu || mu) over nu = mu + t d, for each
-    row of ``directions``, scored as one (R, T, k) array.
-
-    d is the mass-preserving part of the row and t each of ``fracs`` times
-    the longest feasible step. Returns, per row, the ratio and t of the
-    first maximal step, or (-inf, 0) if no step moves nu. Row r of the
-    result is bit for bit what a one-row call gives: sums run along
-    contiguous rows in numpy's pairwise order, and d @ K is taken one row
-    at a time, since a batched product may sum in another order.
-    """
-    directions = directions - directions.sum(axis=1)[:, None] * mu
-    neg = directions < 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_max = np.where(neg, mu / -directions, math.inf).min(axis=1)
-    t_max = np.where(neg.any(axis=1), t_max, 1.0)
-    # a direction that cannot move nu scans as zero steps, so its ratios are -inf
-    ok = (t_max > 0.0) & np.isfinite(directions).all(axis=1)
-    steps = fracs * np.where(ok, t_max, 0.0)[:, None]
-    moved = np.where(ok[:, None], directions, 0.0)
-    out = np.array([d @ K for d in moved])
-    # one pass scores D(nu || mu) and D(nu K || mu K) side by side
-    din, dout = _kl_shifted(np.concatenate([mu, muK]), mu.size)(
-        steps[:, :, None] * np.concatenate([moved, out], axis=1)[:, None])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = dout / din
-    ratios = np.where((din > 0.0) & ~np.isnan(ratios), ratios, -math.inf)
-    best = np.argmax(ratios, axis=1)
-    rows = np.arange(best.size)
-    ratio = ratios[rows, best]
-    return ratio, np.where(ratio == -math.inf, 0.0, steps[rows, best])
-
-
-def _scan_blocks(mu, muK, K, directions, fracs) -> tuple[np.ndarray, np.ndarray]:
-    """``_scan_many`` in blocks of at most ``_BLOCK`` elements (R * T * k):
-    each call costs a fixed numpy overhead, and blocks larger than that
-    fall out of cache and score slower per row."""
-    rows = max(1, _BLOCK // (fracs.size * mu.size))
-    parts = [_scan_many(mu, muK, K, directions[i:i + rows], fracs)
-             for i in range(0, len(directions), rows)]
-    return (np.concatenate([ratios for ratios, _ in parts]),
-            np.concatenate([steps for _, steps in parts]))
-
-
-def _ascend(mu, K, muK, nu) -> tuple[np.ndarray, np.ndarray]:
-    """Mirror ascent of D(nu K || mu K) / D(nu || mu) from each row of ``nu``;
-    returns each end's nu - mu and ratio, or 0 and -inf if below the floor,
-    as a zero direction scans as -inf. Each iteration scores two trials per
+def _ascend(mu, K, ratio, nu) -> tuple[np.ndarray, np.ndarray]:
+    """Mirror ascent of D(nu K || mu K) / D(nu || mu) from each row of ``nu``,
+    scored by ``ratio``, the ``_ratio(mu, K)`` map; returns each end nu and
+    its ratio, -inf if below the floor. Each iteration scores two trials per
     row in one array, nu * exp(s grad) and mu + e^l (nu - mu), as the ratio
     is far flatter along the ray from mu than across it, and a row takes the
     best if it scores higher. s doubles on a rise, else halves; l doubles,
     else flips sign and halves (1e-8 <= |l| <= 1). Stops after 500
     iterations, or 10 that raised the best ratio at most 1e-12 relative.
     """
-    kl, Ku, muKu = _kl_shifted(np.concatenate([mu, muK]), mu.size), K[:, muK > 0.0], muK[muK > 0.0]
-
-    def scores(nu):
-        din, dout = kl(np.concatenate([nu - mu, (nu - mu) @ K], axis=1))
-        return np.where(din >= _FLOOR, dout / np.maximum(din, _FLOOR), -math.inf), din
-
-    (f, din), S = scores(nu), len(nu)
+    muK = mu @ K
+    Ku, muKu = K[:, muK > 0.0], muK[muK > 0.0]
+    (f, din), S = ratio(nu - mu), len(nu)
     step, lam, best = np.ones(S), np.full(S, 0.25), [float(f.max())]
     for _ in range(500):
         # the gradient up to a constant per row and a scale; log 0 is cut at -690
@@ -214,7 +169,7 @@ def _ascend(mu, K, muK, nu) -> tuple[np.ndarray, np.ndarray]:
         trials = np.concatenate([nu * np.exp(z - z.max(axis=1, keepdims=True)),
                                  np.maximum(mu + np.exp(lam)[:, None] * (nu - mu), 0.0)])
         trials /= trials.sum(axis=1, keepdims=True)
-        ft, dt = scores(trials)
+        ft, dt = ratio(trials - mu)
         step *= np.where(ft[:S] > f, 2.0, 0.5)
         lam *= np.where(ft[S:] > f, 2.0, -0.5)
         lam = np.copysign(np.minimum(np.maximum(np.abs(lam), 1e-8), 1.0), lam)
@@ -226,7 +181,7 @@ def _ascend(mu, K, muK, nu) -> tuple[np.ndarray, np.ndarray]:
         best.append(float(f.max()))
         if len(best) > 10 and not best[-1] > best[-11] * (1.0 + 1e-12):
             break
-    return np.where((f > -math.inf)[:, None], nu - mu, 0.0), f
+    return nu, f
 
 
 def eta_numeric(mu, channel: DiscreteChannel) -> ContractionEstimate:
@@ -236,12 +191,13 @@ def eta_numeric(mu, channel: DiscreteChannel) -> ContractionEstimate:
     Scans mixture paths from mu toward every vertex and along both signs of
     the principal chi-square directions (singular vectors of the divergence
     transition matrix, whose local KL ratio attains the chi-square
-    contraction; the SVD fixes no sign), at log-spaced steps: at most 3k
-    rays. Then runs mirror ascent (``_ascend``, no nu with D(nu || mu) <
-    1e-12 bits) from the 8 best points, each moved 1e-6 of the way to mu,
-    the k points (mu + e_x) / 2 and 4 Dirichlet(1) points from
-    default_rng(0), and scans each end's nu - mu too. All points are
-    feasible mixtures, so the value can only undershoot the supremum.
+    contraction; the SVD fixes no sign), at 60 log-spaced steps: at most 3k
+    rays. The scan only chooses where mirror ascent (``_ascend``, no nu with
+    D(nu || mu) < 1e-12 bits) starts: from its 8 best points, each moved
+    1e-6 of the way to mu, the k points (mu + e_x) / 2 and 4 Dirichlet(1)
+    points from default_rng(0). The value is the ascent's best end and the
+    argmax that end. Every point is a feasible mixture, so the value can
+    only undershoot the supremum.
     """
     mu = _validated_pmf(mu.probs if isinstance(mu, DiscreteDistribution) else mu, "input")
     if mu.size > 16:
@@ -251,36 +207,39 @@ def eta_numeric(mu, channel: DiscreteChannel) -> ContractionEstimate:
     if mu.size != channel.num_inputs:
         raise DistributionError("input distribution does not match channel")
     K, k = channel.rows, mu.size
-    muK = mu @ K
-    t_grid = np.geomspace(1e-6, 1.0, 60)
+    muK, ratio = mu @ K, _ratio(mu, K)
 
     # vertices, then the chi-square principal directions with both signs
     eye, used = np.eye(k), muK > 0.0
     A = (np.sqrt(mu)[:, None] * K[:, used]) / np.sqrt(muK[used])[None, :]
     U, _, _ = np.linalg.svd(A, full_matrices=False)
     chi = (np.sqrt(mu)[:, None] * U[:, 1:]).T
-    candidates = np.concatenate([eye - mu, chi, -chi])
-    scores, steps = _scan_blocks(mu, muK, K, candidates, t_grid)
-    points = np.maximum(mu + steps[:, None]
-                        * (candidates - candidates.sum(axis=1)[:, None] * mu), 0.0)
+    rays = np.concatenate([eye - mu, chi, -chi])
+    rays -= rays.sum(axis=1)[:, None] * mu
+    neg = rays < 0.0
+    with np.errstate(divide="ignore"):
+        t_max = np.where(neg, mu / -rays, math.inf).min(axis=1)
+    # a ray that cannot move nu scans as zero steps, so its ratios are -inf
+    steps = np.where(neg.any(axis=1), t_max, 0.0)[:, None] * np.geomspace(1e-6, 1.0, 60)
+    # blocks of at most 8 192 elements: each call costs a fixed numpy
+    # overhead, and larger blocks fall out of cache and raise peak memory
+    rows = max(1, 8192 // (steps.shape[1] * k))
+    scores = np.concatenate([ratio(steps[i:i + rows, :, None] * rays[i:i + rows, None])[0]
+                             for i in range(0, len(rays), rows)])
+    at = np.take_along_axis(steps, scores.argmax(axis=1)[:, None], axis=1)
+    points = np.maximum(mu + at * rays, 0.0)
 
     # a multiplicative step cannot grow a zero entry, so each scanned start
     # moves 1e-6 of the way to mu: one on a face of the simplex can leave it
-    top = points[np.argsort(-scores, kind="stable")[:8]]
+    top = points[np.argsort(-scores.max(axis=1), kind="stable")[:8]]
     starts = [top + 1e-6 * (mu - top), (mu + eye) / 2,
               np.random.default_rng(0).dirichlet(np.ones(k), 4)]
-    ends, ratios = _ascend(mu, K, muK, np.concatenate(starts))
-    polish, polish_steps = _scan_blocks(mu, muK, K, ends, t_grid)
-
-    # the first maximal point wins: scanned, then ascent ends, then polished
-    scores = np.concatenate([scores, ratios, polish])
-    points = np.concatenate([points, np.maximum(mu + np.concatenate(
-        [ends, polish_steps[:, None] * (ends - ends.sum(axis=1)[:, None] * mu)]), 0.0)])
-    i = int(np.argmax(scores))
-    best = float(scores[i])
+    ends, ratios = _ascend(mu, K, ratio, np.concatenate(starts))
+    i = int(np.argmax(ratios))
+    best = float(ratios[i])
     return ContractionEstimate(min(max(best, 0.0), 1.0), "numeric_lower_estimate",
                                "mixture-path scan, then mirror ascent above the floor",
-                               points[i] if best > -math.inf else None)
+                               ends[i] if best > -math.inf else None)
 
 
 # ---------------------------------------------------------------------------

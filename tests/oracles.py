@@ -248,8 +248,8 @@ def cell_repetition_risk(n: int, bits: int, eps: float, T: int) -> float:
 
 def _kl_shifted_1d(base, diff) -> float:
     """D(base + diff || base) in bits for one mass-preserving diff, one
-    vector at a time: the scalar form ``sdpi._kl_shifted`` must match bit
-    for bit (Bregman form, series below |u| = 1e-2, base == 0 left out)."""
+    vector at a time: the scalar form of each divergence in ``sdpi._ratio``
+    (Bregman form, series below |u| = 1e-2, base == 0 left out)."""
     mask = base > 0.0
     b = base[mask]
     u = diff[mask] / b
@@ -263,25 +263,6 @@ def _kl_shifted_1d(base, diff) -> float:
     ub = np.where(dead, 0.0, ub)
     g[~small] = np.where(dead, 1.0, (1.0 + ub) * np.log1p(ub) - ub)
     return float((b * g).sum()) / math.log(2.0)
-
-
-def scan_step_by_step(mu, muK, K, direction, fracs):
-    """One row of ``sdpi._scan_many`` as a loop over steps with a strict ``>``,
-    so the first maximal step wins; returns (ratio, step)."""
-    direction = direction - direction.sum() * mu
-    neg = direction < 0.0
-    t_max = float((mu[neg] / -direction[neg]).min()) if np.any(neg) else 1.0
-    if not t_max > 0.0 or not np.all(np.isfinite(direction)):
-        return -math.inf, 0.0
-    out_direction = direction @ K
-    best, best_t = -math.inf, 0.0
-    for frac in fracs:
-        t = frac * t_max
-        din = _kl_shifted_1d(mu, t * direction)
-        r = _kl_shifted_1d(muK, t * out_direction) / din if din > 0.0 else -math.inf
-        if r > best:
-            best, best_t = r, t
-    return best, best_t
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -369,13 +350,13 @@ def _pmf_mp(p) -> list:
 
 def kl_pair_mp(mu, rows, nu) -> tuple[float, float]:
     """D(nu || mu) and D(nu K || mu K) in bits, each the plain sum of
-    p log2(p / q) at 50 digits. nu and mu are first rescaled to sum to 1: a
-    float pmf misses 1 by about 1e-16, which would move a divergence of
-    1e-12 by 1e-4."""
-    nu, mu = _pmf_mp(nu), _pmf_mp(mu)
+    p log2(p / q) at 50 digits. nu, mu and each row of K are first rescaled
+    to sum to 1: a float pmf misses 1 by about 1e-16, which would move a
+    divergence of 1e-12 by 1e-4."""
+    nu, mu, rows = _pmf_mp(nu), _pmf_mp(mu), [_pmf_mp(row) for row in rows]
 
     def push(p):
-        return [mpmath.fsum(px * mpmath.mpf(float(rows[x][y])) for x, px in enumerate(p))
+        return [mpmath.fsum(px * rows[x][y] for x, px in enumerate(p))
                 for y in range(len(rows[0]))]
 
     def kl(p, q):

@@ -193,6 +193,14 @@ def test_scenario_ceo_requires_alpha(capsys):
     assert "alpha" in err
 
 
+@pytest.mark.parametrize("alpha", ["inf", "nan"])
+def test_scenario_ceo_rejects_non_finite_alpha(alpha, capsys):
+    code, out, err = run(["scenario", "ceo", "--alpha", alpha], capsys)
+    assert (code, out) == (2, "")
+    assert "Traceback" not in err
+    assert f"error: distortion target must lie in (0, inf), not {alpha}" in err
+
+
 def test_scenario_unknown_tag_exits_2(capsys):
     code, _, _ = run(["scenario", "nonesuch"], capsys)
     assert code == 2
