@@ -10,6 +10,7 @@ to zero and flagged, never silently returned.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -48,10 +49,15 @@ class BoundReport:
     infeasible: bool = False
 
 
+@functools.cache
 def _log_grid(lo: float, hi: float) -> np.ndarray:
+    """200 log-spaced points over [lo, hi], built once per pair of endpoints,
+    on first use, as a read-only array."""
     if not 0.0 < lo < hi:
         raise DistributionError("grid endpoints must satisfy 0 < lo < hi")
-    return np.geomspace(lo, hi, 200)
+    grid = np.geomspace(lo, hi, 200)
+    grid.flags.writeable = False
+    return grid
 
 
 def _golden_max(f, lo: float, hi: float) -> tuple[float, float]:

@@ -7,15 +7,18 @@ For an input distribution mu and channel K, the contraction coefficient is
 and eta(K) is its supremum over mu. Every estimate carries a ``kind`` tag:
 ``exact`` for closed forms, ``upper_bound`` for structural bounds (Dobrushin,
 the pairwise row ratio, the multi-use tensor bound), and
-``numeric_lower_estimate`` for ``eta_numeric``: mirror ascent on nu that
-skips D(nu || mu) < 1e-12 bits, started where a scan of mixture paths toward
-the vertices and along both signs of the chi-square directions scores best.
-Scan and ascent score through one ratio kernel, the value is the ascent's
-best end, and every point is a feasible mixture, so the estimate can only
-undershoot the supremum.
+``numeric_lower_estimate`` for ``eta_numeric``, which skips every nu with
+D(nu || mu) < 1e-12 bits. It scans mixture paths toward the vertices and
+along both signs of the chi-square directions. At two inputs these paths
+cover one segment through mu, and a line search on that segment gives the
+value; from three inputs up, mirror ascent on nu starts where the scan
+scores best, and its best end is the value. Everything scores through one
+ratio kernel, and every point is a feasible mixture, so the estimate can
+only undershoot the supremum.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -37,7 +40,6 @@ __all__ = [
     "pairwise_ratio_bound",
     "eta_numeric",
     "eta_multi_use",
-    "dobrushin_bern_uniform_posterior",
 ]
 
 _KIND_RANK = {"exact": 0, "upper_bound": 1, "numeric_lower_estimate": 2}
@@ -184,20 +186,86 @@ def _ascend(mu, K, ratio, nu) -> tuple[np.ndarray, np.ndarray]:
     return nu, f
 
 
+@functools.cache
+def _fractions() -> np.ndarray:
+    """The scan's 60 log-spaced fractions of each ray's longest step,
+    built once, on first use, as a read-only array."""
+    grid = np.geomspace(1e-6, 1.0, 60)
+    grid.flags.writeable = False
+    return grid
+
+
+def _scan(mu, K, ratio) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Scores, through ``ratio``, the mixture paths from mu toward every
+    vertex and along both signs of the principal chi-square directions
+    (singular vectors of the divergence transition matrix, whose local KL
+    ratio attains the chi-square contraction; the SVD fixes no sign), at 60
+    log-spaced steps up to each ray's longest: at most 3k rays. Returns the
+    mass-preserving rays, their (rays, 60) steps and the steps' ratios.
+    """
+    k, muK = mu.size, mu @ K
+    used = muK > 0.0
+    A = (np.sqrt(mu)[:, None] * K[:, used]) / np.sqrt(muK[used])[None, :]
+    U, _, _ = np.linalg.svd(A, full_matrices=False)
+    chi = (np.sqrt(mu)[:, None] * U[:, 1:]).T
+    rays = np.concatenate([np.eye(k) - mu, chi, -chi])
+    rays -= rays.sum(axis=1)[:, None] * mu
+    neg = rays < 0.0
+    with np.errstate(divide="ignore"):
+        t_max = np.where(neg, mu / -rays, math.inf).min(axis=1)
+    # a ray that cannot move nu scans as zero steps, so its ratios are -inf
+    steps = np.where(neg.any(axis=1), t_max, 0.0)[:, None] * _fractions()
+    # blocks of at most 8 192 elements: each call costs a fixed numpy
+    # overhead, and larger blocks fall out of cache and raise peak memory
+    rows = max(1, 8192 // (steps.shape[1] * k))
+    scores = np.concatenate([ratio(steps[i:i + rows, :, None] * rays[i:i + rows, None])[0]
+                             for i in range(0, len(rays), rows)])
+    return rays, steps, scores
+
+
+def _starts(mu, rays, steps, scores) -> np.ndarray:
+    """The mirror ascent's starts: the scan's 8 best points, each moved 1e-6
+    of the way to mu, since a multiplicative step cannot grow a zero entry
+    and a start on a face of the simplex must be able to leave it; the k
+    points (mu + e_x) / 2; and 4 Dirichlet(1) points from default_rng(0)."""
+    at = np.take_along_axis(steps, scores.argmax(axis=1)[:, None], axis=1)
+    points = np.maximum(mu + at * rays, 0.0)
+    top = points[np.argsort(-scores.max(axis=1), kind="stable")[:8]]
+    return np.concatenate([top + 1e-6 * (mu - top), (mu + np.eye(mu.size)) / 2,
+                           np.random.default_rng(0).dirichlet(np.ones(mu.size), 4)])
+
+
+def _line_search(mu, ratio, rays, steps, scores) -> tuple[np.ndarray, float]:
+    """At two inputs every ray lies on one segment through mu, so the best
+    scanned step's two neighbours bracket the search: 10 rounds each score
+    61 evenly spaced steps in one ``ratio`` call and narrow the bracket to
+    the neighbours of the round's best. Returns the best point seen, the
+    scanned step included, and its ratio."""
+    r, j = divmod(int(scores.argmax()), steps.shape[1])
+    ray, at, best = rays[r], steps[r, j], float(scores[r, j])
+    lo, hi = steps[r, j - 1] if j else 0.0, steps[r, min(j + 1, steps.shape[1] - 1)]
+    for _ in range(10):
+        t = np.linspace(lo, hi, 61)
+        f = ratio(t[:, None] * ray)[0]
+        i = int(f.argmax())
+        if f[i] > best:
+            at, best = t[i], float(f[i])
+        lo, hi = t[max(i - 1, 0)], t[min(i + 1, 60)]
+    return np.maximum(mu + at * ray, 0.0), best
+
+
 def eta_numeric(mu, channel: DiscreteChannel) -> ContractionEstimate:
     """Numeric lower estimate of eta(mu, K), with its argmax, for a
     full-support ``mu`` of up to 16 symbols.
 
-    Scans mixture paths from mu toward every vertex and along both signs of
-    the principal chi-square directions (singular vectors of the divergence
-    transition matrix, whose local KL ratio attains the chi-square
-    contraction; the SVD fixes no sign), at 60 log-spaced steps: at most 3k
-    rays. The scan only chooses where mirror ascent (``_ascend``, no nu with
-    D(nu || mu) < 1e-12 bits) starts: from its 8 best points, each moved
-    1e-6 of the way to mu, the k points (mu + e_x) / 2 and 4 Dirichlet(1)
-    points from default_rng(0). The value is the ascent's best end and the
-    argmax that end. Every point is a feasible mixture, so the value can
-    only undershoot the supremum.
+    Scans mixture paths toward the vertices and along both signs of the
+    chi-square directions (``_scan``); no nu with D(nu || mu) < 1e-12 bits
+    is scored. At two inputs these paths cover one segment through mu, and
+    a line search on it (``_line_search``) from the best scanned step gives
+    the value and the argmax. From three inputs up the scan only chooses
+    where mirror ascent (``_ascend``) starts (``_starts``), and the value is
+    the ascent's best end and the argmax that end. Every point is a
+    feasible mixture, so the value can only undershoot the supremum.
     """
     mu = _validated_pmf(mu.probs if isinstance(mu, DiscreteDistribution) else mu, "input")
     if mu.size > 16:
@@ -206,40 +274,18 @@ def eta_numeric(mu, channel: DiscreteChannel) -> ContractionEstimate:
         raise DistributionError("numeric search needs a full-support input")
     if mu.size != channel.num_inputs:
         raise DistributionError("input distribution does not match channel")
-    K, k = channel.rows, mu.size
-    muK, ratio = mu @ K, _ratio(mu, K)
-
-    # vertices, then the chi-square principal directions with both signs
-    eye, used = np.eye(k), muK > 0.0
-    A = (np.sqrt(mu)[:, None] * K[:, used]) / np.sqrt(muK[used])[None, :]
-    U, _, _ = np.linalg.svd(A, full_matrices=False)
-    chi = (np.sqrt(mu)[:, None] * U[:, 1:]).T
-    rays = np.concatenate([eye - mu, chi, -chi])
-    rays -= rays.sum(axis=1)[:, None] * mu
-    neg = rays < 0.0
-    with np.errstate(divide="ignore"):
-        t_max = np.where(neg, mu / -rays, math.inf).min(axis=1)
-    # a ray that cannot move nu scans as zero steps, so its ratios are -inf
-    steps = np.where(neg.any(axis=1), t_max, 0.0)[:, None] * np.geomspace(1e-6, 1.0, 60)
-    # blocks of at most 8 192 elements: each call costs a fixed numpy
-    # overhead, and larger blocks fall out of cache and raise peak memory
-    rows = max(1, 8192 // (steps.shape[1] * k))
-    scores = np.concatenate([ratio(steps[i:i + rows, :, None] * rays[i:i + rows, None])[0]
-                             for i in range(0, len(rays), rows)])
-    at = np.take_along_axis(steps, scores.argmax(axis=1)[:, None], axis=1)
-    points = np.maximum(mu + at * rays, 0.0)
-
-    # a multiplicative step cannot grow a zero entry, so each scanned start
-    # moves 1e-6 of the way to mu: one on a face of the simplex can leave it
-    top = points[np.argsort(-scores.max(axis=1), kind="stable")[:8]]
-    starts = [top + 1e-6 * (mu - top), (mu + eye) / 2,
-              np.random.default_rng(0).dirichlet(np.ones(k), 4)]
-    ends, ratios = _ascend(mu, K, ratio, np.concatenate(starts))
-    i = int(np.argmax(ratios))
-    best = float(ratios[i])
+    K, ratio = channel.rows, _ratio(mu, channel.rows)
+    rays, steps, scores = _scan(mu, K, ratio)
+    if mu.size == 2:
+        nu, best = _line_search(mu, ratio, rays, steps, scores)
+        how = "a line search on the scanned segment"
+    else:
+        ends, ratios = _ascend(mu, K, ratio, _starts(mu, rays, steps, scores))
+        i = int(np.argmax(ratios))
+        nu, best, how = ends[i], float(ratios[i]), "mirror ascent"
     return ContractionEstimate(min(max(best, 0.0), 1.0), "numeric_lower_estimate",
-                               "mixture-path scan, then mirror ascent above the floor",
-                               ends[i] if best > -math.inf else None)
+                               f"mixture-path scan, then {how} above the floor",
+                               nu if best > -math.inf else None)
 
 
 # ---------------------------------------------------------------------------
@@ -275,54 +321,3 @@ def eta_multi_use(eta_single, T: float) -> ContractionEstimate:
     kind = single.kind if T == 1 else max(single.kind, "upper_bound",
                                           key=_KIND_RANK.get)
     return ContractionEstimate(bound, kind, "tensor bound 1-(1-eta)^T")
-
-
-# ---------------------------------------------------------------------------
-# exact posterior-channel Dobrushin coefficient for the Bernoulli bias model
-
-
-def _beta_cdf_int(a: int, b: int, x: float) -> float:
-    """CDF of Beta(a, b) with integer parameters: P[Bin(a+b-1, x) >= a]."""
-    m = a + b - 1
-    return float(sum(math.comb(m, j) * x ** j * (1.0 - x) ** (m - j)
-                     for j in range(a, m + 1)))
-
-
-def _beta_density_coeffs(n: int, s: int) -> np.ndarray:
-    """Monomial coefficients of (n+1) C(n,s) w^s (1-w)^{n-s}."""
-    coeffs = np.zeros(n + 1)
-    lead = (n + 1) * math.comb(n, s)
-    for j in range(n - s + 1):
-        coeffs[s + j] = lead * math.comb(n - s, j) * (-1) ** j
-    return coeffs
-
-
-def _beta_tv(n: int, s: int, sp: int) -> float:
-    """Total variation between Beta(s+1, n-s+1) and Beta(sp+1, n-sp+1)."""
-    diff = _beta_density_coeffs(n, s) - _beta_density_coeffs(n, sp)
-    roots = np.polynomial.polynomial.polyroots(diff)
-    cuts = [0.0]
-    for r in roots:
-        if abs(r.imag) < 1e-9 and 1e-12 < r.real < 1.0 - 1e-12:
-            cuts.append(float(r.real))
-    cuts.append(1.0)
-    cuts.sort()
-    gap = [
-        _beta_cdf_int(s + 1, n - s + 1, x) - _beta_cdf_int(sp + 1, n - sp + 1, x)
-        for x in cuts
-    ]
-    return 0.5 * float(sum(abs(b - a) for a, b in zip(gap, gap[1:])))
-
-
-def dobrushin_bern_uniform_posterior(n: int) -> float:
-    """Dobrushin coefficient of the posterior channel of a uniform Bernoulli bias.
-
-    With W uniform on [0, 1] and n conditionally independent bits, the
-    posterior given a sample with s ones is Beta(s+1, n-s+1); the coefficient
-    is the largest total variation between two such rows, computed exactly
-    via polynomial root isolation (the value is 1 - 2^{-n}, attained by the
-    all-zeros and all-ones samples).
-    """
-    if n < 1:
-        raise DistributionError("sample count must be at least 1")
-    return max(_beta_tv(n, s, sp) for s in range(n + 1) for sp in range(s + 1, n + 1))

@@ -116,6 +116,53 @@ def beta_posterior_tv_extremes(n: int) -> float:
     return 0.5 * val
 
 
+def _beta_cdf_int(a: int, b: int, x: float) -> float:
+    """CDF of Beta(a, b) with integer parameters: P[Bin(a+b-1, x) >= a]."""
+    m = a + b - 1
+    return float(sum(math.comb(m, j) * x ** j * (1.0 - x) ** (m - j)
+                     for j in range(a, m + 1)))
+
+
+def _beta_density_coeffs(n: int, s: int) -> np.ndarray:
+    """Monomial coefficients of (n+1) C(n,s) w^s (1-w)^{n-s}."""
+    coeffs = np.zeros(n + 1)
+    lead = (n + 1) * math.comb(n, s)
+    for j in range(n - s + 1):
+        coeffs[s + j] = lead * math.comb(n - s, j) * (-1) ** j
+    return coeffs
+
+
+def _beta_tv(n: int, s: int, sp: int) -> float:
+    """Total variation between Beta(s+1, n-s+1) and Beta(sp+1, n-sp+1)."""
+    diff = _beta_density_coeffs(n, s) - _beta_density_coeffs(n, sp)
+    roots = np.polynomial.polynomial.polyroots(diff)
+    cuts = [0.0]
+    for r in roots:
+        if abs(r.imag) < 1e-9 and 1e-12 < r.real < 1.0 - 1e-12:
+            cuts.append(float(r.real))
+    cuts.append(1.0)
+    cuts.sort()
+    gap = [
+        _beta_cdf_int(s + 1, n - s + 1, x) - _beta_cdf_int(sp + 1, n - sp + 1, x)
+        for x in cuts
+    ]
+    return 0.5 * float(sum(abs(b - a) for a, b in zip(gap, gap[1:])))
+
+
+def dobrushin_bern_uniform_posterior(n: int) -> float:
+    """Dobrushin coefficient of the posterior channel of a uniform Bernoulli bias.
+
+    With W uniform on [0, 1] and n conditionally independent bits, the
+    posterior given a sample with s ones is Beta(s+1, n-s+1); the coefficient
+    is the largest total variation between two such rows, computed exactly
+    via polynomial root isolation (the value is 1 - 2^{-n}, attained by the
+    all-zeros and all-ones samples).
+    """
+    if n < 1:
+        raise ValueError("sample count must be at least 1")
+    return max(_beta_tv(n, s, sp) for s in range(n + 1) for sp in range(s + 1, n + 1))
+
+
 def mmae_gauss(sd: float) -> float:
     """Mean absolute value of a centered Gaussian with standard deviation sd."""
     return sd * math.sqrt(2.0 / math.pi)
@@ -350,9 +397,18 @@ def _pmf_mp(p) -> list:
 
 def kl_pair_mp(mu, rows, nu) -> tuple[float, float]:
     """D(nu || mu) and D(nu K || mu K) in bits, each the plain sum of
-    p log2(p / q) at 50 digits. nu, mu and each row of K are first rescaled
-    to sum to 1: a float pmf misses 1 by about 1e-16, which would move a
-    divergence of 1e-12 by 1e-4."""
+    p log2(p / q) at 50 digits more than the smallest positive entry's
+    decimal exponent. nu, mu and each row of K are first rescaled to sum to
+    1: a float pmf misses 1 by about 1e-16, which would move a divergence of
+    1e-12 by 1e-4. The extra digits keep the sum exact when an entry of
+    1e-55 next to 1 makes the divergence as small as that entry."""
+    tiny = min(float(x) for x in np.concatenate([np.ravel(mu), np.ravel(rows), np.ravel(nu)])
+               if x > 0.0)
+    with mpmath.workdps(50 + max(0, -math.floor(math.log10(tiny)))):
+        return _kl_pair_mp(mu, rows, nu)
+
+
+def _kl_pair_mp(mu, rows, nu) -> tuple[float, float]:
     nu, mu, rows = _pmf_mp(nu), _pmf_mp(mu), [_pmf_mp(row) for row in rows]
 
     def push(p):

