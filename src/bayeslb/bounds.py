@@ -141,7 +141,7 @@ def lb_mi_smallball(mi: float, smallball) -> BoundReport:
     return _clamped_report(best, "mi-smallball", arguments, {"mi": mi})
 
 
-def lb_info_density(density, smallball, gamma_grid=None,
+def lb_info_density(density: InfoDensityDistribution, smallball, gamma_grid=None,
                     inf_ratio: float | None = None) -> BoundReport:
     """Risk lower bound from the information-density distribution.
 
@@ -150,10 +150,10 @@ def lb_info_density(density, smallball, gamma_grid=None,
     (the essential infimum of the prior-to-posterior density ratio) the
     sharper form adds gamma * inf_ratio * P[i >= log2 gamma].
 
-    ``density`` may be an ``InfoDensityDistribution`` or a callable mapping a
-    threshold in bits to P[i < threshold]. ``smallball`` maps a radius to
-    L(rho) in (0, 1] and must be nondecreasing, as a small-ball probability
-    is; a profile that decreases on the radius grid is refused.
+    ``density`` is an ``InfoDensityDistribution``, e.g. from
+    ``info.information_density``. ``smallball`` maps a radius to L(rho) in
+    (0, 1] and must be nondecreasing, as a small-ball probability is; a
+    profile that decreases on the radius grid is refused.
 
     The whole threshold-by-radius grid is scored as one array. Each
     threshold's best grid radius is then refined by golden section, in
@@ -161,15 +161,11 @@ def lb_info_density(density, smallball, gamma_grid=None,
     bound falls below the best value found; ties go to the earliest
     threshold.
     """
-    if isinstance(density, InfoDensityDistribution):
-        prob_below = density.prob_below
-    else:
-        prob_below = density
     rho_grid = _log_grid(1e-6, 1.0)
     if gamma_grid is None:
         gamma_grid = _log_grid(1e-3, 1e3)
     gammas = np.asarray(gamma_grid, dtype=float)
-    p_below = np.array([float(prob_below(math.log2(g))) for g in gammas])
+    p_below = density.prob_below([math.log2(g) for g in gammas])
     extra = (gammas * inf_ratio * (1.0 - p_below) if inf_ratio is not None
              else np.zeros_like(p_below))
     L = np.array([_checked_smallball(smallball, rho) for rho in rho_grid])
@@ -244,6 +240,8 @@ def fano(mi: float, m: int) -> BoundReport:
     """
     if m < 2:
         raise DistributionError("need at least two hypotheses")
+    if not mi >= 0.0:  # also refuses NaN
+        raise DistributionError(f"mutual information must be >= 0, not {mi}")
     raw = 1.0 - (mi + 1.0) / math.log2(m)
     return _clamped_report(raw, "fano-classic", {"raw": raw}, {"mi": mi, "m": m})
 

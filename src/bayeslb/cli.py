@@ -328,6 +328,7 @@ def cmd_scenario(args) -> int:
     report = _scenario_report(args.tag, spec, args, seed)
     tokens = _canonical(["scenario", args.tag], args, _COMMAND_FLAGS["scenario"])
     lines = _manifest(tokens, args, spec=spec, seed=seed)
+    lines += [f"# notice: {v}" for v in report.derived.values() if isinstance(v, str)]
     lines += _report_rows(report)
     _emit(lines, args.out)
     return 0

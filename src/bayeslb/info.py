@@ -81,7 +81,8 @@ class ConvergenceError(RuntimeError):
 
 
 def _validated_pmf(p, what: str) -> np.ndarray:
-    p = np.asarray(p, dtype=float)
+    """``p``, a vector or a ``DiscreteDistribution``, as a checked float array."""
+    p = np.asarray(p.probs if isinstance(p, DiscreteDistribution) else p, dtype=float)
     if p.ndim != 1 or p.size < 1:
         raise DistributionError(f"{what} must be a nonempty vector")
     # written so that a NaN entry fails the range check
@@ -134,7 +135,8 @@ class DiscreteChannel:
         """Feed this channel's output into ``other``."""
         if self.num_outputs != other.num_inputs:
             raise DistributionError("composition dimensions do not match")
-        return DiscreteChannel(self.rows @ other.rows)
+        # a product entry may round above 1 while its row's mass is within PROB_ATOL
+        return DiscreteChannel(np.minimum(self.rows @ other.rows, 1.0))
 
     def tensor(self, other: "DiscreteChannel") -> "DiscreteChannel":
         """Independent parallel use of two channels."""
@@ -298,15 +300,14 @@ def inv_binary_entropy(y: float) -> float:
 
 def entropy(p) -> float:
     """Shannon entropy of a probability vector, in bits."""
-    p = p.probs if isinstance(p, DiscreteDistribution) else np.asarray(p, dtype=float)
+    p = _validated_pmf(p, "distribution")
     pos = p[p > 0.0]
     return float(-(pos * np.log2(pos)).sum())
 
 
 def kl_divergence(p, q) -> float:
     """D(p || q) in bits; ``math.inf`` when p is not dominated by q."""
-    p = p.probs if isinstance(p, DiscreteDistribution) else np.asarray(p, dtype=float)
-    q = q.probs if isinstance(q, DiscreteDistribution) else np.asarray(q, dtype=float)
+    p, q = _validated_pmf(p, "P"), _validated_pmf(q, "Q")
     if p.shape != q.shape:
         raise DistributionError("distributions must share an alphabet")
     mask = p > 0.0
@@ -344,9 +345,11 @@ class InfoDensityDistribution:
     def mean(self) -> float:
         return float((self.values * self.probs).sum())
 
-    def prob_below(self, threshold: float) -> float:
-        """P[i(W;X) < threshold] with strict inequality."""
-        return float(self.probs[self.values < threshold].sum())
+    def prob_below(self, threshold):
+        """P[i(W;X) < threshold] with strict inequality; ``threshold`` may be
+        a number, giving a float, or an array, giving one value per entry."""
+        below = (self.probs * (self.values < np.asarray(threshold, dtype=float)[..., None])).sum(-1)
+        return float(below) if below.ndim == 0 else below
 
 
 def information_density(joint: JointPMF) -> InfoDensityDistribution:
@@ -372,7 +375,8 @@ def information_density(joint: JointPMF) -> InfoDensityDistribution:
         else:
             merged_v.append(v)
             merged_p.append(p)
-    dens = InfoDensityDistribution(np.array(merged_v), np.array(merged_p))
+    # a merged mass may round above 1 while the total is within PROB_ATOL
+    dens = InfoDensityDistribution(np.array(merged_v), np.minimum(merged_p, 1.0))
     if abs(dens.mean() - mutual_information(joint)) > 1e-9:
         raise DistributionError("information density mean disagrees with I(W;X)")
     return dens
@@ -382,7 +386,15 @@ def information_density(joint: JointPMF) -> InfoDensityDistribution:
 # binary hypothesis testing
 
 
-def neyman_pearson_beta(alpha: float, p, q) -> float:
+def _np_order(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The outcomes with P-mass in decreasing order of dP/dQ, ties broken by
+    outcome index, and dP/dQ itself (inf where Q is 0)."""
+    ratio = np.where(q > 0.0, p / np.where(q > 0.0, q, 1.0), np.inf)
+    support = np.flatnonzero(p > 0.0)
+    return support[np.argsort(-ratio[support], kind="stable")], ratio
+
+
+def neyman_pearson_beta(alpha, p, q):
     """Smallest type-II error of any randomized test with type-I power >= alpha.
 
     Computed exactly by the likelihood-ratio construction: outcomes are taken
@@ -392,38 +404,28 @@ def neyman_pearson_beta(alpha: float, p, q) -> float:
 
     Parameters
     ----------
-    alpha : required power in [0, 1].
+    alpha : required power in [0, 1], a number or an array of levels.
     p, q : probability vectors on a common alphabet.
 
     Returns
     -------
-    float
-        beta_alpha(p, q), the exact infimum.
+    float or np.ndarray
+        beta_alpha(p, q), the exact infimum, in the shape of ``alpha``.
     """
-    if not 0.0 <= alpha <= 1.0:
+    levels = np.asarray(alpha, dtype=float)
+    if not np.all((levels >= 0.0) & (levels <= 1.0)):
         raise DistributionError("power requirement must lie in [0, 1]")
-    p = _validated_pmf(p.probs if isinstance(p, DiscreteDistribution) else p, "P")
-    q = _validated_pmf(q.probs if isinstance(q, DiscreteDistribution) else q, "Q")
+    p, q = _validated_pmf(p, "P"), _validated_pmf(q, "Q")
     if p.shape != q.shape:
         raise DistributionError("distributions must share an alphabet")
-    if alpha == 0.0:
-        return 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(q > 0.0, p / np.where(q > 0.0, q, 1.0), np.inf)
-    ratio = np.where((p == 0.0) & (q == 0.0), 0.0, ratio)
-    order = np.lexsort((np.arange(p.size), -ratio))
-    beta = 0.0
-    acc = 0.0
-    for z in order:
-        if p[z] == 0.0:
-            continue
-        if acc + p[z] < alpha:
-            acc += p[z]
-            beta += q[z]
-        else:
-            beta += q[z] * (alpha - acc) / p[z]
-            return float(beta)
-    return float(beta)
+    order, _ = _np_order(p, q)
+    # P- and Q-mass taken before each outcome, then in all
+    taken_p, taken_q = (np.cumsum(np.append(0.0, x[order])) for x in (p, q))
+    # the first outcome whose P-mass reaches the level; beyond the last, unit P- and no Q-mass
+    edge = np.searchsorted(taken_p[1:], levels)
+    ps, qs = np.append(p[order], 1.0), np.append(q[order], 0.0)
+    beta = taken_q[edge] + qs[edge] * (levels - taken_p[edge]) / ps[edge]
+    return float(beta) if beta.ndim == 0 else beta
 
 
 @dataclass(frozen=True)
@@ -451,28 +453,22 @@ def verify_np_properties(p, q, channel: DiscreteChannel, alphas, gammas) -> NPPr
     is evaluated. All three hold with exact arithmetic, so the reported
     violations measure floating-point error only.
     """
-    p = _validated_pmf(p.probs if isinstance(p, DiscreteDistribution) else p, "P")
-    q = _validated_pmf(q.probs if isinstance(q, DiscreteDistribution) else q, "Q")
-    pk = p @ channel.rows
-    qk = q @ channel.rows
+    p, q = _validated_pmf(p, "P"), _validated_pmf(q, "Q")
+    alphas, gammas = np.asarray(alphas, dtype=float), np.asarray(gammas, dtype=float)
+    beta = neyman_pearson_beta(alphas, p, q)
+    # a pushed-forward entry may round above 1 while its mass is within PROB_ATOL
+    beta_k = neyman_pearson_beta(alphas, np.minimum(p @ channel.rows, 1.0),
+                                 np.minimum(q @ channel.rows, 1.0))
     d_pq = kl_divergence(p, q)
+    weak = [binary_relative_entropy(a, b) - d_pq for a, b in zip(alphas.tolist(), beta.tolist())]
     sup = p > 0.0
     inf_ratio = float((q[sup] / p[sup]).min())
-    with np.errstate(divide="ignore"):
-        fwd_ratio = np.where(q > 0.0, p / np.where(q > 0.0, q, 1.0), np.inf)
-    dpi_v = weak_v = strong_v = 0.0
-    for alpha in alphas:
-        beta = neyman_pearson_beta(alpha, p, q)
-        beta_k = neyman_pearson_beta(alpha, pk, qk)
-        dpi_v = max(dpi_v, beta - beta_k)
-        d_ab = binary_relative_entropy(alpha, beta)
-        if not d_ab <= d_pq:
-            weak_v = max(weak_v, d_ab - d_pq)
-        for gamma in gammas:
-            tail = float(p[sup][fwd_ratio[sup] >= gamma].sum())
-            rhs = (1.0 - gamma * inf_ratio) * tail
-            strong_v = max(strong_v, alpha - gamma * beta - rhs)
-    return NPPropertyReport(dpi_v, weak_v, strong_v)
+    ratio = _np_order(p, q)[1][sup]
+    tail = np.array([p[sup][ratio >= gamma].sum() for gamma in gammas])
+    strong = alphas[:, None] - gammas * beta[:, None] - (1.0 - gammas * inf_ratio) * tail
+    # a NaN never wins a max() whose first entry is 0
+    return NPPropertyReport(max([0.0, *(beta - beta_k).tolist()]), max([0.0, *weak]),
+                            max([0.0, *strong.ravel().tolist()]))
 
 
 # ---------------------------------------------------------------------------

@@ -508,16 +508,20 @@ def scenario_bern_bsc(spec: ScenarioSpec) -> ScenarioReport:
             max(first, second), "bern-bsc-case2",
             {"polynomial_term": first, "exponential_term": second},
             {"n": n, "T": T, "eps": eps})
-        rate = math.log2(n + 1.0) / T
-        rate_valid = rate <= 1.0 - binary_entropy(
+        count_bits = math.log2(n + 1.0)
+        rate = count_bits / T
+        linear_end = 1.0 - binary_entropy(
             math.sqrt(eps) / (math.sqrt(eps) + math.sqrt(1.0 - eps)))
-        if b >= math.log2(n + 1.0) and rate_valid:
+        failed = [why for holds, why in (
+            (b >= count_bits, f"b = {b:.6g} < log2(n + 1) = {count_bits:.6g}"),
+            (rate <= linear_end, f"rate log2(n + 1) / T = {rate:.6g} > {linear_end:.6g}, "
+                                 "past the linear regime of the random-coding exponent"))
+            if not holds]
+        if failed:
+            derived["case2_upper_notice"] = "case-2 upper bound omitted: " + " and ".join(failed)
+        else:
             upper["case2"] = 1.0 / math.sqrt(6.0 * n) \
                 + 2.0 ** (-random_coding_exponent(eps, rate) * T)
-        else:
-            derived["case2_upper_notice"] = (
-                "rate outside the linear regime of the random-coding "
-                "exponent; upper bound omitted")
         derived["random_coding_exponent_0"] = random_coding_exponent(eps, 0.0)
         feedback = feedback_zero_rate_exponent(eps)
         derived["feedback_exponent_0"] = feedback

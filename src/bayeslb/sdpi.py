@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 from .info import (
     DiscreteChannel,
-    DiscreteDistribution,
     DistributionError,
     _Numpy,
     _validated_pmf,
@@ -267,7 +266,7 @@ def eta_numeric(mu, channel: DiscreteChannel) -> ContractionEstimate:
     the ascent's best end and the argmax that end. Every point is a
     feasible mixture, so the value can only undershoot the supremum.
     """
-    mu = _validated_pmf(mu.probs if isinstance(mu, DiscreteDistribution) else mu, "input")
+    mu = _validated_pmf(mu, "input")
     if mu.size > 16:
         raise DistributionError("numeric search is limited to alphabets of size 16")
     if np.any(mu == 0.0):

@@ -310,7 +310,8 @@ def exact_chain_mi(prior: DiscreteDistribution, stages: list[DiscreteChannel],
             tuple_law = np.kron(tuple_law, row)
         mixture += p_w * tuple_law
         h_cond += p_w * uses * entropy(row)
-    return entropy(mixture) - h_cond
+    # an entry may round above 1 when every row puts its mass on one tuple
+    return entropy(np.minimum(mixture, 1.0)) - h_cond
 
 
 # ---------------------------------------------------------------------------

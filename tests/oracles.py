@@ -50,6 +50,75 @@ def lp_np_beta(alpha: float, p, q) -> float:
     return float(res.fun)
 
 
+def np_beta_loop(alpha: float, p, q) -> float:
+    """beta_alpha(p, q) by the likelihood-ratio construction, one outcome at
+    a time: outcomes in decreasing dP/dQ (ties by index), those without
+    P-mass skipped, are taken whole while their P-mass stays below alpha,
+    and the boundary outcome is taken fractionally."""
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    if alpha == 0.0:
+        return 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(q > 0.0, p / np.where(q > 0.0, q, 1.0), np.inf)
+    order = np.lexsort((np.arange(p.size), -ratio))
+    beta = acc = 0.0
+    for z in order:
+        if p[z] == 0.0:
+            continue
+        if acc + p[z] < alpha:
+            acc += p[z]
+            beta += q[z]
+        else:
+            return float(beta + q[z] * (alpha - acc) / p[z])
+    return float(beta)
+
+
+def _d2(a: float, b: float) -> float:
+    """Bernoulli divergence d2(a || b) in bits; ValueError for b outside [0, 1]."""
+    if not 0.0 <= b <= 1.0:
+        raise ValueError(f"beta {b!r} lies outside [0, 1]")
+    if b in (0.0, 1.0):
+        return 0.0 if a == b else math.inf
+    out = 0.0
+    if a > 0.0:
+        out += a * math.log2(a / b)
+    if a < 1.0:
+        out += (1.0 - a) * math.log2((1.0 - a) / (1.0 - b))
+    return out
+
+
+def np_properties_loop(p, q, rows, alphas, gammas) -> tuple[float, float, float]:
+    """(data-processing, weak-converse, strong-converse) violations of
+    ``info.verify_np_properties``, as a loop over the levels and, per level,
+    over the thresholds, with every beta from ``np_beta_loop``. Raises
+    ValueError where a pushed-forward entry rounds above 1 or a beta leaves
+    [0, 1], which the library refused before it clipped the pushforward."""
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    pk, qk = p @ rows, q @ rows
+    if np.any(pk > 1.0) or np.any(qk > 1.0):
+        raise ValueError("a pushed-forward entry lies above 1")
+    sup = p > 0.0
+    d_pq = math.inf if np.any(q[sup] == 0.0) else \
+        float((p[sup] * np.log2(p[sup] / q[sup])).sum())
+    inf_ratio = float((q[sup] / p[sup]).min())
+    with np.errstate(divide="ignore"):
+        fwd_ratio = np.where(q > 0.0, p / np.where(q > 0.0, q, 1.0), np.inf)
+    dpi_v = weak_v = strong_v = 0.0
+    for alpha in alphas:
+        beta = np_beta_loop(alpha, p, q)
+        dpi_v = max(dpi_v, beta - np_beta_loop(alpha, pk, qk))
+        d_ab = _d2(alpha, beta)
+        if not d_ab <= d_pq:
+            weak_v = max(weak_v, d_ab - d_pq)
+        for gamma in gammas:
+            tail = float(p[sup][fwd_ratio[sup] >= gamma].sum())
+            rhs = (1.0 - gamma * inf_ratio) * tail
+            strong_v = max(strong_v, alpha - gamma * beta - rhs)
+    return dpi_v, weak_v, strong_v
+
+
 def quad_bern_uniform_mi(n: int) -> float:
     """I(W; X^n) for W uniform on [0,1] and X_i | W Bernoulli(W), by quadrature.
 

@@ -105,12 +105,10 @@ def test_info_density_refines_a_threshold_whose_grid_peak_is_lower():
         return 0.01 if rho < jump1 else (0.02 if rho < jump2 else 1.0)
 
     p_low = 0.02 + 0.97 * 0.4 * rhos[100] / rhos[149]
+    density = InfoDensityDistribution(values=[-1.0, 1.0], probs=[p_low, 1.0 - p_low])
 
-    def prob_below(threshold):
-        return 1.0 if threshold > 1.0 else p_low
-
-    report = lb_info_density(prob_below, smallball, gamma_grid=[60.0, 1.0])
-    value, rho, gamma = oracles.info_density_exhaustive(prob_below, smallball,
+    report = lb_info_density(density, smallball, gamma_grid=[60.0, 1.0])
+    value, rho, gamma = oracles.info_density_exhaustive(density.prob_below, smallball,
                                                         [60.0, 1.0])
     assert (report.value, report.arguments) == (value, {"rho": rho, "gamma": 1.0})
     assert gamma == 1.0
@@ -126,12 +124,6 @@ def test_info_density_ratio_floor_only_helps():
     base = lb_info_density(density, uniform01_smallball)
     strong = lb_info_density(density, uniform01_smallball, inf_ratio=0.2)
     assert strong.value >= base.value - 1e-15
-
-
-def test_info_density_accepts_callable():
-    report = lb_info_density(lambda thr: 1.0 if thr > 1.0 else 0.4,
-                             uniform01_smallball)
-    assert report.value > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +191,12 @@ def test_fano_classic_values():
     assert report.arguments["raw"] == pytest.approx(-1.0)
     with pytest.raises(DistributionError):
         fano(1.0, 1)
+
+
+@pytest.mark.parametrize("mi", [math.nan, -1.0, -math.inf])
+def test_fano_refuses_a_nan_or_negative_information(mi):
+    with pytest.raises(DistributionError, match="must be >= 0"):
+        fano(mi, 4)
 
 
 # ---------------------------------------------------------------------------

@@ -503,6 +503,18 @@ def test_figure_impossible_model_exits_2(argv, capsys):
     assert err.startswith("error: ")
 
 
+def test_scenario_prints_a_text_entry_as_a_notice_after_the_manifest(capsys):
+    code, out, _ = run(["scenario", "bern-bsc", "--n", "100", "--b", "4",
+                        "--eps", "0.1", "--T", "70"], capsys)
+    assert code == 0
+    lines = out.splitlines()
+    header = lines.index("group,name,value,kind,asymptotic,clamped,infeasible")
+    assert lines[header - 2].startswith("# seed: ")
+    assert lines[header - 1] \
+        == "# notice: case-2 upper bound omitted: b = 4 < log2(n + 1) = 6.65821"
+    assert not any(line.startswith("upper,case2,") for line in lines)
+
+
 def test_bern_bsc_honours_channel_overrides(capsys):
     code, out, _ = run(["scenario", "bern-bsc", "--n", "100", "--b", "7",
                         "--eps", "0.1", "--T", "40", "--capacity", "0.01",

@@ -40,7 +40,7 @@ GOLDEN = {
     "scenario hypercube --d 8 --delta 0.5 --b 4 --eps 0.1 --T 3 --p 0.3":
         "fad2a3777a1608ddaf9ff350e623496fb318a3fc58498653bdf0ac4e949e5b32",
     "scenario bern-bsc --n 100 --b 4 --eps 0.1 --T 70":
-        "ec930880db273dcd4afa70d3075ed8a7e154bd2265d091b0f41efb86e19b0e63",
+        "f7e1a7952c012bb856dd1de78488958351e369355f13aac7734ee6e897de9c61",
     "scenario bern-bsc --n 100 --b 4 --eps 0":
         "00542b7167ef6f53ae51ade7780388cdf6b6ce1e534fcb9ed66b562518f6e9f9",
     "scenario dglm --total-samples 100 --total-bits 50 --total-uses 40 --m 4 --eps 0.1":

@@ -21,6 +21,10 @@ from bayeslb.info import (ConvergenceError, DiscreteChannel,
 
 import oracles
 
+# the pmf and likelihood-ratio code guards its own divisions and logs: no
+# RuntimeWarning may escape
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 # 50-digit bisection values, see oracles.h2_mp / oracles.h2inv_mp
 H2_03 = 0.88129089923069262
 H2INV_05 = 0.11002786443835955
@@ -154,6 +158,45 @@ def test_information_density_tail_conventions():
     assert dens.prob_below(3.0) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("k", [2, 5, 16])
+def test_prob_below_of_an_array_equals_the_call_per_threshold(k):
+    rng = np.random.default_rng([k, 21])
+    joint = JointPMF.from_input_channel(DiscreteDistribution(rng.dirichlet(np.ones(k))),
+                                        DiscreteChannel(rng.dirichlet(np.ones(k), size=k)))
+    dens = information_density(joint)
+    thresholds = np.concatenate([dens.values, rng.uniform(-6.0, 6.0, 40),
+                                 [-math.inf, math.inf]])
+    below = dens.prob_below(thresholds)
+    assert below.shape == thresholds.shape
+    assert [x.hex() for x in below.tolist()] \
+        == [dens.prob_below(t).hex() for t in thresholds.tolist()]
+    assert dens.prob_below(thresholds[:40].reshape(4, 10)).tolist() \
+        == below[:40].reshape(4, 10).tolist()
+
+
+def test_derived_pmfs_that_round_above_one_are_clipped():
+    # the merged density mass and the pushforward both round to 1.0000000000000002
+    dens = information_density(JointPMF.from_input_channel(
+        DiscreteDistribution(np.full(10, 0.1)), DiscreteChannel(np.full((10, 2), 0.5))))
+    assert dens.probs.tolist() == [1.0]
+    report = verify_np_properties([0.2, 0.4, 0.3, 0.1], [0.25] * 4,
+                                  DiscreteChannel(np.ones((4, 1))), (0.5,), (1.0,))
+    assert report.max_violation <= 1e-9
+    composed = DiscreteChannel([[0.2, 0.4, 0.3, 0.1]]).compose(DiscreteChannel(np.ones((4, 1))))
+    assert composed.rows.tolist() == [[1.0]]
+    # a pmf given as input is still held to [0, 1]
+    with pytest.raises(DistributionError, match=r"entries must lie in \[0, 1\]"):
+        neyman_pearson_beta(0.5, [1.0000000000000002, 0.0], [0.5, 0.5])
+
+
+def test_entropy_and_divergence_refuse_what_is_not_a_pmf():
+    with pytest.raises(DistributionError, match="entries"):
+        entropy([0.5, math.nan])
+    with pytest.raises(DistributionError, match="mass"):
+        kl_divergence([0.5, 0.5], [0.7, 0.7])
+    assert entropy(DiscreteDistribution(np.array([0.5, 0.5]))) == 1.0
+
+
 # ---------------------------------------------------------------------------
 # Neyman-Pearson
 
@@ -182,6 +225,63 @@ def test_np_beta_monotone_in_alpha():
     q = np.array([0.4, 0.3, 0.2, 0.1])
     vals = [neyman_pearson_beta(a, p, q) for a in np.linspace(0, 1, 21)]
     assert all(b2 >= b1 - 1e-12 for b1, b2 in zip(vals, vals[1:]))
+
+
+def _np_corpus(count: int, seed: int):
+    """Seeded (p, q) pairs on 1 to 16 outcomes; every fourth pair has zero
+    entries in p or q, and every fifth has p = q."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        k = int(rng.integers(1, 17))
+        p, q = rng.dirichlet(np.ones(k)), rng.dirichlet(np.ones(k))
+        if i % 4 == 1 and k > 1:
+            for v in (p, q):
+                v[rng.random(k) < 0.3] = 0.0
+                if v.sum() == 0.0:
+                    v[0] = 1.0
+                v /= v.sum()
+        if i % 5 == 2:
+            q = p.copy()
+        yield rng, p, q
+
+
+def test_np_beta_equals_the_per_outcome_loop():
+    for rng, p, q in _np_corpus(300, 2121):
+        order = np.lexsort((np.arange(p.size), -np.where(q > 0.0, p / np.where(q > 0.0, q, 1.0),
+                                                         np.inf)))
+        cumulative = np.cumsum(p[order])
+        levels = [0.0, 0.5, 1.0, *rng.random(20), *cumulative[cumulative <= 1.0]]
+        expected = [oracles.np_beta_loop(a, p, q).hex() for a in levels]
+        assert [neyman_pearson_beta(a, p, q).hex() for a in levels] == expected
+        assert [b.hex() for b in neyman_pearson_beta(np.array(levels), p, q).tolist()] \
+            == expected
+
+
+def test_np_beta_keeps_the_shape_of_its_levels():
+    p, q = [0.1, 0.2, 0.3, 0.4], [0.4, 0.3, 0.2, 0.1]
+    assert isinstance(neyman_pearson_beta(0.5, p, q), float)
+    assert neyman_pearson_beta(np.full((2, 3), 0.5), p, q).shape == (2, 3)
+    with pytest.raises(DistributionError, match="power"):
+        neyman_pearson_beta([0.5, math.nan], p, q)
+
+
+def test_np_properties_equal_the_per_level_loop():
+    alphas = tuple(0.05 + 0.15 * i for i in range(7))
+    gammas = (0.5, 1.0, 2.0, 5.0)
+    compared = 0
+    for rng, p, q in _np_corpus(300, 2122):
+        rows = rng.dirichlet(np.ones(int(rng.integers(1, 9))), size=p.size)
+        report = verify_np_properties(p, q, DiscreteChannel(rows), alphas, gammas)
+        try:
+            expected = oracles.np_properties_loop(p, q, rows, alphas, gammas)
+        except ValueError:  # refused before the pushforward was clipped
+            assert report.max_violation <= 1e-9
+            continue
+        compared += 1
+        assert [v.hex() for v in (report.dpi_violation, report.weak_converse_violation,
+                                  report.strong_converse_violation)] \
+            == [v.hex() for v in expected]
+    assert compared >= 250
 
 
 def test_np_properties_on_fixed_instance():

@@ -384,7 +384,18 @@ def test_bern_bsc_case2_upper_needs_valid_rate():
     report = scenario_bern_bsc(ScenarioSpec(tag="bern-bsc", n=100, b=7.0,
                                             eps=0.1, T=20))
     assert "case2" not in report.upper_bounds
-    assert "case2_upper_notice" in report.derived
+    assert report.derived["case2_upper_notice"] == (
+        "case-2 upper bound omitted: rate log2(n + 1) / T = 0.332911 > 0.188722, "
+        "past the linear regime of the random-coding exponent")
+
+
+def test_bern_bsc_case2_notice_names_a_short_bit_budget():
+    # the rate 6.66 / 70 is inside the linear regime; b = 4 bits is the cause
+    report = scenario_bern_bsc(ScenarioSpec(tag="bern-bsc", n=100, b=4.0,
+                                            eps=0.1, T=70))
+    assert "case2" not in report.upper_bounds
+    assert report.derived["case2_upper_notice"] \
+        == "case-2 upper bound omitted: b = 4 < log2(n + 1) = 6.65821"
 
 
 def test_random_coding_exponent_frozen():

@@ -6,7 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from bayeslb.cli import _SCENARIO_FNS
-from bayeslb.info import DiscreteDistribution, DistributionError, bsc
+from bayeslb.info import DiscreteChannel, DiscreteDistribution, DistributionError, bsc
 from bayeslb.scenarios import (ScenarioSpec, scenario_gauss_gauss,
                                scenario_xor)
 from bayeslb.simulate import (BLOCK, SCHEMES, SimulationConfig,
@@ -84,6 +84,12 @@ def test_exact_chain_mi_frozen(uses):
     prior = DiscreteDistribution(np.array([0.5, 0.5]))
     got = exact_chain_mi(prior, [bsc(0.25)], uses)
     assert_allclose(got, CHAIN_MI_BSC025[uses], rtol=1e-13)
+
+
+def test_exact_chain_mi_of_a_constant_channel_is_zero():
+    # the output mixture's single entry rounds to 1.0000000000000002
+    prior = DiscreteDistribution(np.array([0.2, 0.4, 0.3, 0.1]))
+    assert exact_chain_mi(prior, [DiscreteChannel(np.ones((4, 1)))], 2) == 0.0
 
 
 def test_exact_chain_mi_zero_uses():
