@@ -9,10 +9,10 @@ Asymptotic entries are flagged and must not be used in hard lower-vs-upper
 comparisons. ``fig2_data`` and ``fig34_data`` emit the rows behind the
 quantization-rate and hide-and-seek comparison plots.
 
-Only the Monte Carlo ball mass of ``scenario_gauss_ball`` needs numpy and
-scipy: it reads numpy through the module's ``np`` handle, which imports
-numpy on first use, and imports ``scipy.special`` itself, so importing this
-module, or evaluating any closed form in it, loads neither.
+Only the Monte Carlo ball mass of ``scenario_gauss_ball`` needs numpy, which
+it reads through the module's ``np`` handle, so importing this module, or
+evaluating any closed form in it, does not load numpy. Its noncentral
+chi-square root is computed with ``math`` alone; nothing here uses scipy.
 """
 from __future__ import annotations
 
@@ -50,6 +50,7 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
+_SQRT2 = math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -259,34 +260,113 @@ def scenario_bern_uniform(spec: ScenarioSpec) -> ScenarioReport:
 CONCENTRATION_DELTA = 0.05
 
 
-def _posterior_mass_in_ball(spec: ScenarioSpec, reps: int, seed: int) -> np.ndarray:
-    """Monte Carlo draws of the posterior normalizing mass c_n(sample mean).
+def _gauss_legendre(m: int) -> list[tuple[float, float]]:
+    """Nodes and weights of the m-point Gauss-Legendre rule on [-1, 1]."""
+    rule = []
+    for i in range(1, m + 1):
+        z = math.cos(math.pi * (i - 0.25) / (m + 0.5))
+        for _ in range(100):  # Newton on the Legendre polynomial P_m
+            p0, p1 = 1.0, z
+            for j in range(2, m + 1):
+                p0, p1 = p1, ((2 * j - 1) * z * p1 - (j - 1) * p0) / j
+            dp = m * (z * p1 - p0) / (z * z - 1.0)
+            step = p1 / dp
+            z -= step
+            if abs(step) <= 1e-15:
+                break
+        rule.append((z, 2.0 / ((1.0 - z * z) * dp * dp)))
+    return rule
+
+
+def _noncentrality_root(x: float, d: int, level: float) -> float:
+    """The noncentrality lam* at which the noncentral chi-square CDF
+    F(x; d, lam) equals ``level`` (in (1/2, 1)), or 0 if F(x; d, 0) <= level.
+
+    F decreases in lam, so F(x; d, lam) > level exactly when lam < lam*. With
+    Z ~ N(sqrt(lam) e_1, I_d) and R the norm of its last d - 1 coordinates,
+    F = E[P(|Z_1| <= sqrt(x - R^2))]. Putting R = sqrt(x) sin(theta) makes the
+    integrand smooth in theta, also where R^2 reaches x; 12-point Gauss-Legendre
+    panels of arc length sqrt(x) dtheta <= 2 cover R within 9 of sqrt(d - 1),
+    outside which the chi density has mass below 1e-16. The unknown is
+    t = sqrt(x) - sqrt(lam) in (0, sqrt(x)], for which
+    P(|Z_1| <= sqrt(x) - u) = Phi(t - u) - Phi(t - 2 sqrt(x) + u) with
+    u = 2 sqrt(x) sin^2(theta / 2): no cancellation however large x is, and
+    at most ~sqrt(d) nodes whatever x is. Newton on t, kept inside its bracket.
+    """
+    rx, k = math.sqrt(x), d - 1
+    if k == 0:
+        nodes = [(1.0, 0.0)]  # (weight, u): Z_1 alone
+    else:
+        r_lo, r_hi = max(0.0, math.sqrt(k) - 9.0), math.sqrt(k) + 9.0
+        if r_lo >= rx:  # F(x; d, 0) < 1e-16
+            return 0.0
+        th_lo, th_hi = math.asin(r_lo / rx), math.asin(min(1.0, r_hi / rx))
+        panels = math.ceil(rx * (th_hi - th_lo) / 2.0)
+        half = 0.5 * (th_hi - th_lo) / panels
+        log_norm = (0.5 * k - 1.0) * _LN2 + math.lgamma(0.5 * k)
+        rule, nodes = _gauss_legendre(12), []
+        for i in range(panels):
+            for z, weight in rule:
+                th = th_lo + (2 * i + 1 + z) * half
+                r = rx * math.sin(th)
+                density = math.exp((k - 1) * math.log(r) - 0.5 * r * r - log_norm)
+                nodes.append((weight * half * density * rx * math.cos(th),
+                              2.0 * rx * math.sin(0.5 * th) ** 2))
+
+    def excess(t):  # F - level and dF/dt
+        f = df = 0.0
+        for w, u in nodes:
+            a, b = t - u, t - 2.0 * rx + u
+            f += w * (math.erfc(-a / _SQRT2) - math.erfc(-b / _SQRT2))
+            df += w * (math.exp(-0.5 * a * a) - math.exp(-0.5 * b * b))
+        return 0.5 * f - level, df / math.sqrt(2.0 * math.pi)
+
+    if excess(rx)[0] <= 0.0:
+        return 0.0
+    lo, hi = 0.0, rx  # F <= Phi(t) <= 1/2 < level at t = 0
+    mean_u = sum(w * u for w, u in nodes) / sum(w for w, _ in nodes)
+    t = min(rx, mean_u + 2.0)
+    for _ in range(100):
+        f, df = excess(t)
+        if f > 0.0:
+            hi = t
+        else:
+            lo = t
+        new = t - f / df if df > 0.0 else math.nan
+        if not lo <= new <= hi:  # a step out of the bracket, or a flat spot
+            new = 0.5 * (lo + hi)
+        if abs(new - t) <= 1e-12 * max(1.0, t):
+            break
+        t = new
+    return (rx - new) ** 2
+
+
+def _ball_mass_exceeds(spec: ScenarioSpec, reps: int, seed: int,
+                       level: float) -> np.ndarray:
+    """Per Monte Carlo draw, whether the posterior mass c_n(sample mean)
+    inside the ball exceeds ``level``.
 
     Given the mean of n Gaussian observations of a ball-uniform W, the mass
     the untruncated Gaussian posterior puts inside the ball is the noncentral
-    chi-square CDF ``scipy.special.chndtr`` (the function behind
-    ``scipy.stats.ncx2.cdf``) and is evaluated exactly per draw.
+    chi-square CDF F(a^2 n / sigma^2; d, n |sample mean|^2 / sigma^2), which
+    exceeds ``level`` exactly when the noncentrality is below the one root
+    ``_noncentrality_root`` finds, so no CDF is evaluated per draw.
     """
-    from scipy.special import chndtr  # kept off CLI start-up
-
     d, n = spec.d, spec.n
     sigma2, a = spec.var_noise, spec.radius
+    threshold = a * a * n / sigma2
+    if math.isinf(threshold):
+        raise DistributionError("the ball threshold a^2 n / sigma^2 exceeds the float range")
     rng = np.random.Generator(np.random.Philox(key=seed))
     direction = rng.normal(size=(reps, d))
     direction /= np.linalg.norm(direction, axis=1, keepdims=True)
     w = a * direction * rng.random(reps)[:, None] ** (1.0 / d)
     xbar = w + math.sqrt(sigma2 / n) * rng.normal(size=(reps, d))
-    # a sample mean beyond ~1e154 overflows its square to +inf, where chndtr
-    # gives mass 0: the limit for a mean that far outside a smaller ball
+    # a sample mean beyond ~1e154 overflows its square to +inf, a draw whose
+    # mass is 0: the limit for a mean that far outside a smaller ball
     with np.errstate(over="ignore"):
         noncentrality = n * (xbar * xbar).sum(axis=1) / sigma2
-    threshold = a * a * n / sigma2
-    mass = chndtr(threshold, d, noncentrality)
-    if np.isnan(mass).any():
-        raise DistributionError(
-            f"the ball threshold a^2 n / sigma^2 = {threshold:.3g} is beyond the "
-            "range of scipy.special.chndtr, whose posterior mass is NaN from about 1e19")
-    return mass
+    return noncentrality < _noncentrality_root(threshold, d, level)
 
 
 def scenario_gauss_ball(spec: ScenarioSpec, reps: int | None = None,
@@ -315,8 +395,7 @@ def scenario_gauss_ball(spec: ScenarioSpec, reps: int | None = None,
         if reps < 1:
             raise DistributionError("replication count must be >= 1")
         delta = CONCENTRATION_DELTA
-        mass = _posterior_mass_in_ball(spec, reps, seed)
-        p_hat = float((mass > 1.0 / (1.0 + delta)).mean())
+        p_hat = float(_ball_mass_exceeds(spec, reps, seed, 1.0 / (1.0 + delta)).mean())
         gap = p_hat - 0.5
         root_term = math.sqrt(2.0 * math.pi * sigma2 / n)
         sharp = (1.0 / (2.0 * (1.0 + delta))) ** (1.0 / d) \

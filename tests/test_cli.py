@@ -430,17 +430,18 @@ def test_gauss_ball_overflowing_sample_mean_warns_nothing(capsys):
     assert (code, err, caught) == (0, "", [])
 
 
-def test_gauss_ball_nan_ball_mass_exits_2(capsys):
-    # scipy.special.chndtr returns NaN once the ball threshold a^2 n / sigma^2
-    # reaches about 1e19; counted as misses, those draws pulled p_hat to 0
+def test_gauss_ball_threshold_up_to_the_float_range(capsys):
+    # ball thresholds a^2 n / sigma^2 of 1e10 and 1e40: nearly every draw
+    # lies deep inside the ball, so p_hat is 1; one that overflows exits 2
     argv = ["scenario", "gauss-ball", "--d", "2", "--n", "1", "--reps", "200",
             "--seed", "0", "--radius"]
-    code, out, err = run(argv + ["1e20"], capsys)
+    for radius in ["1e5", "1e20"]:
+        code, out, _ = run(argv + [radius], capsys)
+        assert code == 0
+        assert any(row.startswith("derived,p_hat,1,") for row in data_rows(out))
+    code, out, err = run(argv + ["1e200"], capsys)
     assert (code, out) == (2, "")
-    assert "chndtr" in err and "Traceback" not in err
-    code, out, _ = run(argv + ["1e5"], capsys)
-    assert code == 0
-    assert any(row.startswith("derived,p_hat,1,") for row in data_rows(out))
+    assert "float range" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [

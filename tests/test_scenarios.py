@@ -6,8 +6,8 @@ from numpy.testing import assert_allclose
 
 from bayeslb.bounds import lb_diff_entropy
 from bayeslb.info import DistributionError, binary_entropy
-from bayeslb.scenarios import (ScenarioSpec,
-                               _posterior_mass_in_ball,
+from bayeslb.scenarios import (CONCENTRATION_DELTA, ScenarioSpec,
+                               _ball_mass_exceeds, _noncentrality_root,
                                bern_uniform_conditional_mi, bern_uniform_mi,
                                feedback_zero_rate_exponent, fig2_data,
                                fig34_data, random_coding_exponent,
@@ -177,6 +177,20 @@ def test_gauss_ball_mc_chain_deterministic_and_present():
     assert not a.lower_bounds["finite_mc_weak"].asymptotic
 
 
+LEVEL = 1.0 / (1.0 + CONCENTRATION_DELTA)
+
+
+def _noncentralities(spec, reps, seed):
+    """The library's draws, rebuilt: W uniform on the ball, then the sample
+    mean, whose scaled squared norm is the noncentrality of the ball mass."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    direction = rng.normal(size=(reps, spec.d))
+    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+    w = spec.radius * direction * rng.random(reps)[:, None] ** (1.0 / spec.d)
+    xbar = w + math.sqrt(spec.var_noise / spec.n) * rng.normal(size=(reps, spec.d))
+    return spec.n * (xbar * xbar).sum(axis=1) / spec.var_noise
+
+
 @pytest.mark.parametrize("d, seed", [(1, 0), (1, 17), (3, 4), (3, 502),
                                      (40, 9), (40, 2 ** 64 - 1)])
 def test_posterior_mass_in_ball_matches_ncx2_oracle(d, seed):
@@ -184,17 +198,47 @@ def test_posterior_mass_in_ball_matches_ncx2_oracle(d, seed):
 
     spec = ScenarioSpec(tag="gauss-ball", n=30, d=d, radius=2.5, var_noise=3.0)
     reps = 4000
-    # the same draws as the library: W uniform on the ball, then the sample mean
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    direction = rng.normal(size=(reps, d))
-    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
-    w = spec.radius * direction * rng.random(reps)[:, None] ** (1.0 / d)
-    xbar = w + math.sqrt(spec.var_noise / spec.n) * rng.normal(size=(reps, d))
-    noncentrality = spec.n * (xbar * xbar).sum(axis=1) / spec.var_noise
-    expected = ncx2.cdf(spec.radius ** 2 * spec.n / spec.var_noise, d, noncentrality)
-    mass = _posterior_mass_in_ball(spec, reps, seed)
-    assert np.array_equal(mass, expected)
-    assert 0.0 < mass.min() and mass.max() < 1.0
+    mass = ncx2.cdf(spec.radius ** 2 * spec.n / spec.var_noise, d,
+                    _noncentralities(spec, reps, seed))
+    exceeds = _ball_mass_exceeds(spec, reps, seed, LEVEL)
+    assert np.array_equal(exceeds, mass > LEVEL)
+    if d < 40:  # at d = 40 every draw's mass is below the level
+        assert 0.0 < exceeds.mean() < 1.0
+
+
+# ball thresholds a^2 n / sigma^2 from 1e-2 to 1e18
+@pytest.mark.parametrize("d", [1, 2, 3, 8, 40, 400])
+@pytest.mark.parametrize("log10_x", [-2, 0, 1, 2, 3, 4, 6, 8, 10, 14, 18])
+def test_ball_mass_indicator_matches_ncx2_on_a_threshold_corpus(d, log10_x):
+    from scipy.stats import ncx2
+
+    spec = ScenarioSpec(tag="gauss-ball", n=1, d=d, radius=10.0 ** (log10_x / 2))
+    reps, seed = 500, 7 * d + log10_x
+    noncentrality = _noncentralities(spec, reps, seed)
+    mass = ncx2.cdf(spec.radius ** 2, d, noncentrality)
+    # scipy's CDF is NaN near the ball's edge from a threshold of ~1e10
+    for i in np.flatnonzero(np.isnan(mass)):
+        mass[i] = oracles.ncx2_cdf_mp(spec.radius ** 2, d, noncentrality[i])
+    assert np.array_equal(_ball_mass_exceeds(spec, reps, seed, LEVEL), mass > LEVEL)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8, 40, 400])
+def test_noncentrality_root_hits_the_level(d):
+    from scipy.stats import chi2, ncx2
+
+    for log10_x in range(-2, 19):
+        x = 10.0 ** log10_x
+        lam = _noncentrality_root(x, d, LEVEL)
+        if lam == 0.0:
+            assert chi2.cdf(x, d) <= LEVEL, x
+            continue
+        cdf = ncx2.cdf(x, d, lam)
+        if math.isnan(cdf):  # scipy gives up near the root from x ~ 1e11
+            cdf = oracles.ncx2_cdf_mp(x, d, lam)
+        # F moves by at most phi(0) / (2 sqrt(lam)) per unit of lam, so the
+        # few ulps to which a double can hold lam move it by 0.8 eps sqrt(lam)
+        slack = 0.8 * np.finfo(float).eps * math.sqrt(lam)
+        assert abs(cdf - LEVEL) <= 1e-10 + slack, (x, cdf, slack)
 
 
 def test_gauss_ball_without_reps_has_no_mc_entries():

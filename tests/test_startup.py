@@ -1,10 +1,9 @@
-"""The CLI starts without numpy or scipy. The closed-form commands (bounds
-other than Theorem 1, scenarios without Monte Carlo, figures) load neither;
-numpy is loaded on first use by the commands that build arrays, such as
-``simulate``: each module reads it through its own global ``np``, a handle
-whose first attribute read imports numpy and rebinds that global to numpy
-itself. Only the Monte Carlo ball mass of ``scenario gauss-ball --reps``
-loads scipy.special, and nothing loads scipy.stats.
+"""The CLI starts without numpy or scipy, and no command loads scipy. The
+closed-form commands (bounds other than Theorem 1, scenarios without Monte
+Carlo, figures) load neither; numpy is loaded on first use by the commands
+that build arrays, such as ``simulate`` and ``scenario gauss-ball --reps``:
+each module reads it through its own global ``np``, a handle whose first
+attribute read imports numpy and rebinds that global to numpy itself.
 
 Each command case runs in a fresh interpreter, since this test session has
 numpy and scipy loaded already. Wall times are not asserted; the module set
@@ -65,6 +64,8 @@ CASES = [
     ("simulate-bern-bsc", ["simulate", "bern-bsc", "--n", "100", "--b", "4",
                            "--eps", "0.1", "--T", "70", "--reps", "200",
                            "--check"], True),
+    ("scenario-gauss-ball-reps", ["scenario", "gauss-ball", "--n", "400", "--d",
+                                  "3", "--reps", "200"], True),
 ]
 
 
@@ -75,15 +76,6 @@ def test_cli_loads_no_scipy(argv, arrays):
     assert not {name for name in loaded if name.split(".")[0] == "scipy"}
     if not arrays:
         assert "numpy" not in loaded
-
-
-@pytest.mark.parametrize("argv", [
-    ["scenario", "gauss-ball", "--n", "400", "--d", "3", "--reps", "200"],
-], ids=["gauss-ball-reps"])
-def test_scipy_special_only_where_needed(argv):
-    loaded = modules_after(argv)
-    assert "scipy.special" in loaded
-    assert "scipy.stats" not in loaded
 
 
 def test_numpy_handle_rebinds_to_numpy_on_first_use():
