@@ -389,7 +389,10 @@ def information_density(joint: JointPMF) -> InfoDensityDistribution:
 def _np_order(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The outcomes with P-mass in decreasing order of dP/dQ, ties broken by
     outcome index, and dP/dQ itself (inf where Q is 0)."""
-    ratio = np.where(q > 0.0, p / np.where(q > 0.0, q, 1.0), np.inf)
+    # over a subnormal Q entry the ratio overflows to inf, which ranks that
+    # outcome as a zero Q entry would
+    with np.errstate(over="ignore"):
+        ratio = np.where(q > 0.0, p / np.where(q > 0.0, q, 1.0), np.inf)
     support = np.flatnonzero(p > 0.0)
     return support[np.argsort(-ratio[support], kind="stable")], ratio
 
@@ -462,7 +465,8 @@ def verify_np_properties(p, q, channel: DiscreteChannel, alphas, gammas) -> NPPr
     d_pq = kl_divergence(p, q)
     weak = [binary_relative_entropy(a, b) - d_pq for a, b in zip(alphas.tolist(), beta.tolist())]
     sup = p > 0.0
-    inf_ratio = float((q[sup] / p[sup]).min())
+    with np.errstate(over="ignore"):  # Q over a subnormal P entry: inf, which min() skips
+        inf_ratio = float((q[sup] / p[sup]).min())
     ratio = _np_order(p, q)[1][sup]
     tail = np.array([p[sup][ratio >= gamma].sum() for gamma in gammas])
     strong = alphas[:, None] - gammas * beta[:, None] - (1.0 - gammas * inf_ratio) * tail

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -263,6 +264,18 @@ def test_np_beta_keeps_the_shape_of_its_levels():
     assert neyman_pearson_beta(np.full((2, 3), 0.5), p, q).shape == (2, 3)
     with pytest.raises(DistributionError, match="power"):
         neyman_pearson_beta([0.5, math.nan], p, q)
+
+
+def test_np_routines_warn_nothing_on_a_subnormal_mass():
+    # P over a subnormal Q entry, or Q over a subnormal P entry, overflows to
+    # inf, which orders the outcomes as a zero entry would; no warning escapes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        beta = neyman_pearson_beta(0.5, [0.5, 0.5], [1e-310, 1 - 1e-310])
+        report = verify_np_properties([1e-310, 1 - 1e-310], [0.5, 0.5],
+                                      DiscreteChannel(np.eye(2)), (0.5,), (1.0,))
+    assert math.isclose(beta, 1e-310, rel_tol=1e-12)
+    assert report.max_violation == 0.0
 
 
 def test_np_properties_equal_the_per_level_loop():
