@@ -194,6 +194,14 @@ def _fractions() -> np.ndarray:
     return grid
 
 
+@functools.cache
+def _i61() -> np.ndarray:
+    """0, 1, ..., 60 as floats, built once, on first use, as a read-only array."""
+    grid = np.arange(61.0)
+    grid.flags.writeable = False
+    return grid
+
+
 def _scan(mu, K, ratio) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Scores, through ``ratio``, the mixture paths from mu toward every
     vertex and along both signs of the principal chi-square directions
@@ -244,7 +252,8 @@ def _line_search(mu, ratio, rays, steps, scores) -> tuple[np.ndarray, float]:
     ray, at, best = rays[r], steps[r, j], float(scores[r, j])
     lo, hi = steps[r, j - 1] if j else 0.0, steps[r, min(j + 1, steps.shape[1] - 1)]
     for _ in range(10):
-        t = np.linspace(lo, hi, 61)
+        t = _i61() * ((hi - lo) / 60) + lo  # np.linspace(lo, hi, 61) bit for bit
+        t[-1] = hi
         f = ratio(t[:, None] * ray)[0]
         i = int(f.argmax())
         if f[i] > best:
