@@ -291,7 +291,8 @@ def _noncentrality_root(x: float, d: int, level: float) -> float:
     t = sqrt(x) - sqrt(lam) in (0, sqrt(x)], for which
     P(|Z_1| <= sqrt(x) - u) = Phi(t - u) - Phi(t - 2 sqrt(x) + u) with
     u = 2 sqrt(x) sin^2(theta / 2): no cancellation however large x is, and
-    at most ~sqrt(d) nodes whatever x is. Newton on t, kept inside its bracket.
+    a node count that grows like sqrt(d) at most, never with x. Newton on t,
+    kept inside its bracket, finds the root.
     """
     rx, k = math.sqrt(x), d - 1
     if k == 0:
