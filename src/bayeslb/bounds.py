@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from .info import (DistributionError, InfoDensityDistribution, _Numpy,
                    log_unit_ball_volume)
-from .sdpi import _as_estimate
+from .sdpi import _as_estimate, eta_multi_use
 
 np = _Numpy(globals())
 
@@ -306,15 +306,15 @@ def mi_ub_multi_iid(i_w_all: float, i_w_single: float, eta_stat, m: int,
 
     The source term takes the smaller of the joint information contracted
     over all m T uses and m times the per-processor information contracted
-    over T uses. ``eta_uses_mT`` defaults to 1 - (1 - eta_uses_T)^m, a valid
-    product bound that reduces to eta_uses_T at m = 1.
+    over T uses. ``eta_uses_mT`` defaults to the tensor bound
+    ``eta_multi_use(eta_uses_T, m)``, which is eta_uses_T at m = 1.
     """
     if m < 1:
         raise DistributionError("processor count must be at least 1")
     eta_stat = _as_estimate(eta_stat).value
     eta_T = _as_estimate(eta_uses_T).value
-    eta_mT = (1.0 - (1.0 - eta_T) ** m if eta_uses_mT is None
-              else _as_estimate(eta_uses_mT).value)
+    eta_mT = (eta_multi_use(eta_T, m) if eta_uses_mT is None
+              else _as_estimate(eta_uses_mT)).value
     terms = {
         "source": _min_terms({"joint": _term(i_w_all, eta_mT),
                               "split": _term(m, i_w_single, eta_T)})[0],

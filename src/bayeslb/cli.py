@@ -65,16 +65,13 @@ def _parse_etas(text: str) -> tuple:
 
 # Every valued flag or switch is one (dest, type, default[, help]) row, spelled
 # "--" + dest with "-" for "_". A subcommand's rows build its parser and, in
-# order, its manifest command; the model rows also build its ScenarioSpec.
-_MODEL_FLAGS = (
-    ("n", int, 1), ("b", float, 0.0), ("T", int, 1), ("m", int, 1),
-    ("d", int, 1), ("eps", float, None), ("var_w", float, 1.0),
-    ("var_noise", float, 1.0), ("delta", float, 1.0), ("rho", float, 0.0),
-    ("radius", float, 1.0), ("total_samples", int, None),
-    ("total_bits", float, None), ("total_uses", int, None),
-    ("feedback", bool, False), ("r", float, 1.0), ("p", float, None),
-    ("capacity", float, None), ("eta_uses", float, None),
-)
+# order, its manifest command. The model rows are ScenarioSpec's fields after
+# its tag, with their types and defaults; the field rho_bias is the flag --rho.
+_MODEL_FLAGS = tuple(
+    ("rho" if field.name == "rho_bias" else field.name,
+     {"int": int, "float": float, "bool": bool}[field.type.split(" |")[0]],
+     field.default)
+    for field in dataclasses.fields(ScenarioSpec)[1:])
 _RUN_FLAGS = (
     ("reps", int, None, "replications (simulate) or Monte Carlo draws for "
                         "mass estimates (scenario gauss-ball)"),

@@ -640,13 +640,10 @@ def _capacity_bracket(K: np.ndarray, tol: float) -> tuple[float, float, int]:
     Each iteration takes a Newton step (``_newton_move``) and then one
     Blahut-Arimoto step. Before the latter, an input at exactly zero whose
     D(K_x || q) exceeds I(r) gets a small mass back, since the
-    multiplicative update cannot revive it. After a Newton step that is
-    refused, or that leaves the bracket more than twice as wide, the next
-    1, 2, 4, ... iterations skip Newton, and any other step resets that
-    wait to 1. Past the 200th iteration Newton is tried only at iterations
-    256, 512, 1 024, ...: every channel it helps has closed its bracket by
-    then, so a channel it does not help costs about what plain
-    Blahut-Arimoto does.
+    multiplicative update cannot revive it. A refused Newton step doubles
+    the wait before the next try (1, 2, 4, ... iterations without Newton)
+    and an accepted one resets it to 1, so a channel Newton does not help
+    costs about what plain Blahut-Arimoto does.
     """
     mask = K > 0.0
     logK = np.zeros_like(K)
@@ -664,21 +661,16 @@ def _capacity_bracket(K: np.ndarray, tol: float) -> tuple[float, float, int]:
     point = evaluate(r)
     wait, skip = 0, 1
     for iteration in range(1, 100_001):
-        width = point[3] - point[2]
-        if width <= tol:
+        if point[3] - point[2] <= tol:
             return point[2], point[3], iteration - 1
         if wait > 0:
             wait -= 1
-        elif iteration <= 200 or iteration & (iteration - 1) == 0:
-            moved = _newton_move(K, evaluate, r, point)
-            if moved is not None:
-                r, point = moved
-                if point[3] - point[2] <= tol:
-                    return point[2], point[3], iteration
-            if moved is None or point[3] - point[2] > 2.0 * width:
-                wait, skip = skip, 2 * skip
-            else:
-                skip = 1
+        elif (moved := _newton_move(K, evaluate, r, point)) is None:
+            wait, skip = skip, 2 * skip
+        else:
+            (r, point), skip = moved, 1
+            if point[3] - point[2] <= tol:
+                return point[2], point[3], iteration
         _, per_input, lower, upper = point
         revive = (r == 0.0) & (per_input > lower)
         if revive.any():
@@ -691,7 +683,7 @@ def _capacity_bracket(K: np.ndarray, tol: float) -> tuple[float, float, int]:
     return point[2], point[3], 100_000
 
 
-def channel_capacity(channel: DiscreteChannel, tol: float = 1e-9) -> float:
+def channel_capacity(channel: DiscreteChannel) -> float:
     """Capacity of a DMC in bits per use, by Newton-polished Blahut-Arimoto.
 
     Each iteration takes a Newton step for max I(r) over the input laws r,
@@ -701,16 +693,17 @@ def channel_capacity(channel: DiscreteChannel, tol: float = 1e-9) -> float:
     mass back to any input the projection zeroed while its D(K_x || q)
     exceeds I(r). Close to the optimum the Newton steps converge
     quadratically, so a few iterations replace the thousands of plain
-    Blahut-Arimoto steps that near-useless or ill-conditioned channels take.
+    Blahut-Arimoto steps that near-useless or ill-conditioned channels take;
+    a refused Newton step doubles the wait before the next try.
 
     The contract is unchanged: the result is the upper end
     max_x D(K_x || q) of the duality bracket [I(r), max_x D(K_x || q)] at
     the last iterate, whatever path r took. For every output law q that
     maximum bounds the capacity from above (the min-max form of capacity),
     so the result is an upper estimate and may feed a budget. Iteration
-    stops once the bracket is narrower than ``tol`` or after 100 000
-    iterations, whichever comes first; the result is within ``tol`` of the
+    stops once the bracket is at most 1e-9 bits wide or after 100 000
+    iterations, whichever comes first; the result is within 1e-9 of the
     capacity in the first case and only an upper estimate in the second,
     so the solver never raises.
     """
-    return _capacity_bracket(channel.rows, tol)[1]
+    return _capacity_bracket(channel.rows, 1e-9)[1]

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-from .bounds import (BoundReport, fano, lb_diff_entropy,
+from .bounds import (BoundReport, _clamped_report, fano, lb_diff_entropy,
                      log_diff_entropy_constant, mi_ub_cutset, mi_ub_interactive,
                      mi_ub_single)
 from .info import (DistributionError, PriorSpec, _Numpy, binary_entropy,
@@ -406,12 +406,10 @@ def scenario_gauss_ball(spec: ScenarioSpec, reps: int | None = None,
         weak_const = 0.5 if math.log2(2.0 * (1.0 + delta)) <= d else 0.5 / (1.0 + delta)
         weak = weak_const * (math.sqrt(d) / 5.0) * root_term * gap
         mc_args = {"p_hat": p_hat, "delta": delta, "reps": reps, "seed": seed}
-        lower["finite_mc_sharp"] = BoundReport(
-            max(sharp, 0.0), "gauss-ball-mc-sharp", dict(mc_args), {"n": n, "d": d},
-            clamped=sharp < 0.0)
-        lower["finite_mc_weak"] = BoundReport(
-            max(weak, 0.0), "gauss-ball-mc-weak", dict(mc_args), {"n": n, "d": d},
-            clamped=weak < 0.0)
+        lower["finite_mc_sharp"] = _clamped_report(
+            sharp, "gauss-ball-mc-sharp", dict(mc_args), {"n": n, "d": d})
+        lower["finite_mc_weak"] = _clamped_report(
+            weak, "gauss-ball-mc-weak", dict(mc_args), {"n": n, "d": d})
         derived["p_hat"] = p_hat
     return ScenarioReport(
         spec.tag, lower_bounds=lower,
@@ -689,9 +687,8 @@ def scenario_noisy_ceo(spec: ScenarioSpec, alpha: float) -> ScenarioReport:
     h_w = differential_entropy(PriorSpec.gaussian(spec.var_w, d))
     # lb_diff_entropy solved for the budget that brings the floor to alpha
     rhs = h_w + (d / r) * (log_diff_entropy_constant(d, r) / _LN2 - math.log2(alpha))
-    requirement = BoundReport(max(rhs, 0.0), "ceo-sum-rate",
-                              {"raw": rhs}, {"alpha": alpha, "d": d, "r": r},
-                              clamped=rhs < 0.0)
+    requirement = _clamped_report(rhs, "ceo-sum-rate", {"raw": rhs},
+                                  {"alpha": alpha, "d": d, "r": r})
     derived = {"h_w_bits": h_w, "eta_T": eta_T}
     eta_sum = eta_T * spec.m
     if rhs <= 0.0:
