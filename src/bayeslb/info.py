@@ -200,6 +200,9 @@ class PriorSpec:
             raise DistributionError(f"unknown prior family {self.family!r}")
         if self.dim < 1:
             raise DistributionError("dimension must be at least 1")
+        for name in ("var", "radius"):
+            if not math.isfinite(getattr(self, name)):
+                raise DistributionError(f"prior {name} must be finite, not {getattr(self, name)}")
         if self.family == "gaussian" and not self.var > 0.0:
             raise DistributionError("gaussian prior needs a positive variance")
         if self.family == "ball" and not self.radius > 0.0:
@@ -226,6 +229,8 @@ class DistortionSpec:
     def __post_init__(self):
         if self.kind not in ("absolute", "squared", "l2r", "zero_one"):
             raise DistributionError(f"unknown distortion kind {self.kind!r}")
+        if not math.isfinite(self.r):
+            raise DistributionError(f"distortion exponent r must be finite, not {self.r}")
         if self.kind == "l2r" and not self.r >= 1.0:
             raise DistributionError("norm exponent must be at least 1")
 
@@ -254,7 +259,9 @@ def binary_relative_entropy(p: float, q: float) -> float:
         return 0.0 if p == q else math.inf
     out = 0.0
     if p > 0.0:
-        out += p * math.log2(p / q)
+        # over a subnormal q the ratio may overflow where its logs do not
+        ratio = p / q
+        out += p * (math.log2(ratio) if ratio < math.inf else math.log2(p) - math.log2(q))
     if p < 1.0:
         out += (1.0 - p) * math.log2((1.0 - p) / (1.0 - q))
     return out
@@ -311,9 +318,14 @@ def kl_divergence(p, q) -> float:
     if p.shape != q.shape:
         raise DistributionError("distributions must share an alphabet")
     mask = p > 0.0
-    if np.any(q[mask] == 0.0):
+    p, q = p[mask], q[mask]
+    if np.any(q == 0.0):
         return math.inf
-    return float((p[mask] * np.log2(p[mask] / q[mask])).sum())
+    # over a subnormal Q entry the ratio may overflow where its logs do not
+    with np.errstate(over="ignore"):
+        ratio = p / q
+    logs = np.where(ratio < math.inf, np.log2(ratio), np.log2(p) - np.log2(q))
+    return float((p * logs).sum())
 
 
 def mutual_information(joint: JointPMF) -> float:
@@ -341,6 +353,9 @@ class InfoDensityDistribution:
         object.__setattr__(self, "probs", _validated_pmf(self.probs, "density probabilities"))
         if self.values.shape != self.probs.shape:
             raise DistributionError("values and probabilities must align")
+        bad = self.values[~np.isfinite(self.values)]
+        if bad.size:
+            raise DistributionError(f"density values must be finite, not {bad[0]}")
 
     def mean(self) -> float:
         return float((self.values * self.probs).sum())

@@ -421,24 +421,55 @@ def scenario_gauss_ball(spec: ScenarioSpec, reps: int | None = None,
 # one bit over a BSC
 
 
+def _repetition_converse(eps: float, T: int) -> float:
+    """Neyman-Pearson meta-converse for one equiprobable bit over T uses of
+    a BSC(eps), eps in (0, 1/2), without feedback.
+
+    Under Q, the uniform law on the T outputs, any decoder is right with
+    probability 1/2, so it errs under the channel P with at least the P-mass
+    that the level-1/2 test rejects, on the Hamming distance d from the sent
+    codeword: d ~ Bin(T, eps) under P against Bin(T, 1/2) under Q. That is the
+    tail sum_{d > T/2} P(d), plus P(T/2)/2 when T is even, which majority
+    decoding attains. Each term is the last times (T - d)/(d + 1) eps/(1 - eps),
+    from a first one found in logs less a relative 2^-50 of their size, more
+    than their rounding. A tail below the smallest normal float is 0, since a
+    subnormal sum can lose about 2e-5 relative and so rise above the risk.
+    """
+    d = (T + 1) // 2
+    logs = (math.lgamma(T + 1.0), -math.lgamma(d + 1.0), -math.lgamma(T - d + 1.0),
+            d * math.log(eps), (T - d) * math.log1p(-eps))
+    term = math.exp(math.fsum(logs) - 2.0 ** -50 * sum(map(abs, logs)))
+    total = 0.5 * term if 2 * d == T else term
+    odds = eps / (1.0 - eps)
+    while d < T and term > 2.0 ** -60 * total:
+        term *= (T - d) / (d + 1.0) * odds
+        total += term
+        d += 1
+    return total if total >= 2.0 ** -1022 else 0.0
+
+
 def scenario_bsc_bit(spec: ScenarioSpec) -> ScenarioReport:
-    """Equiprobable bit sent over T uses of a BSC, with and without feedback."""
+    """Equiprobable bit sent over T uses of a BSC, with and without feedback.
+
+    The no-feedback floor is the Neyman-Pearson meta-converse, which the
+    repetition code with majority decoding attains; the feedback floor
+    inverts the binary entropy at z^T, with z = 4 eps (1 - eps).
+    """
     if spec.eps is None or not 0.0 < spec.eps < 0.5:
         raise DistributionError("this scenario needs a crossover in (0, 1/2)")
     eps, T = spec.eps, spec.T
     if T is None:
         raise DistributionError("this scenario needs a finite use count")
     z = 4.0 * eps * (1.0 - eps)
-    no_fb = inv_binary_entropy(z ** (T / 2.0) / math.sqrt(2.0 * T))
-    fb = inv_binary_entropy(z ** T)
     exponent = 0.5 * math.log2(1.0 / z)
     return ScenarioReport(
         spec.tag,
         lower_bounds={
-            "no_feedback": BoundReport(no_fb, "bsc-bit-no-feedback", {},
+            "no_feedback": BoundReport(_repetition_converse(eps, T),
+                                       "bsc-bit-meta-converse", {},
                                        {"eps": eps, "T": T}),
-            "feedback": BoundReport(fb, "bsc-bit-feedback", {},
-                                    {"eps": eps, "T": T}),
+            "feedback": BoundReport(inv_binary_entropy(z ** T), "bsc-bit-feedback",
+                                    {}, {"eps": eps, "T": T}),
         },
         upper_bounds={"repetition": z ** (T / 2.0)},
         derived={

@@ -258,6 +258,17 @@ def majority_error_rate(T: int, eps: float) -> float:
     return 0.5 * (err_given_0 + err_given_1)
 
 
+def majority_risk_mp(T: int, eps: float) -> mpmath.mpf:
+    """Exact error probability of a T-fold repetition code over a BSC(eps)
+    with majority decoding, ties decided by a fair coin, at 50 digits."""
+    with mpmath.workdps(50):
+        e = mpmath.mpf(eps)
+        terms = [mpmath.binomial(T, d) * e ** d * (1 - e) ** (T - d)
+                 * (mpmath.mpf(1) / 2 if 2 * d == T else 1)
+                 for d in range((T + 1) // 2, T + 1)]
+        return mpmath.fsum(terms)
+
+
 def ceo_requirement_mp(d: int, r: float, var_w: float, alpha: float) -> float:
     """CEO sum-rate requirement h(W) - log2(V_d (alpha r e/d)^(d/r) Gamma(1+d/r)).
 

@@ -406,6 +406,20 @@ def test_non_finite_model_value_exits_2(argv, capsys):
     assert "var_w must be finite" in err
 
 
+@pytest.mark.parametrize("argv, field", [
+    (["--prior", "ball", "--prior-radius", "1", "--prior-dim", "2",
+      "--distortion", "l2r", "--distortion-r", "inf"], "distortion exponent r"),
+    (["--prior", "gaussian", "--prior-var", "inf"], "prior var"),
+    (["--prior", "ball", "--prior-radius", "inf"], "prior radius"),
+], ids=["distortion-r-inf", "prior-var-inf", "prior-radius-inf"])
+def test_non_finite_small_ball_value_exits_2(argv, field, capsys):
+    # an infinite exponent once gave a floor of 0 with exit 0, and an
+    # infinite variance was refused as a small-ball value of 0
+    code, out, err = run(["bound", "--thm", "1", "--I", "1", *argv], capsys)
+    assert (code, out) == (2, "")
+    assert f"{field} must be finite, not inf" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["scenario", "gauss-gauss", "--var-w", "1e308", "--n", "1000"],
     ["scenario", "gauss-ball", "--d", "1", "--n", "1", "--reps", "10",

@@ -36,7 +36,7 @@ GOLDEN = {
     "scenario gauss-ball --d 3 --n 50 --reps 200 --seed 5":
         "9d883938aaaa9d7d93cde9f135c66171df235503a9f1da186dfe0bc519b94d2a",
     "scenario bsc-bit --eps 0.1 --T 5":
-        "ea4bf08e7bd1af748eda49c5d61b21964f65fc96606eabb9e3dcb838bd720f7e",
+        "9317ead403217cb78552623e8ff709b95f454263861836854d7eae9f6eb94e69",
     "scenario hypercube --d 8 --delta 0.5 --b 4 --eps 0.1 --T 3 --p 0.3":
         "fad2a3777a1608ddaf9ff350e623496fb318a3fc58498653bdf0ac4e949e5b32",
     "scenario bern-bsc --n 100 --b 4 --eps 0.1 --T 70":
@@ -68,7 +68,7 @@ GOLDEN = {
     "simulate bern-bsc --n 100 --b 4 --eps 0.1 --T 70 --reps 2000 --seed 7 --check":
         "a7846faa2c1ecaf878e3a0a9e06f5d8156f1ac8a0b343dde4823bc54a59a945d",
     "simulate bsc-bit --eps 0.1 --T 5 --reps 2000 --seed 7 --check":
-        "b9c8373fcd9624c155dd94143f25e928f1d9b72a7699bc6c96a5fa1b2d1086ed",
+        "466f0b8a0fce26967eafb767d91ff877458b3d36faec110efaf9bd1bbebb6242",
     "simulate xor --m 2 --n 100 --b 2 --reps 2000 --seed 7 --check":
         "ec597f2f65d3ecaeb8fe1f0786f8ff766a986106802e8405eb7cfb5920742cf2",
     "simulate xor-colocated --m 2 --n 100 --b 2 --reps 2000 --seed 7 --check":

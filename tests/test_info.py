@@ -152,6 +152,13 @@ def test_information_density_mean_is_mi():
     assert_allclose(dens.mean(), mutual_information(joint), rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("atom", [math.nan, math.inf, -math.inf])
+def test_information_density_refuses_a_non_finite_atom(atom):
+    # a NaN atom once fed lb_info_density a floor of 0.0302
+    with pytest.raises(DistributionError, match="density values must be finite"):
+        InfoDensityDistribution([atom, 0.0], [0.5, 0.5])
+
+
 def test_information_density_tail_conventions():
     dens = InfoDensityDistribution(values=np.array([-1.0, 0.0, 2.0]),
                                    probs=np.array([0.2, 0.3, 0.5]))
@@ -274,8 +281,19 @@ def test_np_routines_warn_nothing_on_a_subnormal_mass():
         beta = neyman_pearson_beta(0.5, [0.5, 0.5], [1e-310, 1 - 1e-310])
         report = verify_np_properties([1e-310, 1 - 1e-310], [0.5, 0.5],
                                       DiscreteChannel(np.eye(2)), (0.5,), (1.0,))
+        # P over a subnormal Q entry overflows, yet both divergences are finite
+        divergences = (kl_divergence([0.5, 0.5], [1e-310, 1 - 1e-310]),
+                       binary_relative_entropy(0.5, 1e-310))
+        reverse = verify_np_properties([0.5, 0.5], [1e-310, 1 - 1e-310],
+                                       DiscreteChannel(np.eye(2)), (0.5,), (1.0,))
     assert math.isclose(beta, 1e-310, rel_tol=1e-12)
     assert report.max_violation == 0.0
+    # 0.5 log2(0.5 / 1e-310) + 0.5 log2(0.5 / (1 - 1e-310)), at 40 digits
+    for value in divergences:
+        assert math.isclose(value, 513.89885470754116612, rel_tol=1e-14)
+    # the weak converse at level 1/2 compares two of them: no inf - inf = NaN
+    assert abs(binary_relative_entropy(0.5, beta) - divergences[0]) <= 1e-12
+    assert reverse.max_violation <= 1e-12
 
 
 def test_np_properties_equal_the_per_level_loop():

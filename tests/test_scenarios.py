@@ -1,11 +1,14 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from bayeslb.bounds import lb_diff_entropy
-from bayeslb.info import DistributionError, binary_entropy
+from bayeslb.info import DistributionError, binary_entropy, neyman_pearson_beta
 from bayeslb.scenarios import (CONCENTRATION_DELTA, ScenarioSpec,
                                _ball_mass_exceeds, _noncentrality_root,
                                bern_uniform_conditional_mi, bern_uniform_mi,
@@ -254,7 +257,7 @@ def test_bsc_bit_matches_bisection_oracle():
     report = scenario_bsc_bit(ScenarioSpec(tag="bsc-bit", eps=0.25, T=4))
     z = 0.75
     assert_allclose(report.lower_bounds["no_feedback"].value,
-                    oracles.h2inv_mp(z ** 2 / math.sqrt(8.0)), atol=1e-10)
+                    float(oracles.majority_risk_mp(4, 0.25)), rtol=1e-12)
     assert_allclose(report.lower_bounds["feedback"].value,
                     oracles.h2inv_mp(z ** 4), atol=1e-10)
     assert report.upper_bounds["repetition"] == pytest.approx(z ** 2)
@@ -269,11 +272,28 @@ def test_bsc_bit_exponents():
 
 
 def test_bsc_bit_floors_stay_below_repetition_at_tiny_eps():
-    # the floors are inverse entropies near 6e-73 and 8e-143 here
+    # the floors are the meta-converse, eps itself, and an inverse entropy near 8e-143
     report = scenario_bsc_bit(ScenarioSpec(tag="bsc-bit", eps=1e-140, T=1))
     assert report.upper_bounds["repetition"] == pytest.approx(2e-70)
     for lower in report.lower_bounds.values():
         assert 0.0 < lower.value <= report.upper_bounds["repetition"]
+
+
+@given(st.floats(min_value=1e-12, max_value=0.49), st.integers(min_value=1, max_value=60))
+@settings(max_examples=200, deadline=None)
+def test_bsc_bit_floors_stay_below_the_exact_majority_risk(eps, T):
+    # majority-decoded repetition is the best code for one bit without
+    # feedback, so no floor may exceed its exact risk; the no-feedback floor
+    # is the Neyman-Pearson beta at level 1/2 of Bin(T, 1/2) against Bin(T, eps)
+    report = scenario_bsc_bit(ScenarioSpec(tag="bsc-bit", eps=eps, T=T))
+    risk = oracles.majority_risk_mp(T, eps)
+    for lower in report.lower_bounds.values():
+        assert lower.value <= risk * (1 + mpmath.mpf("1e-12"))
+    fair = [math.comb(T, d) / 2.0 ** T for d in range(T + 1)]
+    noisy = [math.comb(T, d) * eps ** d * (1.0 - eps) ** (T - d) for d in range(T + 1)]
+    assert math.isclose(report.lower_bounds["no_feedback"].value,
+                        neyman_pearson_beta(0.5, fair, noisy), rel_tol=1e-9,
+                        abs_tol=1e-300)
 
 
 def test_bsc_bit_needs_noisy_channel():
