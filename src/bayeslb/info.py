@@ -656,9 +656,9 @@ def _capacity_bracket(K: np.ndarray, tol: float) -> tuple[float, float, int]:
     Blahut-Arimoto step. Before the latter, an input at exactly zero whose
     D(K_x || q) exceeds I(r) gets a small mass back, since the
     multiplicative update cannot revive it. A refused Newton step doubles
-    the wait before the next try (1, 2, 4, ... iterations without Newton)
-    and an accepted one resets it to 1, so a channel Newton does not help
-    costs about what plain Blahut-Arimoto does.
+    the wait before the next try and an accepted one resets it to 1; past
+    iteration 1 024 Newton is tried only at powers of two, which bounds the
+    cost of steps accepted at tiny lengths (up to 60 evaluations each).
     """
     mask = K > 0.0
     logK = np.zeros_like(K)
@@ -680,12 +680,13 @@ def _capacity_bracket(K: np.ndarray, tol: float) -> tuple[float, float, int]:
             return point[2], point[3], iteration - 1
         if wait > 0:
             wait -= 1
-        elif (moved := _newton_move(K, evaluate, r, point)) is None:
-            wait, skip = skip, 2 * skip
-        else:
-            (r, point), skip = moved, 1
-            if point[3] - point[2] <= tol:
-                return point[2], point[3], iteration
+        elif iteration <= 1024 or iteration & (iteration - 1) == 0:
+            if (moved := _newton_move(K, evaluate, r, point)) is None:
+                wait, skip = skip, 2 * skip
+            else:
+                (r, point), skip = moved, 1
+                if point[3] - point[2] <= tol:
+                    return point[2], point[3], iteration
         _, per_input, lower, upper = point
         revive = (r == 0.0) & (per_input > lower)
         if revive.any():
@@ -708,8 +709,7 @@ def channel_capacity(channel: DiscreteChannel) -> float:
     mass back to any input the projection zeroed while its D(K_x || q)
     exceeds I(r). Close to the optimum the Newton steps converge
     quadratically, so a few iterations replace the thousands of plain
-    Blahut-Arimoto steps that near-useless or ill-conditioned channels take;
-    a refused Newton step doubles the wait before the next try.
+    Blahut-Arimoto steps that near-useless or ill-conditioned channels take.
 
     The contract is unchanged: the result is the upper end
     max_x D(K_x || q) of the duality bracket [I(r), max_x D(K_x || q)] at
