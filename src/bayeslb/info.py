@@ -200,9 +200,9 @@ class PriorSpec:
             raise DistributionError(f"unknown prior family {self.family!r}")
         if self.dim < 1:
             raise DistributionError("dimension must be at least 1")
-        for name in ("var", "radius"):
-            if not math.isfinite(getattr(self, name)):
-                raise DistributionError(f"prior {name} must be finite, not {getattr(self, name)}")
+        for name, value in (("var", self.var), ("radius", self.radius)):
+            if not math.isfinite(value):
+                raise DistributionError(f"prior {name} must be finite, not {value}")
         if self.family == "gaussian" and not self.var > 0.0:
             raise DistributionError("gaussian prior needs a positive variance")
         if self.family == "ball" and not self.radius > 0.0:

@@ -461,15 +461,16 @@ def scenario_bsc_bit(spec: ScenarioSpec) -> ScenarioReport:
     if T is None:
         raise DistributionError("this scenario needs a finite use count")
     z = 4.0 * eps * (1.0 - eps)
+    no_fb = _repetition_converse(eps, T)
+    fb = inv_binary_entropy(z ** T)
     exponent = 0.5 * math.log2(1.0 / z)
     return ScenarioReport(
         spec.tag,
         lower_bounds={
-            "no_feedback": BoundReport(_repetition_converse(eps, T),
-                                       "bsc-bit-meta-converse", {},
+            "no_feedback": BoundReport(no_fb, "bsc-bit-meta-converse", {},
                                        {"eps": eps, "T": T}),
-            "feedback": BoundReport(inv_binary_entropy(z ** T), "bsc-bit-feedback",
-                                    {}, {"eps": eps, "T": T}),
+            "feedback": BoundReport(fb, "bsc-bit-feedback", {},
+                                    {"eps": eps, "T": T}),
         },
         upper_bounds={"repetition": z ** (T / 2.0)},
         derived={

@@ -481,14 +481,16 @@ def test_capacity_iteration_closes_the_bracket_where_newton_stops_helping():
 def test_capacity_iteration_stops_trying_newton_every_iteration_past_1024():
     # a zero-laden 17 x 7 Dirichlet(0.02) channel on which Newton steps are
     # accepted at tiny lengths, up to 60 evaluations each, for little gain:
-    # tried at every iteration, they keep the bracket open past the
-    # 100 000-iteration cap (some 40 s), where Blahut-Arimoto closes it
+    # tried at every iteration they hold the bracket open to the 100 000-
+    # iteration cap (some 40 s); tried at powers of two past 1 024, they
+    # leave Blahut-Arimoto to close it
     rng = np.random.default_rng([55, 17, 7])
     rows = rng.dirichlet(np.full(7, 0.02), size=17)
     zero = rng.random((17, 7)) < 0.4
     zero[np.arange(17), rng.integers(0, 7, 17)] = False
     rows = np.where(zero, 0.0, rows)
-    lower, upper, iterations = info._capacity_bracket(rows / rows.sum(axis=1, keepdims=True), 1e-9)
+    rows /= rows.sum(axis=1, keepdims=True)
+    lower, upper, iterations = info._capacity_bracket(rows, 1e-9)
     assert upper - lower <= 1e-9
     assert iterations <= 2048
 
