@@ -657,8 +657,9 @@ def _capacity_bracket(K: np.ndarray, tol: float) -> tuple[float, float, int]:
     D(K_x || q) exceeds I(r) gets a small mass back, since the
     multiplicative update cannot revive it. A refused Newton step doubles
     the wait before the next try and an accepted one resets it to 1; past
-    iteration 1 024 Newton is tried only at powers of two, which bounds the
-    cost of steps accepted at tiny lengths (up to 60 evaluations each).
+    iteration 1 024 Newton is tried only at powers of two. That bounds its
+    cost where accepted steps stop paying: steps taken at tiny lengths (up
+    to 60 evaluations each), or a step undone by the revive that follows.
     """
     mask = K > 0.0
     logK = np.zeros_like(K)
