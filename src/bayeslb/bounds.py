@@ -282,8 +282,8 @@ def mi_ub_single(i_wx: float, h_x: float, b: float, capacity: float, T: int,
     """
     if T < 1:
         raise DistributionError("use count must be at least 1")
-    eta_stat = _as_estimate(eta_stat).value
-    eta_uses = _as_estimate(eta_uses).value
+    eta_stat = _as_estimate(eta_stat).upper
+    eta_uses = _as_estimate(eta_uses).upper
     data, _ = _min_terms({"h_x": h_x, "b": b})
     terms = {
         "source": _term(i_wx, eta_uses),
@@ -311,10 +311,10 @@ def mi_ub_multi_iid(i_w_all: float, i_w_single: float, eta_stat, m: int,
     """
     if m < 1:
         raise DistributionError("processor count must be at least 1")
-    eta_stat = _as_estimate(eta_stat).value
-    eta_T = _as_estimate(eta_uses_T).value
+    eta_stat = _as_estimate(eta_stat).upper
+    eta_T = _as_estimate(eta_uses_T).upper
     eta_mT = (eta_multi_use(eta_T, m) if eta_uses_mT is None
-              else _as_estimate(eta_uses_mT)).value
+              else _as_estimate(eta_uses_mT)).upper
     terms = {
         "source": _min_terms({"joint": _term(i_w_all, eta_mT),
                               "split": _term(m, i_w_single, eta_T)})[0],
@@ -349,8 +349,8 @@ def mi_ub_cutset(i_cond: float, eta_s, num_outside: int, b: float,
         return BoundReport(0.0, "mi-ub-cutset", {"active": "empty"}, {"num_outside": 0})
     if colocated and m is None:
         raise DistributionError("colocated form needs the processor count m")
-    eta_s = _as_estimate(eta_s).value
-    eta_uses = 1.0 if noiseless else _as_estimate(eta_uses).value
+    eta_s = _as_estimate(eta_s).upper
+    eta_uses = 1.0 if noiseless else _as_estimate(eta_uses).upper
     mult = m if colocated else num_outside
     terms = {
         "source": _term(i_cond, eta_uses),

@@ -499,7 +499,7 @@ def main(argv=None) -> int:
         args = (_default_parser() if pre_args.config is None
                 else build_parser(_load_config(pre_args.config))).parse_args(rest)
         return args.func(args)
-    except (DistributionError, UnsupportedPairError, OSError) as exc:
+    except (DistributionError, UnsupportedPairError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

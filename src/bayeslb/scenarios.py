@@ -138,7 +138,7 @@ def _channel_profile(spec: ScenarioSpec, uses: float | None = None) -> tuple[flo
     if spec.eta_uses is not None:
         eta_T = spec.eta_uses
     elif spec.eps is not None and T is not None:
-        eta_T = eta_multi_use(eta_bsc(spec.eps), T).value
+        eta_T = eta_multi_use(eta_bsc(spec.eps), T).upper
     else:
         eta_T = 1.0
     if spec.capacity is not None:

@@ -4,17 +4,18 @@ For an input distribution mu and channel K, the contraction coefficient is
 
     eta(mu, K) = sup_{nu != mu} D(nu K || mu K) / D(nu || mu),
 
-and eta(K) is its supremum over mu. Every estimate carries a ``kind`` tag:
-``exact`` for closed forms, ``upper_bound`` for structural bounds (Dobrushin,
-the pairwise row ratio, the multi-use tensor bound), and
-``numeric_lower_estimate`` for ``eta_numeric``, which skips every nu with
-D(nu || mu) < 1e-12 bits. It scans mixture paths toward the vertices and
-along both signs of the chi-square directions. At two inputs these paths
-cover one segment through mu, and a line search on that segment gives the
-value; from three inputs up, mirror ascent on nu starts where the scan
-scores best, and its best end is the value. Everything scores through one
-ratio kernel, and every point is a feasible mixture, so the estimate can
-only undershoot the supremum.
+and eta(K) is its supremum over mu. Every estimate carries a value and a
+certified upper end: the two agree for closed forms and for structural
+bounds (Dobrushin, the pairwise row ratio), and budgets read the upper end.
+``eta_numeric`` searches for the value, skipping every nu with
+D(nu || mu) < 1e-12 bits, and takes the Dobrushin coefficient, which bounds
+eta(mu, K) for every mu, as its upper end. It scans mixture paths toward
+the vertices and along both signs of the chi-square directions. At two
+inputs these paths cover one segment through mu, and a line search on that
+segment gives the value; from three inputs up, mirror ascent on nu starts
+where the scan scores best, and its best end is the value. Everything
+scores through one ratio kernel, and every point is a feasible mixture, so
+the value can only undershoot the supremum.
 """
 from __future__ import annotations
 
@@ -33,7 +34,6 @@ np = _Numpy(globals())
 
 __all__ = [
     "ContractionEstimate",
-    "PairwiseRatioBound",
     "eta_bsc",
     "dobrushin",
     "pairwise_ratio_bound",
@@ -41,71 +41,51 @@ __all__ = [
     "eta_multi_use",
 ]
 
-_KIND_RANK = {"exact": 0, "upper_bound": 1, "numeric_lower_estimate": 2}
-
-
 @dataclass(frozen=True)
 class ContractionEstimate:
-    """A contraction coefficient value with its epistemic status."""
+    """A contraction coefficient's best value and its certified upper end."""
 
     value: float
-    kind: str
+    upper: float
     provenance: str = ""
     argmax: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kind not in _KIND_RANK:
-            raise DistributionError(f"unknown estimate kind {self.kind!r}")
-        if not 0.0 <= self.value <= 1.0:
+        if not (0.0 <= self.value <= 1.0 and 0.0 <= self.upper <= 1.0):
             raise DistributionError("contraction coefficients lie in [0, 1]")
+        if self.value > self.upper:
+            raise DistributionError("a contraction estimate's value exceeds its upper end")
 
 
 def eta_bsc(eps: float) -> ContractionEstimate:
     """Contraction of the binary symmetric channel at uniform input: (1-2eps)^2."""
     if not 0.0 <= eps <= 0.5:
         raise DistributionError("crossover must lie in [0, 1/2]")
-    return ContractionEstimate((1.0 - 2.0 * eps) ** 2, "exact", "bsc closed form")
+    eta = (1.0 - 2.0 * eps) ** 2
+    return ContractionEstimate(eta, eta, "bsc closed form")
 
 
 def dobrushin(channel: DiscreteChannel) -> ContractionEstimate:
     """Dobrushin coefficient: the largest total variation between two rows, capped at 1."""
     rows = channel.rows
     worst = min(0.5 * float(np.abs(rows[:, None] - rows[None]).sum(axis=-1).max()), 1.0)
-    return ContractionEstimate(worst, "upper_bound", "dobrushin coefficient")
+    return ContractionEstimate(worst, worst, "dobrushin coefficient")
 
 
-@dataclass(frozen=True)
-class PairwiseRatioBound:
-    """Row-ratio contraction bound; ``forward`` holds in both chain directions."""
-
-    alpha: float
-    forward: ContractionEstimate
-    degenerate: bool
-
-
-def pairwise_ratio_bound(channel: DiscreteChannel, n: int = 1) -> PairwiseRatioBound:
-    """Bound 1 - alpha^n from alpha = min over outputs and row pairs of K(y|x)/K(y|x').
+def pairwise_ratio_bound(channel: DiscreteChannel) -> ContractionEstimate:
+    """Bound 1 - alpha from alpha = min over outputs and row pairs of K(y|x)/K(y|x').
 
     The same constant bounds the contraction of the channel and of its
-    posterior (reverse) channel; with n conditionally independent
-    observations the bound weakens to 1 - alpha^n. A zero entry forces
-    alpha = 0 and the vacuous bound 1, flagged ``degenerate``.
+    posterior (reverse) channel. A zero entry forces alpha = 0 and the
+    vacuous bound 1.
     """
-    if n < 1:
-        raise DistributionError("sample count must be at least 1")
     rows = channel.rows
-    degenerate = bool(np.any(rows == 0.0))
-    if degenerate:
-        alpha = 0.0
-    else:
-        alpha = float((rows.min(axis=0) / rows.max(axis=0)).min())
-    note = f"pairwise row ratio, {n} sample(s)"
-    return PairwiseRatioBound(
-        alpha, ContractionEstimate(1.0 - alpha ** n, "upper_bound", note), degenerate)
+    alpha = 0.0 if np.any(rows == 0.0) else float((rows.min(axis=0) / rows.max(axis=0)).min())
+    return ContractionEstimate(1.0 - alpha, 1.0 - alpha, "pairwise row ratio")
 
 
 # ---------------------------------------------------------------------------
-# numeric lower estimate
+# numeric search
 
 
 _LN2 = math.log(2.0)
@@ -263,8 +243,8 @@ def _line_search(mu, ratio, rays, steps, scores) -> tuple[np.ndarray, float]:
 
 
 def eta_numeric(mu, channel: DiscreteChannel) -> ContractionEstimate:
-    """Numeric lower estimate of eta(mu, K), with its argmax, for a
-    full-support ``mu`` of up to 16 symbols.
+    """Numeric search for eta(mu, K), with its argmax, for a full-support
+    ``mu`` of up to 16 symbols; the upper end is the Dobrushin coefficient.
 
     Scans mixture paths toward the vertices and along both signs of the
     chi-square directions (``_scan``); no nu with D(nu || mu) < 1e-12 bits
@@ -291,7 +271,8 @@ def eta_numeric(mu, channel: DiscreteChannel) -> ContractionEstimate:
         ends, ratios = _ascend(mu, K, ratio, _starts(mu, rays, steps, scores))
         i = int(np.argmax(ratios))
         nu, best, how = ends[i], float(ratios[i]), "mirror ascent"
-    return ContractionEstimate(min(max(best, 0.0), 1.0), "numeric_lower_estimate",
+    value = min(max(best, 0.0), 1.0)
+    return ContractionEstimate(value, max(value, dobrushin(channel).value),
                                f"mixture-path scan, then {how} above the floor",
                                nu if best > -math.inf else None)
 
@@ -300,32 +281,24 @@ def eta_numeric(mu, channel: DiscreteChannel) -> ContractionEstimate:
 # combinators
 
 
-def _as_estimate(eta, lower_ok: bool = False) -> ContractionEstimate:
-    """``eta`` as a range-checked estimate; a bare float counts as exact.
+def _as_estimate(eta) -> ContractionEstimate:
+    """``eta`` as an estimate; a bare number counts as exact and is range-checked.
 
-    A numeric lower estimate is refused unless ``lower_ok``: an information
-    budget is an upper bound only if every contraction in it is one.
+    A budget reads the ``upper`` end: it is an upper bound only if every
+    contraction in it is one.
     """
-    if not isinstance(eta, ContractionEstimate):
-        eta = ContractionEstimate(float(eta), "exact")
-    if not lower_ok and eta.kind == "numeric_lower_estimate":
-        raise DistributionError(
-            "a budget needs an exact or upper-bound contraction coefficient, "
-            f"not a numeric lower estimate ({eta.provenance})")
-    return eta
+    if isinstance(eta, ContractionEstimate):
+        return eta
+    return ContractionEstimate(float(eta), float(eta))
 
 
 def eta_multi_use(eta_single, T: float) -> ContractionEstimate:
-    """Contraction bound for T channel uses: 1 - (1 - eta)^T.
+    """Contraction bound for T channel uses: 1 - (1 - eta)^T at both ends.
 
     T may be fractional, as for one processor's share of a use budget.
     """
     if not T >= 0:
         raise DistributionError("use count cannot be negative")
-    single = _as_estimate(eta_single, lower_ok=True)
-    bound = 1.0 - (1.0 - single.value) ** T
-    # the tensor bound is eta itself at T = 1 and an upper bound on the exact
-    # coefficient otherwise, so it stays a lower estimate if eta was one
-    kind = single.kind if T == 1 else max(single.kind, "upper_bound",
-                                          key=_KIND_RANK.get)
-    return ContractionEstimate(bound, kind, "tensor bound 1-(1-eta)^T")
+    single = _as_estimate(eta_single)
+    value, upper = (1.0 - (1.0 - x) ** T for x in (single.value, single.upper))
+    return ContractionEstimate(value, upper, "tensor bound 1-(1-eta)^T")

@@ -11,7 +11,6 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import linprog
 from scipy.special import betainc, betaincinv
-from scipy.stats import binom
 
 mpmath.mp.dps = 50
 
@@ -248,14 +247,6 @@ def grid_mi_smallball(mi: float, smallball, lo: float = 1e-9, hi: float = 1.0,
         val = rho * (1.0 - (mi + 1.0) / math.log2(1.0 / mass))
         best = max(best, val)
     return best
-
-
-def majority_error_rate(T: int, eps: float) -> float:
-    """Error probability of a T-fold repetition code with ties decoded as 0."""
-    err_given_0 = binom.sf(T / 2.0, T, eps)
-    err_given_1 = binom.cdf(T / 2.0, T, 1.0 - eps) if T % 2 == 0 \
-        else binom.sf(T / 2.0, T, eps)
-    return 0.5 * (err_given_0 + err_given_1)
 
 
 def majority_risk_mp(T: int, eps: float) -> mpmath.mpf:

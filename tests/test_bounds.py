@@ -12,7 +12,7 @@ from bayeslb.bounds import (BoundReport, fano, lb_diff_entropy,
 from bayeslb.info import (DiscreteChannel, DiscreteDistribution, DistortionSpec,
                           DistributionError, InfoDensityDistribution, JointPMF,
                           PriorSpec, bsc, information_density, small_ball)
-from bayeslb.sdpi import eta_bsc, eta_numeric
+from bayeslb.sdpi import dobrushin, eta_bsc, eta_numeric
 
 import oracles
 
@@ -283,15 +283,22 @@ BUDGETS = {
 
 @pytest.mark.parametrize("name", sorted(BUDGETS))
 def test_budgets_refuse_a_numeric_lower_estimate(name):
+    """A budget never reads a search's value, only its certified upper end
+    (the Dobrushin coefficient); a NaN or out-of-range bare number is refused."""
     budget = BUDGETS[name]
-    lower = eta_numeric(np.array([0.5, 0.5]), bsc(0.2))
+    channel = DiscreteChannel(np.array([[0.9, 0.1], [0.3, 0.7]]))
+    search = eta_numeric(np.array([0.5, 0.5]), channel)
+    assert search.value < search.upper == dobrushin(channel).value
     exact = eta_bsc(0.2)
     for arg in inspect.signature(budget).parameters:
         # an exact estimate and its bare value build the same budget
         assert budget(**{arg: exact}).value == \
             budget(**{arg: exact.value}).value
-        with pytest.raises(DistributionError, match="numeric lower estimate"):
-            budget(**{arg: lower})
+        assert budget(**{arg: search}).value == \
+            budget(**{arg: dobrushin(channel).value}).value
+        for bad in (math.nan, -0.1, 1.5):
+            with pytest.raises(DistributionError):
+                budget(**{arg: bad})
 
 
 @pytest.mark.parametrize("report", [

@@ -74,7 +74,12 @@ def _check(argv):
             assert math.isfinite(float(cells[2])), (argv, line)
 
 
+# an integer beyond the float range once ended in an OverflowError traceback
+BIG = "9" * 401
+
+
 @given(argvs("bound"))
+@example(["bound", "--thm", "4", "--T", BIG])
 @settings(max_examples=150, deadline=None, derandomize=True)
 def test_bound_contract(argv):
     _check(argv)
@@ -85,12 +90,16 @@ def test_bound_contract(argv):
 @example(["scenario", "hypercube", "--delta", "0", "--p", "0.5"])
 @example(["scenario", "hypercube", "--delta", "5e-324", "--p", "0"])
 @example(["scenario", "gauss-ball", "--d", "6523", "--reps", "1"])
+@example(["scenario", "gauss-gauss", "--n", BIG])
+@example(["scenario", "bsc-bit", "--eps", "0.1", "--T", BIG])
 @settings(max_examples=250, deadline=None, derandomize=True)
 def test_scenario_contract(argv):
     _check(argv)
 
 
 @given(argvs("simulate"))
+# past 2^63 numpy's samplers once raised an OverflowError
+@example(["simulate", "bsc-bit", "--eps", "0.1", "--T", "9223372036854775808", "--reps", "1"])
 @settings(max_examples=150, deadline=None, derandomize=True)
 def test_simulate_contract(argv):
     # without --reps a simulation exits 2 at once, so add one where it is missing
@@ -101,6 +110,7 @@ def test_simulate_contract(argv):
 # these ended in a traceback and in nan cells once
 @example(["figure", "fig4", "--rho", "1e-320", "--b", "-0.125"])
 @example(["figure", "fig4", "--rho", "0", "--b", "inf"])
+@example(["figure", "fig3", "--m", BIG])
 @settings(max_examples=100, deadline=None, derandomize=True)
 def test_figure_contract(argv):
     _check(argv)

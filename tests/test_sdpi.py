@@ -21,7 +21,7 @@ pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("eps", [0.0, 0.1, 0.25, 0.4, 0.5])
 def test_eta_bsc_closed_form(eps):
     assert_allclose(eta_bsc(eps).value, (1.0 - 2.0 * eps) ** 2, rtol=0, atol=1e-15)
-    assert eta_bsc(eps).kind == "exact"
+    assert eta_bsc(eps).upper == eta_bsc(eps).value
 
 
 def test_dobrushin_bsc_is_one_minus_two_eps():
@@ -45,7 +45,7 @@ def test_eta_numeric_bsc_tolerance_window():
         est = eta_numeric(FAIR, bsc(eps))
         dev = est.value - (1.0 - 2.0 * eps) ** 2
         assert -1e-3 <= dev <= 1e-9
-        assert est.kind == "numeric_lower_estimate"
+        assert est.upper == dobrushin(bsc(eps)).value == 1.0 - 2.0 * eps
 
 
 def test_eta_numeric_bec():
@@ -84,7 +84,7 @@ def _eta_chi2(mu, rows) -> float:
        st.integers(2, 6), st.sampled_from([0.3, 2.0]))
 @settings(max_examples=15, deadline=None)
 def test_eta_numeric_below_dobrushin(seed, inputs, outputs, alpha):
-    """The numeric lower estimate lies between the chi-square contraction,
+    """The search's value lies between the chi-square contraction,
     which lower-bounds the KL one, and the Dobrushin coefficient."""
     rng = np.random.default_rng(seed)
     channel = DiscreteChannel(rng.dirichlet(np.full(outputs, alpha), size=inputs))
@@ -235,6 +235,18 @@ def test_eta_numeric_keeps_the_corpus_values(k):
         _assert_keeps_value(*_corpus_pair(k, i), pinned)
 
 
+@pytest.mark.parametrize("k", range(2, 17))
+def test_eta_numeric_upper_end_is_the_dobrushin_coefficient(k):
+    """The search's certified end is max(value, Dobrushin), and the tensor
+    bound maps it through 1 - (1 - upper)^T."""
+    for i in range(8):
+        mu, channel = _corpus_pair(k, i)
+        est = eta_numeric(mu, channel)
+        assert est.value <= est.upper == max(est.value, dobrushin(channel).value)
+        for T in (1, 2, 7.5):
+            assert eta_multi_use(est, T).upper == 1.0 - (1.0 - est.upper) ** T
+
+
 def _assert_keeps_value(mu, channel, pinned):
     est = eta_numeric(mu, channel)
     assert est.value >= float.fromhex(pinned) - 1e-9
@@ -334,18 +346,16 @@ def test_line_search_keeps_the_ascent_value(pair):
 
 
 def test_pairwise_ratio_bound_bsc049():
-    # alpha = 0.49/0.51 per output, so the n-sample bound is 1 - (49/51)^n
-    bound = pairwise_ratio_bound(bsc(0.49), n=100)
-    assert_allclose(bound.alpha, 49.0 / 51.0, rtol=1e-15)
-    assert_allclose(bound.forward.value, 0.98169412919139994, rtol=1e-13)
-    assert not bound.degenerate
+    # alpha = 0.49/0.51 per output, so the bound is 1 - 49/51 = 2/51
+    bound = pairwise_ratio_bound(bsc(0.49))
+    assert_allclose(bound.value, 2.0 / 51.0, rtol=1e-13)
+    assert bound.upper == bound.value
 
 
 def test_pairwise_ratio_bound_degenerate_when_support_differs():
     rows = np.array([[1.0, 0.0], [0.5, 0.5]])
     bound = pairwise_ratio_bound(DiscreteChannel(rows))
-    assert bound.degenerate
-    assert bound.forward.value == 1.0
+    assert bound.value == bound.upper == 1.0
 
 
 def test_eta_multi_use_product_rule():
@@ -354,10 +364,13 @@ def test_eta_multi_use_product_rule():
     assert_allclose(est.value, 0.68359375, rtol=0, atol=1e-15)
 
 
-def test_eta_multi_use_keeps_lower_estimate_kind():
-    lower = eta_numeric(FAIR, bsc(0.1))
+def test_eta_multi_use_maps_both_ends():
+    est = eta_numeric(FAIR, bsc(0.1))
+    assert est.value < est.upper
     for T in (1, 2, 3, 7.5):
-        assert eta_multi_use(lower, T).kind == "numeric_lower_estimate"
+        multi = eta_multi_use(est, T)
+        assert multi.value == 1.0 - (1.0 - est.value) ** T
+        assert multi.upper == 1.0 - (1.0 - est.upper) ** T
 
 
 @given(st.floats(min_value=0.0, max_value=1.0), st.integers(min_value=1, max_value=30))
@@ -374,7 +387,9 @@ def test_posterior_dobrushin_matches_quadrature(n):
 
 
 def test_contraction_estimate_validation():
-    with pytest.raises(DistributionError):
-        ContractionEstimate(1.5, "exact")
-    with pytest.raises(DistributionError):
-        ContractionEstimate(0.5, "guess")
+    """0 <= value <= upper <= 1, with NaN on either end refused."""
+    assert ContractionEstimate(0.0, 1.0).upper == 1.0
+    for value, upper in [(1.5, 1.5), (0.5, 1.5), (-0.1, 0.5), (0.6, 0.5),
+                         (np.nan, 1.0), (0.5, np.nan)]:
+        with pytest.raises(DistributionError):
+            ContractionEstimate(value, upper)
