@@ -63,41 +63,59 @@ def _parse_etas(text: str) -> tuple:
     return tuple(float(part) for part in text.split(","))
 
 
+def _int_type(limit: int, reason: str):
+    """An integer flag's type: argparse refuses, naming the flag, a value of
+    magnitude above ``limit``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if abs(value) > limit:
+            raise argparse.ArgumentTypeError(reason)
+        return value
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
+# bounds and scenarios compute in floats, numpy's samplers in 64-bit integers
+_INT = _int_type(int(sys.float_info.max), "lies beyond the float range")
+_SAMPLED_INT = _int_type(2 ** 63 - 1, "lies beyond the samplers' 64-bit range")
+
+
 # Every valued flag or switch is one (dest, type, default[, help]) row, spelled
 # "--" + dest with "-" for "_". A subcommand's rows build its parser and, in
 # order, its manifest command. The model rows are ScenarioSpec's fields after
 # its tag, with their types and defaults; the field rho_bias is the flag --rho.
 _MODEL_FLAGS = tuple(
     ("rho" if field.name == "rho_bias" else field.name,
-     {"int": int, "float": float, "bool": bool}[field.type.split(" |")[0]],
+     {"int": _INT, "float": float, "bool": bool}[field.type.split(" |")[0]],
      field.default)
     for field in dataclasses.fields(ScenarioSpec)[1:])
 _RUN_FLAGS = (
-    ("reps", int, None, "replications (simulate) or Monte Carlo draws for "
+    ("reps", _INT, None, "replications (simulate) or Monte Carlo draws for "
                         "mass estimates (scenario gauss-ball)"),
     ("seed", int, None),
 )
 _BOUND_FLAGS = (
     ("I", float, None), ("h", float, None), ("hx", float, None),
     ("i_single", float, None), ("i_cond", float, None), ("b", float, None),
-    ("capacity", float, None), ("T", int, 1), ("m", int, 1), ("n", int, 1),
-    ("d", int, 1), ("r", float, 1.0), ("outside", int, None),
+    ("capacity", float, None), ("T", _INT, 1), ("m", _INT, 1), ("n", _INT, 1),
+    ("d", _INT, 1), ("r", float, 1.0), ("outside", _INT, None),
     ("eta_stat", float, 1.0), ("eta_uses", float, 1.0),
     ("eta_uses_mt", float, None), ("eta_s", float, 1.0),
     ("alpha", float, None), ("colocated", bool, False),
     ("noiseless", bool, False), ("prior", str, None),
-    ("prior_var", float, None), ("prior_dim", int, 1),
-    ("prior_radius", float, None), ("prior_size", int, None),
+    ("prior_var", float, None), ("prior_dim", _INT, 1),
+    ("prior_radius", float, None), ("prior_size", _INT, None),
     ("distortion", str, None), ("distortion_r", float, 1.0),
 )
 _COMMAND_FLAGS = {
     "bound": _BOUND_FLAGS,
     "scenario": _MODEL_FLAGS + (
         ("alpha", float, None, "small-ball level (CEO scenario)"),) + _RUN_FLAGS,
-    "simulate": _MODEL_FLAGS + _RUN_FLAGS + (
+    "simulate": tuple((dest, _SAMPLED_INT if kind is _INT else kind, default)
+                      for dest, kind, default in _MODEL_FLAGS) + _RUN_FLAGS + (
         ("check", bool, False, "compare against the matching closed-form report"),),
     "figure": (("p", float, 0.3), ("etas", _parse_etas, (1.0, 0.75, 0.5)),
-               ("points", int, 61), ("m", int, 10), ("d", int, 512),
+               ("points", _INT, 61), ("m", _INT, 10), ("d", _INT, 512),
                ("b", float, None), ("rho", float, 0.01)),
 }
 

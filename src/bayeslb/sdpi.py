@@ -14,8 +14,9 @@ the vertices and along both signs of the chi-square directions. At two
 inputs these paths cover one segment through mu, and a line search on that
 segment gives the value; from three inputs up, mirror ascent on nu starts
 where the scan scores best, and its best end is the value. Everything
-scores through one ratio kernel, and every point is a feasible mixture, so
-the value can only undershoot the supremum.
+scores through one ratio kernel, one matmul into the Bregman form and one
+out of it, whose logs make the ascent's gradient. Every point is a feasible
+mixture, so the value can only undershoot the supremum.
 """
 from __future__ import annotations
 
@@ -96,90 +97,91 @@ _FLOOR = 1e-12
 
 def _ratio(mu, K):
     """The map diff -> (D(nu K || mu K) / D(nu || mu), D(nu || mu) in bits)
-    for nu = mu + diff along the last axis, with the ratio -inf where
-    D(nu || mu) < ``_FLOOR``; what depends on mu and K alone is built once.
+    for nu = mu + diff along the last axis, the ratio -inf where
+    D(nu || mu) < ``_FLOOR``; ``logs=True`` adds the logs it computes,
+    log(nu / mu) then log(nu K / mu K), with log 0 cut at -690.
 
-    Evaluates each D(base + diff || base) in the Bregman form
-    sum_i base_i * g(diff_i / base_i) with g(u) = (1+u) log1p(u) - u, which
-    equals the divergence whenever ``diff`` sums to zero. Each summand is
-    nonnegative and of order diff^2, so there is no cancellation, and
-    residual mass error from floating point enters only quadratically; a
-    truncated series handles |u| below 1e-2. Entries with base == 0, such as
-    outputs no input reaches, must have diff == 0 and are left out of the sum.
+    With base = [mu, mu K] and u = diff / base, each divergence is the
+    Bregman form sum_i base_i * g(u_i), g(u) = (1+u) log1p(u) - u, whenever
+    ``diff`` sums to zero: each summand is nonnegative and of order diff^2,
+    so nothing cancels and floating-point mass error enters quadratically;
+    a series handles |u| <= 1e-2. Entries with base == 0 (outputs no input
+    reaches) must have diff == 0 and are left out. M = [I | K] / base and
+    W, base / ln 2 in an input and an output column, are built once: a
+    score is u = diff @ M, then g(u) @ W.
     """
     base = np.concatenate([mu, mu @ K])
     mask = base > 0.0
-    b, cut, every = base[mask], int(mask[:mu.size].sum()), bool(mask.all())
+    b, cut = base[mask], int(mask[:mu.size].sum())
+    M = np.concatenate([np.eye(mu.size), K], axis=1)[:, mask] / b
+    W = np.zeros((b.size, 2))
+    W[:cut, 0], W[cut:, 1] = b[:cut] / _LN2, b[cut:] / _LN2
 
-    def ratio(diff) -> tuple[np.ndarray, np.ndarray]:
-        u = np.concatenate([diff, diff @ K], axis=-1)
-        u = (u if every else u[..., mask]) / b
-        small = np.abs(u) <= 1e-2
-        dead = u <= -1.0
-        us = np.where(small, u, 0.0)
+    def ratio(diff, logs=False):
+        u = diff @ M
+        small, dead = np.abs(u) <= 1e-2, u <= -1.0
+        us = u * small
         series = us * us * (1.0 / 2.0 - us * (1.0 / 6.0 - us * (
             1.0 / 12.0 - us * (1.0 / 20.0 - us * (1.0 / 30.0 - us / 42.0)))))
-        ub = np.where(small | dead, 0.0, u)
-        g = np.where(small, series, np.where(dead, 1.0, (1.0 + ub) * np.log1p(ub) - ub))
-        terms = b * g
-        din, dout = terms[..., :cut].sum(axis=-1) / _LN2, terms[..., cut:].sum(axis=-1) / _LN2
-        return np.where(din >= _FLOOR, dout / np.maximum(din, _FLOOR), -math.inf), din
+        ud = np.where(dead, 0.0, u)
+        lg = np.log1p(ud)
+        d = (np.where(small, series, (1.0 + ud) * lg - ud) + dead) @ W  # g(-1) = 1
+        din = d[..., 0]
+        f = np.where(din >= _FLOOR, d[..., 1] / np.maximum(din, _FLOOR), -math.inf)
+        return (f, din, np.where(dead, -690.0, lg)) if logs else (f, din)
     return ratio
 
 
 def _ascend(mu, K, ratio, nu) -> tuple[np.ndarray, np.ndarray]:
-    """Mirror ascent of D(nu K || mu K) / D(nu || mu) from each row of ``nu``,
-    scored by ``ratio``, the ``_ratio(mu, K)`` map; returns each end nu and
-    its ratio, -inf if below the floor. Each iteration scores two trials per
-    row in one array, nu * exp(s grad) and mu + e^l (nu - mu), as the ratio
-    is far flatter along the ray from mu than across it, and a row takes the
-    best if it scores higher. s doubles on a rise, else halves; l doubles,
-    else flips sign and halves (1e-8 <= |l| <= 1). Stops after 500
+    """Mirror ascent of D(nu K || mu K) / D(nu || mu) from each row of ``nu``
+    for a full-support mu, scored by ``ratio``, the ``_ratio(mu, K)`` map;
+    returns each end nu and its ratio, -inf if below the floor. Each
+    iteration scores two trials per row in one call, nu * exp(s grad) and
+    mu + e^l (nu - mu), as the ratio is far flatter along the ray from mu
+    than across it; a row takes the best if it scores higher, with the logs
+    scored with it for its gradient. s doubles on a rise, else halves; l
+    doubles, else flips sign and halves (1e-8 <= |l| <= 1). Stops after 500
     iterations, or 10 that raised the best ratio at most 1e-12 relative.
     """
-    muK = mu @ K
-    Ku, muKu = K[:, muK > 0.0], muK[muK > 0.0]
-    (f, din), S = ratio(nu - mu), len(nu)
+    (S, k), Ku = nu.shape, K[:, mu @ K > 0.0]
+    # rows S to 3S hold the trials; a row is nu, its ratio, D(nu || mu), logs
+    pool = np.empty((3 * S, 2 * k + 2 + Ku.shape[1]))
+    pool[:S, :k] = nu
+    pool[:S, k], pool[:S, k + 1], pool[:S, k + 2:] = ratio(nu - mu, logs=True)
+    nu, trials, fs, din = pool[:S, :k], pool[S:, :k], pool[:, k].reshape(3, S), pool[:S, k + 1]
+    f, lin, lout, rows = fs[0], pool[:S, k + 2:2 * k + 2], pool[:S, 2 * k + 2:], np.arange(S)
     step, lam, best = np.ones(S), np.full(S, 0.25), [float(f.max())]
     for _ in range(500):
-        # the gradient up to a constant per row and a scale; log 0 is cut at -690
-        grad = ((np.log(np.maximum(nu @ Ku, 1e-300) / muKu) @ Ku.T
-                 - np.where(f > -math.inf, f, 0.0)[:, None] * np.log(np.maximum(nu, 1e-300) / mu))
-                / np.maximum(din, _FLOOR)[:, None])
+        # the gradient up to a constant per row and a scale; f is -inf or >= 0
+        grad = (lout @ Ku.T - np.maximum(f, 0.0)[:, None] * lin) / np.maximum(din, _FLOOR)[:, None]
         z = np.where(nu > 0.0, step[:, None] * grad, -math.inf)
-        trials = np.concatenate([nu * np.exp(z - z.max(axis=1, keepdims=True)),
-                                 np.maximum(mu + np.exp(lam)[:, None] * (nu - mu), 0.0)])
+        trials[:S] = nu * np.exp(z - z.max(axis=1, keepdims=True))
+        trials[S:] = np.maximum(mu + np.exp(lam)[:, None] * (nu - mu), 0.0)
         trials /= trials.sum(axis=1, keepdims=True)
-        ft, dt = ratio(trials - mu)
-        step *= np.where(ft[:S] > f, 2.0, 0.5)
-        lam *= np.where(ft[S:] > f, 2.0, -0.5)
+        pool[S:, k], pool[S:, k + 1], pool[S:, k + 2:] = ratio(trials - mu, logs=True)
+        step *= np.where(fs[1] > f, 2.0, 0.5)
+        lam *= np.where(fs[2] > f, 2.0, -0.5)
         lam = np.copysign(np.minimum(np.maximum(np.abs(lam), 1e-8), 1.0), lam)
-        # per row, the first maximal of nu and its two trials
-        pick = np.concatenate([f, ft]).reshape(3, S).argmax(axis=0)
-        one, two = pick == 1, pick == 2
-        nu = np.where(one[:, None], trials[:S], np.where(two[:, None], trials[S:], nu))
-        f, din = (np.where(one, b[:S], np.where(two, b[S:], a)) for a, b in ((f, ft), (din, dt)))
+        pool[:S] = pool[fs.argmax(axis=0) * S + rows]  # the first best of each row's three
         best.append(float(f.max()))
         if len(best) > 10 and not best[-1] > best[-11] * (1.0 + 1e-12):
             break
-    return nu, f
+    return nu.copy(), f.copy()
 
 
-@functools.cache
-def _fractions() -> np.ndarray:
-    """The scan's 60 log-spaced fractions of each ray's longest step,
-    built once, on first use, as a read-only array."""
-    grid = np.geomspace(1e-6, 1.0, 60)
-    grid.flags.writeable = False
-    return grid
+def _constant(build):
+    """``build`` cached per argument, its array handed out read-only."""
+    @functools.cache
+    def cached(*args) -> np.ndarray:
+        array = build(*args)
+        array.flags.writeable = False
+        return array
+    return cached
 
 
-@functools.cache
-def _i61() -> np.ndarray:
-    """0, 1, ..., 60 as floats, built once, on first use, as a read-only array."""
-    grid = np.arange(61.0)
-    grid.flags.writeable = False
-    return grid
+_fractions = _constant(lambda: np.geomspace(1e-6, 1.0, 60))  # of each ray's longest step
+_i61 = _constant(lambda: np.arange(61.0))
+_dirichlet = _constant(lambda k: np.random.default_rng(0).dirichlet(np.ones(k), 4))
 
 
 def _scan(mu, K, ratio) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -187,15 +189,16 @@ def _scan(mu, K, ratio) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     vertex and along both signs of the principal chi-square directions
     (singular vectors of the divergence transition matrix, whose local KL
     ratio attains the chi-square contraction; the SVD fixes no sign), at 60
-    log-spaced steps up to each ray's longest: at most 3k rays. Returns the
-    mass-preserving rays, their (rays, 60) steps and the steps' ratios.
+    log-spaced steps up to each ray's longest: 3k - 2 rays, 2 at two inputs,
+    where the chi-square rays would repeat the vertex rays' points. Returns
+    the mass-preserving rays, their (rays, 60) steps and the steps' ratios.
     """
-    k, muK = mu.size, mu @ K
-    used = muK > 0.0
-    A = (np.sqrt(mu)[:, None] * K[:, used]) / np.sqrt(muK[used])[None, :]
-    U, _, _ = np.linalg.svd(A, full_matrices=False)
-    chi = (np.sqrt(mu)[:, None] * U[:, 1:]).T
-    rays = np.concatenate([np.eye(k) - mu, chi, -chi])
+    k, rays = mu.size, np.eye(mu.size) - mu
+    if k > 2:
+        muK = mu @ K
+        A = np.sqrt(mu)[:, None] * K[:, muK > 0.0] / np.sqrt(muK[muK > 0.0])
+        chi = (np.sqrt(mu)[:, None] * np.linalg.svd(A, full_matrices=False)[0][:, 1:]).T
+        rays = np.concatenate([rays, chi, -chi])
     rays -= rays.sum(axis=1)[:, None] * mu
     neg = rays < 0.0
     with np.errstate(divide="ignore"):
@@ -219,7 +222,7 @@ def _starts(mu, rays, steps, scores) -> np.ndarray:
     points = np.maximum(mu + at * rays, 0.0)
     top = points[np.argsort(-scores.max(axis=1), kind="stable")[:8]]
     return np.concatenate([top + 1e-6 * (mu - top), (mu + np.eye(mu.size)) / 2,
-                           np.random.default_rng(0).dirichlet(np.ones(mu.size), 4)])
+                           _dirichlet(mu.size)])
 
 
 def _line_search(mu, ratio, rays, steps, scores) -> tuple[np.ndarray, float]:
@@ -246,14 +249,11 @@ def eta_numeric(mu, channel: DiscreteChannel) -> ContractionEstimate:
     """Numeric search for eta(mu, K), with its argmax, for a full-support
     ``mu`` of up to 16 symbols; the upper end is the Dobrushin coefficient.
 
-    Scans mixture paths toward the vertices and along both signs of the
-    chi-square directions (``_scan``); no nu with D(nu || mu) < 1e-12 bits
-    is scored. At two inputs these paths cover one segment through mu, and
-    a line search on it (``_line_search``) from the best scanned step gives
-    the value and the argmax. From three inputs up the scan only chooses
-    where mirror ascent (``_ascend``) starts (``_starts``), and the value is
-    the ascent's best end and the argmax that end. Every point is a
-    feasible mixture, so the value can only undershoot the supremum.
+    ``_scan`` scores the mixture paths. At two inputs a line search on the
+    scanned segment (``_line_search``) gives the value and the argmax; from
+    three up they are the best end of mirror ascent (``_ascend``) from
+    ``_starts``. Every point is a feasible mixture, so the value can only
+    undershoot the supremum.
     """
     mu = _validated_pmf(mu, "input")
     if mu.size > 16:

@@ -490,6 +490,18 @@ def _pmf_mp(p) -> list:
     return [x / total for x in p]
 
 
+def log_ratios_mp(mu, rows, nu) -> np.ndarray:
+    """log(nu / mu), then log(nu K / mu K) on the outputs mu K reaches, in
+    nats at 50 digits, from the float entries as given; the logs
+    ``sdpi._ratio`` hands the mirror ascent."""
+    with mpmath.workdps(50):
+        nu, mu = ([mpmath.mpf(float(x)) for x in p] for p in (nu, mu))
+        push = [[mpmath.fsum(p[x] * mpmath.mpf(float(row[y])) for x, row in enumerate(rows))
+                 for y in range(len(rows[0]))] for p in (nu, mu)]
+        pairs = list(zip(nu, mu)) + [(a, b) for a, b in zip(*push) if b > 0]
+        return np.array([float(mpmath.log(a / b)) for a, b in pairs])
+
+
 def kl_pair_mp(mu, rows, nu) -> tuple[float, float]:
     """D(nu || mu) and D(nu K || mu K) in bits, each the plain sum of
     p log2(p / q) at 50 digits more than the smallest positive entry's

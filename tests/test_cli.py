@@ -228,6 +228,35 @@ def test_bound_thm3_floor_beyond_float_range_exits_2(capsys):
     assert "error:" in err and "float range" in err
 
 
+@pytest.mark.parametrize("argv, flag, reason", [
+    (["bound", "--thm", "4", "--T", "9" * 401], "--T", "float range"),
+    (["scenario", "gauss-gauss", "--n", "9" * 401], "--n", "float range"),
+    (["simulate", "bsc-bit", "--eps", "0.1", "--T", str(2 ** 63), "--reps", "1"], "--T",
+     "samplers' 64-bit range"),
+    (["simulate", "xor-colocated", "--eps", "0.1", "--n", str(-2 ** 63 - 1), "--reps", "1"],
+     "--n", "samplers' 64-bit range"),
+])
+def test_integer_flag_out_of_range_exits_2_naming_it(argv, flag, reason, tmp_path, capsys):
+    """Bounds and scenarios compute in floats and the samplers in 64-bit
+    integers, so a larger integer flag is refused by name, also from a
+    --config file, before any of them sees it."""
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert f"argument {flag}: lies beyond the {reason}" in err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{flag[2:]}={argv[argv.index(flag) + 1]}\n")
+    code, out, err = run(["--config", str(cfg)] + argv[:argv.index(flag)], capsys)
+    assert (code, out) == (2, "")
+    assert f"argument {flag}: lies beyond the {reason}" in err
+
+
+def test_simulate_takes_the_largest_64_bit_count(capsys):
+    code, out, _ = run(["simulate", "bsc-bit", "--eps", "0.1", "--T", str(2 ** 63 - 1),
+                        "--reps", "1"], capsys)
+    assert code == 0
+    assert data_rows(out)[1].startswith("bsc-bit,")
+
+
 @pytest.mark.parametrize("argv", [
     ["scenario", "ceo", "--d", "64", "--alpha", "1e-6"],
     ["bound", "--thm", "3", "--I", "0", "--h", "0", "--d", "400", "--r", "1"],

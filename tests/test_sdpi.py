@@ -98,7 +98,9 @@ def test_eta_numeric_below_dobrushin(seed, inputs, outputs, alpha):
 def test_ratio_kernel_matches_the_oracles(k, outputs):
     """``_ratio`` scores a batch of diffs as the one-vector Bregman form and
     the 50-digit plain divergences do, leaves out an output no input
-    reaches, and gives -inf for a zero diff and one below the floor."""
+    reaches, and gives -inf for a zero diff and one below the floor. Asked
+    for its logs, it returns the same scores and log(nu / mu), then
+    log(nu K / mu K) on the reached outputs."""
     rng = np.random.default_rng([19, k, outputs])
     rows = rng.dirichlet(np.full(outputs, 0.5), size=k)
     rows[:, 0] = 0.0
@@ -106,6 +108,10 @@ def test_ratio_kernel_matches_the_oracles(k, outputs):
     mu = rng.dirichlet(np.ones(k))
     nus = np.concatenate([rng.dirichlet(np.ones(k), 6), mu + 1e-3 * (np.eye(k)[:2] - mu)])
     ratios, dins = sdpi._ratio(mu, rows)((nus - mu).reshape(2, -1, k))
+    *scores, logs = sdpi._ratio(mu, rows)((nus - mu).reshape(2, -1, k), logs=True)
+    assert all(np.array_equal(a, b) for a, b in zip(scores, (ratios, dins)))
+    want = [oracles.log_ratios_mp(mu, rows, nu) for nu in nus]
+    assert_allclose(logs.reshape(len(nus), -1), want, rtol=1e-12, atol=0)
     for nu, ratio, din in zip(nus, ratios.ravel(), dins.ravel()):
         want_in = oracles._kl_shifted_1d(mu, nu - mu)
         want = oracles._kl_shifted_1d(mu @ rows, (nu - mu) @ rows) / want_in
@@ -117,6 +123,22 @@ def test_ratio_kernel_matches_the_oracles(k, outputs):
     ratios, dins = sdpi._ratio(mu, rows)(np.array([np.zeros(k), tiny]))
     assert ratios.tolist() == [-np.inf, -np.inf]
     assert dins[0] == 0.0 and 0.0 < dins[1] < sdpi._FLOOR
+
+
+def test_ratio_kernel_scores_an_emptied_entry():
+    """nu = (0, 1/2, 1/2) against mu = (1/2, 1/4, 1/4) empties input 0 and
+    output 0 (u = -1 exactly): each scores g(-1) = 1, so D(nu || mu) = 1
+    bit, and its log is cut at -690. The ascent then climbs from nu with a
+    finite gradient and no RuntimeWarning, which this module makes an error."""
+    mu, nu = np.array([0.5, 0.25, 0.25]), np.array([0.0, 0.5, 0.5])
+    rows = np.array([[0.5, 0.5, 0.0, 0.0], [0.0, 0.5, 0.5, 0.0], [0.0, 0.0, 0.5, 0.5]])
+    ratio = sdpi._ratio(mu, rows)
+    f, din, logs = ratio(nu - mu, logs=True)
+    mp_in, mp_out = oracles.kl_pair_mp(mu, rows, nu)
+    assert_allclose([din, f], [1.0, mp_out], rtol=1e-15, atol=0)
+    assert logs[0] == logs[3] == -690.0 and np.all(np.isfinite(logs))
+    ends, ratios = sdpi._ascend(mu, rows, ratio, nu[None])
+    assert np.all(np.isfinite(ends)) and ratios[0] > f
 
 
 def _seeded_pair(k, outputs=None):
@@ -141,36 +163,57 @@ def _boundary_3x5():
     return rng.dirichlet(np.ones(3)), DiscreteChannel(rows)
 
 
-# eta_numeric values, and a SHA-256 prefix of the argmax bytes. At two
-# inputs: the best point of a line search on the segment that the scan
-# toward the vertices and along both signs of the chi-square direction
-# covers. From three up: the best end of mirror ascent started from the
-# points that scan scores best, nudged 1e-6 toward mu, with no scan of the
-# ends. None is below an earlier pinned value by more than 1e-12
+# eta_numeric values, a SHA-256 prefix of the argmax bytes, and the number
+# of ratio-kernel calls, so that fewer iterations cannot pass for a faster
+# kernel. At two inputs: the best point of a line search on the segment that
+# the scan toward the vertices covers (one scan call, ten rounds). From
+# three up: the best end of mirror ascent started from the points that scan
+# scores best, nudged 1e-6 toward mu, with no scan of the ends. None is below
+# an earlier pinned value by more than 1e-12
 PINNED_ETA = {
-    "bsc-0.1": (lambda: (FAIR, bsc(0.1)), "0x1.47ae147ae129ep-1", "356054e2ee32fa9f"),
-    "bsc-0.25": (lambda: (FAIR, bsc(0.25)), "0x1.ffffffffff9ebp-3", "273775fe476a0c1a"),
-    "bsc-0.4": (lambda: (FAIR, bsc(0.4)), "0x1.47ae147ae0f7cp-5", "45f8b2d8b76263a8"),
-    "bec-0.1": (lambda: (FAIR, bec(0.1)), "0x1.cccccccccccd3p-1", "b1964b5a4f6e9c34"),
-    "bec-0.25": (lambda: (FAIR, bec(0.25)), "0x1.8000000000004p-1", "459dbbcadbecf335"),
-    "bec-0.4": (lambda: (FAIR, bec(0.4)), "0x1.3333333333335p-1", "abc5f746766eca63"),
-    "dirichlet-k2": (lambda: _seeded_pair(2), "0x1.82af4820d114fp-9", "6368acdde20fa9ad"),
-    "dirichlet-k4": (lambda: _seeded_pair(4), "0x1.4e972eacc30dcp-2", "5f196a7e34ec8d1d"),
-    "dirichlet-k8": (lambda: _seeded_pair(8), "0x1.38d9dfe319137p-2", "b444c46c25c6ac37"),
-    "dirichlet-k16": (lambda: _seeded_pair(16), "0x1.3e880985bd80fp-2", "24af18bdc1ef311d"),
-    "dirichlet-3x5": (lambda: _seeded_pair(3, outputs=5), "0x1.822c91e65d65dp-2",
-                      "cb5b464024eb03d3"),
-    "rng0-3x4": (_rng0_3x4, "0x1.5d3bab7bdd857p-3", "ede4545abf95a3d6"),
-    "boundary-3x5": (_boundary_3x5, "0x1.b19fe74705992p-2", "b76fd80624b9ba30"),
+    "bsc-0.1": (lambda: (FAIR, bsc(0.1)), "0x1.47ae147ae129dp-1", "a169d6510c255e6b", 11),
+    "bsc-0.25": (lambda: (FAIR, bsc(0.25)), "0x1.ffffffffff9eap-3", "4a6742eae87ede87", 11),
+    "bsc-0.4": (lambda: (FAIR, bsc(0.4)), "0x1.47ae147ae0f7cp-5", "fc0bfa2151240e7e", 11),
+    "bec-0.1": (lambda: (FAIR, bec(0.1)), "0x1.ccccccccccccfp-1", "d279034093885784", 11),
+    "bec-0.25": (lambda: (FAIR, bec(0.25)), "0x1.8000000000002p-1", "4ccdc063676d7960", 11),
+    "bec-0.4": (lambda: (FAIR, bec(0.4)), "0x1.3333333333334p-1", "d279034093885784", 11),
+    "dirichlet-k2": (lambda: _seeded_pair(2), "0x1.82af4820d115ep-9", "09a07bc095842dd7", 11),
+    "dirichlet-k4": (lambda: _seeded_pair(4), "0x1.4e972eacc30e0p-2", "bc37831fd9e86910", 59),
+    "dirichlet-k8": (lambda: _seeded_pair(8), "0x1.38d9dfe319139p-2", "56fb158633105cd7", 60),
+    "dirichlet-k16": (lambda: _seeded_pair(16), "0x1.3e880985bd80fp-2", "5c92f67183ba1732",
+                      53),
+    "dirichlet-3x5": (lambda: _seeded_pair(3, outputs=5), "0x1.822c91e65d65cp-2",
+                      "2d8327f108de3aff", 43),
+    "rng0-3x4": (_rng0_3x4, "0x1.5d3bab7bdd854p-3", "989efff65c905cad", 53),
+    "boundary-3x5": (_boundary_3x5, "0x1.b19fe74705995p-2", "d2d15f98e6feab26", 29),
 }
 
 
+def _kernel_calls(monkeypatch) -> list:
+    """Make ``sdpi._ratio`` record in the returned list each diff it scores,
+    passing every argument through."""
+    diffs, kernel = [], sdpi._ratio
+
+    def counting(mu, K):
+        ratio = kernel(mu, K)
+
+        def scored(diff, **kwargs):
+            diffs.append(diff)
+            return ratio(diff, **kwargs)
+        return scored
+
+    monkeypatch.setattr(sdpi, "_ratio", counting)
+    return diffs
+
+
 @pytest.mark.parametrize("name", PINNED_ETA)
-def test_eta_numeric_values_are_pinned(name):
-    case, value, argmax = PINNED_ETA[name]
+def test_eta_numeric_values_are_pinned(name, monkeypatch):
+    case, value, argmax, calls = PINNED_ETA[name]
+    diffs = _kernel_calls(monkeypatch)
     est = eta_numeric(*case())
     assert est.value.hex() == value
     assert hashlib.sha256(est.argmax.tobytes()).hexdigest()[:16] == argmax
+    assert len(diffs) == calls
 
 
 def _assert_argmax_scores_value(mu, channel, est):
@@ -273,46 +316,29 @@ def test_eta_numeric_keeps_the_hardest_interior_climb():
 def test_candidate_scan_is_linear_in_the_alphabet(monkeypatch):
     """The candidate scan scores the k vertex rays and both signs of the
     k - 1 chi-square directions, each over a (rays, steps, k) block of
-    diffs: at most 3k rays, not the k(k - 1) coordinate pairs."""
-    rays, kernel = [], sdpi._ratio
-
-    def counting(mu, K):
-        ratio = kernel(mu, K)
-
-        def scored(diff):
-            if diff.ndim == 3:
-                rays.append(len(diff))
-            return ratio(diff)
-        return scored
-
-    monkeypatch.setattr(sdpi, "_ratio", counting)
+    diffs: 3k - 2 rays, not the k(k - 1) coordinate pairs."""
+    diffs = _kernel_calls(monkeypatch)
     eta_numeric(*_seeded_pair(16))
-    assert 0 < sum(rays) <= 3 * 16
+    assert sum(len(diff) for diff in diffs if diff.ndim == 3) == 3 * 16 - 2
 
 
 def test_two_inputs_search_the_line_without_the_ascent(monkeypatch):
     """At two inputs the scan and the line search score everything: one
-    scan block and one ratio call per round, and no mirror ascent."""
-    calls, kernel = [], sdpi._ratio
-
-    def counting(mu, K):
-        ratio = kernel(mu, K)
-
-        def scored(diff):
-            calls[-1] += 1
-            return ratio(diff)
-        return scored
+    scan block of the two vertex rays, whose points the chi-square rays
+    would repeat, one ratio call per round, and no mirror ascent."""
+    diffs, calls = _kernel_calls(monkeypatch), []
 
     def no_ascent(*args):
         raise AssertionError("mirror ascent ran at two inputs")
 
-    monkeypatch.setattr(sdpi, "_ratio", counting)
     monkeypatch.setattr(sdpi, "_ascend", no_ascent)
     for mu, channel in [(FAIR, bsc(0.1)), (FAIR, bec(0.4)), _seeded_pair(2),
                         _seeded_pair(2, outputs=7)]:
-        calls.append(0)
+        before = len(diffs)
         assert eta_numeric(mu, channel).argmax is not None
+        calls.append(len(diffs) - before)
     assert calls == [11] * 4
+    assert [len(diff) for diff in diffs if diff.ndim == 3] == [2] * 4
 
 
 @st.composite
