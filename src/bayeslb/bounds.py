@@ -33,7 +33,10 @@ __all__ = [
     "mi_ub_interactive",
 ]
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_CGOLD = (3.0 - math.sqrt(5.0)) / 2.0
+# Brent's bracket ends narrower than 1e-12 |x|, so at a kink or a step of the
+# objective it falls as little short of the supremum as 60 golden steps did
+_XTOL = 2.5e-13
 
 
 @dataclass(frozen=True)
@@ -60,36 +63,57 @@ def _log_grid(lo: float, hi: float) -> np.ndarray:
     return grid
 
 
-def _golden_max(f, lo: float, hi: float) -> tuple[float, float]:
-    """Golden-section maximization of f on [lo, hi], in 60 steps."""
+def _brent_max(f, lo: float, hi: float) -> tuple[float, float]:
+    """Brent's maximization of f on [lo, hi], 0 < lo < hi: golden-section and
+    parabolic steps until the bracket around the best point x found is
+    narrower than 1e-12 |x|. Returns (x, f(x))."""
     a, b = lo, hi
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(60):
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = f(x2)
+    x = w = v = a + _CGOLD * (b - a)
+    fx = fw = fv = f(x)
+    d = e = 0.0
+    while True:
+        m, tol = 0.5 * (a + b), _XTOL * abs(x)
+        if abs(x - m) <= 2.0 * tol - 0.5 * (b - a):
+            return x, fx
+        golden = True
+        if abs(e) > tol:  # to x + p/q, the vertex of the parabola through x, w, v
+            r, q = (x - w) * (fv - fx), (x - v) * (fw - fx)
+            p, q = (x - v) * q - (x - w) * r, 2.0 * (q - r)
+            p, q = (-p if q > 0.0 else p), abs(q)
+            # inside the bracket and shrinking fast enough; NaN or inf fails it
+            if abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
+                e, d, golden = d, p / q, False
+                if x + d - a < 2.0 * tol or b - (x + d) < 2.0 * tol:
+                    d = tol if x < m else -tol
+        if golden:
+            e = (a - x) if x >= m else (b - x)
+            d = _CGOLD * e
+        u = x + (d if abs(d) >= tol else math.copysign(tol, d))
+        fu = f(u)
+        if fu >= fx:
+            a, b = (a, x) if u < x else (x, b)
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
         else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = f(x1)
-    return (x1, f1) if f1 >= f2 else (x2, f2)
+            a, b = (u, b) if u < x else (a, u)
+            if fu >= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu >= fv or v == x or v == w:
+                v, fv = u, fu
 
 
 def _refine(f, grid: np.ndarray, vals: np.ndarray) -> tuple[float, float]:
-    """Golden-refine f between the grid neighbours of the first maximum of
-    ``vals`` = f(grid); the refined point wins only if strictly better."""
+    """Refine f by Brent's method between the grid neighbours of the first
+    maximum of ``vals`` = f(grid); the refined point wins only if strictly
+    better."""
     i = int(np.argmax(vals))
     if not math.isfinite(vals[i]):
         return float(grid[i]), float(vals[i])
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, grid.size - 1)]
+    lo = float(grid[max(i - 1, 0)])
+    hi = float(grid[min(i + 1, grid.size - 1)])
     if lo < hi:
-        x, fx = _golden_max(f, lo, hi)
+        x, fx = _brent_max(f, lo, hi)
         if fx > vals[i]:
-            return float(x), float(fx)
+            return x, float(fx)
     return float(grid[i]), float(vals[i])
 
 
@@ -134,7 +158,7 @@ def lb_mi_smallball(mi: float, smallball) -> BoundReport:
         return rho * (1.0 - (mi + 1.0) / math.log2(1.0 / L))
 
     grid = _log_grid(1e-6, 1.0)
-    rho_star, val = _refine(objective, grid, np.array([objective(x) for x in grid]))
+    rho_star, val = _refine(objective, grid, np.array([objective(x) for x in grid.tolist()]))
     best, arguments = -math.inf, {}
     if val > best:  # false when every radius scores -inf or NaN
         best, arguments = val, {"rho": rho_star, "branch": "direct"}
@@ -155,20 +179,26 @@ def lb_info_density(density: InfoDensityDistribution, smallball, gamma_grid=None
     (0, 1] and must be nondecreasing, as a small-ball probability is; a
     profile that decreases on the radius grid is refused.
 
-    The whole threshold-by-radius grid is scored as one array. Each
-    threshold's best grid radius is then refined by golden section, in
-    descending order of a bound on what refinement can reach, until that
-    bound falls below the best value found; ties go to the earliest
-    threshold.
+    At fixed P[i < log2 gamma] the objective is affine in gamma, so on a
+    strictly increasing grid only the first threshold of a run of equal P can
+    win (both ends with ``inf_ratio``); these are scored on the radius grid as
+    one array. Each one's best grid radius is refined by Brent's method, in
+    descending order of a bound on what refinement can reach, until that bound
+    falls below the best value found; ties go to the earliest threshold.
     """
     rho_grid = _log_grid(1e-6, 1.0)
     if gamma_grid is None:
         gamma_grid = _log_grid(1e-3, 1e3)
     gammas = np.asarray(gamma_grid, dtype=float)
-    p_below = density.prob_below([math.log2(g) for g in gammas])
+    p_below = density.prob_below([math.log2(g) for g in gammas.tolist()])
+    if gammas.size > 1 and np.all(gammas[1:] > gammas[:-1]):
+        # threshold j starts a run of equal P if cut[j], and ends one if cut[j + 1]
+        cut = np.concatenate(([True], p_below[1:] != p_below[:-1], [True]))
+        keep = cut[:-1] | cut[1:] if inf_ratio is not None else cut[:-1]
+        gammas, p_below = gammas[keep], p_below[keep]
     extra = (gammas * inf_ratio * (1.0 - p_below) if inf_ratio is not None
              else np.zeros_like(p_below))
-    L = np.array([_checked_smallball(smallball, rho) for rho in rho_grid])
+    L = np.array([_checked_smallball(smallball, rho) for rho in rho_grid.tolist()])
     if np.any(L[1:] < L[:-1]):
         i = int(np.argmax(L[1:] < L[:-1]))
         raise DistributionError(
@@ -176,7 +206,7 @@ def lb_info_density(density: InfoDensityDistribution, smallball, gamma_grid=None
             f"{rho_grid[i]:.6g} to {L[i + 1]:.6g} at {rho_grid[i + 1]:.6g}")
     vals = rho_grid * ((p_below[:, None] - gammas[:, None] * L) + extra[:, None])
 
-    # L >= L(lo) on a bracket [lo, hi], so golden section there can reach at
+    # L >= L(lo) on a bracket [lo, hi], so Brent's method there can reach at
     # most x * y with y = p - gamma * L(lo) + e, i.e. lo * y or hi * y
     top = np.argmax(vals, axis=1)
     peak = vals[np.arange(gammas.size), top]
@@ -187,17 +217,18 @@ def lb_info_density(density: InfoDensityDistribution, smallball, gamma_grid=None
 
     best, best_g = -math.inf, None
     arguments: dict = {}
-    for g in np.argsort(-reach, kind="stable"):
+    gam, pb, ex = gammas.tolist(), p_below.tolist(), extra.tolist()
+    for g in np.argsort(-reach, kind="stable").tolist():
         if not reach[g] >= best:  # also ends at the NaN rows, sorted last
             break
 
-        def objective(rho, _g=gammas[g], _p=p_below[g], _e=extra[g]):
+        def objective(rho, _g=gam[g], _p=pb[g], _e=ex[g]):
             return rho * (_p - _g * _checked_smallball(smallball, rho) + _e)
 
         rho_star, val = _refine(objective, rho_grid, vals[g])
         if val > best or (val == best and best_g is not None and g < best_g):
             best, best_g = val, g
-            arguments = {"rho": rho_star, "gamma": float(gammas[g])}
+            arguments = {"rho": rho_star, "gamma": gam[g]}
 
     return _clamped_report(best, "info-density", arguments, {})
 

@@ -31,7 +31,7 @@ from .scenarios import (ScenarioSpec, fig2_data, fig34_data,
                         scenario_hide_seek, scenario_hypercube,
                         scenario_minimax_cube, scenario_noisy_ceo,
                         scenario_xor)
-from .simulate import (SCHEMES, SEED_LIMIT, SimulationConfig, sandwich_check,
+from .simulate import (BLOCK, SCHEMES, SEED_LIMIT, SimulationConfig, sandwich_check,
                        simulate_multi, simulate_single_processor)
 
 __all__ = ["main", "build_parser"]
@@ -75,9 +75,13 @@ def _int_type(limit: int, reason: str):
     return parse
 
 
-# bounds and scenarios compute in floats, numpy's samplers in 64-bit integers
+# bounds and scenarios compute in floats, numpy's samplers in 64-bit integers;
+# a block of gauss-multi draws is a (BLOCK, d) float array, and numpy
+# addresses no array past sys.maxsize bytes
 _INT = _int_type(int(sys.float_info.max), "lies beyond the float range")
 _SAMPLED_INT = _int_type(2 ** 63 - 1, "lies beyond the samplers' 64-bit range")
+_SAMPLED_DIM = _int_type(sys.maxsize // (8 * BLOCK),
+                         f"lies beyond the size one {BLOCK}-row block of draws can address")
 
 
 # Every valued flag or switch is one (dest, type, default[, help]) row, spelled
@@ -111,7 +115,8 @@ _COMMAND_FLAGS = {
     "bound": _BOUND_FLAGS,
     "scenario": _MODEL_FLAGS + (
         ("alpha", float, None, "small-ball level (CEO scenario)"),) + _RUN_FLAGS,
-    "simulate": tuple((dest, _SAMPLED_INT if kind is _INT else kind, default)
+    "simulate": tuple((dest, _SAMPLED_DIM if dest == "d" else
+                       _SAMPLED_INT if kind is _INT else kind, default)
                       for dest, kind, default in _MODEL_FLAGS) + _RUN_FLAGS + (
         ("check", bool, False, "compare against the matching closed-form report"),),
     "figure": (("p", float, 0.3), ("etas", _parse_etas, (1.0, 0.75, 0.5)),
@@ -517,7 +522,8 @@ def main(argv=None) -> int:
         args = (_default_parser() if pre_args.config is None
                 else build_parser(_load_config(pre_args.config))).parse_args(rest)
         return args.func(args)
-    except (DistributionError, UnsupportedPairError, OSError, OverflowError) as exc:
+    except (DistributionError, UnsupportedPairError, OSError, OverflowError,
+            MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

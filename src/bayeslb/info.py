@@ -13,7 +13,7 @@ Conventions used across the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 class _Numpy:
@@ -343,27 +343,38 @@ def mutual_information(joint: JointPMF) -> float:
 
 @dataclass(frozen=True, eq=False)
 class InfoDensityDistribution:
-    """Distribution of the information density i(W; X), values in bits."""
+    """Distribution of the information density i(W; X), values in bits.
+
+    The atoms are kept in increasing order of value, next to their cumulative
+    mass, so that ``prob_below`` is one ``searchsorted``."""
 
     values: np.ndarray
     probs: np.ndarray
+    _below: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-        object.__setattr__(self, "probs", _validated_pmf(self.probs, "density probabilities"))
-        if self.values.shape != self.probs.shape:
+        values = np.asarray(self.values, dtype=float)
+        probs = _validated_pmf(self.probs, "density probabilities")
+        if values.shape != probs.shape:
             raise DistributionError("values and probabilities must align")
-        bad = self.values[~np.isfinite(self.values)]
+        bad = values[~np.isfinite(values)]
         if bad.size:
             raise DistributionError(f"density values must be finite, not {bad[0]}")
+        order = np.argsort(values, kind="stable")
+        object.__setattr__(self, "values", values[order])
+        object.__setattr__(self, "probs", probs[order])
+        # _below[j] is the mass of the j smallest atoms
+        object.__setattr__(self, "_below", np.concatenate(([0.0], np.cumsum(self.probs))))
 
     def mean(self) -> float:
         return float((self.values * self.probs).sum())
 
     def prob_below(self, threshold):
         """P[i(W;X) < threshold] with strict inequality; ``threshold`` may be
-        a number, giving a float, or an array, giving one value per entry."""
-        below = (self.probs * (self.values < np.asarray(threshold, dtype=float)[..., None])).sum(-1)
+        a number, giving a float, or an array, giving one value per entry.
+        No atom lies below a NaN threshold."""
+        t = np.asarray(threshold, dtype=float)
+        below = np.where(np.isnan(t), 0.0, self._below[np.searchsorted(self.values, t)])
         return float(below) if below.ndim == 0 else below
 
 

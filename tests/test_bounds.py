@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from bayeslb import bounds
 from bayeslb.bounds import (BoundReport, fano, lb_diff_entropy,
                             lb_info_density, lb_mi_smallball, mi_ub_cutset,
                             mi_ub_interactive, mi_ub_multi_iid, mi_ub_single)
@@ -95,9 +96,96 @@ def test_info_density_matches_the_per_threshold_loop(k, inf_ratio):
             == (rho.hex(), gamma.hex())
 
 
+@pytest.mark.parametrize("inf_ratio", [None, 0.2])
+@pytest.mark.parametrize("order", ["shuffled", "repeated", "descending"])
+def test_info_density_scores_every_threshold_of_a_grid_that_does_not_increase(
+        order, inf_ratio):
+    # the runs of equal P[i < log2 gamma] are pruned only on an increasing
+    # grid; pruning these would keep the wrong end of a run
+    gammas = np.geomspace(0.05, 40.0, 60)
+    gammas = {"shuffled": np.random.default_rng(3).permutation(gammas),
+              "repeated": np.repeat(gammas, 2), "descending": gammas[::-1]}[order]
+    density = _seeded_density(2)
+    for smallball in (uniform01_smallball, _gaussian_smallball):
+        report = lb_info_density(density, smallball, gammas, inf_ratio)
+        value, rho, gamma = oracles.info_density_exhaustive(
+            density.prob_below, smallball, gammas, inf_ratio)
+        assert not report.clamped
+        assert (report.value.hex(), report.arguments["rho"].hex(),
+                report.arguments["gamma"].hex()) == (value.hex(), rho.hex(), gamma.hex())
+
+
+def test_info_density_with_a_ratio_floor_scores_the_far_end_of_a_run():
+    # every threshold has P = 0.3, and the ratio floor makes the objective
+    # grow with gamma, so the run's largest threshold wins
+    density = InfoDensityDistribution(values=[-1.0, 5.0], probs=[0.3, 0.7])
+    gammas = np.geomspace(0.6, 30.0, 40)
+    report = lb_info_density(density, uniform01_smallball, gammas, inf_ratio=0.9)
+    value, rho, gamma = oracles.info_density_exhaustive(
+        density.prob_below, uniform01_smallball, gammas, 0.9)
+    assert gamma == gammas[-1]
+    assert (report.value.hex(), report.arguments["rho"].hex(),
+            report.arguments["gamma"].hex()) == (value.hex(), rho.hex(), gamma.hex())
+
+
+# small-ball calls per floor on _seeded_density(k) under uniform01_smallball:
+# lb_mi_smallball at I(W; X), lb_info_density, and lb_info_density with
+# inf_ratio 0.2; so that more evaluations cannot pass unnoticed
+PINNED_SMALLBALL_CALLS = {2: (237, 241, 245), 4: (224, 269, 324),
+                          8: (223, 408, 521), 16: (228, 367, 546)}
+
+
+@pytest.mark.parametrize("k", PINNED_SMALLBALL_CALLS)
+def test_smallball_calls_are_pinned(k):
+    density, calls = _seeded_density(k), []
+
+    def counting(rho):
+        calls[-1] += 1
+        return uniform01_smallball(rho)
+
+    for floor in (lambda: lb_mi_smallball(density.mean(), counting),
+                  lambda: lb_info_density(density, counting),
+                  lambda: lb_info_density(density, counting, inf_ratio=0.2)):
+        calls.append(0)
+        floor()
+    assert tuple(calls) == PINNED_SMALLBALL_CALLS[k]
+
+
+def _profile(kind: str, knot: float, level: float):
+    """A nondecreasing small-ball profile with L(knot) = ``level``: smooth,
+    kinked at ``knot`` (slope up 8x), or stepping up 4x there."""
+    c = level / knot
+    if kind == "smooth":
+        return lambda rho: -math.expm1(-c * rho)
+    if kind == "kinked":
+        return lambda rho: min(1.0, c * rho if rho < knot else level + 8.0 * c * (rho - knot))
+    return lambda rho: min(1.0, c * rho if rho < knot else 4.0 * c * rho)
+
+
+@given(st.sampled_from(["smooth", "kinked", "step"]),
+       st.floats(min_value=1e-5, max_value=0.5),
+       st.floats(min_value=1e-3, max_value=0.1),
+       st.floats(min_value=2.05, max_value=7.95))
+@settings(max_examples=300, deadline=None)
+def test_brent_reaches_what_golden_section_reaches(kind, knot, level, t):
+    """On rho * (p - L(rho)) with p = t * L(knot), whose supremum for the
+    kinked and the step profile lies at the knot, the Brent maximizer between
+    the best grid radius's neighbours is within 1e-12 of 60 golden steps."""
+    profile, p = _profile(kind, knot, level), t * level
+
+    def f(rho):
+        return rho * (p - profile(rho))
+
+    grid = np.geomspace(1e-6, 1.0, 200).tolist()
+    i = int(np.argmax([f(rho) for rho in grid]))
+    lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
+    reference = oracles.golden_max(f, lo, hi)[1]
+    assert bounds._brent_max(f, lo, hi)[1] >= reference - 1e-12 * abs(reference)
+
+
 def test_info_density_refines_a_threshold_whose_grid_peak_is_lower():
-    # L is flat just below a jump that falls between grid radii, so golden
-    # section lifts the second threshold's grid peak ~7% past the first's
+    # L is flat just below a jump that falls between grid radii, so Brent's
+    # method lifts the second threshold's grid peak ~7% past the first's
     rhos = np.geomspace(1e-6, 1.0, 200)
     jump1, jump2 = rhos[100] * (1 + 1e-9), rhos[150] * (1 - 1e-5)
 

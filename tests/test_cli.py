@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import sys
 import warnings
 
 import pytest
@@ -10,8 +11,12 @@ from bayeslb.bounds import (lb_diff_entropy, lb_mi_smallball, mi_ub_cutset,
                             mi_ub_interactive, mi_ub_multi_iid, mi_ub_single)
 from bayeslb.info import DistortionSpec, PriorSpec, small_ball
 from bayeslb.scenarios import ScenarioSpec, scenario_gauss_gauss
-from bayeslb.simulate import (SCHEMES, SimulationConfig, sandwich_check,
+from bayeslb.simulate import (BLOCK, SCHEMES, SimulationConfig, sandwich_check,
                               simulate_multi, simulate_single_processor)
+
+
+# the largest gauss-multi dimension whose (BLOCK, d) block numpy can address
+D_LIMIT = sys.maxsize // (8 * BLOCK)
 
 
 def run(argv, capsys):
@@ -235,6 +240,8 @@ def test_bound_thm3_floor_beyond_float_range_exits_2(capsys):
      "samplers' 64-bit range"),
     (["simulate", "xor-colocated", "--eps", "0.1", "--n", str(-2 ** 63 - 1), "--reps", "1"],
      "--n", "samplers' 64-bit range"),
+    (["simulate", "gauss-multi", "--d", str(D_LIMIT + 1), "--reps", "1"], "--d",
+     f"size one {BLOCK}-row block of draws can address"),
 ])
 def test_integer_flag_out_of_range_exits_2_naming_it(argv, flag, reason, tmp_path, capsys):
     """Bounds and scenarios compute in floats and the samplers in 64-bit
@@ -248,6 +255,23 @@ def test_integer_flag_out_of_range_exits_2_naming_it(argv, flag, reason, tmp_pat
     code, out, err = run(["--config", str(cfg)] + argv[:argv.index(flag)], capsys)
     assert (code, out) == (2, "")
     assert f"argument {flag}: lies beyond the {reason}" in err
+
+
+def test_simulate_gauss_multi_out_of_memory_exits_2(monkeypatch, capsys):
+    """The largest --d numpy can address passes the flag check, and a block
+    too large to allocate exits 2; the stub sampler allocates nothing."""
+    assert 8 * BLOCK * D_LIMIT <= sys.maxsize < 8 * BLOCK * (D_LIMIT + 1)
+
+    def sample(spec, rng, size):
+        assert (size, spec.d) == (1, D_LIMIT)
+        raise MemoryError("Unable to allocate 8.00 EiB")
+
+    monkeypatch.setitem(SCHEMES, "gauss-multi",
+                        dataclasses.replace(SCHEMES["gauss-multi"], sample=sample))
+    code, out, err = run(["simulate", "gauss-multi", "--d", str(D_LIMIT), "--reps", "1"],
+                         capsys)
+    assert (code, out) == (2, "")
+    assert "error: Unable to allocate" in err and "Traceback" not in err
 
 
 def test_simulate_takes_the_largest_64_bit_count(capsys):

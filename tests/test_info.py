@@ -182,6 +182,19 @@ def test_prob_below_of_an_array_equals_the_call_per_threshold(k):
         == below[:40].reshape(4, 10).tolist()
 
 
+@pytest.mark.parametrize("k", [2, 5, 16])
+def test_prob_below_of_unsorted_atoms_matches_the_masked_sum(k):
+    rng = np.random.default_rng([k, 22])
+    values = rng.permutation(np.repeat(rng.normal(0.0, 3.0, k * k // 2 + 1), 2))
+    probs = rng.dirichlet(np.ones(values.size))
+    dens = InfoDensityDistribution(values, probs)
+    assert np.all(dens.values[1:] >= dens.values[:-1])
+    thresholds = np.concatenate([values, rng.uniform(-9.0, 9.0, 40),
+                                 [-math.inf, math.inf, math.nan]])
+    masked = (probs * (values < thresholds[:, None])).sum(-1)
+    assert np.max(np.abs(dens.prob_below(thresholds) - masked)) <= 1e-15
+
+
 def test_derived_pmfs_that_round_above_one_are_clipped():
     # the merged density mass and the pushforward both round to 1.0000000000000002
     dens = information_density(JointPMF.from_input_channel(
