@@ -10,13 +10,12 @@ to zero and flagged, never silently returned.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
 from .info import (DistributionError, InfoDensityDistribution, _Numpy,
                    log_unit_ball_volume)
-from .sdpi import _as_estimate, eta_multi_use
+from .sdpi import _as_estimate, _constant, eta_multi_use
 
 np = _Numpy(globals())
 
@@ -33,10 +32,7 @@ __all__ = [
     "mi_ub_interactive",
 ]
 
-_CGOLD = (3.0 - math.sqrt(5.0)) / 2.0
-# Brent's bracket ends narrower than 1e-12 |x|, so at a kink or a step of the
-# objective it falls as little short of the supremum as 60 golden steps did
-_XTOL = 2.5e-13
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -52,68 +48,37 @@ class BoundReport:
     infeasible: bool = False
 
 
-@functools.cache
-def _log_grid(lo: float, hi: float) -> np.ndarray:
-    """200 log-spaced points over [lo, hi], built once per pair of endpoints,
-    on first use, as a read-only array."""
-    if not 0.0 < lo < hi:
-        raise DistributionError("grid endpoints must satisfy 0 < lo < hi")
-    grid = np.geomspace(lo, hi, 200)
-    grid.flags.writeable = False
-    return grid
+_log_grid = _constant(lambda lo, hi: np.geomspace(lo, hi, 200))
 
 
-def _brent_max(f, lo: float, hi: float) -> tuple[float, float]:
-    """Brent's maximization of f on [lo, hi], 0 < lo < hi: golden-section and
-    parabolic steps until the bracket around the best point x found is
-    narrower than 1e-12 |x|. Returns (x, f(x))."""
+def _golden_max(f, lo: float, hi: float) -> tuple[float, float]:
+    """Golden-section maximization of f on [lo, hi], in 60 steps."""
     a, b = lo, hi
-    x = w = v = a + _CGOLD * (b - a)
-    fx = fw = fv = f(x)
-    d = e = 0.0
-    while True:
-        m, tol = 0.5 * (a + b), _XTOL * abs(x)
-        if abs(x - m) <= 2.0 * tol - 0.5 * (b - a):
-            return x, fx
-        golden = True
-        if abs(e) > tol:  # to x + p/q, the vertex of the parabola through x, w, v
-            r, q = (x - w) * (fv - fx), (x - v) * (fw - fx)
-            p, q = (x - v) * q - (x - w) * r, 2.0 * (q - r)
-            p, q = (-p if q > 0.0 else p), abs(q)
-            # inside the bracket and shrinking fast enough; NaN or inf fails it
-            if abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
-                e, d, golden = d, p / q, False
-                if x + d - a < 2.0 * tol or b - (x + d) < 2.0 * tol:
-                    d = tol if x < m else -tol
-        if golden:
-            e = (a - x) if x >= m else (b - x)
-            d = _CGOLD * e
-        u = x + (d if abs(d) >= tol else math.copysign(tol, d))
-        fu = f(u)
-        if fu >= fx:
-            a, b = (a, x) if u < x else (x, b)
-            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+    x1 = b - _GOLDEN * (b - a)
+    x2 = a + _GOLDEN * (b - a)
+    f1, f2 = f(x1), f(x2)
+    for _ in range(60):
+        if f1 < f2:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + _GOLDEN * (b - a)
+            f2 = f(x2)
         else:
-            a, b = (u, b) if u < x else (a, u)
-            if fu >= fw or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu >= fv or v == x or v == w:
-                v, fv = u, fu
+            b, x2, f2 = x2, x1, f1
+            x1 = b - _GOLDEN * (b - a)
+            f1 = f(x1)
+    return (x1, f1) if f1 >= f2 else (x2, f2)
 
 
 def _refine(f, grid: np.ndarray, vals: np.ndarray) -> tuple[float, float]:
-    """Refine f by Brent's method between the grid neighbours of the first
-    maximum of ``vals`` = f(grid); the refined point wins only if strictly
-    better."""
+    """Golden-refine f between the grid neighbours of the first maximum of
+    ``vals`` = f(grid); the refined point wins only if strictly better."""
     i = int(np.argmax(vals))
     if not math.isfinite(vals[i]):
         return float(grid[i]), float(vals[i])
-    lo = float(grid[max(i - 1, 0)])
-    hi = float(grid[min(i + 1, grid.size - 1)])
-    if lo < hi:
-        x, fx = _brent_max(f, lo, hi)
-        if fx > vals[i]:
-            return x, float(fx)
+    lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]
+    x, fx = _golden_max(f, float(lo), float(hi))
+    if fx > vals[i]:
+        return x, float(fx)
     return float(grid[i]), float(vals[i])
 
 
@@ -182,7 +147,7 @@ def lb_info_density(density: InfoDensityDistribution, smallball, gamma_grid=None
     At fixed P[i < log2 gamma] the objective is affine in gamma, so on a
     strictly increasing grid only the first threshold of a run of equal P can
     win (both ends with ``inf_ratio``); these are scored on the radius grid as
-    one array. Each one's best grid radius is refined by Brent's method, in
+    one array. Each one's best grid radius is refined by golden section, in
     descending order of a bound on what refinement can reach, until that bound
     falls below the best value found; ties go to the earliest threshold.
     """
@@ -206,7 +171,7 @@ def lb_info_density(density: InfoDensityDistribution, smallball, gamma_grid=None
             f"{rho_grid[i]:.6g} to {L[i + 1]:.6g} at {rho_grid[i + 1]:.6g}")
     vals = rho_grid * ((p_below[:, None] - gammas[:, None] * L) + extra[:, None])
 
-    # L >= L(lo) on a bracket [lo, hi], so Brent's method there can reach at
+    # L >= L(lo) on a bracket [lo, hi], so golden section there can reach at
     # most x * y with y = p - gamma * L(lo) + e, i.e. lo * y or hi * y
     top = np.argmax(vals, axis=1)
     peak = vals[np.arange(gammas.size), top]

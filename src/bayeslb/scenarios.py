@@ -484,6 +484,16 @@ def scenario_bsc_bit(spec: ScenarioSpec) -> ScenarioReport:
 # uniform hypercube parameter observed through per-coordinate flips
 
 
+def _rate_floor(p: float, delta: float, eta: float) -> float:
+    """(1 - h(p)) / (delta^2 eta): bits per coordinate needed for distortion p."""
+    return (1.0 - binary_entropy(p)) / (delta * delta * eta)
+
+
+def _noisy_lossy_rate(p: float, delta: float) -> float:
+    """R~ = 1 - h((2p + delta - 1) / (2 delta)), the asymptotic noisy-lossy rate."""
+    return 1.0 - binary_entropy((2.0 * p + delta - 1.0) / (2.0 * delta))
+
+
 def scenario_hypercube(spec: ScenarioSpec) -> ScenarioReport:
     """Uniform W on {-1,1}^d observed coordinatewise with bias delta.
 
@@ -516,11 +526,10 @@ def scenario_hypercube(spec: ScenarioSpec) -> ScenarioReport:
         derived["rate_distortion"] = 1.0 - binary_entropy(p)
         if delta * delta * eta_T > 0.0:  # also skips a product that underflows to 0
             lower["rate_per_coordinate"] = BoundReport(
-                (1.0 - binary_entropy(p)) / (delta * delta * eta_T),
+                _rate_floor(p, delta, eta_T),
                 "hypercube-rate-lb", {}, {"p": p, "delta": delta, "eta_T": eta_T})
         if delta > 0.0 and (1.0 - delta) / 2.0 <= p:
-            derived["noisy_lossy_rate"] = 1.0 - binary_entropy(
-                (2.0 * p + delta - 1.0) / (2.0 * delta))
+            derived["noisy_lossy_rate"] = _noisy_lossy_rate(p, delta)
     return ScenarioReport(spec.tag, lower_bounds=lower, upper_bounds={},
                           derived=derived)
 
@@ -541,7 +550,7 @@ def fig2_data(p: float = 0.3, points: int = 61, etas=(1.0, 0.75, 0.5)):
     for eta in etas:
         if not 0.0 < eta <= 1.0:
             raise DistributionError("contraction values must lie in (0, 1]")
-        if low * low * eta == 0.0 or math.isinf(rate / (low * low * eta)):
+        if low * low * eta == 0.0 or math.isinf(_rate_floor(p, low, eta)):
             raise DistributionError(f"the rate bound at eta {eta:g} exceeds the float range")
     if points < 0:
         raise DistributionError("point count cannot be negative")
@@ -553,9 +562,8 @@ def fig2_data(p: float = 0.3, points: int = 61, etas=(1.0, 0.75, 0.5)):
         deltas[-1] = 1.0
     rows = []
     for delta in deltas:
-        bounds = [rate / (delta * delta * eta) for eta in etas]
-        tilde = 1.0 - binary_entropy((2.0 * p + delta - 1.0) / (2.0 * delta))
-        rows.append((delta, *bounds, tilde, rate))
+        bounds = [_rate_floor(p, delta, eta) for eta in etas]
+        rows.append((delta, *bounds, _noisy_lossy_rate(p, delta), rate))
     return header, rows
 
 

@@ -3,8 +3,8 @@
 Everything here is deliberately slow and dumb: high-precision bisection,
 quadrature, exhaustive grids, and linear programming. The library under test
 must agree with these within stated tolerances without sharing any code path,
-but for ``info_density_exhaustive``: it refines with ``bounds``' own Brent
-maximizer, so that it checks the threshold search alone, bit for bit.
+but for ``info_density_exhaustive``: it refines with ``bounds``' own golden
+section, so that it checks the threshold search alone, bit for bit.
 """
 import math
 
@@ -411,31 +411,8 @@ def _kl_shifted_1d(base, diff) -> float:
     return float((b * g).sum()) / math.log(2.0)
 
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def golden_max(f, lo, hi):
-    """Golden-section maximization of f on [lo, hi] in 60 steps, as
-    ``bounds`` refined a grid maximum before it took Brent's method: the
-    reference that the Brent maximizer's values are held to."""
-    a, b = lo, hi
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(60):
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = f(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = f(x1)
-    return (x1, f1) if f1 >= f2 else (x2, f2)
-
-
-def _grid_then_brent(f, grid):
-    """Scalar grid maximization of f, then ``bounds``' Brent maximizer between
+def _grid_then_golden(f, grid):
+    """Scalar grid maximization of f, then ``bounds``' golden section between
     the neighbours of the first maximum; returns (argument, value)."""
     vals = np.array([f(x) for x in grid])
     i = int(np.argmax(vals))
@@ -443,17 +420,16 @@ def _grid_then_brent(f, grid):
         return float(grid[i]), float(vals[i])
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, grid.size - 1)]
-    if lo < hi:
-        x, fx = bounds._brent_max(f, float(lo), float(hi))
-        if fx > vals[i]:
-            return float(x), float(fx)
+    x, fx = bounds._golden_max(f, float(lo), float(hi))
+    if fx > vals[i]:
+        return float(x), float(fx)
     return float(grid[i]), float(vals[i])
 
 
 def info_density_exhaustive(prob_below, smallball, gamma_grid=None,
                             inf_ratio=None):
     """``bounds.lb_info_density`` as a loop over every threshold, each scanning
-    the radius grid one point at a time and refining by Brent's method; the
+    the radius grid one point at a time and refining by golden section; the
     first threshold with the largest value wins. Returns (value, rho, gamma)
     before clamping, with rho and gamma None if no threshold beats -inf."""
     rho_grid = np.geomspace(1e-6, 1.0, 200)
@@ -467,7 +443,7 @@ def info_density_exhaustive(prob_below, smallball, gamma_grid=None,
         def objective(rho, _g=gamma, _p=p_below, _e=extra):
             return rho * (_p - _g * float(smallball(rho)) + _e)
 
-        rho_star, val = _grid_then_brent(objective, rho_grid)
+        rho_star, val = _grid_then_golden(objective, rho_grid)
         if val > best:
             best, rho_best, gamma_best = val, rho_star, float(gamma)
     return best, rho_best, gamma_best

@@ -14,9 +14,9 @@ from bayeslb import cli
 
 GOLDEN = {
     "bound --thm 1 --I 2 --prior uniform01":
-        "f16c7b57c572b8f402551f6a5f3db55cbbec83eca7359c5d25a7a7451f1d65fd",
+        "ae20c20b1a07a5468eb25aa748c76d7dc8828ba17f7ce5e507adadf0ebaac114",
     "bound --thm 1 --I 1 --prior gaussian --prior-var 2 --distortion squared --csv":
-        "f6051797bf3cc05c09c3596c4d31f3156a030ccc1d1a8b79169a3da7ec9786d7",
+        "56016bf66f5eaa31cbe4cfc019cca380aa0aed27ab57583b2136a2d7478ff2da",
     "bound --thm 3 --I 0 --h 0 --d 1 --r 1":
         "a7d0a454b2fcad76d730af5c464d90d625cfefd9ba4d4573e00e4cb38859ee9c",
     "bound --thm 4 --I 2 --hx 3 --b 2 --capacity 0.5 --T 4 --eta-stat 0.8 --eta-uses 0.6 --csv":

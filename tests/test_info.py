@@ -38,6 +38,7 @@ def test_binary_entropy_endpoints_and_symmetry():
     assert binary_entropy(0.5) == 1.0
     assert_allclose(binary_entropy(0.3), binary_entropy(0.7), rtol=0, atol=1e-15)
     assert_allclose(binary_entropy(0.3), H2_03, rtol=0, atol=1e-15)
+    assert oracles.h2_mp(0.3) == H2_03
 
 
 def test_binary_entropy_rejects_outside_unit_interval():

@@ -10,6 +10,10 @@ definition that is itself reached, so names that only unreached code calls
 are caught too. Docstrings and comments never count, since only the syntax
 tree is read. Names are matched by spelling alone, which can only
 over-count reach.
+
+The test oracles are held to the same rule: each top-level definition of
+``tests/oracles.py`` is reached from some ``tests/test_*.py`` module, or from
+another oracle that is itself reached.
 """
 import ast
 from collections import defaultdict
@@ -24,6 +28,7 @@ OUTSIDE = [*sorted((ROOT / "demos").glob("*.py")),
            *sorted((ROOT / "perfbench").glob("*.py")),
            ROOT / "tests" / "test_acceptance.py",
            ROOT / "tests" / "oracles.py"]
+TESTS = sorted((ROOT / "tests").glob("test_*.py"))
 
 
 def _exports(module: str) -> list:
@@ -49,13 +54,15 @@ def _referenced(tree: ast.AST) -> set:
     return found
 
 
-def _reached() -> set:
+def _reached(outside, inside) -> tuple[set, dict]:
+    """Names reached from the ``outside`` files, then through every top-level
+    definition of the ``inside`` files that is itself reached; and the
+    references of each such definition, by its name."""
     reached = set()
-    for path in OUTSIDE:
+    for path in outside:
         reached |= _referenced(ast.parse(path.read_text()))
-    # the references of each top-level package definition, by its name
     owned = defaultdict(set)
-    for path in PACKAGE.glob("*.py"):
+    for path in inside:
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 owned[node.name] |= _referenced(node)
@@ -64,14 +71,20 @@ def _reached() -> set:
     while True:
         more = set().union(*(refs for name, refs in owned.items() if name in reached))
         if more <= reached:
-            return reached
+            return reached, owned
         reached |= more
 
 
-REACHED = _reached()
+REACHED = _reached(OUTSIDE, PACKAGE.glob("*.py"))[0]
 
 
 @pytest.mark.parametrize("module", MODULES)
 def test_every_public_name_is_reached(module):
     unreached = [name for name in _exports(module) if name not in REACHED]
     assert not unreached, f"nothing reaches bayeslb.{module}: {', '.join(unreached)}"
+
+
+def test_every_oracle_is_called_by_a_test():
+    reached, oracles = _reached(TESTS, [ROOT / "tests" / "oracles.py"])
+    unreached = sorted(name for name in oracles if name not in reached)
+    assert not unreached, f"no test calls oracles: {', '.join(unreached)}"
