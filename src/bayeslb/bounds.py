@@ -11,10 +11,9 @@ to zero and flagged, never silently returned.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
-from .info import (DistributionError, InfoDensityDistribution, _Numpy,
-                   log_unit_ball_volume)
+from .info import (DistributionError, InfoDensityDistribution, _Numpy, _Record,
+                   _set, log_unit_ball_volume)
 from .sdpi import _as_estimate, _constant, eta_multi_use
 
 np = _Numpy(globals())
@@ -35,17 +34,23 @@ __all__ = [
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    """A bound value with the argument that achieved it and status flags."""
+class BoundReport(_Record):
+    """A bound value with the argument that achieved it and status flags;
+    ``arguments`` and ``inputs`` default to a new empty dict each."""
 
-    value: float
-    kind: str
-    arguments: dict = field(default_factory=dict)
-    inputs: dict = field(default_factory=dict)
-    clamped: bool = False
-    asymptotic: bool = False
-    infeasible: bool = False
+    __slots__ = _fields = ("value", "kind", "arguments", "inputs", "clamped",
+                           "asymptotic", "infeasible")
+
+    def __init__(self, value: float, kind: str, arguments: dict | None = None,
+                 inputs: dict | None = None, clamped: bool = False,
+                 asymptotic: bool = False, infeasible: bool = False):
+        _set(self, "value", value)
+        _set(self, "kind", kind)
+        _set(self, "arguments", {} if arguments is None else arguments)
+        _set(self, "inputs", {} if inputs is None else inputs)
+        _set(self, "clamped", clamped)
+        _set(self, "asymptotic", asymptotic)
+        _set(self, "infeasible", infeasible)
 
 
 _log_grid = _constant(lambda lo, hi: np.geomspace(lo, hi, 200))

@@ -11,7 +11,6 @@ codes: 0 success, 1 failed --check, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import math
 import os
@@ -87,12 +86,14 @@ _SAMPLED_DIM = _int_type(sys.maxsize // (8 * BLOCK),
 # Every valued flag or switch is one (dest, type, default[, help]) row, spelled
 # "--" + dest with "-" for "_". A subcommand's rows build its parser and, in
 # order, its manifest command. The model rows are ScenarioSpec's fields after
-# its tag, with their types and defaults; the field rho_bias is the flag --rho.
+# its tag, with the types and defaults of its constructor's parameters; the
+# field rho_bias is the flag --rho.
 _MODEL_FLAGS = tuple(
-    ("rho" if field.name == "rho_bias" else field.name,
-     {"int": _INT, "float": float, "bool": bool}[field.type.split(" |")[0]],
-     field.default)
-    for field in dataclasses.fields(ScenarioSpec)[1:])
+    ("rho" if name == "rho_bias" else name,
+     {"int": _INT, "float": float, "bool": bool}[
+         ScenarioSpec.__init__.__annotations__[name].split(" |")[0]],
+     default)
+    for name, default in zip(ScenarioSpec._fields[1:], ScenarioSpec.__init__.__defaults__))
 _RUN_FLAGS = (
     ("reps", _INT, None, "replications (simulate) or Monte Carlo draws for "
                         "mass estimates (scenario gauss-ball)"),
@@ -263,8 +264,8 @@ def _manifest(tokens: list, args, spec=None, seed=None) -> list:
     """The '#' header lines: version, command, spec echo, seed, timestamp."""
     out = [f"# bayeslb {__version__}", f"# command: {' '.join(tokens)}"]
     if spec is not None:
-        echo = " ".join(f"{field.name}={_arg_text(getattr(spec, field.name))}"
-                        for field in dataclasses.fields(spec))
+        echo = " ".join(f"{name}={_arg_text(getattr(spec, name))}"
+                        for name in spec._fields)
         out.append(f"# spec: {echo}")
     if seed is not None:
         out.append(f"# seed: {seed}")
@@ -513,11 +514,17 @@ def _default_parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def main(argv=None) -> int:
-    raw = list(sys.argv[1:]) if argv is None else list(argv)
+@functools.lru_cache(maxsize=1)
+def _config_parser() -> argparse.ArgumentParser:
+    """The pre-parser that finds --config, built once per process."""
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--config", default=None)
-    pre_args, rest = pre.parse_known_args(raw)
+    return pre
+
+
+def main(argv=None) -> int:
+    raw = list(sys.argv[1:]) if argv is None else list(argv)
+    pre_args, rest = _config_parser().parse_known_args(raw)
     try:
         args = (_default_parser() if pre_args.config is None
                 else build_parser(_load_config(pre_args.config))).parse_args(rest)

@@ -13,7 +13,7 @@ Conventions used across the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
 class _Numpy:
@@ -80,6 +80,41 @@ class ConvergenceError(RuntimeError):
     """An iterative routine exhausted its iteration cap."""
 
 
+# sets a field of a _Record, past the guard that refuses every other assignment
+_set = object.__setattr__
+
+
+class _Record:
+    """Base of the records that validate their fields or give each instance
+    its own dicts; the others are named tuples. A subclass lists its
+    constructor's parameters, in order, as ``_fields`` and in ``__slots__``;
+    its ``__init__`` sets each field once through ``_set``, and any later
+    assignment or deletion raises ``AttributeError``. ``_replace`` builds its
+    copy through ``__init__``, so a replaced field is validated like a new
+    one. Records compare and hash by identity."""
+
+    __slots__ = ()
+    _fields: tuple = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+    def _replace(self, **changes):
+        """A copy with ``changes`` applied, validated as a new record is."""
+        return type(self)(**{**{name: getattr(self, name) for name in self._fields},
+                             **changes})
+
+
 def _validated_pmf(p, what: str) -> np.ndarray:
     """``p``, a vector or a ``DiscreteDistribution``, as a checked float array."""
     p = np.asarray(p.probs if isinstance(p, DiscreteDistribution) else p, dtype=float)
@@ -95,33 +130,31 @@ def _validated_pmf(p, what: str) -> np.ndarray:
     return p
 
 
-@dataclass(frozen=True, eq=False)
-class DiscreteDistribution:
+class DiscreteDistribution(_Record):
     """Probability vector on a finite alphabet {0, ..., k-1}."""
 
-    probs: np.ndarray
+    __slots__ = _fields = ("probs",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "probs", _validated_pmf(self.probs, "distribution"))
+    def __init__(self, probs: np.ndarray):
+        _set(self, "probs", _validated_pmf(probs, "distribution"))
 
     @property
     def size(self) -> int:
         return self.probs.size
 
 
-@dataclass(frozen=True, eq=False)
-class DiscreteChannel:
+class DiscreteChannel(_Record):
     """Row-stochastic matrix; ``rows[x, y]`` is the probability of output y on input x."""
 
-    rows: np.ndarray
+    __slots__ = _fields = ("rows",)
 
-    def __post_init__(self):
-        rows = np.asarray(self.rows, dtype=float)
+    def __init__(self, rows: np.ndarray):
+        rows = np.asarray(rows, dtype=float)
         if rows.ndim != 2 or rows.shape[0] < 1 or rows.shape[1] < 1:
             raise DistributionError("channel must be a nonempty matrix")
         for x in range(rows.shape[0]):
             _validated_pmf(rows[x], f"channel row {x}")
-        object.__setattr__(self, "rows", rows)
+        _set(self, "rows", rows)
 
     @property
     def num_inputs(self) -> int:
@@ -157,18 +190,17 @@ def bec(eps: float) -> DiscreteChannel:
     return DiscreteChannel(np.array([[1.0 - eps, eps, 0.0], [0.0, eps, 1.0 - eps]]))
 
 
-@dataclass(frozen=True, eq=False)
-class JointPMF:
+class JointPMF(_Record):
     """Joint PMF of a pair (W, X); ``table[w, x]`` with total mass 1."""
 
-    table: np.ndarray
+    __slots__ = _fields = ("table",)
 
-    def __post_init__(self):
-        t = np.asarray(self.table, dtype=float)
+    def __init__(self, table: np.ndarray):
+        t = np.asarray(table, dtype=float)
         if t.ndim != 2 or t.shape[0] < 1 or t.shape[1] < 1:
             raise DistributionError("joint PMF must be a nonempty matrix")
         _validated_pmf(t.ravel(), "joint PMF")
-        object.__setattr__(self, "table", t)
+        _set(self, "table", t)
 
     @classmethod
     def from_input_channel(cls, dist: DiscreteDistribution, channel: DiscreteChannel) -> "JointPMF":
@@ -177,8 +209,7 @@ class JointPMF:
         return cls(dist.probs[:, None] * channel.rows)
 
 
-@dataclass(frozen=True)
-class PriorSpec:
+class PriorSpec(_Record):
     """Prior on the estimand W; one of a small set of named families.
 
     Families and their parameters:
@@ -189,13 +220,15 @@ class PriorSpec:
     * ``discrete_uniform``: uniform on ``size`` symbols.
     """
 
-    family: str
-    var: float = 0.0
-    dim: int = 1
-    radius: float = 0.0
-    size: int = 0
+    __slots__ = _fields = ("family", "var", "dim", "radius", "size")
 
-    def __post_init__(self):
+    def __init__(self, family: str, var: float = 0.0, dim: int = 1,
+                 radius: float = 0.0, size: int = 0):
+        _set(self, "family", family)
+        _set(self, "var", var)
+        _set(self, "dim", dim)
+        _set(self, "radius", radius)
+        _set(self, "size", size)
         if self.family not in ("uniform01", "gaussian", "ball", "discrete_uniform"):
             raise DistributionError(f"unknown prior family {self.family!r}")
         if self.dim < 1:
@@ -215,18 +248,18 @@ class PriorSpec:
         return cls("gaussian", var=var, dim=dim)
 
 
-@dataclass(frozen=True)
-class DistortionSpec:
+class DistortionSpec(_Record):
     """Distortion function used in small-ball probabilities and risk bounds.
 
     Kinds: ``absolute`` |w - v|, ``squared`` (w - v)^2, ``l2r`` the ell-2 norm
     raised to exponent ``r``, and ``zero_one`` the indicator of a miss.
     """
 
-    kind: str
-    r: float = 1.0
+    __slots__ = _fields = ("kind", "r")
 
-    def __post_init__(self):
+    def __init__(self, kind: str, r: float = 1.0):
+        _set(self, "kind", kind)
+        _set(self, "r", r)
         if self.kind not in ("absolute", "squared", "l2r", "zero_one"):
             raise DistributionError(f"unknown distortion kind {self.kind!r}")
         if not math.isfinite(self.r):
@@ -341,30 +374,28 @@ def mutual_information(joint: JointPMF) -> float:
 # information density
 
 
-@dataclass(frozen=True, eq=False)
-class InfoDensityDistribution:
+class InfoDensityDistribution(_Record):
     """Distribution of the information density i(W; X), values in bits.
 
     The atoms are kept in increasing order of value, next to their cumulative
     mass, so that ``prob_below`` is one ``searchsorted``."""
 
-    values: np.ndarray
-    probs: np.ndarray
-    _below: np.ndarray = field(init=False, repr=False)
+    _fields = ("values", "probs")
+    __slots__ = _fields + ("_below",)
 
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        probs = _validated_pmf(self.probs, "density probabilities")
+    def __init__(self, values: np.ndarray, probs: np.ndarray):
+        values = np.asarray(values, dtype=float)
+        probs = _validated_pmf(probs, "density probabilities")
         if values.shape != probs.shape:
             raise DistributionError("values and probabilities must align")
         bad = values[~np.isfinite(values)]
         if bad.size:
             raise DistributionError(f"density values must be finite, not {bad[0]}")
         order = np.argsort(values, kind="stable")
-        object.__setattr__(self, "values", values[order])
-        object.__setattr__(self, "probs", probs[order])
+        _set(self, "values", values[order])
+        _set(self, "probs", probs[order])
         # _below[j] is the mass of the j smallest atoms
-        object.__setattr__(self, "_below", np.concatenate(([0.0], np.cumsum(self.probs))))
+        _set(self, "_below", np.concatenate(([0.0], np.cumsum(self.probs))))
 
     def mean(self) -> float:
         return float((self.values * self.probs).sum())
@@ -457,8 +488,7 @@ def neyman_pearson_beta(alpha, p, q):
     return float(beta) if beta.ndim == 0 else beta
 
 
-@dataclass(frozen=True)
-class NPPropertyReport:
+class NPPropertyReport(NamedTuple):
     """Worst observed violations of the testing inequalities on a grid."""
 
     dpi_violation: float

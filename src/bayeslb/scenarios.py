@@ -17,13 +17,12 @@ chi-square root is computed with ``math`` alone; nothing here uses scipy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
 
 from .bounds import (BoundReport, _clamped_report, fano, lb_diff_entropy,
                      log_diff_entropy_constant, mi_ub_cutset, mi_ub_interactive,
                      mi_ub_single)
-from .info import (DistributionError, PriorSpec, _Numpy, binary_entropy,
-                   differential_entropy, inv_binary_entropy,
+from .info import (DistributionError, PriorSpec, _Numpy, _Record, _set,
+                   binary_entropy, differential_entropy, inv_binary_entropy,
                    log_unit_ball_volume)
 from .sdpi import eta_bsc, eta_multi_use
 
@@ -53,8 +52,7 @@ _LN2 = math.log(2.0)
 _SQRT2 = math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
-class ScenarioSpec:
+class ScenarioSpec(_Record):
     """Parameter bundle for a scenario evaluation.
 
     Only the fields a given scenario reads need to be set; the rest keep
@@ -63,29 +61,21 @@ class ScenarioSpec:
     no explicit ``capacity``/``eta_uses`` means a noiseless channel.
     """
 
-    tag: str
-    n: int = 1
-    b: float = 0.0
-    T: int | None = 1
-    m: int = 1
-    d: int = 1
-    eps: float | None = None
-    var_w: float = 1.0
-    var_noise: float = 1.0
-    delta: float = 1.0
-    rho_bias: float = 0.0
-    radius: float = 1.0
-    total_samples: int | None = None
-    total_bits: float | None = None
-    total_uses: int | None = None
-    feedback: bool = False
-    r: float = 1.0
-    p: float | None = None
-    capacity: float | None = None
-    eta_uses: float | None = None
+    __slots__ = _fields = ("tag", "n", "b", "T", "m", "d", "eps", "var_w", "var_noise",
+                           "delta", "rho_bias", "radius", "total_samples", "total_bits",
+                           "total_uses", "feedback", "r", "p", "capacity", "eta_uses")
 
-    def __post_init__(self):
-        for name, value in vars(self).items():
+    def __init__(self, tag: str, n: int = 1, b: float = 0.0, T: int | None = 1,
+                 m: int = 1, d: int = 1, eps: float | None = None, var_w: float = 1.0,
+                 var_noise: float = 1.0, delta: float = 1.0, rho_bias: float = 0.0,
+                 radius: float = 1.0, total_samples: int | None = None,
+                 total_bits: float | None = None, total_uses: int | None = None,
+                 feedback: bool = False, r: float = 1.0, p: float | None = None,
+                 capacity: float | None = None, eta_uses: float | None = None):
+        for name, value in zip(self._fields, (
+                tag, n, b, T, m, d, eps, var_w, var_noise, delta, rho_bias, radius,
+                total_samples, total_bits, total_uses, feedback, r, p, capacity, eta_uses)):
+            _set(self, name, value)
             if isinstance(value, float) and not math.isfinite(value):
                 raise DistributionError(f"{name} must be finite, not {value}")
         if self.n < 1 or self.m < 1 or self.d < 1:
@@ -114,16 +104,18 @@ class ScenarioSpec:
             raise DistributionError("capacity cannot be negative")
 
 
-@dataclass(frozen=True)
-class ScenarioReport:
-    """A model's bounds, each finite, and its derived values, which may be inf."""
+class ScenarioReport(_Record):
+    """A model's bounds, each finite, and its derived values, which may be
+    inf; each dict defaults to a new empty one."""
 
-    tag: str
-    lower_bounds: dict = field(default_factory=dict)
-    upper_bounds: dict = field(default_factory=dict)
-    derived: dict = field(default_factory=dict)
+    __slots__ = _fields = ("tag", "lower_bounds", "upper_bounds", "derived")
 
-    def __post_init__(self):
+    def __init__(self, tag: str, lower_bounds: dict | None = None,
+                 upper_bounds: dict | None = None, derived: dict | None = None):
+        _set(self, "tag", tag)
+        _set(self, "lower_bounds", {} if lower_bounds is None else lower_bounds)
+        _set(self, "upper_bounds", {} if upper_bounds is None else upper_bounds)
+        _set(self, "derived", {} if derived is None else derived)
         for group, bounds in (("lower", self.lower_bounds), ("upper", self.upper_bounds)):
             for name, bound in bounds.items():
                 value = getattr(bound, "value", bound)
@@ -505,8 +497,8 @@ def scenario_hypercube(spec: ScenarioSpec) -> ScenarioReport:
     d, b, delta = spec.d, spec.b, spec.delta
     eta_T, cap = _channel_profile(spec)
     i_wx = d * (1.0 - binary_entropy((1.0 - delta) / 2.0))
-    mi_ub = replace(_budget(i_wx, b, cap, spec.T, delta * delta, eta_T),
-                    kind="hypercube-mi-ub")
+    mi_ub = _budget(i_wx, b, cap, spec.T, delta * delta, eta_T)._replace(
+        kind="hypercube-mi-ub")
     if delta < 1.0:
         zhang = 32.0 * delta * delta * min(d, b) / (1.0 - delta) ** 4
     else:

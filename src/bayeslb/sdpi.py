@@ -22,12 +22,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 from .info import (
     DiscreteChannel,
     DistributionError,
     _Numpy,
+    _Record,
+    _set,
     _validated_pmf,
 )
 
@@ -42,16 +43,17 @@ __all__ = [
     "eta_multi_use",
 ]
 
-@dataclass(frozen=True)
-class ContractionEstimate:
+class ContractionEstimate(_Record):
     """A contraction coefficient's best value and its certified upper end."""
 
-    value: float
-    upper: float
-    provenance: str = ""
-    argmax: np.ndarray | None = None
+    __slots__ = _fields = ("value", "upper", "provenance", "argmax")
 
-    def __post_init__(self):
+    def __init__(self, value: float, upper: float, provenance: str = "",
+                 argmax: np.ndarray | None = None):
+        _set(self, "value", value)
+        _set(self, "upper", upper)
+        _set(self, "provenance", provenance)
+        _set(self, "argmax", argmax)
         if not (0.0 <= self.value <= 1.0 and 0.0 <= self.upper <= 1.0):
             raise DistributionError("contraction coefficients lie in [0, 1]")
         if self.value > self.upper:
@@ -101,19 +103,22 @@ def _ratio(mu, K):
     D(nu || mu) < ``_FLOOR``; ``logs=True`` adds the logs it computes,
     log(nu / mu) then log(nu K / mu K), with log 0 cut at -690.
 
-    With base = [mu, mu K] and u = diff / base, each divergence is the
-    Bregman form sum_i base_i * g(u_i), g(u) = (1+u) log1p(u) - u, whenever
-    ``diff`` sums to zero: each summand is nonnegative and of order diff^2,
-    so nothing cancels and floating-point mass error enters quadratically;
-    a series handles |u| <= 1e-2. Entries with base == 0 (outputs no input
-    reaches) must have diff == 0 and are left out. M = [I | K] / base and
-    W, base / ln 2 in an input and an output column, are built once: a
-    score is u = diff @ M, then g(u) @ W.
+    With base = [mu, mu K] and u = [diff, diff K] / base, each divergence
+    is the Bregman form sum_i base_i * g(u_i), g(u) = (1+u) log1p(u) - u,
+    whenever ``diff`` sums to zero: each summand is nonnegative and of
+    order diff^2, so nothing cancels; a series handles |u| <= 1e-2. A float
+    diff misses zero sum by up to ~1e-16, whose square (~1e-33) would swamp
+    the output divergence of rows that differ by 1e-40; so the kernel scores
+    diff - (sum diff) mu, which sums to zero, with u - sum diff: nu is mu +
+    diff moved along mu to mu's mass. Entries with base == 0 (outputs no
+    input reaches) must have diff == 0 and are left out. M = [I | K] / base
+    - 1 and W, base / ln 2 in an input and an output column, are built
+    once: a score is u = diff @ M, then g(u) @ W.
     """
     base = np.concatenate([mu, mu @ K])
     mask = base > 0.0
     b, cut = base[mask], int(mask[:mu.size].sum())
-    M = np.concatenate([np.eye(mu.size), K], axis=1)[:, mask] / b
+    M = np.concatenate([np.eye(mu.size), K], axis=1)[:, mask] / b - 1.0
     W = np.zeros((b.size, 2))
     W[:cut, 0], W[cut:, 1] = b[:cut] / _LN2, b[cut:] / _LN2
 

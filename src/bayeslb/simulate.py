@@ -25,11 +25,10 @@ against and the bounds of its own protocol class in that scenario's report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .info import (DiscreteChannel, DiscreteDistribution, DistributionError,
-                   _Numpy, entropy)
+                   _Numpy, _Record, _set, entropy)
 from .scenarios import ScenarioReport, ScenarioSpec
 
 np = _Numpy(globals())
@@ -51,14 +50,19 @@ BLOCK = 4096
 SEED_LIMIT = 2 ** 64
 
 
-@dataclass(frozen=True)
-class SimulationConfig:
-    spec: ScenarioSpec
-    replications: int
-    seed: int
-    scheme: str | None = None
+class SimulationConfig(_Record):
+    """One Monte Carlo run: ``replications`` draws of the model ``spec`` under
+    seed ``seed``, in [0, 2^64), by the protocol ``SCHEMES[scheme]``;
+    ``scheme=None`` names the protocol by the spec's tag."""
 
-    def __post_init__(self):
+    __slots__ = _fields = ("spec", "replications", "seed", "scheme")
+
+    def __init__(self, spec: ScenarioSpec, replications: int, seed: int,
+                 scheme: str | None = None):
+        _set(self, "spec", spec)
+        _set(self, "replications", replications)
+        _set(self, "seed", seed)
+        _set(self, "scheme", scheme)
         if self.replications < 1:
             raise DistributionError("replication count must be >= 1")
         if not 0 <= self.seed < SEED_LIMIT:
@@ -69,8 +73,10 @@ class SimulationConfig:
         return self.scheme if self.scheme is not None else self.spec.tag
 
 
-@dataclass(frozen=True)
-class SimulationResult:
+class SimulationResult(NamedTuple):
+    """A run's mean distortion and the 1.96-sigma half-width of its normal
+    interval (0 for one replication), with the run's size, seed and scheme."""
+
     empirical_risk: float
     ci_halfwidth: float
     replications: int
@@ -203,8 +209,7 @@ def _sample_gauss_multi(spec: ScenarioSpec, rng: np.random.Generator,
     return (error ** 2).sum(axis=1)
 
 
-@dataclass(frozen=True)
-class Scheme:
+class Scheme(NamedTuple):
     """A simulated protocol: its scenario ``tag``, block sampler, whether it runs
     on m processors, and the report keys of the bounds it is held to.
 
@@ -318,8 +323,12 @@ def exact_chain_mi(prior: DiscreteDistribution, stages: list[DiscreteChannel],
 # sandwich verdicts
 
 
-@dataclass(frozen=True)
-class SandwichVerdict:
+class SandwichVerdict(NamedTuple):
+    """A sandwich check's outcome: ``passed`` when ``hard_failures`` is
+    empty; ``advisories`` for asymptotic or infeasible lower bounds above the
+    risk; and each checked bound's margin, keyed "lower:<name>" or
+    "upper:<name>", negative where the bound and the risk cross."""
+
     passed: bool
     hard_failures: tuple
     advisories: tuple

@@ -473,10 +473,13 @@ def _pmf_mp(p) -> list:
 
 def log_ratios_mp(mu, rows, nu) -> np.ndarray:
     """log(nu / mu), then log(nu K / mu K) on the outputs mu K reaches, in
-    nats at 50 digits, from the float entries as given; the logs
-    ``sdpi._ratio`` hands the mirror ascent."""
+    nats at 50 digits, from the float entries as given, with nu first moved
+    along mu to mu's mass, as ``sdpi._ratio`` scores it; the logs that
+    kernel hands the mirror ascent."""
     with mpmath.workdps(50):
         nu, mu = ([mpmath.mpf(float(x)) for x in p] for p in (nu, mu))
+        excess = mpmath.fsum(nu) - mpmath.fsum(mu)
+        nu = [a - excess * b for a, b in zip(nu, mu)]
         push = [[mpmath.fsum(p[x] * mpmath.mpf(float(row[y])) for x, row in enumerate(rows))
                  for y in range(len(rows[0]))] for p in (nu, mu)]
         pairs = list(zip(nu, mu)) + [(a, b) for a, b in zip(*push) if b > 0]

@@ -436,6 +436,7 @@ def test_mi_ub_multi_monotone_in_resources(m, b, T):
 
 
 def test_bound_report_defaults():
-    report = BoundReport(0.5, "test-kind")
+    report, other = BoundReport(0.5, "test-kind"), BoundReport(0.5, "test-kind")
     assert not report.clamped and not report.asymptotic and not report.infeasible
     assert report.arguments == {} and report.inputs == {}
+    assert report.arguments is not other.arguments and report.inputs is not other.inputs

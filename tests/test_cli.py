@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 import sys
@@ -267,7 +266,7 @@ def test_simulate_gauss_multi_out_of_memory_exits_2(monkeypatch, capsys):
         raise MemoryError("Unable to allocate 8.00 EiB")
 
     monkeypatch.setitem(SCHEMES, "gauss-multi",
-                        dataclasses.replace(SCHEMES["gauss-multi"], sample=sample))
+                        SCHEMES["gauss-multi"]._replace(sample=sample))
     code, out, err = run(["simulate", "gauss-multi", "--d", str(D_LIMIT), "--reps", "1"],
                          capsys)
     assert (code, out) == (2, "")
@@ -532,8 +531,7 @@ def test_check_failure_exits_1(tmp_path, capsys, monkeypatch):
     def inflated(spec):
         report = scenario_gauss_gauss(spec)
         bound = report.lower_bounds["corollary"]
-        report.lower_bounds["corollary"] = dataclasses.replace(bound,
-                                                               value=50.0)
+        report.lower_bounds["corollary"] = bound._replace(value=50.0)
         return report
 
     monkeypatch.setitem(cli._SCENARIO_FNS, "gauss-gauss", inflated)

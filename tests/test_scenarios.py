@@ -53,6 +53,8 @@ def test_scenario_spec_rejects_channel_overrides_out_of_range(field, value):
 def test_scenario_spec_rejects_non_finite_fields(field, value):
     with pytest.raises(DistributionError, match=f"{field} must be finite"):
         ScenarioSpec(tag="x", **{field: value})
+    with pytest.raises(DistributionError, match=f"{field} must be finite"):
+        ScenarioSpec(tag="x")._replace(**{field: value})
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from bayeslb import sdpi
@@ -171,21 +171,21 @@ def _boundary_3x5():
 # scores best, nudged 1e-6 toward mu, with no scan of the ends. None is below
 # an earlier pinned value by more than 1e-12
 PINNED_ETA = {
-    "bsc-0.1": (lambda: (FAIR, bsc(0.1)), "0x1.47ae147ae129dp-1", "a169d6510c255e6b", 11),
-    "bsc-0.25": (lambda: (FAIR, bsc(0.25)), "0x1.ffffffffff9eap-3", "4a6742eae87ede87", 11),
-    "bsc-0.4": (lambda: (FAIR, bsc(0.4)), "0x1.47ae147ae0f7cp-5", "fc0bfa2151240e7e", 11),
+    "bsc-0.1": (lambda: (FAIR, bsc(0.1)), "0x1.47ae147ae129dp-1", "667294f99af4522b", 11),
+    "bsc-0.25": (lambda: (FAIR, bsc(0.25)), "0x1.ffffffffff9e9p-3", "b710fcd3cb2f0a6f", 11),
+    "bsc-0.4": (lambda: (FAIR, bsc(0.4)), "0x1.47ae147ae0f7cp-5", "3be060e993e6dd90", 11),
     "bec-0.1": (lambda: (FAIR, bec(0.1)), "0x1.ccccccccccccfp-1", "d279034093885784", 11),
     "bec-0.25": (lambda: (FAIR, bec(0.25)), "0x1.8000000000002p-1", "4ccdc063676d7960", 11),
     "bec-0.4": (lambda: (FAIR, bec(0.4)), "0x1.3333333333334p-1", "d279034093885784", 11),
-    "dirichlet-k2": (lambda: _seeded_pair(2), "0x1.82af4820d115ep-9", "09a07bc095842dd7", 11),
-    "dirichlet-k4": (lambda: _seeded_pair(4), "0x1.4e972eacc30e0p-2", "bc37831fd9e86910", 59),
-    "dirichlet-k8": (lambda: _seeded_pair(8), "0x1.38d9dfe319139p-2", "56fb158633105cd7", 60),
-    "dirichlet-k16": (lambda: _seeded_pair(16), "0x1.3e880985bd80fp-2", "5c92f67183ba1732",
+    "dirichlet-k2": (lambda: _seeded_pair(2), "0x1.82af4820d115fp-9", "ce5b0c0b70691686", 11),
+    "dirichlet-k4": (lambda: _seeded_pair(4), "0x1.4e972eacc30e0p-2", "15b7991bff19dbbb", 59),
+    "dirichlet-k8": (lambda: _seeded_pair(8), "0x1.38d9dfe319138p-2", "723f538eef2f4c88", 60),
+    "dirichlet-k16": (lambda: _seeded_pair(16), "0x1.3e880985bd811p-2", "0cb2d4886f2c4f25",
                       53),
     "dirichlet-3x5": (lambda: _seeded_pair(3, outputs=5), "0x1.822c91e65d65cp-2",
-                      "2d8327f108de3aff", 43),
-    "rng0-3x4": (_rng0_3x4, "0x1.5d3bab7bdd854p-3", "989efff65c905cad", 53),
-    "boundary-3x5": (_boundary_3x5, "0x1.b19fe74705995p-2", "d2d15f98e6feab26", 29),
+                      "230d6305ebcda89f", 43),
+    "rng0-3x4": (_rng0_3x4, "0x1.5d3bab7bdd856p-3", "ac4eda563cc413d3", 53),
+    "boundary-3x5": (_boundary_3x5, "0x1.b19fe74705991p-2", "0c47d69132c6c701", 29),
 }
 
 
@@ -356,6 +356,9 @@ def _two_input_pairs(draw):
 
 
 @given(_two_input_pairs())
+# rows 1e-40 apart: a diff's float mass miss, squared, once scored 8e-34
+@example((np.array([0.8180085954320669, 0.18199140456793297]),
+          DiscreteChannel(np.array([[1e-72, 1.0], [1e-40, 1.0]]))))
 @settings(max_examples=40, deadline=None)
 def test_line_search_keeps_the_ascent_value(pair):
     """At two inputs the line search reaches at least what mirror ascent
@@ -413,9 +416,12 @@ def test_posterior_dobrushin_matches_quadrature(n):
 
 
 def test_contraction_estimate_validation():
-    """0 <= value <= upper <= 1, with NaN on either end refused."""
+    """0 <= value <= upper <= 1, with NaN on either end refused, also where
+    a valid estimate's ends are replaced."""
     assert ContractionEstimate(0.0, 1.0).upper == 1.0
     for value, upper in [(1.5, 1.5), (0.5, 1.5), (-0.1, 0.5), (0.6, 0.5),
                          (np.nan, 1.0), (0.5, np.nan)]:
         with pytest.raises(DistributionError):
             ContractionEstimate(value, upper)
+        with pytest.raises(DistributionError):
+            ContractionEstimate(0.0, 1.0)._replace(value=value, upper=upper)

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -25,6 +24,8 @@ def test_config_validation():
     cfg = SimulationConfig(spec=spec, replications=10, seed=1,
                            scheme="gauss-gauss")
     assert cfg.scheme_name == "gauss-gauss"
+    with pytest.raises(DistributionError):
+        cfg._replace(replications=0)
 
 
 @pytest.mark.parametrize("seed", [-1, 2 ** 64, 2 ** 64 + 7])
@@ -32,6 +33,8 @@ def test_config_rejects_seed_outside_64_bits(seed):
     spec = ScenarioSpec(tag="gauss-gauss", n=5)
     with pytest.raises(DistributionError):
         SimulationConfig(spec=spec, replications=10, seed=seed)
+    with pytest.raises(DistributionError):
+        SimulationConfig(spec=spec, replications=10, seed=0)._replace(seed=seed)
 
 
 def test_block_rng_keyed_by_seed_and_block():
@@ -123,7 +126,7 @@ def test_block_boundary_run():
     first = simulate_single_processor(cfg)
     assert first.replications == reps
     assert simulate_single_processor(cfg) == first
-    other = simulate_single_processor(dataclasses.replace(cfg, seed=22))
+    other = simulate_single_processor(cfg._replace(seed=22))
     assert other.empirical_risk != first.empirical_risk
 
 
@@ -293,8 +296,8 @@ def test_sandwich_passes_on_consistent_pair():
 
 def test_sandwich_flags_inflated_lower_bound():
     report, result = _gauss_pair()
-    bad = dataclasses.replace(report.lower_bounds["corollary"],
-                              value=10.0 * result.empirical_risk)
+    bad = report.lower_bounds["corollary"]._replace(
+        value=10.0 * result.empirical_risk)
     report.lower_bounds["corollary"] = bad
     verdict = sandwich_check(report, result)
     assert not verdict.passed
@@ -303,8 +306,8 @@ def test_sandwich_flags_inflated_lower_bound():
 
 def test_sandwich_asymptotic_violation_is_advisory():
     report, result = _gauss_pair()
-    bad = dataclasses.replace(report.lower_bounds["unconditioned_asymptotic"],
-                              value=10.0 * result.empirical_risk)
+    bad = report.lower_bounds["unconditioned_asymptotic"]._replace(
+        value=10.0 * result.empirical_risk)
     report.lower_bounds["unconditioned_asymptotic"] = bad
     verdict = sandwich_check(report, result)
     assert verdict.passed
@@ -400,7 +403,7 @@ def test_parity_schemes_fail_only_their_own_inflated_bounds(name, inflated,
                                                             passed):
     report, result = _checked_pair(name, m=2, n=16, b=2.0)
     bound = report.lower_bounds[inflated]
-    report.lower_bounds[inflated] = dataclasses.replace(bound, value=1.0)
+    report.lower_bounds[inflated] = bound._replace(value=1.0)
     assert sandwich_check(report, result).passed is passed
 
 
