@@ -23,14 +23,14 @@ from .bounds import (lb_diff_entropy, lb_mi_smallball, mi_ub_cutset,
                      mi_ub_interactive, mi_ub_multi_iid, mi_ub_single)
 from .info import (DistortionSpec, DistributionError, PriorSpec,
                    UnsupportedPairError, small_ball)
-from .scenarios import (ScenarioSpec, fig2_data, fig34_data,
+from .scenarios import (SEED_LIMIT, ScenarioSpec, fig2_data, fig34_data,
                         scenario_bern_bsc, scenario_bern_uniform,
                         scenario_bsc_bit, scenario_dglm_decentralized,
                         scenario_gauss_ball, scenario_gauss_gauss,
                         scenario_hide_seek, scenario_hypercube,
                         scenario_minimax_cube, scenario_noisy_ceo,
                         scenario_xor)
-from .simulate import (BLOCK, SCHEMES, SEED_LIMIT, SimulationConfig, sandwich_check,
+from .simulate import (BLOCK, SCHEMES, SimulationConfig, sandwich_check,
                        simulate_multi, simulate_single_processor)
 
 __all__ = ["main", "build_parser"]

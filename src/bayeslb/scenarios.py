@@ -9,14 +9,17 @@ Asymptotic entries are flagged and must not be used in hard lower-vs-upper
 comparisons. ``fig2_data`` and ``fig34_data`` emit the rows behind the
 quantization-rate and hide-and-seek comparison plots.
 
-Only the Monte Carlo ball mass of ``scenario_gauss_ball`` needs numpy, which
-it reads through the module's ``np`` handle, so importing this module, or
-evaluating any closed form in it, does not load numpy. Its noncentral
-chi-square root is computed with ``math`` alone; nothing here uses scipy.
+Only the Monte Carlo ball mass of ``scenario_gauss_ball`` and the block
+streams it shares with ``simulate`` need numpy, which they read through the
+module's ``np`` handle, so importing this module, or evaluating any closed
+form in it, does not load numpy. The ball's noncentral chi-square root is
+computed with ``math`` alone; nothing here uses scipy.
 """
 from __future__ import annotations
 
 import math
+import operator
+from typing import Callable
 
 from .bounds import (BoundReport, _clamped_report, fano, lb_diff_entropy,
                      log_diff_entropy_constant, mi_ub_cutset, mi_ub_interactive,
@@ -244,6 +247,40 @@ def scenario_bern_uniform(spec: ScenarioSpec) -> ScenarioReport:
 
 
 # ---------------------------------------------------------------------------
+# Monte Carlo streams, shared with ``simulate``
+
+BLOCK = 4096
+SEED_LIMIT = 2 ** 64
+
+
+def _check_seed(seed: int) -> None:
+    """Refuse a Monte Carlo seed that is not an integer in [0, 2^64)."""
+    try:
+        in_range = 0 <= operator.index(seed) < SEED_LIMIT
+    except TypeError:
+        in_range = False
+    if not in_range:
+        raise DistributionError(f"seed {seed!r} is not an integer in [0, 2^64)")
+
+
+def _block_rng(seed: int, block: int) -> np.random.Generator:
+    """The stream of block ``block`` of a run seeded with ``seed``: child
+    ``block`` of ``SeedSequence(seed)``, on SFC64."""
+    return np.random.Generator(np.random.SFC64(
+        np.random.SeedSequence(seed, spawn_key=(block,))))
+
+
+def _draw_blocks(seed: int, reps: int, draw: Callable, dtype=float) -> np.ndarray:
+    """``reps`` draws of ``draw(rng, size)``, filled ``BLOCK`` rows at a time
+    in block order, block b from ``_block_rng(seed, b)``."""
+    out = np.empty(reps, dtype)
+    for block, start in enumerate(range(0, reps, BLOCK)):
+        stop = min(start + BLOCK, reps)
+        out[start:stop] = draw(_block_rng(seed, block), stop - start)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # d-dimensional Gaussian mean, uniform prior on a ball
 
 
@@ -350,16 +387,19 @@ def _ball_mass_exceeds(spec: ScenarioSpec, reps: int, seed: int,
     threshold = a * a * n / sigma2
     if math.isinf(threshold):
         raise DistributionError("the ball threshold a^2 n / sigma^2 exceeds the float range")
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    direction = rng.normal(size=(reps, d))
-    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
-    w = a * direction * rng.random(reps)[:, None] ** (1.0 / d)
-    xbar = w + math.sqrt(sigma2 / n) * rng.normal(size=(reps, d))
-    # a sample mean beyond ~1e154 overflows its square to +inf, a draw whose
-    # mass is 0: the limit for a mean that far outside a smaller ball
-    with np.errstate(over="ignore"):
-        noncentrality = n * (xbar * xbar).sum(axis=1) / sigma2
-    return noncentrality < _noncentrality_root(threshold, d, level)
+    root = _noncentrality_root(threshold, d, level)
+
+    def draw(rng, size):
+        direction = rng.normal(size=(size, d))
+        direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+        w = a * direction * rng.random(size)[:, None] ** (1.0 / d)
+        xbar = w + math.sqrt(sigma2 / n) * rng.normal(size=(size, d))
+        # a sample mean beyond ~1e154 overflows its square to +inf, a draw
+        # whose mass is 0: the limit for a mean that far outside a smaller ball
+        with np.errstate(over="ignore"):
+            return n * (xbar * xbar).sum(axis=1) / sigma2 < root
+
+    return _draw_blocks(seed, reps, draw, bool)
 
 
 def scenario_gauss_ball(spec: ScenarioSpec, reps: int | None = None,
@@ -370,8 +410,12 @@ def scenario_gauss_ball(spec: ScenarioSpec, reps: int | None = None,
     forms. With ``reps`` set, the finite-n information-density chain is
     evaluated by Monte Carlo: the probability that the posterior mass inside
     the ball exceeds 1/(1+delta) feeds both the sharp-constant chain and the
-    weakened-constant chain that the asymptote is derived from.
+    weakened-constant chain that the asymptote is derived from. Its ``reps``
+    draws run in the blocks of ``simulate``: block b of ``BLOCK`` draws
+    reads child b of ``SeedSequence(seed)`` on SFC64, for a ``seed`` that is
+    an integer in [0, 2^64).
     """
+    _check_seed(seed)
     d, n = spec.d, spec.n
     sigma2, a = spec.var_noise, spec.radius
     asym_value = math.sqrt(2.0 * math.pi * sigma2 * d / n) / 20.0

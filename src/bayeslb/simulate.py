@@ -1,11 +1,12 @@
 """Monte Carlo simulation of achievability schemes and exact small-chain oracles.
 
 Replications run in fixed blocks of ``BLOCK``; block b of a run with seed s
-draws all of its randomness from the counter-based substream keyed by
-(s, b), i.e. ``Philox(key=s + (b << 64))``. The block size is fixed, so
-results are bit-identical for a given (config, seed). Blocks are concatenated
-in index order and the mean and confidence half-width are computed over the
-full replication array with pairwise summation.
+draws all of its randomness from child b of ``SeedSequence(s)`` on SFC64,
+i.e. ``SFC64(SeedSequence(s, spawn_key=(b,)))``, as ``scenario gauss-ball
+--reps`` does. The block size is fixed, so results are bit-identical for a
+given (config, seed). Blocks fill one replication array in index order, and
+the mean and confidence half-width are computed over it with pairwise
+summation.
 
 Each sampler draws, for a whole block at once, the statistic its estimator
 actually reads (a sample mean, a flip count, a success count), which has
@@ -29,7 +30,8 @@ from typing import Callable, NamedTuple
 
 from .info import (DiscreteChannel, DiscreteDistribution, DistributionError,
                    _Numpy, _Record, _set, entropy)
-from .scenarios import ScenarioReport, ScenarioSpec
+from .scenarios import (BLOCK, ScenarioReport, ScenarioSpec, _check_seed,
+                        _draw_blocks)
 
 np = _Numpy(globals())
 
@@ -46,14 +48,11 @@ __all__ = [
     "sandwich_check",
 ]
 
-BLOCK = 4096
-SEED_LIMIT = 2 ** 64
-
-
 class SimulationConfig(_Record):
     """One Monte Carlo run: ``replications`` draws of the model ``spec`` under
-    seed ``seed``, in [0, 2^64), by the protocol ``SCHEMES[scheme]``;
-    ``scheme=None`` names the protocol by the spec's tag."""
+    seed ``seed``, an integer in [0, 2^64), by the protocol
+    ``SCHEMES[scheme]``; ``scheme=None`` names the protocol by the spec's
+    tag."""
 
     __slots__ = _fields = ("spec", "replications", "seed", "scheme")
 
@@ -65,8 +64,7 @@ class SimulationConfig(_Record):
         _set(self, "scheme", scheme)
         if self.replications < 1:
             raise DistributionError("replication count must be >= 1")
-        if not 0 <= self.seed < SEED_LIMIT:
-            raise DistributionError(f"seed {self.seed} is outside [0, 2^64)")
+        _check_seed(self.seed)
 
     @property
     def scheme_name(self) -> str:
@@ -82,11 +80,6 @@ class SimulationResult(NamedTuple):
     replications: int
     seed: int
     scheme: str
-
-
-def _block_rng(seed: int, block: int) -> np.random.Generator:
-    """Counter-based substream for block ``block`` of a run seeded with seed."""
-    return np.random.Generator(np.random.Philox(key=seed + (block << 64)))
 
 
 def _aggregate(distortions: np.ndarray, config: SimulationConfig) -> SimulationResult:
@@ -128,10 +121,16 @@ def _posterior_mean_error(spec: ScenarioSpec, rng: np.random.Generator,
                           shape: int | tuple, samples: int) -> np.ndarray:
     """W ~ N(0, var_w) minus its posterior mean given the mean of ``samples``
     observations, which is all the estimator reads: N(w, var_noise / samples)."""
-    w = math.sqrt(spec.var_w) * rng.standard_normal(shape)
-    mean = w + math.sqrt(spec.var_noise / samples) * rng.standard_normal(shape)
-    shrink = spec.var_w / (spec.var_w + spec.var_noise / samples)
-    return w - shrink * mean
+    # in place, so that a gauss-multi block allocates two arrays, not five;
+    # each step rounds as its out-of-place form would
+    w = rng.standard_normal(shape)
+    w *= math.sqrt(spec.var_w)
+    mean = rng.standard_normal(shape)
+    mean *= math.sqrt(spec.var_noise / samples)
+    mean += w
+    mean *= spec.var_w / (spec.var_w + spec.var_noise / samples)
+    w -= mean
+    return w
 
 
 def _quantized_mean_error(spec: ScenarioSpec, rng: np.random.Generator,
@@ -206,7 +205,8 @@ def _sample_gauss_multi(spec: ScenarioSpec, rng: np.random.Generator,
                         size: int) -> np.ndarray:
     # the mean of the m local means is the pooled mean of all m n samples
     error = _posterior_mean_error(spec, rng, (size, spec.d), spec.m * spec.n)
-    return (error ** 2).sum(axis=1)
+    error *= error
+    return error.sum(axis=1)
 
 
 class Scheme(NamedTuple):
@@ -239,11 +239,8 @@ SCHEMES = {
 
 
 def _distortions(config: SimulationConfig, scheme: Scheme) -> np.ndarray:
-    reps = config.replications
-    return np.concatenate([
-        scheme.sample(config.spec, _block_rng(config.seed, block),
-                      min(BLOCK, reps - start))
-        for block, start in enumerate(range(0, reps, BLOCK))])
+    return _draw_blocks(config.seed, config.replications,
+                        lambda rng, size: scheme.sample(config.spec, rng, size))
 
 
 def _simulate(config: SimulationConfig, multi: bool) -> SimulationResult:

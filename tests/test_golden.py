@@ -34,7 +34,7 @@ GOLDEN = {
     "scenario bern-uniform --n 100":
         "98f42729ca2f8ed382f2d4cf026374d0babe6f66fff39b95b17cd5fe3c7c4959",
     "scenario gauss-ball --d 3 --n 50 --reps 200 --seed 5":
-        "9d883938aaaa9d7d93cde9f135c66171df235503a9f1da186dfe0bc519b94d2a",
+        "a5788f566cf384e2908a82db4ea2de40d5ecc4234fa179b4d65d65bd50ec1e38",
     "scenario bsc-bit --eps 0.1 --T 5":
         "9317ead403217cb78552623e8ff709b95f454263861836854d7eae9f6eb94e69",
     "scenario hypercube --d 8 --delta 0.5 --b 4 --eps 0.1 --T 3 --p 0.3":
@@ -62,19 +62,19 @@ GOLDEN = {
     "figure fig4":
         "282842ae041110934dab2594d20abc8c5aa1eae7e06652040139e8422740c330",
     "simulate gauss-gauss --n 10 --reps 2000 --seed 7 --check":
-        "e249a196903af87d53b6a0dcb3106d0ba52f819743ad36316f5f2f4520f5c8e3",
+        "631110dc373a4836f98c6d7c1bc98f3084a5707912e2e7f062e2a80fea485fb9",
     "simulate bern-bsc --n 100 --b 4 --eps 0 --reps 2000 --seed 7 --check":
-        "66f76cd688d6e84796afe3e91eca69f3a50aa0b397a024beb6207539e2ae8516",
+        "302de26bc7c354107ba459189534b60387d2c7cc73fdcc618e923c989928a062",
     "simulate bern-bsc --n 100 --b 4 --eps 0.1 --T 70 --reps 2000 --seed 7 --check":
-        "a7846faa2c1ecaf878e3a0a9e06f5d8156f1ac8a0b343dde4823bc54a59a945d",
+        "d54fbfa41a7521c54d05ed59f987083a874991d2b76e0f591479956461363d44",
     "simulate bsc-bit --eps 0.1 --T 5 --reps 2000 --seed 7 --check":
-        "466f0b8a0fce26967eafb767d91ff877458b3d36faec110efaf9bd1bbebb6242",
+        "52a2cc491ac1515a5e17ff7b26262bc3ec5953fbc2bf49e7b1be1da982a324c1",
     "simulate xor --m 2 --n 100 --b 2 --reps 2000 --seed 7 --check":
-        "ec597f2f65d3ecaeb8fe1f0786f8ff766a986106802e8405eb7cfb5920742cf2",
+        "2991f4c3e8f8152b6af4976668e1ad8f40dbbb82ca9ae49414fc3540d89668df",
     "simulate xor-colocated --m 2 --n 100 --b 2 --reps 2000 --seed 7 --check":
-        "bb57d0c635969774090848de1a4fc329548a2db0c84f2866a9e14cb06b99c3ba",
+        "92e88b77ee19bbcc6275557d4efaba37039a198b7ab1548ceb42780db65db378",
     "simulate gauss-multi --m 3 --n 5 --d 2 --reps 2000 --seed 7 --check":
-        "c009228986f61802d0249c6f5be563b06faed9be901a7540dcf59358440517bd",
+        "f390ec4b793cd611d7e0a62311fc9a5d905ef566b843cdba393ab79b8ea3a509",
 }
 
 

@@ -9,8 +9,9 @@ from numpy.testing import assert_allclose
 
 from bayeslb.bounds import lb_diff_entropy
 from bayeslb.info import DistributionError, binary_entropy, neyman_pearson_beta
-from bayeslb.scenarios import (CONCENTRATION_DELTA, ScenarioSpec,
-                               _ball_mass_exceeds, _noncentrality_root,
+from bayeslb.scenarios import (BLOCK, CONCENTRATION_DELTA, ScenarioSpec,
+                               _ball_mass_exceeds, _block_rng, _draw_blocks,
+                               _noncentrality_root,
                                bern_uniform_conditional_mi, bern_uniform_mi,
                                feedback_zero_rate_exponent, fig2_data,
                                fig34_data, random_coding_exponent,
@@ -185,15 +186,20 @@ def test_gauss_ball_mc_chain_deterministic_and_present():
 LEVEL = 1.0 / (1.0 + CONCENTRATION_DELTA)
 
 
-def _noncentralities(spec, reps, seed):
-    """The library's draws, rebuilt: W uniform on the ball, then the sample
-    mean, whose scaled squared norm is the noncentrality of the ball mass."""
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    direction = rng.normal(size=(reps, spec.d))
+def _block_noncentralities(spec, rng, size):
+    """One block of the library's draws, rebuilt: W uniform on the ball, then
+    the sample mean, whose scaled squared norm is the noncentrality of the
+    ball mass."""
+    direction = rng.normal(size=(size, spec.d))
     direction /= np.linalg.norm(direction, axis=1, keepdims=True)
-    w = spec.radius * direction * rng.random(reps)[:, None] ** (1.0 / spec.d)
-    xbar = w + math.sqrt(spec.var_noise / spec.n) * rng.normal(size=(reps, spec.d))
+    w = spec.radius * direction * rng.random(size)[:, None] ** (1.0 / spec.d)
+    xbar = w + math.sqrt(spec.var_noise / spec.n) * rng.normal(size=(size, spec.d))
     return spec.n * (xbar * xbar).sum(axis=1) / spec.var_noise
+
+
+def _noncentralities(spec, reps, seed):
+    return _draw_blocks(seed, reps,
+                        lambda rng, size: _block_noncentralities(spec, rng, size))
 
 
 @pytest.mark.parametrize("d, seed", [(1, 0), (1, 17), (3, 4), (3, 502),
@@ -249,6 +255,30 @@ def test_noncentrality_root_hits_the_level(d):
 def test_gauss_ball_without_reps_has_no_mc_entries():
     report = scenario_gauss_ball(ScenarioSpec(tag="gauss-ball", n=100))
     assert "finite_mc_weak" not in report.lower_bounds
+
+
+def test_gauss_ball_block_boundary_run():
+    reps, seed = 2 * BLOCK + 1, 21
+    spec = ScenarioSpec(tag="gauss-ball", n=30, d=3, radius=2.5, var_noise=3.0)
+    exceeds = _ball_mass_exceeds(spec, reps, seed, LEVEL)
+    assert exceeds.shape == (reps,)
+    root = _noncentrality_root(spec.radius ** 2 * spec.n / spec.var_noise,
+                               spec.d, LEVEL)
+    # blocks fill the run in index order, the last holding one draw
+    for block, start in enumerate(range(0, reps, BLOCK)):
+        rows = exceeds[start:start + BLOCK]
+        rebuilt = _block_noncentralities(spec, _block_rng(seed, block), len(rows))
+        assert np.array_equal(rows, rebuilt < root)
+    assert len(rows) == 1
+    # a shorter run is a prefix of a longer one
+    assert np.array_equal(_ball_mass_exceeds(spec, BLOCK, seed, LEVEL),
+                          exceeds[:BLOCK])
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64, 1.5])
+def test_gauss_ball_rejects_seed_outside_64_bits(seed):
+    with pytest.raises(DistributionError):
+        scenario_gauss_ball(ScenarioSpec(tag="gauss-ball", n=100), reps=10, seed=seed)
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,11 @@ from numpy.testing import assert_allclose
 
 from bayeslb.cli import _SCENARIO_FNS
 from bayeslb.info import DiscreteChannel, DiscreteDistribution, DistributionError, bsc
-from bayeslb.scenarios import (ScenarioSpec, scenario_gauss_gauss,
+from bayeslb.scenarios import (ScenarioSpec, _block_rng, scenario_gauss_gauss,
                                scenario_xor)
 from bayeslb.simulate import (BLOCK, SCHEMES, SimulationConfig,
-                              SimulationResult, _block_rng, _distortions,
-                              _quantize_midpoint, _repeated_bits,
+                              SimulationResult, _distortions,
+                              _posterior_mean_error, _quantize_midpoint, _repeated_bits,
                               exact_chain_mi, sandwich_check,
                               simulate_multi, simulate_single_processor)
 
@@ -28,7 +28,7 @@ def test_config_validation():
         cfg._replace(replications=0)
 
 
-@pytest.mark.parametrize("seed", [-1, 2 ** 64, 2 ** 64 + 7])
+@pytest.mark.parametrize("seed", [-1, 2 ** 64, 2 ** 64 + 7, 1.5])
 def test_config_rejects_seed_outside_64_bits(seed):
     spec = ScenarioSpec(tag="gauss-gauss", n=5)
     with pytest.raises(DistributionError):
@@ -45,9 +45,27 @@ def test_block_rng_keyed_by_seed_and_block():
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
-    # the documented contract: block b of seed s is Philox(key=s + (b << 64))
-    philox = np.random.Generator(np.random.Philox(key=7 + (3 << 64)))
-    assert np.array_equal(a, philox.standard_normal(4))
+    # the documented contract: block b of seed s is child b of SeedSequence(s)
+    # on SFC64
+    child = np.random.SeedSequence(7).spawn(4)[3]
+    assert np.array_equal(a, np.random.Generator(np.random.SFC64(child)).standard_normal(4))
+    top = 2 ** 64 - 1
+    child = np.random.SeedSequence(top).spawn(1)[0]
+    assert np.array_equal(_block_rng(top, 0).random(4),
+                          np.random.Generator(np.random.SFC64(child)).random(4))
+
+
+@pytest.mark.parametrize("shape", [1, 257, (257, 3)])
+@pytest.mark.parametrize("var_w, var_noise, samples",
+                         [(1.0, 1.0, 1), (2.0, 0.3, 40), (1e-3, 1e3, 7), (1e3, 1e-3, 1000)])
+def test_posterior_mean_error_matches_out_of_place_form(shape, var_w, var_noise, samples):
+    spec = ScenarioSpec(tag="gauss-gauss", var_w=var_w, var_noise=var_noise)
+    rng = _block_rng(5, 0)
+    w = math.sqrt(var_w) * rng.standard_normal(shape)
+    mean = w + math.sqrt(var_noise / samples) * rng.standard_normal(shape)
+    reference = w - var_w / (var_w + var_noise / samples) * mean
+    assert np.array_equal(_posterior_mean_error(spec, _block_rng(5, 0), shape, samples),
+                          reference)
 
 
 def test_quantize_midpoint_edges():
