@@ -263,6 +263,17 @@ def _check_seed(seed: int) -> None:
         raise DistributionError(f"seed {seed!r} is not an integer in [0, 2^64)")
 
 
+def _check_reps(reps: int) -> None:
+    """Refuse a replication count that is not an integer >= 1; a bool is not
+    a count."""
+    try:
+        valid = not isinstance(reps, bool) and operator.index(reps) >= 1
+    except TypeError:
+        valid = False
+    if not valid:
+        raise DistributionError(f"replication count {reps!r} is not an integer >= 1")
+
+
 def _block_rng(seed: int, block: int) -> np.random.Generator:
     """The stream of block ``block`` of a run seeded with ``seed``: child
     ``block`` of ``SeedSequence(seed)``, on SFC64."""
@@ -411,9 +422,9 @@ def scenario_gauss_ball(spec: ScenarioSpec, reps: int | None = None,
     evaluated by Monte Carlo: the probability that the posterior mass inside
     the ball exceeds 1/(1+delta) feeds both the sharp-constant chain and the
     weakened-constant chain that the asymptote is derived from. Its ``reps``
-    draws run in the blocks of ``simulate``: block b of ``BLOCK`` draws
-    reads child b of ``SeedSequence(seed)`` on SFC64, for a ``seed`` that is
-    an integer in [0, 2^64).
+    draws, an integer >= 1, run in the blocks of ``simulate``: block b of
+    ``BLOCK`` draws reads child b of ``SeedSequence(seed)`` on SFC64, for a
+    ``seed`` that is an integer in [0, 2^64).
     """
     _check_seed(seed)
     d, n = spec.d, spec.n
@@ -429,8 +440,7 @@ def scenario_gauss_ball(spec: ScenarioSpec, reps: int | None = None,
         "mmse_upper": sigma2 * d / n,
     }
     if reps is not None:
-        if reps < 1:
-            raise DistributionError("replication count must be >= 1")
+        _check_reps(reps)
         delta = CONCENTRATION_DELTA
         p_hat = float(_ball_mass_exceeds(spec, reps, seed, 1.0 / (1.0 + delta)).mean())
         gap = p_hat - 0.5

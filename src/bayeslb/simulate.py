@@ -12,7 +12,13 @@ Each sampler draws, for a whole block at once, the statistic its estimator
 actually reads (a sample mean, a flip count, a success count), which has
 exactly the law of the statistic computed from the full sample. The
 parity-coupled law behind the ``xor`` samplers is drawn in full by
-``sample_xor_block`` in ``tests/oracles.py``.
+``sample_xor_block`` in ``tests/oracles.py``. The Bernoulli samplers
+(``bern-bsc`` and ``xor-colocated``) draw the success count K uniformly on
+{0, ..., n} first and then W from its Beta(K + 1, n - K + 1) posterior, the
+joint law of W ~ U[0, 1] and K ~ Bin(n, W), in that order within a block.
+Drawing in this order moved the outputs of ``simulate bern-bsc`` and
+``simulate xor-colocated`` off those of the earlier binomial draw given W;
+no other output moved.
 
 The simulated schemes are the ones whose risk the closed-form achievability
 bounds analyze, with one exception: the channel-limited Bernoulli scheme
@@ -30,8 +36,8 @@ from typing import Callable, NamedTuple
 
 from .info import (DiscreteChannel, DiscreteDistribution, DistributionError,
                    _Numpy, _Record, _set, entropy)
-from .scenarios import (BLOCK, ScenarioReport, ScenarioSpec, _check_seed,
-                        _draw_blocks)
+from .scenarios import (BLOCK, ScenarioReport, ScenarioSpec, _check_reps,
+                        _check_seed, _draw_blocks)
 
 np = _Numpy(globals())
 
@@ -49,8 +55,8 @@ __all__ = [
 ]
 
 class SimulationConfig(_Record):
-    """One Monte Carlo run: ``replications`` draws of the model ``spec`` under
-    seed ``seed``, an integer in [0, 2^64), by the protocol
+    """One Monte Carlo run: ``replications`` draws, an integer >= 1, of the
+    model ``spec`` under seed ``seed``, an integer in [0, 2^64), by the protocol
     ``SCHEMES[scheme]``; ``scheme=None`` names the protocol by the spec's
     tag."""
 
@@ -62,8 +68,7 @@ class SimulationConfig(_Record):
         _set(self, "replications", replications)
         _set(self, "seed", seed)
         _set(self, "scheme", scheme)
-        if self.replications < 1:
-            raise DistributionError("replication count must be >= 1")
+        _check_reps(self.replications)
         _check_seed(self.seed)
 
     @property
@@ -133,12 +138,25 @@ def _posterior_mean_error(spec: ScenarioSpec, rng: np.random.Generator,
     return w
 
 
+def _count_and_parameter(n: int, rng: np.random.Generator,
+                         size: int) -> tuple[np.ndarray, np.ndarray]:
+    """``size`` draws of (K, W) with W ~ U[0, 1] and K ~ Bin(n, W), drawn in
+    the other order: K uniform on {0, ..., n}, then W | K ~ Beta(K + 1,
+    n - K + 1), which is the same joint law.
+
+    From n = 2^53 on, the Beta parameters are rounded to floats; that is
+    rounding only, as in numpy's binomial at that size.
+    """
+    k = rng.integers(0, n, size, endpoint=True)
+    return k, rng.beta(k + 1.0, n - k + 1.0)
+
+
 def _quantized_mean_error(spec: ScenarioSpec, rng: np.random.Generator,
                           size: int, bits: float) -> np.ndarray:
     """|W - the midpoint of the mean's cell at ``bits`` bits| for W ~ U[0, 1],
     when the estimator reads the mean of n Bern(W) bits, Bin(n, W) / n."""
-    w = rng.random(size)
-    return np.abs(w - _quantize_midpoint(rng.binomial(spec.n, w) / spec.n, bits))
+    k, w = _count_and_parameter(spec.n, rng, size)
+    return np.abs(w - _quantize_midpoint(k / spec.n, bits))
 
 
 # ---------------------------------------------------------------------------
@@ -164,9 +182,9 @@ def _sample_bern_bsc(spec: ScenarioSpec, rng: np.random.Generator,
     if not spec.eps:
         # a noiseless link carries the sample mean's midpoint cell
         return _quantized_mean_error(spec, rng, size, spec.b)
-    w = rng.random(size)
-    k = rng.binomial(spec.n, w)
-    num_bits = max(int(math.ceil(math.log2(spec.n + 1))), 1)
+    k, w = _count_and_parameter(spec.n, rng, size)
+    # K = n needs every bit of n; a float log2 of n + 1 is one short at 2^53
+    num_bits = int(spec.n).bit_length()
     whole = spec.b >= num_bits
     # the count's bits if b bits carry it, else its floor(b)-bit midpoint cell
     bits = num_bits if whole else int(spec.b)
@@ -178,7 +196,7 @@ def _sample_bern_bsc(spec: ScenarioSpec, rng: np.random.Generator,
     message = k if whole else _cell_index(k / spec.n, 1 << bits).astype(np.int64)
     weights = 1 << np.arange(bits)
     sent = (message[:, None] & weights) != 0
-    decoded = (_repeated_bits(sent, looks, spec.eps, rng) * weights).sum(axis=1)
+    decoded = _repeated_bits(sent, looks, spec.eps, rng) @ weights
     if whole:
         return np.abs(w - np.minimum(decoded, spec.n) / spec.n)
     return np.abs(w - (decoded + 0.5) / (1 << bits))
@@ -258,7 +276,7 @@ def simulate_single_processor(config: SimulationConfig) -> SimulationResult:
     ``bsc-bit`` (repetition code with majority decoding, ties to 0), and
     ``bern-bsc``: the sample mean to midpoint cells over a noiseless link
     (eps = 0); otherwise each bit of the count, or of the floor(b)-bit midpoint
-    cell if b is below the count's ceil(log2(n+1)) bits, repeated T // bits
+    cell if b is below the count's bit_length(n) bits, repeated T // bits
     times over the channel (b < 1 gives the prior centroid 1/2).
     """
     return _simulate(config, multi=False)

@@ -280,6 +280,21 @@ def test_simulate_takes_the_largest_64_bit_count(capsys):
     assert data_rows(out)[1].startswith("bsc-bit,")
 
 
+@pytest.mark.parametrize("scheme, flags", [
+    ("bern-bsc", ["--b", "4", "--eps", "0"]),
+    ("bern-bsc", ["--b", "4", "--eps", "0.1", "--T", "70"]),
+    ("xor-colocated", ["--m", "2", "--b", "2"]),
+])
+def test_simulate_bernoulli_takes_the_largest_64_bit_count(scheme, flags, capsys):
+    # the count is drawn uniformly up to n, then W from Beta(K + 1, n - K + 1)
+    code, out, _ = run(["simulate", scheme, "--n", str(2 ** 63 - 1), "--reps", "3"] + flags,
+                       capsys)
+    assert code == 0
+    name, risk, halfwidth, *_ = data_rows(out)[1].split(",")
+    assert name == scheme
+    assert math.isfinite(float(risk)) and math.isfinite(float(halfwidth))
+
+
 @pytest.mark.parametrize("argv", [
     ["scenario", "ceo", "--d", "64", "--alpha", "1e-6"],
     ["bound", "--thm", "3", "--I", "0", "--h", "0", "--d", "400", "--r", "1"],

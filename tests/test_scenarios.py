@@ -281,6 +281,12 @@ def test_gauss_ball_rejects_seed_outside_64_bits(seed):
         scenario_gauss_ball(ScenarioSpec(tag="gauss-ball", n=100), reps=10, seed=seed)
 
 
+@pytest.mark.parametrize("reps", [2.5, True, 0, -1])
+def test_gauss_ball_rejects_replication_count_not_a_positive_integer(reps):
+    with pytest.raises(DistributionError):
+        scenario_gauss_ball(ScenarioSpec(tag="gauss-ball", n=100), reps=reps)
+
+
 # ---------------------------------------------------------------------------
 # single bit over a BSC
 

@@ -9,7 +9,7 @@ from bayeslb.info import DiscreteChannel, DiscreteDistribution, DistributionErro
 from bayeslb.scenarios import (ScenarioSpec, _block_rng, scenario_gauss_gauss,
                                scenario_xor)
 from bayeslb.simulate import (BLOCK, SCHEMES, SimulationConfig,
-                              SimulationResult, _distortions,
+                              SimulationResult, _count_and_parameter, _distortions,
                               _posterior_mean_error, _quantize_midpoint, _repeated_bits,
                               exact_chain_mi, sandwich_check,
                               simulate_multi, simulate_single_processor)
@@ -35,6 +35,15 @@ def test_config_rejects_seed_outside_64_bits(seed):
         SimulationConfig(spec=spec, replications=10, seed=seed)
     with pytest.raises(DistributionError):
         SimulationConfig(spec=spec, replications=10, seed=0)._replace(seed=seed)
+
+
+@pytest.mark.parametrize("reps", [2.5, True, 0, -1])
+def test_config_rejects_replication_count_not_a_positive_integer(reps):
+    spec = ScenarioSpec(tag="gauss-gauss", n=5)
+    with pytest.raises(DistributionError):
+        SimulationConfig(spec=spec, replications=reps, seed=1)
+    with pytest.raises(DistributionError):
+        SimulationConfig(spec=spec, replications=10, seed=1)._replace(replications=reps)
 
 
 def test_block_rng_keyed_by_seed_and_block():
@@ -66,6 +75,55 @@ def test_posterior_mean_error_matches_out_of_place_form(shape, var_w, var_noise,
     reference = w - var_w / (var_w + var_noise / samples) * mean
     assert np.array_equal(_posterior_mean_error(spec, _block_rng(5, 0), shape, samples),
                           reference)
+
+
+@pytest.mark.parametrize("n", [1, 16, 100])
+def test_count_and_parameter_have_the_binomial_joint_law(n):
+    """K uniform on {0, ..., n} and W | K ~ Beta(K + 1, n - K + 1) is the law
+    of W ~ U[0, 1], K ~ Bin(n, W). Seeds, sizes and tolerances were fixed
+    before the first run."""
+    from scipy.stats import chisquare, kstest  # the oracle; the library never imports it
+    k, w = _count_and_parameter(n, _block_rng(30, n), 200_000)
+    counts = np.bincount(k, minlength=n + 1)
+    assert counts.size == n + 1
+    assert chisquare(counts).pvalue > 1e-3
+    # each count's mean of W within 5 standard errors of its Beta mean
+    groups = np.arange(n + 1)
+    var = (groups + 1) * (n - groups + 1) / ((n + 2) ** 2 * (n + 3))
+    means = np.bincount(k, weights=w, minlength=n + 1) / counts
+    assert np.all(np.abs(means - (groups + 1) / (n + 2)) <= 5.0 * np.sqrt(var / counts))
+    assert kstest(w, "uniform").pvalue > 1e-3
+
+
+def _count_then_beta(n, size):
+    """Block 0 of seed 7 drawn as documented: K uniform on {0, ..., n}, then
+    W from Beta(K + 1, n - K + 1)."""
+    rng = _block_rng(7, 0)
+    k = rng.integers(0, n, size, endpoint=True)
+    return k, rng.beta(k + 1.0, n - k + 1.0)
+
+
+@pytest.mark.parametrize("name, fields", [
+    ("bern-bsc", {"n": 100, "b": 4.0, "eps": 0.0}),
+    ("xor-colocated", {"m": 2, "n": 100, "b": 2.0}),
+])
+def test_quantized_samplers_draw_the_count_then_its_parameter(name, fields):
+    scheme = SCHEMES[name]
+    spec = ScenarioSpec(tag=scheme.tag, **fields)
+    k, w = _count_then_beta(100, 300)
+    # both carry the mean in 4 bits
+    assert np.array_equal(scheme.sample(spec, _block_rng(7, 0), 300),
+                          np.abs(w - _quantize_midpoint(k / 100, 4)))
+
+
+def test_bit_decode_matmul_is_the_weighted_sum():
+    # exact integer arithmetic at every width up to the 63 bits of the largest count
+    rng = np.random.default_rng(5)
+    for width in range(1, 64):
+        weights = 1 << np.arange(width)
+        bits = rng.random((65, width)) < 0.5
+        bits[0] = True
+        assert np.array_equal(bits @ weights, (bits * weights).sum(axis=1))
 
 
 def test_quantize_midpoint_edges():
@@ -229,6 +287,20 @@ def test_bern_bsc_sends_the_b_bit_cell_below_the_count(n, bits, eps, T):
         SimulationConfig(spec=spec, replications=20000, seed=31))
     oracle = oracles.cell_repetition_risk(n, bits, eps, T)
     assert abs(result.empirical_risk - oracle) <= 3.0 * result.ci_halfwidth
+
+
+def test_bern_bsc_count_width_is_the_bit_length_of_n():
+    n = 2 ** 53
+    # the count K = n takes 54 bits, so 53 uses leave one bit without a look
+    whole = ScenarioSpec(tag="bern-bsc", n=n, b=54.0, eps=0.1, T=53)
+    with pytest.raises(DistributionError):
+        simulate_single_processor(SimulationConfig(spec=whole, replications=1, seed=1))
+    # 53 bits carry the mean's 53-bit midpoint cell, K = n in the top one; no
+    # flip is drawn at this crossover
+    spec = ScenarioSpec(tag="bern-bsc", n=n, b=53.0, eps=1e-300, T=53)
+    k, w = _count_then_beta(n, 300)
+    assert np.array_equal(SCHEMES["bern-bsc"].sample(spec, _block_rng(7, 0), 300),
+                          np.abs(w - (np.minimum(k, n - 1) + 0.5) / n))
 
 
 def test_bern_bsc_zero_bits_give_the_prior_centroid():
