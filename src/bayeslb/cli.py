@@ -62,6 +62,9 @@ def _parse_etas(text: str) -> tuple:
     return tuple(float(part) for part in text.split(","))
 
 
+_parse_etas.__name__ = "float list"  # argparse reports "invalid float list value"
+
+
 def _int_type(limit: int, reason: str):
     """An integer flag's type: argparse refuses, naming the flag, a value of
     magnitude above ``limit``."""

@@ -55,13 +55,26 @@ _LN2 = math.log(2.0)
 _SQRT2 = math.sqrt(2.0)
 
 
+def _check_count(value, what: str, least: int = 1) -> None:
+    """Refuse a count that is not an integer >= ``least``; a bool is not a
+    count."""
+    try:
+        valid = not isinstance(value, bool) and operator.index(value) >= least
+    except TypeError:
+        valid = False
+    if not valid:
+        raise DistributionError(f"{what} {value!r} is not an integer >= {least}")
+
+
 class ScenarioSpec(_Record):
     """Parameter bundle for a scenario evaluation.
 
     Only the fields a given scenario reads need to be set; the rest keep
     their defaults. ``T=None`` means the channel-use budget is not binding
     (noiseless-style evaluations drop the capacity term). ``eps=None`` with
-    no explicit ``capacity``/``eta_uses`` means a noiseless channel.
+    no explicit ``capacity``/``eta_uses`` means a noiseless channel. The
+    counts n, m, d, T, total_samples and total_uses are integers, not floats
+    or bools: each >= 1 but total_uses, which may be 0.
     """
 
     __slots__ = _fields = ("tag", "n", "b", "T", "m", "d", "eps", "var_w", "var_noise",
@@ -81,14 +94,14 @@ class ScenarioSpec(_Record):
             _set(self, name, value)
             if isinstance(value, float) and not math.isfinite(value):
                 raise DistributionError(f"{name} must be finite, not {value}")
-        if self.n < 1 or self.m < 1 or self.d < 1:
-            raise DistributionError("sample, processor and dimension counts must be >= 1")
-        if self.T is not None and self.T < 1:
-            raise DistributionError("channel-use count must be >= 1 when set")
+        for name in ("n", "m", "d", "T", "total_samples", "total_uses"):
+            value = getattr(self, name)
+            if value is not None or name in ("n", "m", "d"):
+                _check_count(value, name, 0 if name == "total_uses" else 1)
         if self.b < 0.0:
             raise DistributionError("bit budget cannot be negative")
-        if (self.total_bits or 0) < 0 or (self.total_uses or 0) < 0:
-            raise DistributionError("total bit and channel-use budgets cannot be negative")
+        if (self.total_bits or 0) < 0:
+            raise DistributionError("total bit budget cannot be negative")
         if self.eps is not None and not 0.0 <= self.eps <= 0.5:
             raise DistributionError("crossover probability must lie in [0, 1/2]")
         if not 0.0 <= self.delta <= 1.0:
@@ -263,17 +276,6 @@ def _check_seed(seed: int) -> None:
         raise DistributionError(f"seed {seed!r} is not an integer in [0, 2^64)")
 
 
-def _check_reps(reps: int) -> None:
-    """Refuse a replication count that is not an integer >= 1; a bool is not
-    a count."""
-    try:
-        valid = not isinstance(reps, bool) and operator.index(reps) >= 1
-    except TypeError:
-        valid = False
-    if not valid:
-        raise DistributionError(f"replication count {reps!r} is not an integer >= 1")
-
-
 def _block_rng(seed: int, block: int) -> np.random.Generator:
     """The stream of block ``block`` of a run seeded with ``seed``: child
     ``block`` of ``SeedSequence(seed)``, on SFC64."""
@@ -440,7 +442,7 @@ def scenario_gauss_ball(spec: ScenarioSpec, reps: int | None = None,
         "mmse_upper": sigma2 * d / n,
     }
     if reps is not None:
-        _check_reps(reps)
+        _check_count(reps, "replication count")
         delta = CONCENTRATION_DELTA
         p_hat = float(_ball_mass_exceeds(spec, reps, seed, 1.0 / (1.0 + delta)).mean())
         gap = p_hat - 0.5

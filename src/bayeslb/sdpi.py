@@ -13,10 +13,13 @@ eta(mu, K) for every mu, as its upper end. It scans mixture paths toward
 the vertices and along both signs of the chi-square directions. At two
 inputs these paths cover one segment through mu, and a line search on that
 segment gives the value; from three inputs up, mirror ascent on nu starts
-where the scan scores best, and its best end is the value. Everything
-scores through one ratio kernel, one matmul into the Bregman form and one
-out of it, whose logs make the ascent's gradient. Every point is a feasible
-mixture, so the value can only undershoot the supremum.
+where the scan scores best, and its best end is the value. Each ascent
+iteration also scores a safeguarded Newton step for the leading row, which
+cuts the iterations about threefold and lets climbs that the mirror steps
+end early finish. Everything scores through one ratio kernel, one matmul
+into the Bregman form and one out of it, whose logs make the ascent's
+gradient and the Newton step's Hessian. Every point is a feasible mixture,
+so the value can only undershoot the supremum.
 """
 from __future__ import annotations
 
@@ -137,37 +140,88 @@ def _ratio(mu, K):
     return ratio
 
 
+def _newton(Ku, nu, f, din, lin, lout, lam) -> np.ndarray:
+    """A safeguarded Newton step from ``nu`` for f(nu) = D(nu K || mu K) /
+    D(nu || mu) on the simplex's sum-zero tangent space, with ``f``, D(nu ||
+    mu) in bits and the logs as ``_ratio`` returns them and ``Ku`` the rows
+    on the reached outputs. With a = log(nu / mu), G = K log(nu K / mu K) -
+    f a (D times the gradient) and D in nats, D times the Hessian is
+    K diag(1 / nu K) K^T - f diag(1 / nu) - (a G^T + G a^T) / D. The
+    projected system takes a Levenberg shift of ``lam`` times its largest
+    diagonal entry; the step is cut to 0.999 of the longest that stays in
+    the simplex, then clipped at 0 and renormalized. Returns ``nu`` itself
+    when its ratio is below the floor, when it or nu K has a zero entry,
+    or when the step is not finite.
+    """
+    nuK, k = nu @ Ku, nu.size
+    if not (din >= _FLOOR and nu.min() > 0.0 and nuK.min() > 0.0):
+        return nu
+    G = Ku @ lout - f * lin
+    with np.errstate(all="ignore"):
+        cross = lin[:, None] * (G / (din * _LN2))
+        H = cross + cross.T - (Ku / nuK) @ Ku.T  # -D times the Hessian
+        H.flat[::k + 1] += f / nu
+        # P H P with P = I - 11^T / k; H is symmetric, so its row and
+        # column sums agree
+        c = H.sum(axis=0) / k
+        H -= c + (c - c.sum() / k)[:, None]
+        H.flat[::k + 1] += lam * np.abs(H.diagonal()).max()
+        try:
+            d = np.linalg.solve(H, G - G.sum() / k)
+        except np.linalg.LinAlgError:
+            return nu
+        d -= d.sum() / k
+        reach = (-d / nu).max()  # the step leaves the simplex past 1 / reach
+        trial = np.maximum(nu + d * (0.999 / reach if reach > 1.0 else 1.0), 0.0)
+        total = float(trial.sum())
+    # the entries are >= 0 or NaN, so a finite positive sum makes them all finite
+    return trial / total if 0.0 < total < math.inf else nu
+
+
 def _ascend(mu, K, ratio, nu) -> tuple[np.ndarray, np.ndarray]:
     """Mirror ascent of D(nu K || mu K) / D(nu || mu) from each row of ``nu``
     for a full-support mu, scored by ``ratio``, the ``_ratio(mu, K)`` map;
     returns each end nu and its ratio, -inf if below the floor. Each
-    iteration scores two trials per row in one call, nu * exp(s grad) and
+    iteration scores, in one call, two trials per row, nu * exp(s grad) and
     mu + e^l (nu - mu), as the ratio is far flatter along the ray from mu
-    than across it; a row takes the best if it scores higher, with the logs
-    scored with it for its gradient. s doubles on a rise, else halves; l
-    doubles, else flips sign and halves (1e-8 <= |l| <= 1). Stops after 500
-    iterations, or 10 that raised the best ratio at most 1e-12 relative.
+    than across it, and one for the leading row, a Newton step (``_newton``);
+    a row takes its best trial if it scores higher, with the logs scored
+    with it for its gradient, and the leader then takes the Newton trial if
+    that scores higher still. s doubles on a rise, else halves; l doubles,
+    else flips sign and halves (1e-8 <= |l| <= 1); the Newton shift lam is
+    quartered on a rise, else quadrupled (1e-12 <= lam <= 1e6). A rise is
+    a trial above its row's ratio before the iteration, so a Newton step
+    that rises but loses to the leader's mirror trial does not grow lam.
+    Stops after 500 iterations, or 10 that raised the best ratio at most
+    1e-12 relative.
     """
     (S, k), Ku = nu.shape, K[:, mu @ K > 0.0]
-    # rows S to 3S hold the trials; a row is nu, its ratio, D(nu || mu), logs
-    pool = np.empty((3 * S, 2 * k + 2 + Ku.shape[1]))
+    # rows S to 3S hold the two trials per row, row 3S the Newton trial; a
+    # row is nu, its ratio, D(nu || mu), logs
+    pool = np.empty((3 * S + 1, 2 * k + 2 + Ku.shape[1]))
     pool[:S, :k] = nu
     pool[:S, k], pool[:S, k + 1], pool[:S, k + 2:] = ratio(nu - mu, logs=True)
-    nu, trials, fs, din = pool[:S, :k], pool[S:, :k], pool[:, k].reshape(3, S), pool[:S, k + 1]
+    nu, trials, fs, din = pool[:S, :k], pool[S:, :k], pool[:3 * S, k].reshape(3, S), pool[:S, k + 1]
     f, lin, lout, rows = fs[0], pool[:S, k + 2:2 * k + 2], pool[:S, 2 * k + 2:], np.arange(S)
-    step, lam, best = np.ones(S), np.full(S, 0.25), [float(f.max())]
+    step, lam, shift, best = np.ones(S), np.full(S, 0.25), 1e-3, [float(f.max())]
     for _ in range(500):
         # the gradient up to a constant per row and a scale; f is -inf or >= 0
         grad = (lout @ Ku.T - np.maximum(f, 0.0)[:, None] * lin) / np.maximum(din, _FLOOR)[:, None]
         z = np.where(nu > 0.0, step[:, None] * grad, -math.inf)
+        lead = int(f.argmax())
         trials[:S] = nu * np.exp(z - z.max(axis=1, keepdims=True))
-        trials[S:] = np.maximum(mu + np.exp(lam)[:, None] * (nu - mu), 0.0)
-        trials /= trials.sum(axis=1, keepdims=True)
+        trials[S:2 * S] = np.maximum(mu + np.exp(lam)[:, None] * (nu - mu), 0.0)
+        trials[:2 * S] /= trials[:2 * S].sum(axis=1, keepdims=True)
+        trials[2 * S] = _newton(Ku, nu[lead], f[lead], din[lead], lin[lead], lout[lead], shift)
         pool[S:, k], pool[S:, k + 1], pool[S:, k + 2:] = ratio(trials - mu, logs=True)
         step *= np.where(fs[1] > f, 2.0, 0.5)
         lam *= np.where(fs[2] > f, 2.0, -0.5)
         lam = np.copysign(np.minimum(np.maximum(np.abs(lam), 1e-8), 1.0), lam)
+        rose = pool[3 * S, k] > f[lead]
+        shift = min(max(shift * (0.25 if rose else 4.0), 1e-12), 1e6)
         pool[:S] = pool[fs.argmax(axis=0) * S + rows]  # the first best of each row's three
+        if pool[3 * S, k] > f[lead]:
+            pool[lead] = pool[3 * S]
         best.append(float(f.max()))
         if len(best) > 10 and not best[-1] > best[-11] * (1.0 + 1e-12):
             break
@@ -257,8 +311,9 @@ def eta_numeric(mu, channel: DiscreteChannel) -> ContractionEstimate:
     ``_scan`` scores the mixture paths. At two inputs a line search on the
     scanned segment (``_line_search``) gives the value and the argmax; from
     three up they are the best end of mirror ascent (``_ascend``) from
-    ``_starts``. Every point is a feasible mixture, so the value can only
-    undershoot the supremum.
+    ``_starts``, whose leading row also tries a safeguarded Newton step each
+    iteration (``_newton``). Every point is a feasible mixture, so the
+    value can only undershoot the supremum.
     """
     mu = _validated_pmf(mu, "input")
     if mu.size > 16:
@@ -275,7 +330,7 @@ def eta_numeric(mu, channel: DiscreteChannel) -> ContractionEstimate:
     else:
         ends, ratios = _ascend(mu, K, ratio, _starts(mu, rays, steps, scores))
         i = int(np.argmax(ratios))
-        nu, best, how = ends[i], float(ratios[i]), "mirror ascent"
+        nu, best, how = ends[i], float(ratios[i]), "mirror ascent with Newton trials"
     value = min(max(best, 0.0), 1.0)
     return ContractionEstimate(value, max(value, dobrushin(channel).value),
                                f"mixture-path scan, then {how} above the floor",

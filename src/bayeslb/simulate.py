@@ -36,7 +36,7 @@ from typing import Callable, NamedTuple
 
 from .info import (DiscreteChannel, DiscreteDistribution, DistributionError,
                    _Numpy, _Record, _set, entropy)
-from .scenarios import (BLOCK, ScenarioReport, ScenarioSpec, _check_reps,
+from .scenarios import (BLOCK, ScenarioReport, ScenarioSpec, _check_count,
                         _check_seed, _draw_blocks)
 
 np = _Numpy(globals())
@@ -68,7 +68,7 @@ class SimulationConfig(_Record):
         _set(self, "replications", replications)
         _set(self, "seed", seed)
         _set(self, "scheme", scheme)
-        _check_reps(self.replications)
+        _check_count(self.replications, "replication count")
         _check_seed(self.seed)
 
     @property

@@ -14,7 +14,7 @@ from scipy.integrate import quad
 from scipy.optimize import linprog
 from scipy.special import betainc, betaincinv
 
-from bayeslb import bounds
+from bayeslb import bounds, sdpi
 
 mpmath.mp.dps = 50
 
@@ -510,3 +510,42 @@ def _kl_pair_mp(mu, rows, nu) -> tuple[float, float]:
         return mpmath.fsum(pi * mpmath.log(pi / qi, 2) for pi, qi in zip(p, q) if pi > 0)
 
     return float(kl(nu, mu)), float(kl(push(nu), push(mu)))
+
+
+def mirror_ascent(mu, K, ratio, nu) -> tuple[np.ndarray, np.ndarray]:
+    """``sdpi._ascend`` as it was before its Newton trial, kept as the
+    reference that the search must match or beat: mirror ascent of
+    D(nu K || mu K) / D(nu || mu) from each row of ``nu`` for a full-support
+    mu, scored by ``ratio``, the ``sdpi._ratio(mu, K)`` map; returns each
+    end nu and its ratio, -inf if below the floor. Each iteration scores two
+    trials per row in one call, nu * exp(s grad) and mu + e^l (nu - mu); a
+    row takes the best if it scores higher, with the logs scored with it
+    for its gradient. s doubles on a rise, else halves; l doubles, else
+    flips sign and halves (1e-8 <= |l| <= 1). Stops after 500 iterations,
+    or 10 that raised the best ratio at most 1e-12 relative.
+    """
+    (S, k), Ku = nu.shape, K[:, mu @ K > 0.0]
+    # rows S to 3S hold the trials; a row is nu, its ratio, D(nu || mu), logs
+    pool = np.empty((3 * S, 2 * k + 2 + Ku.shape[1]))
+    pool[:S, :k] = nu
+    pool[:S, k], pool[:S, k + 1], pool[:S, k + 2:] = ratio(nu - mu, logs=True)
+    nu, trials, fs, din = pool[:S, :k], pool[S:, :k], pool[:, k].reshape(3, S), pool[:S, k + 1]
+    f, lin, lout, rows = fs[0], pool[:S, k + 2:2 * k + 2], pool[:S, 2 * k + 2:], np.arange(S)
+    step, lam, best = np.ones(S), np.full(S, 0.25), [float(f.max())]
+    for _ in range(500):
+        # the gradient up to a constant per row and a scale; f is -inf or >= 0
+        grad = ((lout @ Ku.T - np.maximum(f, 0.0)[:, None] * lin)
+                / np.maximum(din, sdpi._FLOOR)[:, None])
+        z = np.where(nu > 0.0, step[:, None] * grad, -math.inf)
+        trials[:S] = nu * np.exp(z - z.max(axis=1, keepdims=True))
+        trials[S:] = np.maximum(mu + np.exp(lam)[:, None] * (nu - mu), 0.0)
+        trials /= trials.sum(axis=1, keepdims=True)
+        pool[S:, k], pool[S:, k + 1], pool[S:, k + 2:] = ratio(trials - mu, logs=True)
+        step *= np.where(fs[1] > f, 2.0, 0.5)
+        lam *= np.where(fs[2] > f, 2.0, -0.5)
+        lam = np.copysign(np.minimum(np.maximum(np.abs(lam), 1e-8), 1.0), lam)
+        pool[:S] = pool[fs.argmax(axis=0) * S + rows]  # the first best of each row's three
+        best.append(float(f.max()))
+        if len(best) > 10 and not best[-1] > best[-11] * (1.0 + 1e-12):
+            break
+    return nu.copy(), f.copy()

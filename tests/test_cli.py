@@ -749,6 +749,21 @@ def test_config_malformed_value_exits_2(argv, text, tmp_path, capsys):
     assert "error:" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_malformed_etas_names_its_type(source, tmp_path, capsys):
+    """argparse names a flag's type by its parser's __name__; a private
+    function name there reads as an internal error."""
+    argv = ["figure", "fig2", "--etas", "1,,2"]
+    if source == "config":
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("etas=1,,2\n")
+        argv = ["--config", str(cfg), *argv[:2]]
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert "argument --etas: invalid float list value: '1,,2'" in err
+    assert "_parse_etas" not in err
+
+
 def test_config_binary_file_exits_2(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_bytes(b"\xff\xfe\x00n=1\n")

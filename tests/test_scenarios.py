@@ -3,7 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -45,6 +45,28 @@ def test_scenario_spec_rejects_channel_overrides_out_of_range(field, value):
         ScenarioSpec(tag="x", **{field: value})
     with pytest.raises(DistributionError):
         ScenarioSpec(tag="x", r=0.5)
+
+
+@given(st.sampled_from(["n", "m", "d", "T", "total_samples", "total_uses"]),
+       st.one_of(st.floats(), st.booleans(), st.sampled_from([0, -1])))
+# fractional counts that once ran: n = 64.5 simulated a fractional sample,
+# and d = 2.5 escaped as numpy's TypeError
+@example("n", 64.5)
+@example("m", 2.5)
+@example("T", 3.5)
+@example("d", 2.5)
+@settings(max_examples=200, deadline=None)
+def test_scenario_spec_counts_are_integers(field, value):
+    """A count takes only an integer, never a float or a bool, and one >= 1,
+    but for the channel-use budget total_uses, which may be 0: anything
+    else raises DistributionError naming the field."""
+    try:
+        spec = ScenarioSpec(tag="x", **{field: value})
+    except DistributionError as exc:
+        assert field in str(exc)
+        return
+    assert type(getattr(spec, field)) is int
+    assert getattr(spec, field) >= (0 if field == "total_uses" else 1)
 
 
 @pytest.mark.parametrize("field, value", [

@@ -167,9 +167,10 @@ def _boundary_3x5():
 # of ratio-kernel calls, so that fewer iterations cannot pass for a faster
 # kernel. At two inputs: the best point of a line search on the segment that
 # the scan toward the vertices covers (one scan call, ten rounds). From
-# three up: the best end of mirror ascent started from the points that scan
-# scores best, nudged 1e-6 toward mu, with no scan of the ends. None is below
-# an earlier pinned value by more than 1e-12
+# three up: the best end of mirror ascent, with a Newton trial for the
+# leading row, started from the points that scan scores best, nudged 1e-6
+# toward mu, with no scan of the ends. None is below an earlier pinned value
+# by more than 1e-12
 PINNED_ETA = {
     "bsc-0.1": (lambda: (FAIR, bsc(0.1)), "0x1.47ae147ae129dp-1", "667294f99af4522b", 11),
     "bsc-0.25": (lambda: (FAIR, bsc(0.25)), "0x1.ffffffffff9e9p-3", "b710fcd3cb2f0a6f", 11),
@@ -178,14 +179,14 @@ PINNED_ETA = {
     "bec-0.25": (lambda: (FAIR, bec(0.25)), "0x1.8000000000002p-1", "4ccdc063676d7960", 11),
     "bec-0.4": (lambda: (FAIR, bec(0.4)), "0x1.3333333333334p-1", "d279034093885784", 11),
     "dirichlet-k2": (lambda: _seeded_pair(2), "0x1.82af4820d115fp-9", "ce5b0c0b70691686", 11),
-    "dirichlet-k4": (lambda: _seeded_pair(4), "0x1.4e972eacc30e0p-2", "15b7991bff19dbbb", 59),
-    "dirichlet-k8": (lambda: _seeded_pair(8), "0x1.38d9dfe319138p-2", "723f538eef2f4c88", 60),
-    "dirichlet-k16": (lambda: _seeded_pair(16), "0x1.3e880985bd811p-2", "0cb2d4886f2c4f25",
-                      53),
-    "dirichlet-3x5": (lambda: _seeded_pair(3, outputs=5), "0x1.822c91e65d65cp-2",
-                      "230d6305ebcda89f", 43),
-    "rng0-3x4": (_rng0_3x4, "0x1.5d3bab7bdd856p-3", "ac4eda563cc413d3", 53),
-    "boundary-3x5": (_boundary_3x5, "0x1.b19fe74705991p-2", "0c47d69132c6c701", 29),
+    "dirichlet-k4": (lambda: _seeded_pair(4), "0x1.4e972eacc3110p-2", "dcb78e62dea04ab6", 17),
+    "dirichlet-k8": (lambda: _seeded_pair(8), "0x1.38d9dfe31918bp-2", "ddf8d4a5a1aea935", 20),
+    "dirichlet-k16": (lambda: _seeded_pair(16), "0x1.3e880985bd817p-2", "8bbee1c89d83dc75",
+                      22),
+    "dirichlet-3x5": (lambda: _seeded_pair(3, outputs=5), "0x1.822c91e65d65ep-2",
+                      "390322b67803013f", 18),
+    "rng0-3x4": (_rng0_3x4, "0x1.5d3bab7bdd8c6p-3", "6055245e38ae235f", 19),
+    "boundary-3x5": (_boundary_3x5, "0x1.b19fe74705997p-2", "9e9ebdb445a3f538", 19),
 }
 
 
@@ -313,6 +314,69 @@ def test_eta_numeric_keeps_the_hardest_interior_climb():
     _assert_keeps_value(*_corpus_pair(8, 23, series=18), "0x1.c4262e6f27bebp-1")
 
 
+def _series31_pair(k, s):
+    """Channel s of series 31: k - 2 to k + 3 outputs (at least 2), rows
+    from Dirichlet(1, 0.3, 0.03 or 3) by s % 4, output 0 unreached when
+    s % 5 == 4 and every row keeps mass off it, mu from Dirichlet(1, 4 or
+    0.5) by s % 3."""
+    rng = np.random.default_rng([31, k, s])
+    outputs = int(rng.integers(max(2, k - 2), k + 4))
+    rows = rng.dirichlet(np.full(outputs, (1.0, 0.3, 0.03, 3.0)[s % 4]), size=k)
+    if s % 5 == 4 and np.all(rows[:, 1:].sum(axis=1) > 0.0):
+        rows[:, 0] = 0.0
+        rows /= rows.sum(axis=1, keepdims=True)
+    return rng.dirichlet(np.full(k, (1.0, 4.0, 0.5)[s % 3])), DiscreteChannel(rows)
+
+
+# values that mirror ascent alone stopped short of, each by more than 1e-9:
+# its stop rule reads only the best row, which climbed too slowly there
+@pytest.mark.parametrize("pair, pinned", [
+    (lambda: _series31_pair(3, 51), "0x1.337ba9e7657e7p-5"),  # 3 x 3, 9.6e-7 short
+    (lambda: _corpus_pair(16, 41, series=18), "0x1.f0817f2026ecdp-1"),  # 3.4e-9 short
+    (lambda: _corpus_pair(8, 23, series=18), "0x1.c4262e81a0056p-1"),  # 2.2e-9 short
+], ids=["31-3-51", "18-16-41", "18-8-23"])
+def test_newton_trial_reaches_what_mirror_ascent_stopped_short_of(pair, pinned):
+    mu, channel = pair()
+    est = eta_numeric(mu, channel)
+    want = float.fromhex(pinned)
+    assert est.value >= want - 1e-12 * want
+    assert _eta_chi2(mu, channel.rows) - 1e-6 <= est.value <= dobrushin(channel).value + 1e-12
+    _assert_argmax_scores_value(mu, channel, est)
+
+
+@st.composite
+def _ascent_pairs(draw):
+    """mu and a k x m channel, k from 3 to 8 and m from 2 to k + 3, with rows
+    from Dirichlet(1), Dirichlet(0.3) or near-deterministic Dirichlet(0.03),
+    output 0 sometimes unreached when m > 2 and every row keeps mass off it,
+    and mu from Dirichlet(1 or 4)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = draw(st.integers(3, 8))
+    outputs = draw(st.integers(2, k + 3))
+    rows = rng.dirichlet(np.full(outputs, draw(st.sampled_from([1.0, 0.3, 0.03]))), size=k)
+    if outputs > 2 and draw(st.booleans()) and np.all(rows[:, 1:].sum(axis=1) > 0.0):
+        rows[:, 0] = 0.0
+        rows /= rows.sum(axis=1, keepdims=True)
+    return rng.dirichlet(np.full(k, draw(st.sampled_from([1.0, 4.0])))), DiscreteChannel(rows)
+
+
+@given(_ascent_pairs())
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_newton_trial_keeps_the_mirror_ascent_value(pair):
+    """From three inputs up the search reaches at least what mirror ascent
+    without the Newton trial reaches from the same starts, stays below the
+    Dobrushin coefficient, and its argmax scores its value."""
+    mu, channel = pair
+    ratio = sdpi._ratio(mu, channel.rows)
+    starts = sdpi._starts(mu, *sdpi._scan(mu, channel.rows, ratio))
+    reference = oracles.mirror_ascent(mu, channel.rows, ratio, starts)[1].max()
+    reference = min(max(reference, 0.0), 1.0)
+    est = eta_numeric(mu, channel)
+    assert est.value >= reference - max(1e-12 * reference, 1e-15)
+    assert est.value <= dobrushin(channel).value + 1e-12
+    _assert_argmax_scores_value(mu, channel, est)
+
+
 def test_candidate_scan_is_linear_in_the_alphabet(monkeypatch):
     """The candidate scan scores the k vertex rays and both signs of the
     k - 1 chi-square directions, each over a (rays, steps, k) block of
@@ -367,7 +431,7 @@ def test_line_search_keeps_the_ascent_value(pair):
     mu, channel = pair
     ratio = sdpi._ratio(mu, channel.rows)
     starts = sdpi._starts(mu, *sdpi._scan(mu, channel.rows, ratio))
-    reference = sdpi._ascend(mu, channel.rows, ratio, starts)[1].max()
+    reference = oracles.mirror_ascent(mu, channel.rows, ratio, starts)[1].max()
     est = eta_numeric(mu, channel)
     assert est.value >= min(max(reference, 0.0), 1.0) - 1e-12
     assert _eta_chi2(mu, channel.rows) - 1e-6 <= est.value <= dobrushin(channel).value + 1e-12
