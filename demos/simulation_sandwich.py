@@ -12,12 +12,12 @@ a bad simulator shows up as a hard failure rather than a quiet plot.
 """
 
 from bayeslb.scenarios import ScenarioSpec, scenario_gauss_gauss, scenario_xor
-from bayeslb.simulate import SimulationConfig, sandwich_check, \
-    simulate_multi, simulate_single_processor
+from bayeslb.simulate import SimulationConfig, sandwich_check, simulate_multi
 
-# Gaussian location, posterior-mean estimator, 20k replications.
+# Gaussian location, posterior-mean estimator, 20k replications: one
+# processor, the m = 1 case of the multi-processor runner.
 spec = ScenarioSpec(tag="gauss-gauss", n=10)
-result = simulate_single_processor(
+result = simulate_multi(
     SimulationConfig(spec=spec, replications=20000, seed=5))
 report = scenario_gauss_gauss(spec)
 verdict = sandwich_check(report, result)

@@ -30,8 +30,7 @@ from .scenarios import (SEED_LIMIT, ScenarioSpec, fig2_data, fig34_data,
                         scenario_hide_seek, scenario_hypercube,
                         scenario_minimax_cube, scenario_noisy_ceo,
                         scenario_xor)
-from .simulate import (BLOCK, SCHEMES, SimulationConfig, sandwich_check,
-                       simulate_multi, simulate_single_processor)
+from .simulate import SCHEMES, SimulationConfig, sandwich_check, simulate_multi
 
 __all__ = ["main", "build_parser"]
 
@@ -65,25 +64,17 @@ def _parse_etas(text: str) -> tuple:
 _parse_etas.__name__ = "float list"  # argparse reports "invalid float list value"
 
 
-def _int_type(limit: int, reason: str):
-    """An integer flag's type: argparse refuses, naming the flag, a value of
-    magnitude above ``limit``."""
-    def parse(text: str) -> int:
-        value = int(text)
-        if abs(value) > limit:
-            raise argparse.ArgumentTypeError(reason)
-        return value
-    parse.__name__ = "int"  # argparse names the type in "invalid int value"
-    return parse
+def _int(text: str) -> int:
+    """An integer flag's type: argparse refuses, naming the flag, a value past
+    the float range, in which bounds and scenarios compute (SimulationConfig
+    holds a simulated run to the samplers' narrower ranges)."""
+    value = int(text)
+    if abs(value) > sys.float_info.max:
+        raise argparse.ArgumentTypeError("lies beyond the float range")
+    return value
 
 
-# bounds and scenarios compute in floats, numpy's samplers in 64-bit integers;
-# a block of gauss-multi draws is a (BLOCK, d) float array, and numpy
-# addresses no array past sys.maxsize bytes
-_INT = _int_type(int(sys.float_info.max), "lies beyond the float range")
-_SAMPLED_INT = _int_type(2 ** 63 - 1, "lies beyond the samplers' 64-bit range")
-_SAMPLED_DIM = _int_type(sys.maxsize // (8 * BLOCK),
-                         f"lies beyond the size one {BLOCK}-row block of draws can address")
+_int.__name__ = "int"  # argparse names the type in "invalid int value"
 
 
 # Every valued flag or switch is one (dest, type, default[, help]) row, spelled
@@ -93,38 +84,36 @@ _SAMPLED_DIM = _int_type(sys.maxsize // (8 * BLOCK),
 # field rho_bias is the flag --rho.
 _MODEL_FLAGS = tuple(
     ("rho" if name == "rho_bias" else name,
-     {"int": _INT, "float": float, "bool": bool}[
+     {"int": _int, "float": float, "bool": bool}[
          ScenarioSpec.__init__.__annotations__[name].split(" |")[0]],
      default)
     for name, default in zip(ScenarioSpec._fields[1:], ScenarioSpec.__init__.__defaults__))
 _RUN_FLAGS = (
-    ("reps", _INT, None, "replications (simulate) or Monte Carlo draws for "
+    ("reps", _int, None, "replications (simulate) or Monte Carlo draws for "
                         "mass estimates (scenario gauss-ball)"),
     ("seed", int, None),
 )
 _BOUND_FLAGS = (
     ("I", float, None), ("h", float, None), ("hx", float, None),
     ("i_single", float, None), ("i_cond", float, None), ("b", float, None),
-    ("capacity", float, None), ("T", _INT, 1), ("m", _INT, 1), ("n", _INT, 1),
-    ("d", _INT, 1), ("r", float, 1.0), ("outside", _INT, None),
+    ("capacity", float, None), ("T", _int, 1), ("m", _int, 1), ("n", _int, 1),
+    ("d", _int, 1), ("r", float, 1.0), ("outside", _int, None),
     ("eta_stat", float, 1.0), ("eta_uses", float, 1.0),
     ("eta_uses_mt", float, None), ("eta_s", float, 1.0),
     ("alpha", float, None), ("colocated", bool, False),
     ("noiseless", bool, False), ("prior", str, None),
-    ("prior_var", float, None), ("prior_dim", _INT, 1),
-    ("prior_radius", float, None), ("prior_size", _INT, None),
+    ("prior_var", float, None), ("prior_dim", _int, 1),
+    ("prior_radius", float, None), ("prior_size", _int, None),
     ("distortion", str, None), ("distortion_r", float, 1.0),
 )
 _COMMAND_FLAGS = {
     "bound": _BOUND_FLAGS,
     "scenario": _MODEL_FLAGS + (
         ("alpha", float, None, "small-ball level (CEO scenario)"),) + _RUN_FLAGS,
-    "simulate": tuple((dest, _SAMPLED_DIM if dest == "d" else
-                       _SAMPLED_INT if kind is _INT else kind, default)
-                      for dest, kind, default in _MODEL_FLAGS) + _RUN_FLAGS + (
+    "simulate": _MODEL_FLAGS + _RUN_FLAGS + (
         ("check", bool, False, "compare against the matching closed-form report"),),
     "figure": (("p", float, 0.3), ("etas", _parse_etas, (1.0, 0.75, 0.5)),
-               ("points", _INT, 61), ("m", _INT, 10), ("d", _INT, 512),
+               ("points", _int, 61), ("m", _int, 10), ("d", _int, 512),
                ("b", float, None), ("rho", float, 0.01)),
 }
 
@@ -361,11 +350,6 @@ def cmd_scenario(args) -> int:
 # ---------------------------------------------------------------------------
 # simulate subcommand
 
-# model flags the gauss-multi sampler cannot honour, so its check would hold
-# it to a channel or budget it never ran
-_GAUSS_MULTI_MODEL = ("eps", "eta_uses", "capacity", "total_uses",
-                      "total_samples", "total_bits")
-
 
 def cmd_simulate(args) -> int:
     _require(args, ("reps",), "simulate")
@@ -373,24 +357,14 @@ def cmd_simulate(args) -> int:
         raise DistributionError("--parallel must be >= 1")
     seed = _resolve_seed(args)
     args.seed = seed
-    scheme = SCHEMES[args.scheme]
-    if args.scheme == "gauss-multi":
-        # the scheme ships raw local means whatever the channel; model them as
-        # 64-bit words so the paired report's bit budget is not the binding
-        # term. A replayed manifest repeats these two values, so they pass.
-        own = {"total_samples": args.m * args.n, "total_bits": 64.0 * args.m * args.d}
-        refused = [_flag(dest) for dest in _GAUSS_MULTI_MODEL
-                   if getattr(args, dest) not in (None, own.get(dest))]
-        if refused:
-            raise DistributionError(
-                "simulate gauss-multi ships pooled means over a noiseless link, "
-                f"so it refuses {', '.join(refused)} (--total-samples and "
-                "--total-bits may only repeat m*n and 64*m*d)")
-        vars(args).update(own)
-    spec = _spec_from_args(scheme.tag, args)
-    config = SimulationConfig(spec=spec, replications=args.reps, seed=seed,
-                              scheme=args.scheme)
-    result = (simulate_multi if scheme.multi else simulate_single_processor)(config)
+    tag = SCHEMES[args.scheme].tag
+    config = SimulationConfig(spec=_spec_from_args(tag, args), replications=args.reps,
+                              seed=seed, scheme=args.scheme)
+    spec = config.spec
+    # the manifest echoes the model the scheme ran, values it fixed included
+    for dest, *_ in _MODEL_FLAGS:
+        setattr(args, dest, getattr(spec, "rho_bias" if dest == "rho" else dest))
+    result = simulate_multi(config)
     tokens = _canonical(["simulate", args.scheme], args, _COMMAND_FLAGS["simulate"])
     lines = _manifest(tokens, args, spec=spec, seed=seed)
     lines.append("scheme,empirical_risk,ci_halfwidth,replications,seed")
@@ -399,7 +373,7 @@ def cmd_simulate(args) -> int:
                            str(result.replications), str(result.seed)]))
     code = 0
     if args.check:
-        report = _scenario_report(scheme.tag, spec, args, seed)
+        report = _scenario_report(tag, spec, args, seed)
         verdict = sandwich_check(report, result)
         lines.append(f"# check: {'pass' if verdict.passed else 'FAIL'}")
         lines += [f"# margin: {label}={_text(margin)}"

@@ -3,8 +3,8 @@
 Each ``scenario_*`` function evaluates one model end to end: the risk lower
 bounds, the matching achievability (upper) formulas, and the auxiliary
 quantities (capacities, contraction coefficients, exponents) that go into
-them. The Bernoulli-bias, parity and hide-and-seek floors are a ``bounds``
-theorem (Theorem 3 or Fano) applied to a ``bounds`` information budget.
+them. The Bernoulli-bias, parity, hide-and-seek and decentralized Gaussian
+floors are a ``bounds`` theorem (Theorem 3 or Fano) on an information budget.
 Asymptotic entries are flagged and must not be used in hard lower-vs-upper
 comparisons. ``fig2_data`` and ``fig34_data`` emit the rows behind the
 quantization-rate and hide-and-seek comparison plots.
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from typing import Callable
 
 from .bounds import (BoundReport, _clamped_report, fano, lb_diff_entropy,
@@ -55,15 +56,16 @@ _LN2 = math.log(2.0)
 _SQRT2 = math.sqrt(2.0)
 
 
-def _check_count(value, what: str, least: int = 1) -> None:
-    """Refuse a count that is not an integer >= ``least``; a bool is not a
-    count."""
+def _check_count(value, what: str, least: int = 1, most: float = math.inf) -> None:
+    """Refuse a count that is not an integer in [``least``, ``most``]; a bool
+    is not a count."""
     try:
-        valid = not isinstance(value, bool) and operator.index(value) >= least
+        valid = not isinstance(value, bool) and least <= operator.index(value) <= most
     except TypeError:
         valid = False
     if not valid:
-        raise DistributionError(f"{what} {value!r} is not an integer >= {least}")
+        span = f">= {least}" if most == math.inf else f"in [{least}, {most}]"
+        raise DistributionError(f"{what} {value!r} is not an integer {span}")
 
 
 class ScenarioSpec(_Record):
@@ -264,6 +266,7 @@ def scenario_bern_uniform(spec: ScenarioSpec) -> ScenarioReport:
 
 BLOCK = 4096
 SEED_LIMIT = 2 ** 64
+REPS_LIMIT = sys.maxsize // 8  # the most float64 entries one array can address
 
 
 def _check_seed(seed: int) -> None:
@@ -424,9 +427,9 @@ def scenario_gauss_ball(spec: ScenarioSpec, reps: int | None = None,
     evaluated by Monte Carlo: the probability that the posterior mass inside
     the ball exceeds 1/(1+delta) feeds both the sharp-constant chain and the
     weakened-constant chain that the asymptote is derived from. Its ``reps``
-    draws, an integer >= 1, run in the blocks of ``simulate``: block b of
-    ``BLOCK`` draws reads child b of ``SeedSequence(seed)`` on SFC64, for a
-    ``seed`` that is an integer in [0, 2^64).
+    draws, an integer in [1, sys.maxsize // 8], run in the blocks of
+    ``simulate``: block b of ``BLOCK`` draws reads child b of
+    ``SeedSequence(seed)`` on SFC64, for a ``seed`` in [0, 2^64), an integer.
     """
     _check_seed(seed)
     d, n = spec.d, spec.n
@@ -442,7 +445,7 @@ def scenario_gauss_ball(spec: ScenarioSpec, reps: int | None = None,
         "mmse_upper": sigma2 * d / n,
     }
     if reps is not None:
-        _check_count(reps, "replication count")
+        _check_count(reps, "replication count", most=REPS_LIMIT)
         delta = CONCENTRATION_DELTA
         p_hat = float(_ball_mass_exceeds(spec, reps, seed, 1.0 / (1.0 + delta)).mean())
         gap = p_hat - 0.5
@@ -718,9 +721,11 @@ def scenario_dglm_decentralized(spec: ScenarioSpec) -> ScenarioReport:
     eta_L, cap = _channel_profile(spec, uses=L)
     eta_split, cl = ((1.0, math.inf) if L is None
                      else (_channel_profile(spec, uses=L / m)[0], cap * L))
-    first = d * var_w * (1.0 + snr) ** (-eta_L)
-    shrink = N * var_w * math.log(4.0) / (N * var_w + m * var_noise)
-    second = d * var_w * math.exp(-shrink * min(B * eta_split, cl) / d)
+    # Theorem 3 at r = 2 on the channel's budget and on the shrunk bit budget
+    h_w = differential_entropy(PriorSpec.gaussian(var_w, d))
+    first = lb_diff_entropy(eta_L * (d / 2.0) * math.log2(1.0 + snr), h_w, d, 2).value
+    shrink = N * var_w / (N * var_w + m * var_noise)
+    second = lb_diff_entropy(shrink * min(B * eta_split, cl), h_w, d, 2).value
     active = "channel_noise" if first >= second else "decentralized_bits"
     lower = BoundReport(max(first, second), "dglm-lower",
                         {"active": active, "channel_noise": first,

@@ -19,7 +19,7 @@ cuts the iterations about threefold and lets climbs that the mirror steps
 end early finish. Everything scores through one ratio kernel, one matmul
 into the Bregman form and one out of it, whose logs make the ascent's
 gradient and the Newton step's Hessian. Every point is a feasible mixture,
-so the value can only undershoot the supremum.
+so the value can only undershoot the supremum; it is capped at the upper end.
 """
 from __future__ import annotations
 
@@ -72,9 +72,10 @@ def eta_bsc(eps: float) -> ContractionEstimate:
 
 
 def dobrushin(channel: DiscreteChannel) -> ContractionEstimate:
-    """Dobrushin coefficient: the largest total variation between two rows, capped at 1."""
+    """Dobrushin coefficient, capped at 1: the most mass one row puts above
+    another (for rows that sum to 1 only up to rounding, half the L1 is less)."""
     rows = channel.rows
-    worst = min(0.5 * float(np.abs(rows[:, None] - rows[None]).sum(axis=-1).max()), 1.0)
+    worst = min(float(np.maximum(rows[:, None] - rows[None], 0.0).sum(axis=-1).max()), 1.0)
     return ContractionEstimate(worst, worst, "dobrushin coefficient")
 
 
@@ -313,7 +314,8 @@ def eta_numeric(mu, channel: DiscreteChannel) -> ContractionEstimate:
     three up they are the best end of mirror ascent (``_ascend``) from
     ``_starts``, whose leading row also tries a safeguarded Newton step each
     iteration (``_newton``). Every point is a feasible mixture, so the
-    value can only undershoot the supremum.
+    value can only undershoot the supremum; it is capped at the upper end,
+    which the kernel's rounding can pass (1e-52 on a constant channel).
     """
     mu = _validated_pmf(mu, "input")
     if mu.size > 16:
@@ -331,8 +333,8 @@ def eta_numeric(mu, channel: DiscreteChannel) -> ContractionEstimate:
         ends, ratios = _ascend(mu, K, ratio, _starts(mu, rays, steps, scores))
         i = int(np.argmax(ratios))
         nu, best, how = ends[i], float(ratios[i]), "mirror ascent with Newton trials"
-    value = min(max(best, 0.0), 1.0)
-    return ContractionEstimate(value, max(value, dobrushin(channel).value),
+    upper = dobrushin(channel).value
+    return ContractionEstimate(min(max(best, 0.0), upper), upper,
                                f"mixture-path scan, then {how} above the floor",
                                nu if best > -math.inf else None)
 

@@ -27,17 +27,19 @@ sample mean's floor(b)-bit midpoint cell when b bits cannot carry the count),
 which is weaker, so its empirical risk may exceed the closed-form upper bound.
 
 Each entry of the scheme table ``SCHEMES`` names the scenario a run is checked
-against and the bounds of its own protocol class in that scenario's report.
+against and the bounds of its own protocol class in that scenario's report;
+``simulate_multi`` runs every entry, a single-processor scheme as its m = 1 case.
 """
 from __future__ import annotations
 
 import math
+import sys
 from typing import Callable, NamedTuple
 
 from .info import (DiscreteChannel, DiscreteDistribution, DistributionError,
                    _Numpy, _Record, _set, entropy)
-from .scenarios import (BLOCK, ScenarioReport, ScenarioSpec, _check_count,
-                        _check_seed, _draw_blocks)
+from .scenarios import (BLOCK, REPS_LIMIT, ScenarioReport, ScenarioSpec,
+                        _check_count, _check_seed, _draw_blocks)
 
 np = _Numpy(globals())
 
@@ -48,28 +50,54 @@ __all__ = [
     "SandwichVerdict",
     "Scheme",
     "SCHEMES",
-    "simulate_single_processor",
     "simulate_multi",
     "exact_chain_mi",
     "sandwich_check",
 ]
 
+# numpy's samplers draw 64-bit integers, a block of gauss-multi draws is a
+# (BLOCK, d) float array, and numpy addresses no array past sys.maxsize bytes
+_COUNT_LIMITS = (
+    *((name, 2 ** 63 - 1, "the samplers' 64-bit range")
+      for name in ("n", "T", "m", "total_samples", "total_uses")),
+    ("d", sys.maxsize // (8 * BLOCK), f"the size one {BLOCK}-row block of draws can address"),
+)
+
+
 class SimulationConfig(_Record):
-    """One Monte Carlo run: ``replications`` draws, an integer >= 1, of the
-    model ``spec`` under seed ``seed``, an integer in [0, 2^64), by the protocol
-    ``SCHEMES[scheme]``; ``scheme=None`` names the protocol by the spec's
-    tag."""
+    """One Monte Carlo run, and the intake of every run, the CLI's too:
+    ``replications`` draws, an integer in [1, sys.maxsize // 8], of the model
+    ``spec`` under seed ``seed``, an integer in [0, 2^64), by the protocol
+    ``SCHEMES[scheme]`` (by default the spec's tag's). The spec's counts must
+    stay in the samplers' ranges (``_COUNT_LIMITS``) and leave each value the
+    scheme fixes unset or equal; ``spec`` is then the model run, those filled in."""
 
     __slots__ = _fields = ("spec", "replications", "seed", "scheme")
 
     def __init__(self, spec: ScenarioSpec, replications: int, seed: int,
                  scheme: str | None = None):
+        _check_count(replications, "replication count", most=REPS_LIMIT)
+        _check_seed(seed)
+        name = spec.tag if scheme is None else scheme
+        if name not in SCHEMES:
+            raise DistributionError(f"unknown scheme {name!r}")
+        for field, most, reason in _COUNT_LIMITS:
+            value = getattr(spec, field)
+            if value is not None and value > most:
+                raise DistributionError(f"{field} {value} lies beyond {reason}")
+        if SCHEMES[name].fixed is not None:
+            fixed = SCHEMES[name].fixed(spec)
+            refused = [f"{field}={getattr(spec, field)!r}" for field, value in fixed.items()
+                       if getattr(spec, field) not in (None, value)]
+            if refused:
+                runs = ", ".join(f"{field}={value!r}" for field, value in fixed.items())
+                raise DistributionError(f"scheme {name} runs {runs}, so it refuses "
+                                        + ", ".join(refused))
+            spec = spec._replace(**fixed)
         _set(self, "spec", spec)
         _set(self, "replications", replications)
         _set(self, "seed", seed)
         _set(self, "scheme", scheme)
-        _check_count(self.replications, "replication count")
-        _check_seed(self.seed)
 
     @property
     def scheme_name(self) -> str:
@@ -85,16 +113,6 @@ class SimulationResult(NamedTuple):
     replications: int
     seed: int
     scheme: str
-
-
-def _aggregate(distortions: np.ndarray, config: SimulationConfig) -> SimulationResult:
-    risk = float(np.mean(distortions))
-    if config.replications > 1:
-        ci = 1.96 * float(np.std(distortions, ddof=1)) / math.sqrt(config.replications)
-    else:
-        ci = 0.0
-    return SimulationResult(risk, ci, config.replications, config.seed,
-                            config.scheme_name)
 
 
 def _cell_index(values: np.ndarray, cells: int) -> np.ndarray:
@@ -227,32 +245,42 @@ def _sample_gauss_multi(spec: ScenarioSpec, rng: np.random.Generator,
     return error.sum(axis=1)
 
 
+def _gauss_multi_model(spec: ScenarioSpec) -> dict:
+    # raw local means over a noiseless link, modelled as 64-bit words so that
+    # the paired report's bit budget is not the binding term
+    return {"eps": None, "eta_uses": None, "capacity": None, "total_uses": None,
+            "total_samples": spec.m * spec.n, "total_bits": 64.0 * spec.m * spec.d}
+
+
 class Scheme(NamedTuple):
-    """A simulated protocol: its scenario ``tag``, block sampler, whether it runs
-    on m processors, and the report keys of the bounds it is held to.
+    """A simulated protocol: its scenario ``tag``, block sampler, the report
+    keys of the bounds it is held to, and the model values it fixes.
 
     ``sample(spec, rng, size)`` returns the distortions of ``size``
-    independent replications drawn from ``rng``.
+    independent replications drawn from ``rng``. ``fixed(spec)``, when set,
+    maps the fields of the model the scheme runs, whatever it is given, to
+    their values; ``SimulationConfig`` refuses a spec that sets one otherwise.
     """
 
     tag: str
     sample: Callable[[ScenarioSpec, np.random.Generator, int], np.ndarray]
-    multi: bool
     lower: tuple
     upper: tuple = ()
+    fixed: Callable[[ScenarioSpec], dict] | None = None
 
 
 SCHEMES = {
-    "gauss-gauss": Scheme("gauss-gauss", _sample_gauss_gauss, False,
+    "gauss-gauss": Scheme("gauss-gauss", _sample_gauss_gauss,
                           ("corollary", "s_half_chain", "unconditioned_asymptotic"),
                           ("posterior_mean",)),
-    "bern-bsc": Scheme("bern-bsc", _sample_bern_bsc, False,
+    "bern-bsc": Scheme("bern-bsc", _sample_bern_bsc,
                        ("mi", "case1", "case2"), ("case1", "case2")),
-    "bsc-bit": Scheme("bsc-bit", _sample_bsc_bit, False,
+    "bsc-bit": Scheme("bsc-bit", _sample_bsc_bit,
                       ("no_feedback", "feedback"), ("repetition",)),
-    "xor": Scheme("xor", _sample_xor_oneproc, True, ("distributed", "colocated")),
-    "xor-colocated": Scheme("xor", _sample_xor_colocated, True, ("colocated",)),
-    "gauss-multi": Scheme("dglm", _sample_gauss_multi, True, ("decentralized",)),
+    "xor": Scheme("xor", _sample_xor_oneproc, ("distributed", "colocated")),
+    "xor-colocated": Scheme("xor", _sample_xor_colocated, ("colocated",)),
+    "gauss-multi": Scheme("dglm", _sample_gauss_multi, ("decentralized",),
+                          fixed=_gauss_multi_model),
 }
 
 
@@ -261,36 +289,22 @@ def _distortions(config: SimulationConfig, scheme: Scheme) -> np.ndarray:
                         lambda rng, size: scheme.sample(config.spec, rng, size))
 
 
-def _simulate(config: SimulationConfig, multi: bool) -> SimulationResult:
-    scheme = SCHEMES.get(config.scheme_name)
-    if scheme is None or scheme.multi != multi:
-        kind = "multi" if multi else "single"
-        raise DistributionError(f"unsupported {kind}-processor scheme {config.scheme_name!r}")
-    return _aggregate(_distortions(config, scheme), config)
-
-
-def simulate_single_processor(config: SimulationConfig) -> SimulationResult:
-    """Run a single-processor scheme: sample, quantize/encode, transmit, estimate.
-
-    Supported schemes: ``gauss-gauss`` (posterior mean, no channel),
-    ``bsc-bit`` (repetition code with majority decoding, ties to 0), and
-    ``bern-bsc``: the sample mean to midpoint cells over a noiseless link
-    (eps = 0); otherwise each bit of the count, or of the floor(b)-bit midpoint
-    cell if b is below the count's bit_length(n) bits, repeated T // bits
-    times over the channel (b < 1 gives the prior centroid 1/2).
-    """
-    return _simulate(config, multi=False)
-
-
 def simulate_multi(config: SimulationConfig) -> SimulationResult:
-    """Run an m-processor scheme over independent per-processor channels.
-
-    ``xor`` estimates from a single processor's stream (pure noise, prior
-    centroid); ``xor-colocated`` gives one processor all streams and an
-    mb-bit quantizer for the parity mean; ``gauss-multi`` averages local
-    Gaussian sample means with posterior shrinkage under squared loss.
+    """Run the scheme of ``config`` on its m processors, one for a
+    single-processor scheme. ``gauss-gauss`` is the posterior mean;
+    ``bsc-bit`` repetition with majority decoding, ties to 0; ``bern-bsc``
+    the sample mean's midpoint cell over a noiseless link (eps = 0), else
+    each bit of the count, or of the floor(b)-bit cell below bit_length(n)
+    bits, T // bits times (b < 1: the prior centroid 1/2). ``xor`` reads one
+    processor's stream, pure noise; ``xor-colocated`` one processor's mb-bit
+    parity mean; ``gauss-multi`` pools the local Gaussian means with
+    posterior shrinkage under squared loss.
     """
-    return _simulate(config, multi=True)
+    distortions = _distortions(config, SCHEMES[config.scheme_name])
+    ci = (1.96 * float(np.std(distortions, ddof=1)) / math.sqrt(config.replications)
+          if config.replications > 1 else 0.0)
+    return SimulationResult(float(np.mean(distortions)), ci, config.replications,
+                            config.seed, config.scheme_name)
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,7 @@ from bayeslb.scenarios import (ScenarioSpec, fig2_data, fig34_data,
                                scenario_gauss_ball, scenario_gauss_gauss,
                                scenario_hypercube, scenario_xor)
 from bayeslb.sdpi import eta_numeric
-from bayeslb.simulate import (SimulationConfig, exact_chain_mi,
-                              simulate_multi, simulate_single_processor)
+from bayeslb.simulate import SimulationConfig, exact_chain_mi, simulate_multi
 
 import oracles
 from conftest import record_acceptance
@@ -145,7 +144,7 @@ def test_criterion_8_sandwich_monte_carlo():
     for n in (1, 10, 100):
         start = time.perf_counter()
         spec = ScenarioSpec(tag="gauss-gauss", n=n)
-        result = simulate_single_processor(
+        result = simulate_multi(
             SimulationConfig(spec=spec, replications=reps, seed=11))
         elapsed = time.perf_counter() - start
         report = scenario_gauss_gauss(spec)
@@ -161,7 +160,7 @@ def test_criterion_8_sandwich_monte_carlo():
 
     start = time.perf_counter()
     spec = ScenarioSpec(tag="bern-bsc", n=256, b=4.0, eps=0.0, T=None)
-    result = simulate_single_processor(
+    result = simulate_multi(
         SimulationConfig(spec=spec, replications=reps, seed=12))
     elapsed = time.perf_counter() - start
     ok = ok and 1.0 / (2.0 * math.e * 16.0) <= result.empirical_risk \

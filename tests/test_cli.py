@@ -1,17 +1,20 @@
 import itertools
 import math
+import re
 import sys
 import warnings
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from bayeslb import cli
 from bayeslb.bounds import (lb_diff_entropy, lb_mi_smallball, mi_ub_cutset,
                             mi_ub_interactive, mi_ub_multi_iid, mi_ub_single)
-from bayeslb.info import DistortionSpec, PriorSpec, small_ball
-from bayeslb.scenarios import ScenarioSpec, scenario_gauss_gauss
+from bayeslb.info import DistortionSpec, DistributionError, PriorSpec, small_ball
+from bayeslb.scenarios import REPS_LIMIT, ScenarioSpec, scenario_gauss_ball, scenario_gauss_gauss
 from bayeslb.simulate import (BLOCK, SCHEMES, SimulationConfig, sandwich_check,
-                              simulate_multi, simulate_single_processor)
+                              simulate_multi)
 
 
 # the largest gauss-multi dimension whose (BLOCK, d) block numpy can address
@@ -237,28 +240,32 @@ def test_bound_thm3_floor_beyond_float_range_exits_2(capsys):
     (["scenario", "gauss-gauss", "--n", "9" * 401], "--n", "float range"),
     (["simulate", "bsc-bit", "--eps", "0.1", "--T", str(2 ** 63), "--reps", "1"], "--T",
      "samplers' 64-bit range"),
-    (["simulate", "xor-colocated", "--eps", "0.1", "--n", str(-2 ** 63 - 1), "--reps", "1"],
+    (["simulate", "xor-colocated", "--eps", "0.1", "--n", str(2 ** 63), "--reps", "1"],
      "--n", "samplers' 64-bit range"),
     (["simulate", "gauss-multi", "--d", str(D_LIMIT + 1), "--reps", "1"], "--d",
      f"size one {BLOCK}-row block of draws can address"),
 ])
 def test_integer_flag_out_of_range_exits_2_naming_it(argv, flag, reason, tmp_path, capsys):
-    """Bounds and scenarios compute in floats and the samplers in 64-bit
-    integers, so a larger integer flag is refused by name, also from a
-    --config file, before any of them sees it."""
+    """Bounds and scenarios compute in floats, so argparse refuses a larger
+    integer flag by name; a simulated run's record refuses a count past the
+    samplers' 64-bit integers by field name. Both hold for a --config file
+    too, and both come before any computation sees the value."""
+    at = argv.index(flag)
+    message = (f"{flag[2:]} {argv[at + 1]} lies beyond the {reason}" if argv[0] == "simulate"
+               else f"argument {flag}: lies beyond the {reason}")
     code, out, err = run(argv, capsys)
     assert (code, out) == (2, "")
-    assert f"argument {flag}: lies beyond the {reason}" in err
+    assert message in err
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"{flag[2:]}={argv[argv.index(flag) + 1]}\n")
-    code, out, err = run(["--config", str(cfg)] + argv[:argv.index(flag)], capsys)
+    cfg.write_text(f"{flag[2:]}={argv[at + 1]}\n")
+    code, out, err = run(["--config", str(cfg)] + argv[:at] + argv[at + 2:], capsys)
     assert (code, out) == (2, "")
-    assert f"argument {flag}: lies beyond the {reason}" in err
+    assert message in err
 
 
 def test_simulate_gauss_multi_out_of_memory_exits_2(monkeypatch, capsys):
-    """The largest --d numpy can address passes the flag check, and a block
-    too large to allocate exits 2; the stub sampler allocates nothing."""
+    """The largest --d numpy can address passes the intake, and a block too
+    large to allocate exits 2; the stub sampler allocates nothing."""
     assert 8 * BLOCK * D_LIMIT <= sys.maxsize < 8 * BLOCK * (D_LIMIT + 1)
 
     def sample(spec, rng, size):
@@ -293,6 +300,95 @@ def test_simulate_bernoulli_takes_the_largest_64_bit_count(scheme, flags, capsys
     name, risk, halfwidth, *_ = data_rows(out)[1].split(",")
     assert name == scheme
     assert math.isfinite(float(risk)) and math.isfinite(float(halfwidth))
+
+
+# the Python intake of a Monte Carlo run that each replication-count test
+# pairs with its command
+REPS_INTAKES = {
+    "simulate": lambda reps: SimulationConfig(ScenarioSpec("gauss-gauss"), reps, 0),
+    "scenario": lambda reps: scenario_gauss_ball(ScenarioSpec("gauss-ball"), reps=reps),
+}
+REPS_COMMANDS = [["simulate", "gauss-gauss"], ["scenario", "gauss-ball"]]
+
+
+@pytest.mark.parametrize("reps", [REPS_LIMIT + 1, 2 ** 63 - 1, 10 ** 19])
+@pytest.mark.parametrize("command", REPS_COMMANDS, ids=["simulate", "gauss-ball"])
+def test_replication_count_past_one_array_exits_2_naming_it(command, reps, capsys):
+    """No float64 array holds more than sys.maxsize // 8 entries, so a larger
+    replication count raises in Python and exits 2 on the CLI."""
+    message = f"replication count {reps} is not an integer in [1, {REPS_LIMIT}]"
+    with pytest.raises(DistributionError, match=re.escape(message)):
+        REPS_INTAKES[command[0]](reps)
+    code, out, err = run(command + ["--reps", str(reps)], capsys)
+    assert (code, out) == (2, "")
+    assert f"error: {message}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", REPS_COMMANDS, ids=["simulate", "gauss-ball"])
+def test_replication_count_at_the_limit_fails_to_allocate_and_exits_2(command, capsys):
+    # the intake takes the count, and numpy refuses its 2^63-byte (or, for
+    # gauss-ball's booleans, 2^60-byte) array at once, allocating nothing
+    SimulationConfig(ScenarioSpec("gauss-gauss"), REPS_LIMIT, 0)
+    code, out, err = run(command + ["--reps", str(REPS_LIMIT)], capsys)
+    assert (code, out) == (2, "")
+    assert "error: Unable to allocate" in err and "Traceback" not in err
+
+
+# each integer model field's range on a simulated run, and the replication
+# count's; ScenarioSpec holds the lower ends and SimulationConfig the upper
+INTAKE_RANGES = {"n": (1, 2 ** 63 - 1), "m": (1, 2 ** 63 - 1), "T": (1, 2 ** 63 - 1),
+                 "total_samples": (1, 2 ** 63 - 1), "total_uses": (0, 2 ** 63 - 1),
+                 "d": (1, D_LIMIT), "reps": (1, REPS_LIMIT)}
+
+
+@st.composite
+def _intake_cases(draw):
+    """A scheme, a field of INTAKE_RANGES and a value within 3 of either end
+    of its range or far past both. A replication count is drawn only past
+    its top: at the top, the run fails to allocate its array (tested above)."""
+    field = draw(st.sampled_from(sorted(INTAKE_RANGES)))
+    low, high = INTAKE_RANGES[field]
+    near_low = st.integers(low - 3, low + 3)
+    near_high = st.integers(high + 1 if field == "reps" else high - 3, high + 3)
+    value = draw(near_low | near_high | st.sampled_from([-2 ** 64, 2 ** 64, 10 ** 400]))
+    return draw(st.sampled_from(sorted(SCHEMES))), field, value
+
+
+@pytest.fixture
+def no_draws(monkeypatch):
+    """Every sampler returns zeros, so that no accepted input allocates."""
+    for name, scheme in SCHEMES.items():
+        monkeypatch.setitem(SCHEMES, name, scheme._replace(
+            sample=lambda spec, rng, size: np.zeros(size)))
+
+
+@given(case=_intake_cases())
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_cli_and_python_intake_refuse_the_same_inputs(case, no_draws, capsys):
+    """``simulate`` exits 2 exactly when ScenarioSpec and SimulationConfig
+    refuse the same values in Python, with the same message, and otherwise
+    runs; it never raises past ``main``."""
+    scheme, field, value = case
+    reps, model = (value, {}) if field == "reps" else (1, {field: value})
+    try:
+        SimulationConfig(ScenarioSpec(SCHEMES[scheme].tag, **model), reps, 0, scheme)
+    except DistributionError as exc:
+        refusal = f"error: {exc}\n"
+    else:
+        refusal = None
+    flag = cli._flag(field)
+    argv = ["simulate", scheme, "--reps", str(reps)] + [
+        token for name, text in model.items() for token in (cli._flag(name), str(text))]
+    code, out, err = run(argv, capsys)
+    assert "Traceback" not in err
+    if refusal is None:
+        assert (code, err) == (0, "")
+        assert data_rows(out)[1].startswith(f"{scheme},")
+    else:
+        assert (code, out) == (2, "")
+        # argparse refuses a value past the float range first, naming the flag
+        assert err == refusal or f"argument {flag}: lies beyond the float range" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -428,13 +524,10 @@ def test_simulate_prints_each_checked_margin(name, capsys):
                for line in lines if line.startswith("# margin: ")]
     assert lines[check + 1].startswith("# margin: ")
     scheme = SCHEMES[name]
-    if name == "gauss-multi":
-        fields = dict(fields, total_samples=40, total_bits=64.0 * 4 * 8)
-    spec = ScenarioSpec(tag=scheme.tag, **fields)
-    sim = simulate_multi if scheme.multi else simulate_single_processor
-    result = sim(SimulationConfig(spec=spec, replications=2000, seed=5,
-                                  scheme=name))
-    verdict = sandwich_check(cli._SCENARIO_FNS[scheme.tag](spec), result)
+    config = SimulationConfig(spec=ScenarioSpec(tag=scheme.tag, **fields),
+                              replications=2000, seed=5, scheme=name)
+    verdict = sandwich_check(cli._SCENARIO_FNS[scheme.tag](config.spec),
+                             simulate_multi(config))
     assert [label for label, _ in margins] == list(verdict.margins)
     assert [value for _, value in margins] == \
         [cli._text(value) for value in verdict.margins.values()]
@@ -442,7 +535,7 @@ def test_simulate_prints_each_checked_margin(name, capsys):
 
 # gauss-multi ships pooled means over a noiseless link, so a channel or
 # budget flag would check it against a model it never ran (--eta-uses 0
-# --reps 2000 --check fails a correct bound)
+# --reps 2000 --check fails a correct bound); the record refuses the field
 @pytest.mark.parametrize("source", ["flag", "config"])
 @pytest.mark.parametrize("flag, value", [
     ("--eps", "0.1"), ("--eta-uses", "0"), ("--capacity", "0.5"),
@@ -460,7 +553,7 @@ def test_simulate_gauss_multi_refuses_model_flags(flag, value, source,
         argv = ["--config", str(cfg), *argv]
     code, out, err = run(argv, capsys)
     assert (code, out) == (2, "")
-    assert f"refuses {flag} " in err
+    assert f"refuses {flag[2:].replace('-', '_')}=" in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -35,6 +35,16 @@ def test_dobrushin_is_at_most_one_on_a_near_deterministic_channel():
     assert dobrushin(DiscreteChannel(rows)).value == 1.0
 
 
+def test_dobrushin_counts_the_mass_one_row_puts_above_the_other():
+    """Both rows sum to 1.0 in floats, yet the second puts 1e-40 more on
+    output 0: half the L1 distance, 5e-41, falls below the 9.06e-41 that
+    the rows score at 50 digits, and the value capped at it would too."""
+    channel = DiscreteChannel(np.array([[1e-72, 1.0], [1e-40, 1.0]]))
+    assert dobrushin(channel).value == 1e-40
+    mu = np.array([0.8180085954320669, 0.18199140456793297])
+    _assert_argmax_scores_value(mu, channel, eta_numeric(mu, channel))
+
+
 def test_dobrushin_dominates_eta_numeric_on_bsc():
     est = eta_numeric(FAIR, bsc(0.2))
     assert est.value <= dobrushin(bsc(0.2)).value + 1e-9
@@ -170,14 +180,16 @@ def _boundary_3x5():
 # three up: the best end of mirror ascent, with a Newton trial for the
 # leading row, started from the points that scan scores best, nudged 1e-6
 # toward mu, with no scan of the ends. None is below an earlier pinned value
-# by more than 1e-12
+# by more than 1e-12. Each value is capped at the Dobrushin coefficient,
+# which moved the three BEC rows down by 1 to 2 ulps, onto 1 - eps: from
+# ...cfp-1, ...002p-1 and ...334p-1
 PINNED_ETA = {
     "bsc-0.1": (lambda: (FAIR, bsc(0.1)), "0x1.47ae147ae129dp-1", "667294f99af4522b", 11),
     "bsc-0.25": (lambda: (FAIR, bsc(0.25)), "0x1.ffffffffff9e9p-3", "b710fcd3cb2f0a6f", 11),
     "bsc-0.4": (lambda: (FAIR, bsc(0.4)), "0x1.47ae147ae0f7cp-5", "3be060e993e6dd90", 11),
-    "bec-0.1": (lambda: (FAIR, bec(0.1)), "0x1.ccccccccccccfp-1", "d279034093885784", 11),
-    "bec-0.25": (lambda: (FAIR, bec(0.25)), "0x1.8000000000002p-1", "4ccdc063676d7960", 11),
-    "bec-0.4": (lambda: (FAIR, bec(0.4)), "0x1.3333333333334p-1", "d279034093885784", 11),
+    "bec-0.1": (lambda: (FAIR, bec(0.1)), "0x1.ccccccccccccdp-1", "d279034093885784", 11),
+    "bec-0.25": (lambda: (FAIR, bec(0.25)), "0x1.8000000000000p-1", "4ccdc063676d7960", 11),
+    "bec-0.4": (lambda: (FAIR, bec(0.4)), "0x1.3333333333333p-1", "d279034093885784", 11),
     "dirichlet-k2": (lambda: _seeded_pair(2), "0x1.82af4820d115fp-9", "ce5b0c0b70691686", 11),
     "dirichlet-k4": (lambda: _seeded_pair(4), "0x1.4e972eacc3110p-2", "dcb78e62dea04ab6", 17),
     "dirichlet-k8": (lambda: _seeded_pair(8), "0x1.38d9dfe31918bp-2", "ddf8d4a5a1aea935", 20),
@@ -281,12 +293,12 @@ def test_eta_numeric_keeps_the_corpus_values(k):
 
 @pytest.mark.parametrize("k", range(2, 17))
 def test_eta_numeric_upper_end_is_the_dobrushin_coefficient(k):
-    """The search's certified end is max(value, Dobrushin), and the tensor
-    bound maps it through 1 - (1 - upper)^T."""
+    """The search's certified end is the Dobrushin coefficient, the value
+    never exceeds it, and the tensor bound maps it through 1 - (1 - upper)^T."""
     for i in range(8):
         mu, channel = _corpus_pair(k, i)
         est = eta_numeric(mu, channel)
-        assert est.value <= est.upper == max(est.value, dobrushin(channel).value)
+        assert est.value <= est.upper == dobrushin(channel).value
         for T in (1, 2, 7.5):
             assert eta_multi_use(est, T).upper == 1.0 - (1.0 - est.upper) ** T
 
@@ -326,6 +338,16 @@ def _series31_pair(k, s):
         rows[:, 0] = 0.0
         rows /= rows.sum(axis=1, keepdims=True)
     return rng.dirichlet(np.full(k, (1.0, 4.0, 0.5)[s % 3])), DiscreteChannel(rows)
+
+
+# two-output series-31 channels whose zeroed output 0 leaves every row [0, 1]:
+# the kernel's rounding once scored them 1e-58 to 1e-52
+@pytest.mark.parametrize("k, s", [(3, 184), (4, 24), (4, 129)])
+def test_eta_numeric_of_a_constant_channel_is_zero(k, s):
+    mu, channel = _series31_pair(k, s)
+    assert np.all(channel.rows == [0.0, 1.0])
+    est = eta_numeric(mu, channel)
+    assert (est.value, est.upper) == (0.0, 0.0)
 
 
 # values that mirror ascent alone stopped short of, each by more than 1e-9:

@@ -11,8 +11,7 @@ from bayeslb.scenarios import (ScenarioSpec, _block_rng, scenario_gauss_gauss,
 from bayeslb.simulate import (BLOCK, SCHEMES, SimulationConfig,
                               SimulationResult, _count_and_parameter, _distortions,
                               _posterior_mean_error, _quantize_midpoint, _repeated_bits,
-                              exact_chain_mi, sandwich_check,
-                              simulate_multi, simulate_single_processor)
+                              exact_chain_mi, sandwich_check, simulate_multi)
 
 import oracles
 
@@ -146,7 +145,7 @@ def test_majority_ties_report_zero():
     # uniform bit that errs half the time, as the oracle's fair coin does
     spec = ScenarioSpec(tag="bsc-bit", eps=0.1, T=4)
     cfg = SimulationConfig(spec=spec, replications=30000, seed=9)
-    result = simulate_single_processor(cfg)
+    result = simulate_multi(cfg)
     target = float(oracles.majority_risk_mp(4, 0.1))
     assert abs(result.empirical_risk - target) <= 3.0 * result.ci_halfwidth
 
@@ -199,19 +198,17 @@ def test_block_boundary_run():
                           scheme.sample(spec, _block_rng(21, 0), BLOCK))
     assert np.array_equal(draws[2 * BLOCK:],
                           scheme.sample(spec, _block_rng(21, 2), 1))
-    first = simulate_single_processor(cfg)
+    first = simulate_multi(cfg)
     assert first.replications == reps
-    assert simulate_single_processor(cfg) == first
-    other = simulate_single_processor(cfg._replace(seed=22))
+    assert simulate_multi(cfg) == first
+    other = simulate_multi(cfg._replace(seed=22))
     assert other.empirical_risk != first.empirical_risk
 
 
 def test_seed_changes_output():
     spec = ScenarioSpec(tag="gauss-gauss", n=5)
-    a = simulate_single_processor(SimulationConfig(spec=spec,
-                                                   replications=200, seed=1))
-    b = simulate_single_processor(SimulationConfig(spec=spec,
-                                                   replications=200, seed=2))
+    a = simulate_multi(SimulationConfig(spec=spec, replications=200, seed=1))
+    b = simulate_multi(SimulationConfig(spec=spec, replications=200, seed=2))
     assert a.empirical_risk != b.empirical_risk
 
 
@@ -222,7 +219,7 @@ def test_seed_changes_output():
 def test_gauss_gauss_matches_posterior_risk():
     spec = ScenarioSpec(tag="gauss-gauss", n=10)
     cfg = SimulationConfig(spec=spec, replications=20000, seed=3)
-    result = simulate_single_processor(cfg)
+    result = simulate_multi(cfg)
     target = oracles.mmae_gauss(math.sqrt(1.0 / 11.0))
     assert abs(result.empirical_risk - target) <= 3.0 * result.ci_halfwidth
 
@@ -230,13 +227,12 @@ def test_gauss_gauss_matches_posterior_risk():
 def test_bsc_bit_matches_majority_oracle():
     spec = ScenarioSpec(tag="bsc-bit", eps=0.1, T=5)
     cfg = SimulationConfig(spec=spec, replications=30000, seed=9)
-    result = simulate_single_processor(cfg)
+    result = simulate_multi(cfg)
     target = float(oracles.majority_risk_mp(5, 0.1))
     assert abs(result.empirical_risk - target) <= 3.0 * result.ci_halfwidth
 
 
-DGLM = {"m": 5, "n": 20, "d": 2, "var_w": 1.0, "var_noise": 4.0,
-        "total_samples": 100, "total_bits": 400.0}
+DGLM = {"m": 5, "n": 20, "d": 2, "var_w": 1.0, "var_noise": 4.0}
 
 # (scheme, spec fields, exact risk of the scheme)
 ORACLE_RUNS = [
@@ -259,9 +255,8 @@ ORACLE_RUNS = [
 def test_scheme_matches_exact_oracle(name, fields, oracle):
     scheme = SCHEMES[name]
     spec = ScenarioSpec(tag=scheme.tag, **fields)
-    run = simulate_multi if scheme.multi else simulate_single_processor
-    result = run(SimulationConfig(spec=spec, replications=20000, seed=31,
-                                  scheme=name))
+    result = simulate_multi(SimulationConfig(spec=spec, replications=20000, seed=31,
+                                             scheme=name))
     assert abs(result.empirical_risk - oracle()) <= 3.0 * result.ci_halfwidth
 
 
@@ -269,12 +264,12 @@ def test_bern_bsc_routes_on_noise():
     # the noiseless case quantizes and needs no use count at all
     clean = ScenarioSpec(tag="bern-bsc", n=64, b=4.0, eps=0.0, T=None)
     cfg = SimulationConfig(spec=clean, replications=200, seed=2)
-    clean_result = simulate_single_processor(cfg)
+    clean_result = simulate_multi(cfg)
     assert clean_result.scheme == "bern-bsc"
     # b = 7 carries the whole count, which a noisy link sends bit by bit
     noisy = ScenarioSpec(tag="bern-bsc", n=64, b=7.0, eps=0.1, T=40)
     cfg = SimulationConfig(spec=noisy, replications=200, seed=2)
-    noisy_result = simulate_single_processor(cfg)
+    noisy_result = simulate_multi(cfg)
     assert noisy_result.empirical_risk != clean_result.empirical_risk
 
 
@@ -283,7 +278,7 @@ def test_bern_bsc_routes_on_noise():
 def test_bern_bsc_sends_the_b_bit_cell_below_the_count(n, bits, eps, T):
     # fewer than bit_length(n) bits carry the sample mean's midpoint cell
     spec = ScenarioSpec(tag="bern-bsc", n=n, b=bits + 0.5, eps=eps, T=T)
-    result = simulate_single_processor(
+    result = simulate_multi(
         SimulationConfig(spec=spec, replications=20000, seed=31))
     oracle = oracles.cell_repetition_risk(n, bits, eps, T)
     assert abs(result.empirical_risk - oracle) <= 3.0 * result.ci_halfwidth
@@ -294,7 +289,7 @@ def test_bern_bsc_count_width_is_the_bit_length_of_n():
     # the count K = n takes 54 bits, so 53 uses leave one bit without a look
     whole = ScenarioSpec(tag="bern-bsc", n=n, b=54.0, eps=0.1, T=53)
     with pytest.raises(DistributionError):
-        simulate_single_processor(SimulationConfig(spec=whole, replications=1, seed=1))
+        simulate_multi(SimulationConfig(spec=whole, replications=1, seed=1))
     # 53 bits carry the mean's 53-bit midpoint cell, K = n in the top one; no
     # flip is drawn at this crossover
     spec = ScenarioSpec(tag="bern-bsc", n=n, b=53.0, eps=1e-300, T=53)
@@ -305,7 +300,7 @@ def test_bern_bsc_count_width_is_the_bit_length_of_n():
 
 def test_bern_bsc_zero_bits_give_the_prior_centroid():
     spec = ScenarioSpec(tag="bern-bsc", n=100, b=0.0, eps=0.1, T=70)
-    result = simulate_single_processor(
+    result = simulate_multi(
         SimulationConfig(spec=spec, replications=20000, seed=31))
     # E|W - 1/2| for W uniform on [0, 1]
     assert abs(result.empirical_risk - 0.25) <= 3.0 * result.ci_halfwidth
@@ -316,7 +311,7 @@ def test_bern_bsc_case2_needs_enough_uses():
     spec = ScenarioSpec(tag="bern-bsc", n=64, b=4.0, eps=0.1, T=3)
     cfg = SimulationConfig(spec=spec, replications=10, seed=2)
     with pytest.raises(DistributionError):
-        simulate_single_processor(cfg)
+        simulate_multi(cfg)
 
 
 def test_xor_block_parity_law():
@@ -345,8 +340,7 @@ def test_xor_single_processor_risk_near_quarter():
 
 
 def test_gauss_multi_near_centralized():
-    spec = ScenarioSpec(tag="dglm", m=5, n=20, d=2, var_w=1.0, var_noise=4.0,
-                        total_samples=100, total_bits=400.0)
+    spec = ScenarioSpec(tag="dglm", m=5, n=20, d=2, var_w=1.0, var_noise=4.0)
     cfg = SimulationConfig(spec=spec, replications=20000, seed=8,
                            scheme="gauss-multi")
     result = simulate_multi(cfg)
@@ -356,12 +350,11 @@ def test_gauss_multi_near_centralized():
 
 def test_unknown_scheme_rejected():
     spec = ScenarioSpec(tag="gauss-gauss", n=5)
-    cfg = SimulationConfig(spec=spec, replications=10, seed=1,
-                           scheme="nonesuch")
-    with pytest.raises(DistributionError):
-        simulate_single_processor(cfg)
-    with pytest.raises(DistributionError):
-        simulate_multi(cfg)
+    with pytest.raises(DistributionError, match="unknown scheme 'nonesuch'"):
+        SimulationConfig(spec=spec, replications=10, seed=1, scheme="nonesuch")
+    # a spec whose tag names no scheme needs one named
+    with pytest.raises(DistributionError, match="unknown scheme 'dglm'"):
+        SimulationConfig(spec=ScenarioSpec(tag="dglm"), replications=10, seed=1)
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +365,7 @@ def _gauss_pair(n=10, reps=5000, seed=3):
     spec = ScenarioSpec(tag="gauss-gauss", n=n)
     report = scenario_gauss_gauss(spec)
     cfg = SimulationConfig(spec=spec, replications=reps, seed=seed)
-    return report, simulate_single_processor(cfg)
+    return report, simulate_multi(cfg)
 
 
 def test_sandwich_passes_on_consistent_pair():
@@ -414,11 +407,10 @@ def test_sandwich_rejects_mismatched_tags():
 
 def test_sandwich_accepts_dglm_gauss_multi_pairing():
     from bayeslb.scenarios import scenario_dglm_decentralized
-    spec = ScenarioSpec(tag="dglm", m=5, n=20, d=2, var_w=1.0, var_noise=4.0,
-                        total_samples=100, total_bits=400.0)
-    report = scenario_dglm_decentralized(spec)
+    spec = ScenarioSpec(tag="dglm", m=5, n=20, d=2, var_w=1.0, var_noise=4.0)
     cfg = SimulationConfig(spec=spec, replications=2000, seed=8,
                            scheme="gauss-multi")
+    report = scenario_dglm_decentralized(cfg.spec)
     result = simulate_multi(cfg)
     verdict = sandwich_check(report, result)
     assert verdict.passed
@@ -426,7 +418,7 @@ def test_sandwich_accepts_dglm_gauss_multi_pairing():
 
 def test_sandwich_accepts_dglm_gauss_multi_pairing_only_by_table():
     spec = ScenarioSpec(tag="gauss-gauss", n=5)
-    result = simulate_single_processor(
+    result = simulate_multi(
         SimulationConfig(spec=spec, replications=50, seed=1))
     dglm = ScenarioSpec(tag="dglm", m=5, n=20, total_samples=100,
                         total_bits=400.0)
@@ -450,11 +442,9 @@ def test_sandwich_non_finite_result_is_hard_failure(risk, halfwidth):
 
 def _checked_pair(name, reps=2000, **fields):
     scheme = SCHEMES[name]
-    spec = ScenarioSpec(tag=scheme.tag, **fields)
-    run = simulate_multi if scheme.multi else simulate_single_processor
-    result = run(SimulationConfig(spec=spec, replications=reps, seed=4,
-                                  scheme=name))
-    return _SCENARIO_FNS[scheme.tag](spec), result
+    config = SimulationConfig(spec=ScenarioSpec(tag=scheme.tag, **fields),
+                              replications=reps, seed=4, scheme=name)
+    return _SCENARIO_FNS[scheme.tag](config.spec), simulate_multi(config)
 
 
 PAIRINGS = [
@@ -470,8 +460,7 @@ PAIRINGS = [
     ("xor", {"m": 2, "n": 16, "b": 2.0},
      {"lower:distributed", "lower:colocated"}),
     ("xor-colocated", {"m": 2, "n": 16, "b": 2.0}, {"lower:colocated"}),
-    ("gauss-multi", {"m": 5, "n": 20, "d": 2, "var_w": 1.0, "var_noise": 4.0,
-                     "total_samples": 100, "total_bits": 400.0},
+    ("gauss-multi", {"m": 5, "n": 20, "d": 2, "var_w": 1.0, "var_noise": 4.0},
      {"lower:decentralized"}),
 ]
 
@@ -495,13 +484,3 @@ def test_parity_schemes_fail_only_their_own_inflated_bounds(name, inflated,
     bound = report.lower_bounds[inflated]
     report.lower_bounds[inflated] = bound._replace(value=1.0)
     assert sandwich_check(report, result).passed is passed
-
-
-def test_schemes_run_only_in_their_processor_class():
-    xor = ScenarioSpec(tag="xor", m=2, n=4)
-    with pytest.raises(DistributionError):
-        simulate_single_processor(SimulationConfig(spec=xor, replications=5,
-                                                   seed=1, scheme="xor"))
-    gauss = ScenarioSpec(tag="gauss-gauss")
-    with pytest.raises(DistributionError):
-        simulate_multi(SimulationConfig(spec=gauss, replications=5, seed=1))
