@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 
 from .info import (DistributionError, InfoDensityDistribution, _Numpy, _Record,
-                   _set, log_unit_ball_volume)
+                   log_unit_ball_volume)
 from .sdpi import _as_estimate, _constant, eta_multi_use
 
 np = _Numpy(globals())
@@ -44,13 +44,8 @@ class BoundReport(_Record):
     def __init__(self, value: float, kind: str, arguments: dict | None = None,
                  inputs: dict | None = None, clamped: bool = False,
                  asymptotic: bool = False, infeasible: bool = False):
-        _set(self, "value", value)
-        _set(self, "kind", kind)
-        _set(self, "arguments", {} if arguments is None else arguments)
-        _set(self, "inputs", {} if inputs is None else inputs)
-        _set(self, "clamped", clamped)
-        _set(self, "asymptotic", asymptotic)
-        _set(self, "infeasible", infeasible)
+        self._set_fields(value, kind, {} if arguments is None else arguments,
+                         {} if inputs is None else inputs, clamped, asymptotic, infeasible)
 
 
 _log_grid = _constant(lambda lo, hi: np.geomspace(lo, hi, 200))
@@ -214,11 +209,15 @@ def lb_diff_entropy(mi: float, h: float, d: int = 1, r: float = 1.0) -> BoundRep
         raise DistributionError("need dimension >= 1 and a finite norm exponent >= 1")
     if mi < 0.0:
         raise DistributionError("mutual information cannot be negative")
-    const = math.exp(log_diff_entropy_constant(d, r))
+    log_const = log_diff_entropy_constant(d, r)
+    const, exponent = math.exp(log_const), -(mi - h) * r / d
     try:
-        value = const * 2.0 ** (-(mi - h) * r / d)
-    except OverflowError:
-        value = math.inf
+        value = const * 2.0 ** exponent
+    except OverflowError:  # 2^exponent alone overflows: form the floor in logs
+        try:
+            value = math.exp(log_const + exponent * math.log(2.0))
+        except OverflowError:
+            value = math.inf
     if not math.isfinite(value):
         why = "exceeds the float range" if value > 0.0 else "is undefined"
         raise DistributionError(f"the risk floor for I={mi}, h={h}, d={d}, r={r} {why}")

@@ -23,8 +23,8 @@ from .bounds import (lb_diff_entropy, lb_mi_smallball, mi_ub_cutset,
                      mi_ub_interactive, mi_ub_multi_iid, mi_ub_single)
 from .info import (DistortionSpec, DistributionError, PriorSpec,
                    UnsupportedPairError, small_ball)
-from .scenarios import (SEED_LIMIT, ScenarioSpec, fig2_data, fig34_data,
-                        scenario_bern_bsc, scenario_bern_uniform,
+from .scenarios import (SEED_LIMIT, SPEC_FIELDS, ScenarioSpec, fig2_data,
+                        fig34_data, scenario_bern_bsc, scenario_bern_uniform,
                         scenario_bsc_bit, scenario_dglm_decentralized,
                         scenario_gauss_ball, scenario_gauss_gauss,
                         scenario_hide_seek, scenario_hypercube,
@@ -79,15 +79,12 @@ _int.__name__ = "int"  # argparse names the type in "invalid int value"
 
 # Every valued flag or switch is one (dest, type, default[, help]) row, spelled
 # "--" + dest with "-" for "_". A subcommand's rows build its parser and, in
-# order, its manifest command. The model rows are ScenarioSpec's fields after
-# its tag, with the types and defaults of its constructor's parameters; the
-# field rho_bias is the flag --rho.
-_MODEL_FLAGS = tuple(
-    ("rho" if name == "rho_bias" else name,
-     {"int": _int, "float": float, "bool": bool}[
-         ScenarioSpec.__init__.__annotations__[name].split(" |")[0]],
-     default)
-    for name, default in zip(ScenarioSpec._fields[1:], ScenarioSpec.__init__.__defaults__))
+# order, its manifest command. The model rows are those of SPEC_FIELDS, in its
+# order and with its types and defaults, which ScenarioSpec checks; the field
+# rho_bias is the flag --rho.
+_FLAG_TYPES = {int: _int, int | None: _int, float: float, float | None: float, bool: bool}
+_MODEL_FLAGS = tuple(("rho" if name == "rho_bias" else name, _FLAG_TYPES[kind], default)
+                     for name, kind, default, *_ in SPEC_FIELDS)
 _RUN_FLAGS = (
     ("reps", _int, None, "replications (simulate) or Monte Carlo draws for "
                         "mass estimates (scenario gauss-ball)"),
@@ -304,8 +301,7 @@ def cmd_bound(args) -> int:
 
 
 def _spec_from_args(tag: str, args) -> ScenarioSpec:
-    return ScenarioSpec(tag=tag, **{"rho_bias" if dest == "rho" else dest:
-                                    getattr(args, dest) for dest, *_ in _MODEL_FLAGS})
+    return ScenarioSpec(tag, *(getattr(args, dest) for dest, *_ in _MODEL_FLAGS))
 
 
 def _scenario_report(tag: str, spec: ScenarioSpec, args, seed: int):
@@ -362,8 +358,8 @@ def cmd_simulate(args) -> int:
                               seed=seed, scheme=args.scheme)
     spec = config.spec
     # the manifest echoes the model the scheme ran, values it fixed included
-    for dest, *_ in _MODEL_FLAGS:
-        setattr(args, dest, getattr(spec, "rho_bias" if dest == "rho" else dest))
+    for (dest, *_), name in zip(_MODEL_FLAGS, spec._fields[1:]):
+        setattr(args, dest, getattr(spec, name))
     result = simulate_multi(config)
     tokens = _canonical(["simulate", args.scheme], args, _COMMAND_FLAGS["simulate"])
     lines = _manifest(tokens, args, spec=spec, seed=seed)

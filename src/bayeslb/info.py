@@ -13,6 +13,8 @@ Conventions used across the package:
 from __future__ import annotations
 
 import math
+import operator
+import sys
 from typing import NamedTuple
 
 
@@ -34,6 +36,7 @@ np = _Numpy(globals())
 
 PROB_ATOL = 1e-12
 _LN2 = math.log(2.0)
+_FLOAT_MAX = sys.float_info.max
 
 __all__ = [
     "PROB_ATOL",
@@ -88,10 +91,10 @@ class _Record:
     """Base of the records that validate their fields or give each instance
     its own dicts; the others are named tuples. A subclass lists its
     constructor's parameters, in order, as ``_fields`` and in ``__slots__``;
-    its ``__init__`` sets each field once through ``_set``, and any later
-    assignment or deletion raises ``AttributeError``. ``_replace`` builds its
-    copy through ``__init__``, so a replaced field is validated like a new
-    one. Records compare and hash by identity."""
+    its ``__init__`` sets each field once, through ``_set_fields`` or ``_set``,
+    and any later assignment or deletion raises ``AttributeError``.
+    ``_replace`` builds its copy through ``__init__``, so a replaced field is
+    validated like a new one. Records compare and hash by identity."""
 
     __slots__ = ()
     _fields: tuple = ()
@@ -106,6 +109,11 @@ class _Record:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__name__}({fields})"
 
+    def _set_fields(self, *values) -> None:
+        """Set the fields, in order, to ``values``."""
+        for name, value in zip(self._fields, values):
+            _set(self, name, value)
+
     def __reduce__(self):
         return type(self), tuple(getattr(self, name) for name in self._fields)
 
@@ -113,6 +121,32 @@ class _Record:
         """A copy with ``changes`` applied, validated as a new record is."""
         return type(self)(**{**{name: getattr(self, name) for name in self._fields},
                              **changes})
+
+
+def _check_count(value, what: str, least: int = 1, most: float = _FLOAT_MAX) -> None:
+    """Refuse a count that is not an integer in [``least``, ``most``]."""
+    _check_field(value, what, int, least, most)
+
+
+def _check_field(value, what: str, kind, least=-_FLOAT_MAX, most=_FLOAT_MAX) -> None:
+    """The rule of a record field of type ``kind``: an ``int`` field takes an
+    integer and a ``float`` field a real, neither a bool and each in [``least``,
+    ``most``], by default the float range, so that a real is finite; a ``bool``
+    field takes a bool; and an ``int | None`` or ``float | None`` field also
+    takes None, unset. Anything else raises ``DistributionError`` naming it."""
+    if value is None and isinstance(None, kind) or kind is bool and isinstance(value, bool):
+        return
+    real = isinstance(0.5, kind)
+    try:  # + 0.0 refuses a str, None, a Decimal and an int past the float range
+        number = float(value + 0.0) if real else operator.index(value)
+        valid = kind is not bool and not isinstance(value, bool) and least <= number <= most
+    except (TypeError, OverflowError):
+        valid = False
+    if not valid:
+        noun = "a bool" if kind is bool else "a real" if real else "an integer"
+        span = "" if kind is bool else f" in [{least}, {most}]" if most < _FLOAT_MAX \
+            else (f" >= {least}" if least > -_FLOAT_MAX else "") + " in the float range"
+        raise DistributionError(f"{what} {value!r} is not {noun}{span}")
 
 
 def _validated_pmf(p, what: str) -> np.ndarray:
@@ -224,18 +258,13 @@ class PriorSpec(_Record):
 
     def __init__(self, family: str, var: float = 0.0, dim: int = 1,
                  radius: float = 0.0, size: int = 0):
-        _set(self, "family", family)
-        _set(self, "var", var)
-        _set(self, "dim", dim)
-        _set(self, "radius", radius)
-        _set(self, "size", size)
+        self._set_fields(family, var, dim, radius, size)
         if self.family not in ("uniform01", "gaussian", "ball", "discrete_uniform"):
             raise DistributionError(f"unknown prior family {self.family!r}")
-        if self.dim < 1:
-            raise DistributionError("dimension must be at least 1")
-        for name, value in (("var", self.var), ("radius", self.radius)):
-            if not math.isfinite(value):
-                raise DistributionError(f"prior {name} must be finite, not {value}")
+        _check_field(var, "prior var", float)
+        _check_count(dim, "prior dim")
+        _check_field(radius, "prior radius", float)
+        _check_count(size, "prior size", 0)
         if self.family == "gaussian" and not self.var > 0.0:
             raise DistributionError("gaussian prior needs a positive variance")
         if self.family == "ball" and not self.radius > 0.0:
@@ -258,12 +287,10 @@ class DistortionSpec(_Record):
     __slots__ = _fields = ("kind", "r")
 
     def __init__(self, kind: str, r: float = 1.0):
-        _set(self, "kind", kind)
-        _set(self, "r", r)
+        self._set_fields(kind, r)
         if self.kind not in ("absolute", "squared", "l2r", "zero_one"):
             raise DistributionError(f"unknown distortion kind {self.kind!r}")
-        if not math.isfinite(self.r):
-            raise DistributionError(f"distortion exponent r must be finite, not {self.r}")
+        _check_field(r, "distortion exponent r", float)
         if self.kind == "l2r" and not self.r >= 1.0:
             raise DistributionError("norm exponent must be at least 1")
 
@@ -392,8 +419,7 @@ class InfoDensityDistribution(_Record):
         if bad.size:
             raise DistributionError(f"density values must be finite, not {bad[0]}")
         order = np.argsort(values, kind="stable")
-        _set(self, "values", values[order])
-        _set(self, "probs", probs[order])
+        self._set_fields(values[order], probs[order])
         # _below[j] is the mass of the j smallest atoms
         _set(self, "_below", np.concatenate(([0.0], np.cumsum(self.probs))))
 
@@ -593,7 +619,10 @@ def differential_entropy(prior: PriorSpec) -> float:
     if prior.family == "uniform01":
         return 0.0
     if prior.family == "gaussian":
-        return 0.5 * prior.dim * math.log2(2.0 * math.pi * math.e * prior.var)
+        scaled = 2.0 * math.pi * math.e * prior.var
+        # the log is split only where the product overflows, so finite values keep their bits
+        return 0.5 * prior.dim * (math.log2(scaled) if scaled < math.inf else
+                                  math.log2(2.0 * math.pi * math.e) + math.log2(prior.var))
     if prior.family == "ball":
         return (log_unit_ball_volume(prior.dim)
                 + prior.dim * math.log(prior.radius)) / math.log(2.0)

@@ -18,16 +18,15 @@ computed with ``math`` alone; nothing here uses scipy.
 from __future__ import annotations
 
 import math
-import operator
 import sys
 from typing import Callable
 
 from .bounds import (BoundReport, _clamped_report, fano, lb_diff_entropy,
                      log_diff_entropy_constant, mi_ub_cutset, mi_ub_interactive,
                      mi_ub_single)
-from .info import (DistributionError, PriorSpec, _Numpy, _Record, _set,
-                   binary_entropy, differential_entropy, inv_binary_entropy,
-                   log_unit_ball_volume)
+from .info import (DistributionError, PriorSpec, _check_count, _check_field,
+                   _Numpy, _Record, _set, binary_entropy, differential_entropy,
+                   inv_binary_entropy, log_unit_ball_volume)
 from .sdpi import eta_bsc, eta_multi_use
 
 np = _Numpy(globals())
@@ -54,72 +53,56 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 _SQRT2 = math.sqrt(2.0)
+_ZETA_PRIME_M1 = -0.16542114370045092  # zeta'(-1), the derivative of Riemann's zeta at -1
+_POSITIVE = 5e-324  # the least float above 0, so a real >= it is > 0
 
-
-def _check_count(value, what: str, least: int = 1, most: float = math.inf) -> None:
-    """Refuse a count that is not an integer in [``least``, ``most``]; a bool
-    is not a count."""
-    try:
-        valid = not isinstance(value, bool) and least <= operator.index(value) <= most
-    except TypeError:
-        valid = False
-    if not valid:
-        span = f">= {least}" if most == math.inf else f"in [{least}, {most}]"
-        raise DistributionError(f"{what} {value!r} is not an integer {span}")
+# ScenarioSpec's fields after its tag, in order: (name, type, default[, least
+# [, most]]), each checked by ``_check_field``; least and most default to the
+# float range, in which the scenarios compute.
+SPEC_FIELDS = (
+    ("n", int, 1, 1),
+    ("b", float, 0.0, 0.0),
+    ("T", int | None, 1, 1),
+    ("m", int, 1, 1),
+    ("d", int, 1, 1),
+    ("eps", float | None, None, 0.0, 0.5),
+    ("var_w", float, 1.0, _POSITIVE),
+    ("var_noise", float, 1.0, _POSITIVE),
+    ("delta", float, 1.0, 0.0, 1.0),
+    ("rho_bias", float, 0.0, 0.0, 0.5),
+    ("radius", float, 1.0, _POSITIVE),
+    ("total_samples", int | None, None, 1),
+    ("total_bits", float | None, None, 0.0),
+    ("total_uses", int | None, None, 0),
+    ("feedback", bool, False),
+    ("r", float, 1.0, 1.0),
+    ("p", float | None, None, 0.0, 0.5),
+    ("capacity", float | None, None, 0.0),
+    ("eta_uses", float | None, None, 0.0, 1.0),
+)
 
 
 class ScenarioSpec(_Record):
-    """Parameter bundle for a scenario evaluation.
-
-    Only the fields a given scenario reads need to be set; the rest keep
-    their defaults. ``T=None`` means the channel-use budget is not binding
-    (noiseless-style evaluations drop the capacity term). ``eps=None`` with
-    no explicit ``capacity``/``eta_uses`` means a noiseless channel. The
-    counts n, m, d, T, total_samples and total_uses are integers, not floats
-    or bools: each >= 1 but total_uses, which may be 0.
+    """Parameter bundle for a scenario evaluation: a tag and the fields of
+    ``SPEC_FIELDS``, by name or in its order. A value outside its field's row
+    raises ``DistributionError`` naming the field, and a name that is no
+    field ``TypeError``. Only the fields a given scenario reads need to be
+    set. ``T=None`` means the channel-use budget is not binding (noiseless-style
+    evaluations drop the capacity term). ``eps=None`` with no explicit
+    ``capacity``/``eta_uses`` means a noiseless channel.
     """
 
-    __slots__ = _fields = ("tag", "n", "b", "T", "m", "d", "eps", "var_w", "var_noise",
-                           "delta", "rho_bias", "radius", "total_samples", "total_bits",
-                           "total_uses", "feedback", "r", "p", "capacity", "eta_uses")
+    __slots__ = _fields = ("tag",) + tuple(row[0] for row in SPEC_FIELDS)
 
-    def __init__(self, tag: str, n: int = 1, b: float = 0.0, T: int | None = 1,
-                 m: int = 1, d: int = 1, eps: float | None = None, var_w: float = 1.0,
-                 var_noise: float = 1.0, delta: float = 1.0, rho_bias: float = 0.0,
-                 radius: float = 1.0, total_samples: int | None = None,
-                 total_bits: float | None = None, total_uses: int | None = None,
-                 feedback: bool = False, r: float = 1.0, p: float | None = None,
-                 capacity: float | None = None, eta_uses: float | None = None):
-        for name, value in zip(self._fields, (
-                tag, n, b, T, m, d, eps, var_w, var_noise, delta, rho_bias, radius,
-                total_samples, total_bits, total_uses, feedback, r, p, capacity, eta_uses)):
+    def __init__(self, tag: str, *args, **kwargs):
+        extra = sorted(kwargs.keys() - self._fields[len(args) + 1:]) + list(args[len(SPEC_FIELDS):])
+        if extra:
+            raise TypeError(f"ScenarioSpec() got unknown, repeated or surplus fields {extra}")
+        _set(self, "tag", tag)
+        for i, (name, kind, default, *span) in enumerate(SPEC_FIELDS):
+            value = args[i] if i < len(args) else kwargs.get(name, default)
+            _check_field(value, name, kind, *span)
             _set(self, name, value)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise DistributionError(f"{name} must be finite, not {value}")
-        for name in ("n", "m", "d", "T", "total_samples", "total_uses"):
-            value = getattr(self, name)
-            if value is not None or name in ("n", "m", "d"):
-                _check_count(value, name, 0 if name == "total_uses" else 1)
-        if self.b < 0.0:
-            raise DistributionError("bit budget cannot be negative")
-        if (self.total_bits or 0) < 0:
-            raise DistributionError("total bit budget cannot be negative")
-        if self.eps is not None and not 0.0 <= self.eps <= 0.5:
-            raise DistributionError("crossover probability must lie in [0, 1/2]")
-        if not 0.0 <= self.delta <= 1.0:
-            raise DistributionError("bias delta must lie in [0, 1]")
-        if not 0.0 <= self.rho_bias <= 0.5:
-            raise DistributionError("coordinate bias must lie in [0, 1/2]")
-        if self.p is not None and not 0.0 <= self.p <= 0.5:
-            raise DistributionError("target distortion must lie in [0, 1/2]")
-        if self.r < 1.0:
-            raise DistributionError("norm exponent must be >= 1")
-        if self.var_w <= 0.0 or self.var_noise <= 0.0 or self.radius <= 0.0:
-            raise DistributionError("variances and radius must be positive")
-        if self.eta_uses is not None and not 0.0 <= self.eta_uses <= 1.0:
-            raise DistributionError("channel-use contraction must lie in [0, 1]")
-        if self.capacity is not None and not 0.0 <= self.capacity:
-            raise DistributionError("capacity cannot be negative")
 
 
 class ScenarioReport(_Record):
@@ -130,10 +113,8 @@ class ScenarioReport(_Record):
 
     def __init__(self, tag: str, lower_bounds: dict | None = None,
                  upper_bounds: dict | None = None, derived: dict | None = None):
-        _set(self, "tag", tag)
-        _set(self, "lower_bounds", {} if lower_bounds is None else lower_bounds)
-        _set(self, "upper_bounds", {} if upper_bounds is None else upper_bounds)
-        _set(self, "derived", {} if derived is None else derived)
+        self._set_fields(tag, *({} if group is None else group
+                                for group in (lower_bounds, upper_bounds, derived)))
         for group, bounds in (("lower", self.lower_bounds), ("upper", self.upper_bounds)):
             for name, bound in bounds.items():
                 value = getattr(bound, "value", bound)
@@ -221,9 +202,17 @@ def bern_uniform_mi(n: int) -> float:
     of ln C(n,k) + k psi(k+1) + (n-k) psi(n-k+1) - n psi(n+2). With
     psi(j+1) = H_j - gamma and sum_{k<=n} k H_k = n(n+1)(2 H_{n+1} - 1)/4
     (summation by parts), the digamma terms add up to -n(n+1)/2 exactly.
+
+    From n = 10^4 on, where that O(n) sum loses accuracy, the Stirling form
+    of the Barnes G function it adds up to takes over: with z = n + 1, I =
+    log2(z e / (2 pi)) / 2 + (ln z / 6 + 1/12 - 2 zeta'(-1)) / (z ln 2) + O(z^-2).
     """
     if n < 1:
         raise DistributionError("need at least one sample")
+    if n >= 10_000:
+        z = n + 1.0
+        return 0.5 * math.log2(z * math.e / (2.0 * math.pi)) \
+            + (math.log(z) / 6.0 + 1.0 / 12.0 - 2.0 * _ZETA_PRIME_M1) / (z * _LN2)
     sum_log_binom = math.fsum(_log_binomials(n))
     return math.log2(n + 1.0) \
         + (sum_log_binom - 0.5 * n * (n + 1.0)) / ((n + 1.0) * _LN2)
@@ -267,16 +256,6 @@ def scenario_bern_uniform(spec: ScenarioSpec) -> ScenarioReport:
 BLOCK = 4096
 SEED_LIMIT = 2 ** 64
 REPS_LIMIT = sys.maxsize // 8  # the most float64 entries one array can address
-
-
-def _check_seed(seed: int) -> None:
-    """Refuse a Monte Carlo seed that is not an integer in [0, 2^64)."""
-    try:
-        in_range = 0 <= operator.index(seed) < SEED_LIMIT
-    except TypeError:
-        in_range = False
-    if not in_range:
-        raise DistributionError(f"seed {seed!r} is not an integer in [0, 2^64)")
 
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:
@@ -431,7 +410,7 @@ def scenario_gauss_ball(spec: ScenarioSpec, reps: int | None = None,
     ``simulate``: block b of ``BLOCK`` draws reads child b of
     ``SeedSequence(seed)`` on SFC64, for a ``seed`` in [0, 2^64), an integer.
     """
-    _check_seed(seed)
+    _check_count(seed, "seed", 0, SEED_LIMIT - 1)
     d, n = spec.d, spec.n
     sigma2, a = spec.var_noise, spec.radius
     asym_value = math.sqrt(2.0 * math.pi * sigma2 * d / n) / 20.0

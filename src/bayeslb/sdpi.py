@@ -31,7 +31,6 @@ from .info import (
     DistributionError,
     _Numpy,
     _Record,
-    _set,
     _validated_pmf,
 )
 
@@ -53,10 +52,7 @@ class ContractionEstimate(_Record):
 
     def __init__(self, value: float, upper: float, provenance: str = "",
                  argmax: np.ndarray | None = None):
-        _set(self, "value", value)
-        _set(self, "upper", upper)
-        _set(self, "provenance", provenance)
-        _set(self, "argmax", argmax)
+        self._set_fields(value, upper, provenance, argmax)
         if not (0.0 <= self.value <= 1.0 and 0.0 <= self.upper <= 1.0):
             raise DistributionError("contraction coefficients lie in [0, 1]")
         if self.value > self.upper:

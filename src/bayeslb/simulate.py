@@ -37,9 +37,9 @@ import sys
 from typing import Callable, NamedTuple
 
 from .info import (DiscreteChannel, DiscreteDistribution, DistributionError,
-                   _Numpy, _Record, _set, entropy)
-from .scenarios import (BLOCK, REPS_LIMIT, ScenarioReport, ScenarioSpec,
-                        _check_count, _check_seed, _draw_blocks)
+                   _check_count, _Numpy, _Record, entropy)
+from .scenarios import (BLOCK, REPS_LIMIT, SEED_LIMIT, ScenarioReport,
+                        ScenarioSpec, _draw_blocks)
 
 np = _Numpy(globals())
 
@@ -77,7 +77,7 @@ class SimulationConfig(_Record):
     def __init__(self, spec: ScenarioSpec, replications: int, seed: int,
                  scheme: str | None = None):
         _check_count(replications, "replication count", most=REPS_LIMIT)
-        _check_seed(seed)
+        _check_count(seed, "seed", 0, SEED_LIMIT - 1)
         name = spec.tag if scheme is None else scheme
         if name not in SCHEMES:
             raise DistributionError(f"unknown scheme {name!r}")
@@ -94,10 +94,7 @@ class SimulationConfig(_Record):
                 raise DistributionError(f"scheme {name} runs {runs}, so it refuses "
                                         + ", ".join(refused))
             spec = spec._replace(**fixed)
-        _set(self, "spec", spec)
-        _set(self, "replications", replications)
-        _set(self, "seed", seed)
-        _set(self, "scheme", scheme)
+        self._set_fields(spec, replications, seed, scheme)
 
     @property
     def scheme_name(self) -> str:

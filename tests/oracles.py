@@ -159,6 +159,16 @@ def bern_uniform_mi_mp(n: int) -> float:
     return float(mpmath.log(n + 1, 2) + total / ((n + 1) * mpmath.log(2)))
 
 
+def bern_uniform_mi_barnes(n: int) -> float:
+    """The same I(W; X^n) at 60 digits in time independent of n: the sum of
+    ln C(n, k) over k is (n+1) ln Gamma(n+1) - 2 ln G(n+2), G the Barnes G
+    function, and the digamma terms add up to -n(n+1)/2."""
+    with mpmath.workdps(60):
+        z = mpmath.mpf(n) + 1
+        total = z * mpmath.loggamma(z) - 2 * mpmath.log(mpmath.barnesg(z + 1))
+        return float(mpmath.log(z, 2) + (total - n * z / 2) / (z * mpmath.log(2)))
+
+
 def bern_uniform_bayes_risk(n: int) -> float:
     """Bayes risk E|W - median(W | X^n)| for W uniform and n Bernoulli(W) draws.
 

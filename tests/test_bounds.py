@@ -1,6 +1,7 @@
 import inspect
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -273,6 +274,12 @@ def test_diff_entropy_rejects_bad_dimension():
 def test_diff_entropy_non_finite_floor_raises(h, message):
     with pytest.raises(DistributionError, match=message):
         lb_diff_entropy(0.0, h)
+
+
+def test_diff_entropy_floor_past_the_range_of_its_power_of_two():
+    # 2^1024.5 overflows, the floor 2^1024.5 / (2 e) at d = r = 1 does not
+    want = mpmath.mpf(2) ** mpmath.mpf("1024.5") / (2 * mpmath.e)
+    assert abs(lb_diff_entropy(0.0, 1024.5).value - want) <= 1e-14 * want
 
 
 # ---------------------------------------------------------------------------

@@ -563,7 +563,7 @@ def test_simulate_gauss_multi_refuses_model_flags(flag, value, source,
 def test_non_finite_model_value_exits_2(argv, capsys):
     code, out, err = run(argv, capsys)
     assert (code, out) == (2, "")
-    assert "var_w must be finite" in err
+    assert f"error: var_w {argv[3]} is not a real" in err
 
 
 @pytest.mark.parametrize("argv, field", [
@@ -577,7 +577,23 @@ def test_non_finite_small_ball_value_exits_2(argv, field, capsys):
     # infinite variance was refused as a small-ball value of 0
     code, out, err = run(["bound", "--thm", "1", "--I", "1", *argv], capsys)
     assert (code, out) == (2, "")
-    assert f"{field} must be finite, not inf" in err
+    assert f"error: {field} inf is not a real" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["bound", "--thm", "3", "--I", "0", "--h", "1024.5", "--d", "1"],
+    ["scenario", "dglm", "--var-w", "2e307", "--total-samples", "1", "--total-bits", "1"],
+    ["scenario", "ceo", "--var-w", "2e307", "--alpha", "0.1"],
+], ids=["thm3-h-1024.5", "dglm-var-w-2e307", "ceo-var-w-2e307"])
+def test_entropy_floor_whose_factors_overflow_stays_finite(argv, capsys):
+    # log2(2 pi e var_w) and 2^(h - I) overflow here, the floors do not
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    cells = {cell for line in data_rows(out)
+             for cell in line.replace("=", ",").split(",")}
+    assert not cells & {"nan", "inf", "-inf"}
+    if argv[0] == "bound":
+        assert data_rows(out)[0] == "value=4.67634001e+307"
 
 
 @pytest.mark.parametrize("argv", [

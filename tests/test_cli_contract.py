@@ -17,8 +17,9 @@ from bayeslb.simulate import SCHEMES
 EXTREME = [0.0, -0.0, 5e-324, 1e-320, 2.2e-308, 1e-12, 0.1, 0.5, 1.0, 3.0,
            1e308, -1e308, -1.0, math.nan, math.inf, -math.inf]
 FLOATS = st.one_of(st.sampled_from(EXTREME), st.floats())
-# bern_uniform_mi is O(n) and a simulation O(reps), so n and every other
-# count stop at 1e4 and --reps at 200 to keep the suite within seconds
+# a run draws O(reps) values, and gauss-multi and gauss-ball O(reps d), so
+# --reps stops at 200 and every other count at 1e4 to keep the suite within
+# seconds
 INTS = st.integers(min_value=-2, max_value=10_000)
 CHOICES = {"prior": ["uniform01", "gaussian", "ball", "hypercube", "discrete-uniform",
                      "nope"],
@@ -34,7 +35,7 @@ HEADS = {
 def _value(dest, kind):
     if kind is float:
         return FLOATS.map(repr)
-    if kind is int:
+    if kind in (int, cli._int):
         return (st.integers(min_value=-2, max_value=200) if dest == "reps"
                 else INTS).map(str)
     if kind is str:
