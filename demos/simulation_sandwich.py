@@ -11,16 +11,15 @@ with slack measured in confidence-interval half-widths, so a bad bound or
 a bad simulator shows up as a hard failure rather than a quiet plot.
 """
 
-from bayeslb.scenarios import ScenarioSpec, scenario_gauss_gauss, scenario_xor
-from bayeslb.simulate import SimulationConfig, sandwich_check, simulate_multi
+from bayeslb.scenarios import ScenarioSpec
+from bayeslb.simulate import SCHEMES, SimulationConfig, sandwich_check, simulate_multi
 
 # Gaussian location, posterior-mean estimator, 20k replications: one
 # processor, the m = 1 case of the multi-processor runner.
 spec = ScenarioSpec(tag="gauss-gauss", n=10)
 result = simulate_multi(
     SimulationConfig(spec=spec, replications=20000, seed=5))
-report = scenario_gauss_gauss(spec)
-verdict = sandwich_check(report, result)
+verdict = sandwich_check(SCHEMES["gauss-gauss"].report(spec), result)
 
 print(f"empirical risk {result.empirical_risk:.5f} "
       f"+/- {result.ci_halfwidth:.5f}")
@@ -36,7 +35,7 @@ print()
 spec = ScenarioSpec(tag="xor", m=2, n=16, b=0.0)
 result = simulate_multi(
     SimulationConfig(spec=spec, replications=20000, seed=6, scheme="xor"))
-verdict = sandwich_check(scenario_xor(spec), result)
+verdict = sandwich_check(SCHEMES["xor"].report(spec), result)
 print(f"parity risk with zero bits {result.empirical_risk:.5f} "
       f"(floor 1/(2e) = 0.18394)")
 print(f"sandwich: {'pass' if verdict.passed else 'FAIL'}")

@@ -82,10 +82,8 @@ def _refine(f, grid: np.ndarray, vals: np.ndarray) -> tuple[float, float]:
     return float(grid[i]), float(vals[i])
 
 
-def _clamped_report(value, kind, arguments, inputs, asymptotic=False) -> BoundReport:
-    clamped = value < 0.0
-    return BoundReport(max(value, 0.0), kind, arguments, inputs,
-                       clamped=clamped, asymptotic=asymptotic)
+def _clamped_report(value, kind, arguments, inputs=None) -> BoundReport:
+    return BoundReport(max(value, 0.0), kind, arguments, inputs, clamped=value < 0.0)
 
 
 def _checked_smallball(smallball, rho: float) -> float:
@@ -195,7 +193,7 @@ def lb_info_density(density: InfoDensityDistribution, smallball, gamma_grid=None
             best, best_g = val, g
             arguments = {"rho": rho_star, "gamma": gam[g]}
 
-    return _clamped_report(best, "info-density", arguments, {})
+    return _clamped_report(best, "info-density", arguments)
 
 
 def lb_diff_entropy(mi: float, h: float, d: int = 1, r: float = 1.0) -> BoundReport:

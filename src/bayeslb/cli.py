@@ -23,30 +23,12 @@ from .bounds import (lb_diff_entropy, lb_mi_smallball, mi_ub_cutset,
                      mi_ub_interactive, mi_ub_multi_iid, mi_ub_single)
 from .info import (DistortionSpec, DistributionError, PriorSpec,
                    UnsupportedPairError, small_ball)
-from .scenarios import (SEED_LIMIT, SPEC_FIELDS, ScenarioSpec, fig2_data,
-                        fig34_data, scenario_bern_bsc, scenario_bern_uniform,
-                        scenario_bsc_bit, scenario_dglm_decentralized,
-                        scenario_gauss_ball, scenario_gauss_gauss,
-                        scenario_hide_seek, scenario_hypercube,
-                        scenario_minimax_cube, scenario_noisy_ceo,
-                        scenario_xor)
+from .scenarios import (SCENARIOS, SEED_LIMIT, SPEC_FIELDS, ScenarioSpec,
+                        fig2_data, fig34_data)
 from .simulate import SCHEMES, SimulationConfig, sandwich_check, simulate_multi
 
 __all__ = ["main", "build_parser"]
 
-_SCENARIO_FNS = {
-    "gauss-gauss": scenario_gauss_gauss,
-    "bern-uniform": scenario_bern_uniform,
-    "gauss-ball": scenario_gauss_ball,
-    "bsc-bit": scenario_bsc_bit,
-    "hypercube": scenario_hypercube,
-    "bern-bsc": scenario_bern_bsc,
-    "dglm": scenario_dglm_decentralized,
-    "minimax-cube": scenario_minimax_cube,
-    "ceo": scenario_noisy_ceo,
-    "xor": scenario_xor,
-    "hide-seek": scenario_hide_seek,
-}
 
 def _parse_bool(text: str) -> bool:
     low = text.strip().lower()
@@ -304,15 +286,6 @@ def _spec_from_args(tag: str, args) -> ScenarioSpec:
     return ScenarioSpec(tag, *(getattr(args, dest) for dest, *_ in _MODEL_FLAGS))
 
 
-def _scenario_report(tag: str, spec: ScenarioSpec, args, seed: int):
-    if tag == "ceo":
-        _require(args, ("alpha",), "the CEO scenario")
-        return scenario_noisy_ceo(spec, args.alpha)
-    if tag == "gauss-ball":
-        return scenario_gauss_ball(spec, reps=args.reps, seed=seed)
-    return _SCENARIO_FNS[tag](spec)
-
-
 def _report_rows(report) -> list:
     header = "group,name,value,kind,asymptotic,clamped,infeasible"
     rows = []
@@ -334,7 +307,13 @@ def cmd_scenario(args) -> int:
     seed = _resolve_seed(args)
     args.seed = seed
     spec = _spec_from_args(args.tag, args)
-    report = _scenario_report(args.tag, spec, args, seed)
+    extra = {}
+    if args.tag == "ceo":
+        _require(args, ("alpha",), "the CEO scenario")
+        extra = {"alpha": args.alpha}
+    elif args.tag == "gauss-ball":
+        extra = {"reps": args.reps, "seed": seed}
+    report = SCENARIOS[args.tag](spec, **extra)
     tokens = _canonical(["scenario", args.tag], args, _COMMAND_FLAGS["scenario"])
     lines = _manifest(tokens, args, spec=spec, seed=seed)
     lines += [f"# notice: {v}" for v in report.derived.values() if isinstance(v, str)]
@@ -353,8 +332,8 @@ def cmd_simulate(args) -> int:
         raise DistributionError("--parallel must be >= 1")
     seed = _resolve_seed(args)
     args.seed = seed
-    tag = SCHEMES[args.scheme].tag
-    config = SimulationConfig(spec=_spec_from_args(tag, args), replications=args.reps,
+    scheme = SCHEMES[args.scheme]
+    config = SimulationConfig(spec=_spec_from_args(scheme.tag, args), replications=args.reps,
                               seed=seed, scheme=args.scheme)
     spec = config.spec
     # the manifest echoes the model the scheme ran, values it fixed included
@@ -369,8 +348,7 @@ def cmd_simulate(args) -> int:
                            str(result.replications), str(result.seed)]))
     code = 0
     if args.check:
-        report = _scenario_report(tag, spec, args, seed)
-        verdict = sandwich_check(report, result)
+        verdict = sandwich_check(scheme.report(spec), result)
         lines.append(f"# check: {'pass' if verdict.passed else 'FAIL'}")
         lines += [f"# margin: {label}={_text(margin)}"
                   for label, margin in verdict.margins.items()]
@@ -449,7 +427,7 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
                          help="emit key,value CSV with a manifest header")
     p_bound.set_defaults(func=cmd_bound)
     p_scen = sub.add_parser("scenario", help="closed-form report for one model")
-    p_scen.add_argument("tag", choices=sorted(_SCENARIO_FNS))
+    p_scen.add_argument("tag", choices=sorted(SCENARIOS))
     p_scen.set_defaults(func=cmd_scenario)
     p_sim = sub.add_parser("simulate", help="Monte Carlo run of one scheme")
     p_sim.add_argument("scheme", choices=sorted(SCHEMES))

@@ -1,13 +1,14 @@
 """Worked estimation scenarios with closed-form lower and upper bounds.
 
-Each ``scenario_*`` function evaluates one model end to end: the risk lower
-bounds, the matching achievability (upper) formulas, and the auxiliary
-quantities (capacities, contraction coefficients, exponents) that go into
-them. The Bernoulli-bias, parity, hide-and-seek and decentralized Gaussian
-floors are a ``bounds`` theorem (Theorem 3 or Fano) on an information budget.
-Asymptotic entries are flagged and must not be used in hard lower-vs-upper
-comparisons. ``fig2_data`` and ``fig34_data`` emit the rows behind the
-quantization-rate and hide-and-seek comparison plots.
+Each ``scenario_*`` function, listed by its tag in ``SCENARIOS``, evaluates
+one model end to end: the risk lower bounds, the matching achievability
+(upper) formulas, and the auxiliary quantities (capacities, contraction
+coefficients, exponents) that go into them. The Bernoulli-bias, parity,
+hide-and-seek and decentralized Gaussian floors are a ``bounds`` theorem
+(Theorem 3 or Fano) on an information budget. Asymptotic entries are flagged
+and must not be used in hard lower-vs-upper comparisons. ``fig2_data`` and
+``fig34_data`` emit the rows behind the quantization-rate and hide-and-seek
+comparison plots.
 
 Only the Monte Carlo ball mass of ``scenario_gauss_ball`` and the block
 streams it shares with ``simulate`` need numpy, which they read through the
@@ -49,6 +50,7 @@ __all__ = [
     "scenario_xor",
     "scenario_hide_seek",
     "fig34_data",
+    "SCENARIOS",
 ]
 
 _LN2 = math.log(2.0)
@@ -162,17 +164,17 @@ def scenario_gauss_gauss(spec: ScenarioSpec) -> ScenarioReport:
     """
     snr = spec.n * spec.var_w / spec.var_noise
     scale = math.sqrt(math.pi * spec.var_w / (2.0 * (1.0 + snr)))
-    lower = BoundReport(scale / 16.0, "gauss-gauss-lower", {"s": 0.5}, {"n": spec.n})
+    lower = BoundReport(scale / 16.0, "gauss-gauss-lower", {"s": 0.5})
     s_half = BoundReport((snr + 1.0) / (8.0 * (2.0 * snr + 1.0)) * scale,
-                         "gauss-gauss-s-half-chain", {"s": 0.5}, {"n": spec.n})
+                         "gauss-gauss-s-half-chain", {"s": 0.5})
     log_snr = math.log2(1.0 + snr)
     if log_snr > 0.0:
         asym = BoundReport(
             math.sqrt(math.pi * spec.var_w / (1.0 + snr)) / (4.0 * log_snr),
-            "gauss-gauss-unconditioned", {}, {"n": spec.n}, asymptotic=True)
+            "gauss-gauss-unconditioned", asymptotic=True)
     else:
-        asym = BoundReport(0.0, "gauss-gauss-unconditioned", {}, {"n": spec.n},
-                           asymptotic=True, infeasible=True)
+        asym = BoundReport(0.0, "gauss-gauss-unconditioned", asymptotic=True,
+                           infeasible=True)
     posterior_var = spec.var_w / (1.0 + snr)
     i_cond = 0.5 * math.log2((1.0 + 2.0 * snr) / (1.0 + snr))
     return ScenarioReport(
@@ -239,9 +241,9 @@ def scenario_bern_uniform(spec: ScenarioSpec) -> ScenarioReport:
     envelope_const = 2.0 + math.sqrt(math.pi * n / 2.0)
     finite = BoundReport(
         2.0 ** (-2.0 * (i_cond + 1.0)) / (4.0 * envelope_const),
-        "bern-uniform-finite", {"s": 0.5, "i_cond": i_cond}, {"n": n})
+        "bern-uniform-finite", {"s": 0.5, "i_cond": i_cond})
     asym = BoundReport(1.0 / (16.0 * math.sqrt(2.0 * math.pi * n)),
-                       "bern-uniform-asymptotic", {}, {"n": n}, asymptotic=True)
+                       "bern-uniform-asymptotic", asymptotic=True)
     return ScenarioReport(
         spec.tag,
         lower_bounds={"finite": finite, "asymptotic": asym},
@@ -414,10 +416,7 @@ def scenario_gauss_ball(spec: ScenarioSpec, reps: int | None = None,
     d, n = spec.d, spec.n
     sigma2, a = spec.var_noise, spec.radius
     asym_value = math.sqrt(2.0 * math.pi * sigma2 * d / n) / 20.0
-    lower = {
-        "asymptotic": BoundReport(asym_value, "gauss-ball-asymptotic", {},
-                                  {"n": n, "d": d}, asymptotic=True),
-    }
+    lower = {"asymptotic": BoundReport(asym_value, "gauss-ball-asymptotic", asymptotic=True)}
     derived = {
         "ratio_to_upper": math.sqrt(2.0 * math.pi) / 20.0,
         "mmse_lower_asymptotic": asym_value ** 2,
@@ -436,10 +435,8 @@ def scenario_gauss_ball(spec: ScenarioSpec, reps: int | None = None,
         weak_const = 0.5 if math.log2(2.0 * (1.0 + delta)) <= d else 0.5 / (1.0 + delta)
         weak = weak_const * (math.sqrt(d) / 5.0) * root_term * gap
         mc_args = {"p_hat": p_hat, "delta": delta, "reps": reps, "seed": seed}
-        lower["finite_mc_sharp"] = _clamped_report(
-            sharp, "gauss-ball-mc-sharp", dict(mc_args), {"n": n, "d": d})
-        lower["finite_mc_weak"] = _clamped_report(
-            weak, "gauss-ball-mc-weak", dict(mc_args), {"n": n, "d": d})
+        lower["finite_mc_sharp"] = _clamped_report(sharp, "gauss-ball-mc-sharp", dict(mc_args))
+        lower["finite_mc_weak"] = _clamped_report(weak, "gauss-ball-mc-weak", dict(mc_args))
         derived["p_hat"] = p_hat
     return ScenarioReport(
         spec.tag, lower_bounds=lower,
@@ -496,12 +493,8 @@ def scenario_bsc_bit(spec: ScenarioSpec) -> ScenarioReport:
     exponent = 0.5 * math.log2(1.0 / z)
     return ScenarioReport(
         spec.tag,
-        lower_bounds={
-            "no_feedback": BoundReport(no_fb, "bsc-bit-meta-converse", {},
-                                       {"eps": eps, "T": T}),
-            "feedback": BoundReport(fb, "bsc-bit-feedback", {},
-                                    {"eps": eps, "T": T}),
-        },
+        lower_bounds={"no_feedback": BoundReport(no_fb, "bsc-bit-meta-converse"),
+                      "feedback": BoundReport(fb, "bsc-bit-feedback")},
         upper_bounds={"repetition": z ** (T / 2.0)},
         derived={
             "exponent_no_feedback": exponent,
@@ -544,10 +537,10 @@ def scenario_hypercube(spec: ScenarioSpec) -> ScenarioReport:
     arg = 1.0 - mi_ub.value / d
     if 0.0 <= arg <= 1.0:
         bit_error = BoundReport(inv_binary_entropy(arg), "hypercube-bit-error",
-                                {"h2_arg": arg}, {"d": d})
+                                {"h2_arg": arg})
     else:
         bit_error = BoundReport(0.0, "hypercube-bit-error", {"h2_arg": arg},
-                                {"d": d}, infeasible=True)
+                                infeasible=True)
     lower = {"bit_error": bit_error}
     derived = {"mi_upper": mi_ub, "zhang_mi_upper": zhang, "eta_T": eta_T,
                "capacity": cap}
@@ -555,9 +548,8 @@ def scenario_hypercube(spec: ScenarioSpec) -> ScenarioReport:
         p = spec.p
         derived["rate_distortion"] = 1.0 - binary_entropy(p)
         if delta * delta * eta_T > 0.0:  # also skips a product that underflows to 0
-            lower["rate_per_coordinate"] = BoundReport(
-                _rate_floor(p, delta, eta_T),
-                "hypercube-rate-lb", {}, {"p": p, "delta": delta, "eta_T": eta_T})
+            lower["rate_per_coordinate"] = BoundReport(_rate_floor(p, delta, eta_T),
+                                                       "hypercube-rate-lb")
         if delta > 0.0 and (1.0 - delta) / 2.0 <= p:
             derived["noisy_lossy_rate"] = _noisy_lossy_rate(p, delta)
     return ScenarioReport(spec.tag, lower_bounds=lower, upper_bounds={},
@@ -637,16 +629,13 @@ def scenario_bern_bsc(spec: ScenarioSpec) -> ScenarioReport:
              if eps > 0.0 or key != "capacity"}
     floor = {key: lb_diff_entropy(value, 0.0).value for key, value in terms.items()}
     lower = {
-        "mi": BoundReport(floor[active], "bern-bsc-mi",
-                          {"active": active, "terms": terms},
-                          {"n": n, "b": b, "T": T, "eps": eps}),
+        "mi": BoundReport(floor[active], "bern-bsc-mi", {"active": active, "terms": terms}),
     }
     upper: dict = {}
     derived = {"i_star": i_star, "eta_T": eta_T, "eta_stat": eta_stat,
                "capacity": cap}
     if eps == 0.0:
-        lower["case1"] = BoundReport(floor["bits"], "bern-bsc-case1",
-                                     {}, {"n": n, "b": b})
+        lower["case1"] = BoundReport(floor["bits"], "bern-bsc-case1")
         upper["case1"] = 1.0 / math.sqrt(6.0 * n) + 2.0 ** (-b)
         derived["case1_floor"] = floor["source"]
         derived["case1_cap"] = 1.41 / math.sqrt(n)
@@ -654,8 +643,7 @@ def scenario_bern_bsc(spec: ScenarioSpec) -> ScenarioReport:
         first, second = floor["source"], floor["capacity"]
         lower["case2"] = BoundReport(
             max(first, second), "bern-bsc-case2",
-            {"polynomial_term": first, "exponential_term": second},
-            {"n": n, "T": T, "eps": eps})
+            {"polynomial_term": first, "exponential_term": second})
         count_bits = math.log2(n + 1.0)
         rate = count_bits / T
         linear_end = 1.0 - binary_entropy(
@@ -708,8 +696,7 @@ def scenario_dglm_decentralized(spec: ScenarioSpec) -> ScenarioReport:
     active = "channel_noise" if first >= second else "decentralized_bits"
     lower = BoundReport(max(first, second), "dglm-lower",
                         {"active": active, "channel_noise": first,
-                         "decentralized_bits": second},
-                        {"N": N, "B": B, "L": L, "m": m, "d": d})
+                         "decentralized_bits": second})
     bits_needed = (1.0 + m * var_noise / (N * var_w)) * (d / 2.0) \
         * math.log2(1.0 + snr)
     return ScenarioReport(
@@ -735,8 +722,7 @@ def scenario_minimax_cube(spec: ScenarioSpec) -> ScenarioReport:
         ratio = min(1.0, d / (m * inner))
         delta_sq = min(1.0, d / (2.0 * m * inner))
     lower = BoundReport((d / 5.0) * ratio, "minimax-cube",
-                        {"inner_min": inner, "delta_star_sq": delta_sq},
-                        {"d": d, "b": b, "m": m, "eta_T": eta_T})
+                        {"inner_min": inner, "delta_star_sq": delta_sq})
     return ScenarioReport(spec.tag, lower_bounds={"minimax": lower},
                           upper_bounds={},
                           derived={"eta_T": eta_T, "capacity": cap})
@@ -759,8 +745,7 @@ def scenario_noisy_ceo(spec: ScenarioSpec, alpha: float) -> ScenarioReport:
     h_w = differential_entropy(PriorSpec.gaussian(spec.var_w, d))
     # lb_diff_entropy solved for the budget that brings the floor to alpha
     rhs = h_w + (d / r) * (log_diff_entropy_constant(d, r) / _LN2 - math.log2(alpha))
-    requirement = _clamped_report(rhs, "ceo-sum-rate", {"raw": rhs},
-                                  {"alpha": alpha, "d": d, "r": r})
+    requirement = _clamped_report(rhs, "ceo-sum-rate", {"raw": rhs})
     derived = {"h_w_bits": h_w, "eta_T": eta_T}
     eta_sum = eta_T * spec.m
     if rhs <= 0.0:
@@ -795,7 +780,7 @@ def scenario_xor(spec: ScenarioSpec) -> ScenarioReport:
         bits = mi_ub_cutset(math.inf, eta_stat, 1, b, math.inf, 1, 1.0,
                             colocated=colocated, m=m, noiseless=True).value
         lower[name] = BoundReport(lb_diff_entropy(bits, 0.0).value, f"xor-{name}",
-                                  {"eta_stat": eta_stat}, {"n": n, "b": b, "m": m})
+                                  {"eta_stat": eta_stat})
     return ScenarioReport(
         spec.tag, lower_bounds=lower, upper_bounds={},
         derived={
@@ -836,11 +821,9 @@ def scenario_hide_seek(spec: ScenarioSpec) -> ScenarioReport:
     which is only stated for rho <= 1/(4n) and is zeroed outside that range.
     """
     n, m, d, b, rho = spec.n, spec.m, spec.d, spec.b, spec.rho_bias
-    ours = BoundReport(_hide_seek_ours(n, m, d, b, rho), "hide-seek-ours",
-                       {}, {"n": n, "m": m, "d": d, "b": b, "rho": rho})
+    ours = BoundReport(_hide_seek_ours(n, m, d, b, rho), "hide-seek-ours")
     shamir = BoundReport(_hide_seek_shamir(n, m, d, b, rho), "hide-seek-shamir",
-                         {"valid": rho <= 1.0 / (4.0 * n)},
-                         {"n": n, "m": m, "d": d, "b": b, "rho": rho})
+                         {"valid": rho <= 1.0 / (4.0 * n)})
     return ScenarioReport(spec.tag,
                           lower_bounds={"ours": ours, "shamir": shamir},
                           upper_bounds={},
@@ -867,3 +850,20 @@ def fig34_data(m: int = 10, d: int = 512, b: float | None = None,
         rows.append((n, _hide_seek_ours(n, m, d, b, r),
                      _hide_seek_shamir(n, m, d, b, r)))
     return ["n", "ours", "shamir"], rows
+
+
+# Each scenario tag's report function. The CLI and ``simulate.Scheme.report``
+# look it up here at each call, so rebinding an entry reaches every caller.
+SCENARIOS = {
+    "gauss-gauss": scenario_gauss_gauss,
+    "bern-uniform": scenario_bern_uniform,
+    "gauss-ball": scenario_gauss_ball,
+    "bsc-bit": scenario_bsc_bit,
+    "hypercube": scenario_hypercube,
+    "bern-bsc": scenario_bern_bsc,
+    "dglm": scenario_dglm_decentralized,
+    "minimax-cube": scenario_minimax_cube,
+    "ceo": scenario_noisy_ceo,
+    "xor": scenario_xor,
+    "hide-seek": scenario_hide_seek,
+}

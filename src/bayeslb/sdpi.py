@@ -237,7 +237,6 @@ def _constant(build):
 
 _fractions = _constant(lambda: np.geomspace(1e-6, 1.0, 60))  # of each ray's longest step
 _i61 = _constant(lambda: np.arange(61.0))
-_dirichlet = _constant(lambda k: np.random.default_rng(0).dirichlet(np.ones(k), 4))
 
 
 def _scan(mu, K, ratio) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -273,12 +272,11 @@ def _starts(mu, rays, steps, scores) -> np.ndarray:
     """The mirror ascent's starts: the scan's 8 best points, each moved 1e-6
     of the way to mu, since a multiplicative step cannot grow a zero entry
     and a start on a face of the simplex must be able to leave it; the k
-    points (mu + e_x) / 2; and 4 Dirichlet(1) points from default_rng(0)."""
+    points (mu + e_x) / 2."""
     at = np.take_along_axis(steps, scores.argmax(axis=1)[:, None], axis=1)
     points = np.maximum(mu + at * rays, 0.0)
     top = points[np.argsort(-scores.max(axis=1), kind="stable")[:8]]
-    return np.concatenate([top + 1e-6 * (mu - top), (mu + np.eye(mu.size)) / 2,
-                           _dirichlet(mu.size)])
+    return np.concatenate([top + 1e-6 * (mu - top), (mu + np.eye(mu.size)) / 2])
 
 
 def _line_search(mu, ratio, rays, steps, scores) -> tuple[np.ndarray, float]:

@@ -16,9 +16,6 @@ parity-coupled law behind the ``xor`` samplers is drawn in full by
 (``bern-bsc`` and ``xor-colocated``) draw the success count K uniformly on
 {0, ..., n} first and then W from its Beta(K + 1, n - K + 1) posterior, the
 joint law of W ~ U[0, 1] and K ~ Bin(n, W), in that order within a block.
-Drawing in this order moved the outputs of ``simulate bern-bsc`` and
-``simulate xor-colocated`` off those of the earlier binomial draw given W;
-no other output moved.
 
 The simulated schemes are the ones whose risk the closed-form achievability
 bounds analyze, with one exception: the channel-limited Bernoulli scheme
@@ -26,9 +23,10 @@ replaces the optimal block code by bit-wise repetition of the count (or of the
 sample mean's floor(b)-bit midpoint cell when b bits cannot carry the count),
 which is weaker, so its empirical risk may exceed the closed-form upper bound.
 
-Each entry of the scheme table ``SCHEMES`` names the scenario a run is checked
-against and the bounds of its own protocol class in that scenario's report;
-``simulate_multi`` runs every entry, a single-processor scheme as its m = 1 case.
+Each entry of the scheme table ``SCHEMES`` names the scenario whose report a
+run is checked against, and is held to every bound of that report except the
+rows it excludes; ``simulate_multi`` runs every entry, a single-processor
+scheme as its m = 1 case.
 """
 from __future__ import annotations
 
@@ -38,8 +36,8 @@ from typing import Callable, NamedTuple
 
 from .info import (DiscreteChannel, DiscreteDistribution, DistributionError,
                    _check_count, _Numpy, _Record, entropy)
-from .scenarios import (BLOCK, REPS_LIMIT, SEED_LIMIT, ScenarioReport,
-                        ScenarioSpec, _draw_blocks)
+from .scenarios import (BLOCK, REPS_LIMIT, SCENARIOS, SEED_LIMIT,
+                        ScenarioReport, ScenarioSpec, _draw_blocks)
 
 np = _Numpy(globals())
 
@@ -250,34 +248,35 @@ def _gauss_multi_model(spec: ScenarioSpec) -> dict:
 
 
 class Scheme(NamedTuple):
-    """A simulated protocol: its scenario ``tag``, block sampler, the report
-    keys of the bounds it is held to, and the model values it fixes.
+    """A simulated protocol: its scenario ``tag``, block sampler, the rows of
+    its scenario's report it is not held to, and the model values it fixes.
 
     ``sample(spec, rng, size)`` returns the distortions of ``size``
-    independent replications drawn from ``rng``. ``fixed(spec)``, when set,
-    maps the fields of the model the scheme runs, whatever it is given, to
-    their values; ``SimulationConfig`` refuses a spec that sets one otherwise.
+    independent replications drawn from ``rng``. A run is held to every
+    lower and upper bound of ``report(spec)`` whose name ``excluded`` does
+    not list. ``fixed(spec)``, when set, maps the fields of the model the
+    scheme runs, whatever it is given, to their values; ``SimulationConfig``
+    refuses a spec that sets one otherwise.
     """
 
     tag: str
     sample: Callable[[ScenarioSpec, np.random.Generator, int], np.ndarray]
-    lower: tuple
-    upper: tuple = ()
+    excluded: tuple = ()
     fixed: Callable[[ScenarioSpec], dict] | None = None
+
+    def report(self, spec: ScenarioSpec) -> ScenarioReport:
+        """The report of this scheme's scenario for ``spec``, through ``SCENARIOS``."""
+        return SCENARIOS[self.tag](spec)
 
 
 SCHEMES = {
-    "gauss-gauss": Scheme("gauss-gauss", _sample_gauss_gauss,
-                          ("corollary", "s_half_chain", "unconditioned_asymptotic"),
-                          ("posterior_mean",)),
-    "bern-bsc": Scheme("bern-bsc", _sample_bern_bsc,
-                       ("mi", "case1", "case2"), ("case1", "case2")),
-    "bsc-bit": Scheme("bsc-bit", _sample_bsc_bit,
-                      ("no_feedback", "feedback"), ("repetition",)),
-    "xor": Scheme("xor", _sample_xor_oneproc, ("distributed", "colocated")),
-    "xor-colocated": Scheme("xor", _sample_xor_colocated, ("colocated",)),
-    "gauss-multi": Scheme("dglm", _sample_gauss_multi, ("decentralized",),
-                          fixed=_gauss_multi_model),
+    "gauss-gauss": Scheme("gauss-gauss", _sample_gauss_gauss),
+    "bern-bsc": Scheme("bern-bsc", _sample_bern_bsc),
+    "bsc-bit": Scheme("bsc-bit", _sample_bsc_bit),
+    "xor": Scheme("xor", _sample_xor_oneproc),
+    # one processor holds every stream, so the distributed floor does not apply
+    "xor-colocated": Scheme("xor", _sample_xor_colocated, ("distributed",)),
+    "gauss-multi": Scheme("dglm", _sample_gauss_multi, fixed=_gauss_multi_model),
 }
 
 
@@ -362,7 +361,8 @@ class SandwichVerdict(NamedTuple):
 
 
 def sandwich_check(report: ScenarioReport, result: SimulationResult) -> SandwichVerdict:
-    """Check a simulation against the bounds its scheme's table entry names.
+    """Check a simulation against every lower and upper bound of ``report``
+    except the rows its scheme excludes.
 
     Exact lower bounds must not exceed the empirical risk by more than
     three half-widths, and the empirical risk must not exceed any
@@ -380,11 +380,11 @@ def sandwich_check(report: ScenarioReport, result: SimulationResult) -> Sandwich
                if bound.asymptotic or bound.infeasible else None,
                f"lower bound {name} = {bound.value:.6g} exceeds "
                f"empirical risk {risk:.6g} + slack")
-              for name, bound in report.lower_bounds.items() if name in scheme.lower]
+              for name, bound in report.lower_bounds.items() if name not in scheme.excluded]
     checks += [(f"upper:{name}", value - (risk - slack), None,
                 f"empirical risk {risk:.6g} exceeds upper bound {name} = "
                 f"{value:.6g} + slack")
-               for name, value in report.upper_bounds.items() if name in scheme.upper]
+               for name, value in report.upper_bounds.items() if name not in scheme.excluded]
     hard, advice, margins = [], [], {}
     for label, margin, advisory, failure in checks:
         margins[label] = margin

@@ -12,7 +12,8 @@ from bayeslb import cli
 from bayeslb.bounds import (lb_diff_entropy, lb_mi_smallball, mi_ub_cutset,
                             mi_ub_interactive, mi_ub_multi_iid, mi_ub_single)
 from bayeslb.info import DistortionSpec, DistributionError, PriorSpec, small_ball
-from bayeslb.scenarios import REPS_LIMIT, ScenarioSpec, scenario_gauss_ball, scenario_gauss_gauss
+from bayeslb.scenarios import (REPS_LIMIT, SCENARIOS, ScenarioSpec, scenario_gauss_ball,
+                               scenario_gauss_gauss)
 from bayeslb.simulate import (BLOCK, SCHEMES, SimulationConfig, sandwich_check,
                               simulate_multi)
 
@@ -526,8 +527,7 @@ def test_simulate_prints_each_checked_margin(name, capsys):
     scheme = SCHEMES[name]
     config = SimulationConfig(spec=ScenarioSpec(tag=scheme.tag, **fields),
                               replications=2000, seed=5, scheme=name)
-    verdict = sandwich_check(cli._SCENARIO_FNS[scheme.tag](config.spec),
-                             simulate_multi(config))
+    verdict = sandwich_check(scheme.report(config.spec), simulate_multi(config))
     assert [label for label, _ in margins] == list(verdict.margins)
     assert [value for _, value in margins] == \
         [cli._text(value) for value in verdict.margins.values()]
@@ -658,12 +658,31 @@ def test_check_failure_exits_1(tmp_path, capsys, monkeypatch):
         report.lower_bounds["corollary"] = bound._replace(value=50.0)
         return report
 
-    monkeypatch.setitem(cli._SCENARIO_FNS, "gauss-gauss", inflated)
+    monkeypatch.setitem(SCENARIOS, "gauss-gauss", inflated)
     code, out, _ = run(["simulate", "gauss-gauss", "--n", "10", "--reps",
                         "200", "--seed", "7", "--check"], capsys)
     assert code == 1
     assert "# check: FAIL" in out
     assert "# check-failure:" in out
+
+
+@pytest.mark.parametrize("group, value", [("lower", 50.0), ("upper", 1e-3)])
+def test_check_holds_a_run_to_a_row_added_to_its_report(group, value, capsys, monkeypatch):
+    """A row added to the paired report is checked without any other edit."""
+    def extended(spec):
+        report = scenario_gauss_gauss(spec)
+        if group == "lower":
+            report.lower_bounds["added"] = report.lower_bounds["corollary"]._replace(value=value)
+        else:
+            report.upper_bounds["added"] = value
+        return report
+
+    monkeypatch.setitem(SCENARIOS, "gauss-gauss", extended)
+    code, out, _ = run(["simulate", "gauss-gauss", "--n", "10", "--reps",
+                        "2000", "--seed", "7", "--check"], capsys)
+    assert code == 1
+    assert "# check: FAIL" in out
+    assert f"# margin: {group}:added=-" in out
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Contract of every CLI run: exit 0, 1 or 2, no traceback, no NaN, finite bounds.
 
 Argv are drawn from the CLI's own tables (``cli._COMMAND_FLAGS``,
-``cli._THEOREMS``, ``cli._FIGURES``, the scenario tags and ``SCHEMES``), with
+``cli._THEOREMS``, ``cli._FIGURES``, ``SCENARIOS`` and ``SCHEMES``), with
 float flags taking extreme values: signed zeros, subnormals, 1e308, NaN and
 infinities. The runs are derandomized so the suite is the same every time.
 """
@@ -12,6 +12,7 @@ import math
 from hypothesis import example, given, settings, strategies as st
 
 from bayeslb import cli
+from bayeslb.scenarios import SCENARIOS
 from bayeslb.simulate import SCHEMES
 
 EXTREME = [0.0, -0.0, 5e-324, 1e-320, 2.2e-308, 1e-12, 0.1, 0.5, 1.0, 3.0,
@@ -26,7 +27,7 @@ CHOICES = {"prior": ["uniform01", "gaussian", "ball", "hypercube", "discrete-uni
            "distortion": ["absolute", "squared", "l2r", "zero-one", "nope"]}
 HEADS = {
     "bound": [["bound", "--thm", str(thm)] for thm in sorted(cli._THEOREMS)],
-    "scenario": [["scenario", tag] for tag in sorted(cli._SCENARIO_FNS)],
+    "scenario": [["scenario", tag] for tag in sorted(SCENARIOS)],
     "simulate": [["simulate", name] for name in sorted(SCHEMES)],
     "figure": [["figure", which] for which in sorted(cli._FIGURES)],
 }

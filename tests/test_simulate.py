@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from bayeslb.cli import _SCENARIO_FNS
+from bayeslb.bounds import BoundReport
 from bayeslb.info import DiscreteChannel, DiscreteDistribution, DistributionError, bsc
-from bayeslb.scenarios import (ScenarioSpec, _block_rng, scenario_gauss_gauss,
-                               scenario_xor)
+from bayeslb.scenarios import (SCENARIOS, ScenarioSpec, _block_rng,
+                               scenario_gauss_gauss, scenario_xor)
 from bayeslb.simulate import (BLOCK, SCHEMES, SimulationConfig,
                               SimulationResult, _count_and_parameter, _distortions,
                               _posterior_mean_error, _quantize_midpoint, _repeated_bits,
@@ -423,7 +423,7 @@ def test_sandwich_accepts_dglm_gauss_multi_pairing_only_by_table():
     dglm = ScenarioSpec(tag="dglm", m=5, n=20, total_samples=100,
                         total_bits=400.0)
     with pytest.raises(DistributionError):
-        sandwich_check(_SCENARIO_FNS["dglm"](dglm), result)
+        sandwich_check(SCENARIOS["dglm"](dglm), result)
 
 
 @pytest.mark.parametrize("risk, halfwidth", [
@@ -444,7 +444,7 @@ def _checked_pair(name, reps=2000, **fields):
     scheme = SCHEMES[name]
     config = SimulationConfig(spec=ScenarioSpec(tag=scheme.tag, **fields),
                               replications=reps, seed=4, scheme=name)
-    return _SCENARIO_FNS[scheme.tag](config.spec), simulate_multi(config)
+    return scheme.report(config.spec), simulate_multi(config)
 
 
 PAIRINGS = [
@@ -484,3 +484,21 @@ def test_parity_schemes_fail_only_their_own_inflated_bounds(name, inflated,
     bound = report.lower_bounds[inflated]
     report.lower_bounds[inflated] = bound._replace(value=1.0)
     assert sandwich_check(report, result).passed is passed
+
+
+@pytest.mark.parametrize("group", ["lower", "upper"])
+@pytest.mark.parametrize("name, fields, keys", PAIRINGS)
+def test_scheme_held_to_every_row_of_its_report(name, fields, keys, group):
+    """A lower row above the risk, or an upper row below it, fails the check
+    under its own name, though no scheme entry lists it."""
+    report, result = _checked_pair(name, **fields)
+    gap = 3.0 * result.ci_halfwidth + 0.01
+    if group == "lower":
+        report.lower_bounds["added"] = BoundReport(result.empirical_risk + gap, "test")
+    else:
+        report.upper_bounds["added"] = result.empirical_risk - gap
+    verdict = sandwich_check(report, result)
+    assert verdict.passed is False
+    assert set(verdict.margins) == keys | {f"{group}:added"}
+    assert verdict.margins[f"{group}:added"] < 0.0
+    assert any("bound added =" in text for text in verdict.hard_failures)
