@@ -1,26 +1,3 @@
 """Information-theoretic lower bounds on Bayes risk in distributed estimation."""
 
 __version__ = "0.1.0"
-
-from .info import (  # noqa: F401
-    DiscreteChannel,
-    DiscreteDistribution,
-    DistortionSpec,
-    InfoDensityDistribution,
-    JointPMF,
-    PriorSpec,
-    binary_entropy,
-    binary_relative_entropy,
-    channel_capacity,
-    bsc,
-    bec,
-    differential_entropy,
-    entropy,
-    information_density,
-    inv_binary_entropy,
-    kl_divergence,
-    mutual_information,
-    neyman_pearson_beta,
-    small_ball,
-    unit_ball_volume,
-)

@@ -51,7 +51,6 @@ __all__ = [
     "InfoDensityDistribution",
     "NPPropertyReport",
     "bsc",
-    "bec",
     "binary_entropy",
     "binary_relative_entropy",
     "inv_binary_entropy",
@@ -65,7 +64,6 @@ __all__ = [
     "std_normal_cdf",
     "small_ball",
     "differential_entropy",
-    "unit_ball_volume",
     "log_unit_ball_volume",
     "channel_capacity",
 ]
@@ -215,13 +213,6 @@ def bsc(eps: float) -> DiscreteChannel:
     if not 0.0 <= eps <= 1.0:
         raise DistributionError("crossover probability must lie in [0, 1]")
     return DiscreteChannel(np.array([[1.0 - eps, eps], [eps, 1.0 - eps]]))
-
-
-def bec(eps: float) -> DiscreteChannel:
-    """Binary erasure channel; output alphabet is (0, erasure, 1)."""
-    if not 0.0 <= eps <= 1.0:
-        raise DistributionError("erasure probability must lie in [0, 1]")
-    return DiscreteChannel(np.array([[1.0 - eps, eps, 0.0], [0.0, eps, 1.0 - eps]]))
 
 
 class JointPMF(_Record):
@@ -573,11 +564,6 @@ def log_unit_ball_volume(d: int) -> float:
     return 0.5 * d * math.log(math.pi) - math.lgamma(0.5 * d + 1.0)
 
 
-def unit_ball_volume(d: int) -> float:
-    """Volume of the unit ell-2 ball in d dimensions (underflows to 0 for large d)."""
-    return math.exp(log_unit_ball_volume(d))
-
-
 def _ball_radius_for(rho: float, distortion: DistortionSpec) -> float:
     """Radius of the set {distortion < rho} when it is a metric ball."""
     if distortion.kind in ("absolute",):
@@ -723,13 +709,13 @@ def _capacity_bracket(K: np.ndarray, tol: float) -> tuple[float, float, int]:
     bracket is at most ``tol`` wide, or after 100 000 iterations.
 
     Each iteration takes a Newton step (``_newton_move``) and then one
-    Blahut-Arimoto step. Before the latter, an input at exactly zero whose
-    D(K_x || q) exceeds I(r) gets a small mass back, since the
-    multiplicative update cannot revive it. A refused Newton step doubles
-    the wait before the next try and an accepted one resets it to 1; past
-    iteration 1 024 Newton is tried only at powers of two. That bounds its
-    cost where accepted steps stop paying: steps taken at tiny lengths (up
-    to 60 evaluations each), or a step undone by the revive that follows.
+    Blahut-Arimoto step. The multiplicative update cannot revive an input
+    at exactly zero; the Newton step can, since it takes in every input
+    whose D(K_x || q) exceeds I(r). A refused Newton step doubles the wait
+    before the next try and an accepted one resets it to 1; past iteration
+    1 024 Newton is tried only at powers of two. That bounds its cost where
+    accepted steps stop paying, such as steps taken at tiny lengths (up to
+    60 evaluations each).
     """
     mask = K > 0.0
     logK = np.zeros_like(K)
@@ -758,12 +744,7 @@ def _capacity_bracket(K: np.ndarray, tol: float) -> tuple[float, float, int]:
                 (r, point), skip = moved, 1
                 if point[3] - point[2] <= tol:
                     return point[2], point[3], iteration
-        _, per_input, lower, upper = point
-        revive = (r == 0.0) & (per_input > lower)
-        if revive.any():
-            r = np.where(revive, 1e-3 / r.size, r)
-            r /= r.sum()
-            _, per_input, lower, upper = evaluate(r)
+        _, per_input, _, upper = point
         r = r * np.exp2(per_input - upper)
         r /= r.sum()
         point = evaluate(r)
@@ -776,9 +757,9 @@ def channel_capacity(channel: DiscreteChannel) -> float:
     Each iteration takes a Newton step for max I(r) over the input laws r,
     on the inputs that carry mass or whose D(K_x || q) exceeds I(r),
     projected onto the simplex and halved until I(r) rises; then one
-    Blahut-Arimoto (alternating maximization) step, after giving a small
-    mass back to any input the projection zeroed while its D(K_x || q)
-    exceeds I(r). Close to the optimum the Newton steps converge
+    Blahut-Arimoto (alternating maximization) step. Only the Newton step
+    gives mass back to an input the projection zeroed while its
+    D(K_x || q) exceeds I(r). Close to the optimum the Newton steps converge
     quadratically, so a few iterations replace the thousands of plain
     Blahut-Arimoto steps that near-useless or ill-conditioned channels take.
 

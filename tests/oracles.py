@@ -4,7 +4,8 @@ Everything here is deliberately slow and dumb: high-precision bisection,
 quadrature, exhaustive grids, and linear programming. The library under test
 must agree with these within stated tolerances without sharing any code path,
 but for ``info_density_exhaustive``: it refines with ``bounds``' own golden
-section, so that it checks the threshold search alone, bit for bit.
+section, so that it checks the threshold search alone, bit for bit. ``bec``
+builds a test channel, which no command needs.
 """
 import math
 
@@ -15,8 +16,14 @@ from scipy.optimize import linprog
 from scipy.special import betainc, betaincinv
 
 from bayeslb import bounds, sdpi
+from bayeslb.info import DiscreteChannel
 
 mpmath.mp.dps = 50
+
+
+def bec(eps: float) -> DiscreteChannel:
+    """Binary erasure channel; output alphabet is (0, erasure, 1)."""
+    return DiscreteChannel(np.array([[1.0 - eps, eps, 0.0], [0.0, eps, 1.0 - eps]]))
 
 
 def h2_mp(p: float) -> float:

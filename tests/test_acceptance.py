@@ -6,7 +6,7 @@ import time
 import numpy as np
 
 from bayeslb.bounds import lb_diff_entropy, lb_mi_smallball, mi_ub_single
-from bayeslb.info import (DiscreteChannel, DiscreteDistribution, bec,
+from bayeslb.info import (DiscreteChannel, DiscreteDistribution,
                           binary_entropy, bsc, verify_np_properties)
 from bayeslb.scenarios import (ScenarioSpec, fig2_data, fig34_data,
                                scenario_bern_bsc, scenario_bern_uniform,
@@ -26,7 +26,7 @@ def test_criterion_1_contraction_closed_forms():
     ok = True
     for eps in (0.1, 0.25, 0.4):
         for channel, target in ((bsc(eps), (1.0 - 2.0 * eps) ** 2),
-                                (bec(eps), 1.0 - eps)):
+                                (oracles.bec(eps), 1.0 - eps)):
             gap = eta_numeric(uniform, channel).value - target
             worst = max(worst, abs(gap))
             ok = ok and -1e-3 <= gap <= 1e-9

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from bayeslb import sdpi
-from bayeslb.info import DiscreteChannel, DiscreteDistribution, DistributionError, bec, bsc
+from bayeslb.info import DiscreteChannel, DiscreteDistribution, DistributionError, bsc
 from bayeslb.sdpi import (ContractionEstimate, dobrushin, eta_bsc, eta_multi_use,
                           eta_numeric, pairwise_ratio_bound)
 
@@ -60,7 +60,7 @@ def test_eta_numeric_bsc_tolerance_window():
 
 def test_eta_numeric_bec():
     mu = DiscreteDistribution(np.array([0.5, 0.5]))
-    est = eta_numeric(mu, bec(0.25))
+    est = eta_numeric(mu, oracles.bec(0.25))
     dev = est.value - 0.75
     assert -1e-3 <= dev <= 1e-9
 
@@ -187,9 +187,9 @@ PINNED_ETA = {
     "bsc-0.1": (lambda: (FAIR, bsc(0.1)), "0x1.47ae147ae129dp-1", "667294f99af4522b", 11),
     "bsc-0.25": (lambda: (FAIR, bsc(0.25)), "0x1.ffffffffff9e9p-3", "b710fcd3cb2f0a6f", 11),
     "bsc-0.4": (lambda: (FAIR, bsc(0.4)), "0x1.47ae147ae0f7cp-5", "3be060e993e6dd90", 11),
-    "bec-0.1": (lambda: (FAIR, bec(0.1)), "0x1.ccccccccccccdp-1", "d279034093885784", 11),
-    "bec-0.25": (lambda: (FAIR, bec(0.25)), "0x1.8000000000000p-1", "4ccdc063676d7960", 11),
-    "bec-0.4": (lambda: (FAIR, bec(0.4)), "0x1.3333333333333p-1", "d279034093885784", 11),
+    "bec-0.1": (lambda: (FAIR, oracles.bec(0.1)), "0x1.ccccccccccccdp-1", "d279034093885784", 11),
+    "bec-0.25": (lambda: (FAIR, oracles.bec(0.25)), "0x1.8000000000000p-1", "4ccdc063676d7960", 11),
+    "bec-0.4": (lambda: (FAIR, oracles.bec(0.4)), "0x1.3333333333333p-1", "d279034093885784", 11),
     "dirichlet-k2": (lambda: _seeded_pair(2), "0x1.82af4820d115fp-9", "ce5b0c0b70691686", 11),
     "dirichlet-k4": (lambda: _seeded_pair(4), "0x1.4e972eacc3110p-2", "dcb78e62dea04ab6", 17),
     "dirichlet-k8": (lambda: _seeded_pair(8), "0x1.38d9dfe31918bp-2", "ddf8d4a5a1aea935", 20),
@@ -418,7 +418,7 @@ def test_two_inputs_search_the_line_without_the_ascent(monkeypatch):
         raise AssertionError("mirror ascent ran at two inputs")
 
     monkeypatch.setattr(sdpi, "_ascend", no_ascent)
-    for mu, channel in [(FAIR, bsc(0.1)), (FAIR, bec(0.4)), _seeded_pair(2),
+    for mu, channel in [(FAIR, bsc(0.1)), (FAIR, oracles.bec(0.4)), _seeded_pair(2),
                         _seeded_pair(2, outputs=7)]:
         before = len(diffs)
         assert eta_numeric(mu, channel).argmax is not None
