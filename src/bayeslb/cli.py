@@ -10,13 +10,11 @@ codes: 0 success, 1 failed --check, 2 usage error.
 """
 from __future__ import annotations
 
-import argparse
-import functools
 import math
 import os
 import sys
-from datetime import datetime, timezone
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import __version__
 from .bounds import (lb_diff_entropy, lb_mi_smallball, mi_ub_cutset,
@@ -27,7 +25,7 @@ from .scenarios import (SCENARIOS, SEED_LIMIT, SPEC_FIELDS, ScenarioSpec,
                         fig2_data, fig34_data)
 from .simulate import SCHEMES, SimulationConfig, sandwich_check, simulate_multi
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main"]
 
 
 def _parse_bool(text: str) -> bool:
@@ -43,27 +41,21 @@ def _parse_etas(text: str) -> tuple:
     return tuple(float(part) for part in text.split(","))
 
 
-_parse_etas.__name__ = "float list"  # argparse reports "invalid float list value"
-
-
 def _int(text: str) -> int:
-    """An integer flag's type: argparse refuses, naming the flag, a value past
-    the float range, in which bounds and scenarios compute (SimulationConfig
-    holds a simulated run to the samplers' narrower ranges)."""
+    """An integer flag's type: the parser refuses, naming the flag, a value
+    past the float range, in which bounds and scenarios compute
+    (SimulationConfig holds a simulated run to the samplers' narrower ranges)."""
     value = int(text)
     if abs(value) > sys.float_info.max:
-        raise argparse.ArgumentTypeError("lies beyond the float range")
+        raise OverflowError("lies beyond the float range")
     return value
 
 
-_int.__name__ = "int"  # argparse names the type in "invalid int value"
-
-
 # Every valued flag or switch is one (dest, type, default[, help]) row, spelled
-# "--" + dest with "-" for "_". A subcommand's rows build its parser and, in
-# order, its manifest command. The model rows are those of SPEC_FIELDS, in its
-# order and with its types and defaults, which ScenarioSpec checks; the field
-# rho_bias is the flag --rho.
+# "--" + dest with "-" for "_". A subcommand's rows here are parsed and, in
+# order, make its manifest command (_COMMANDS adds those it does not echo). The
+# model rows are those of SPEC_FIELDS, in its order and with its types and
+# defaults, which ScenarioSpec checks; the field rho_bias is the flag --rho.
 _FLAG_TYPES = {int: _int, int | None: _int, float: float, float | None: float, bool: bool}
 _MODEL_FLAGS = tuple(("rho" if name == "rho_bias" else name, _FLAG_TYPES[kind], default)
                      for name, kind, default, *_ in SPEC_FIELDS)
@@ -144,10 +136,7 @@ def _require(args, needs, what: str) -> None:
 
 
 def _load_config(path: str) -> dict:
-    """Flat key=value file; '#' starts a comment, keys use flag spellings.
-
-    Values stay text: ``build_parser`` makes them parser defaults.
-    """
+    """Flat key=value file ('#' starts a comment) of flag names to their text."""
     try:
         lines = Path(path).read_text().splitlines()
     except UnicodeDecodeError:
@@ -167,7 +156,7 @@ def _load_config(path: str) -> dict:
 def _resolve_seed(args) -> int:
     seed = getattr(args, "seed", None)
     # a seed the command line did not give came from the --config file
-    source = "--seed" if "seed" in getattr(args, "given", ()) else "config key seed"
+    source = "--seed" if "seed" in args.given else "config key seed"
     if seed is None:
         env = os.environ.get("BAYESLB_SEED")
         if env is None:
@@ -241,6 +230,7 @@ def _manifest(tokens: list, args, spec=None, seed=None) -> list:
     if seed is not None:
         out.append(f"# seed: {seed}")
     if args.timestamp:
+        from datetime import datetime, timezone  # here only: it slows start-up
         stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
         out.append(f"# timestamp: {stamp}")
     return out
@@ -262,7 +252,7 @@ def cmd_bound(args) -> int:
     needs, call = _THEOREMS[args.thm]
     _require(args, needs, f"--thm {args.thm}")
     unset = {dest: math.inf for dest in _BUDGETS if getattr(args, dest) is None}
-    report = call(argparse.Namespace(**{**vars(args), **unset}))
+    report = call(SimpleNamespace(**{**vars(args), **unset}))
     pairs = [("value", report.value), ("kind", report.kind),
              ("clamped", report.clamped), ("asymptotic", report.asymptotic),
              ("infeasible", report.infeasible)]
@@ -379,109 +369,119 @@ def cmd_figure(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# parser assembly
+# command table and parser
+
+# Each subcommand: its help, its handler, its key (the flag or positional, as errors
+# name it, that picks its table's row) with the key's choices, and its flag rows.
+_SHARED_FLAGS = (("out", str, None, "write output to this file"),
+                 ("timestamp", bool, False, "add a timestamp line (not byte-reproducible)"))
+_PROGRAM_FLAGS = (("config", str, None, "flat key=value file of flag values; given flags win"),
+                  ("help", bool, False, "show this help and exit"))
+_COMMANDS = {name: (*entry[:4], entry[4] + _SHARED_FLAGS + _PROGRAM_FLAGS) for name, entry in {
+    "bound": ("evaluate one closed-form bound", cmd_bound, "--thm", _THEOREMS, _BOUND_FLAGS + (
+        ("thm", int, None, "theorem number; theorem 2 needs a full information-density "
+                           "distribution, so call bounds.lb_info_density from Python"),
+        ("csv", bool, False, "emit key,value CSV with a manifest header"))),
+    "scenario": ("closed-form report for one model", cmd_scenario, "tag", SCENARIOS,
+                 _COMMAND_FLAGS["scenario"]),
+    "simulate": ("Monte Carlo run of one scheme", cmd_simulate, "scheme", SCHEMES,
+                 _COMMAND_FLAGS["simulate"] + (
+                     ("parallel", int, 1, "accepted, never changes the output bytes"),)),
+    "figure": ("emit the data behind a figure", cmd_figure, "which", _FIGURES,
+               _COMMAND_FLAGS["figure"]),
+}.items()}
+# the program before its subcommand, which is its key; no config file sets its flags
+_PROGRAM = ("Lower bounds and simulations for distributed estimation under communication "
+            "constraints.", None, "command", _COMMANDS, _PROGRAM_FLAGS)
 
 
-class _Given(argparse.Action):
-    """Stores a flag's value and adds its dest to ``namespace.given``, so a
-    value can be told apart from a --config default."""
+def _help(name) -> list:
+    """The -h lines of subcommand ``name``, or of the program, from the rows."""
+    about, _, key, choices, rows = _COMMANDS.get(name, _PROGRAM)
+    head = (f"{key} " if key.startswith("-") else "") + f"{{{','.join(map(str, choices))}}}"
+    lines = [f"usage: bayeslb {name or '[flags]'} {head} {'[flags]' if name else '...'}", about]
+    lines += [f"  {cmd:<10}{entry[0]}" for cmd, entry in _COMMANDS.items() if not name]
+    for dest, kind, _, *text in rows:
+        spelling = "-h, " * (dest == "help") + _flag(dest) + f" {dest.upper()}" * (kind is not bool)
+        lines.append(f"  {spelling:<24} {''.join(text)}".rstrip())
+    return lines
 
-    def __call__(self, parser, namespace, values, option_string=None):
-        setattr(namespace, self.dest, values)
-        namespace.given = getattr(namespace, "given", frozenset()) | {self.dest}
+
+def _match(table: dict, token: str) -> tuple:
+    """(row, text after '=') of the flag ``token`` names by spelling or unique prefix, else
+    (None, None) for a value (no leading '-', or '-', a negative number, spaced) or ((), None)."""
+    name, eq, text = token.partition("=")
+    hits = [name] if name in table else [
+        flag for flag in table if name[2:] and name.startswith("--") and flag.startswith(name)]
+    if len(hits) > 1:
+        raise DistributionError(f"ambiguous option: {token} could match {', '.join(sorted(hits))}")
+    if hits:
+        return table[hits[0]], text if eq else None
+    number = token[1:].replace(".", "", 1).isdecimal() and not token.endswith(".")
+    return (None if token[:1] != "-" or token == "-" or " " in token or number else ()), None
 
 
-def _add_flags(parser, rows) -> None:
-    for dest, kind, default, *help_text in rows:
-        more = {"help": help_text[0]} if help_text else {}
-        if kind is bool:
-            parser.add_argument(_flag(dest), action="store_true", **more)
+def _value(row, text: str):
+    """A flag's text read by its row's type; a refusal names the flag."""
+    try:
+        return row[1](text)
+    except OverflowError as exc:  # _int's refusal
+        raise DistributionError(f"argument {_flag(row[0])}: {exc}")
+    except ValueError:
+        kind = {float: "float", _parse_etas: "float list"}.get(row[1], "int")
+        raise DistributionError(f"argument {_flag(row[0])}: invalid {kind} value: {text!r}")
+
+
+def _parse(argv: list):
+    """The run's values and handler, or help if asked for before any error. A --config file's
+    values fill the flags the command line leaves unset, and only those are read: a malformed
+    value stays unread when its flag is given, but a switch's is read and refused even then."""
+    name, (_, _, key, choices, rows), values = None, _PROGRAM, {}
+    table, at = {"-h": rows[1], **{_flag(row[0]): row for row in rows}}, 0
+    while at < len(argv):
+        token, at = argv[at], at + 1
+        row, text = _match(table, token)
+        if row == () or row is None and (key.startswith("-") or key in values):
+            raise DistributionError(f"unrecognized arguments: {token}")
+        if row is None:  # the subcommand, then its positional key
+            row, text = (key, str), token
+        elif row[1] is bool and text is not None:
+            raise DistributionError(f"argument {_flag(row[0])}: ignored explicit argument {text!r}")
+        elif row[0] == "help":
+            return SimpleNamespace(func=lambda _: _emit(_help(name), None) or 0)
+        elif row[1] is not bool and text is None:
+            if at == len(argv) or _match(table, argv[at])[0] is not None:
+                raise DistributionError(f"argument {_flag(row[0])}: expected one argument")
+            text, at = argv[at], at + 1
+        value = True if row[1] is bool else _value(row, text)
+        if row[0] == key.lstrip("-") and value not in choices:
+            raise DistributionError(f"argument {key}: invalid choice: {value!r} (choose from "
+                                    f"{', '.join(map(repr, sorted(choices)))})")
+        if row[0] == "command":
+            name, (_, _, key, choices, rows) = value, _COMMANDS[value]
+            table.update({_flag(row[0]): row for row in rows})
         else:
-            parser.add_argument(_flag(dest), type=kind, default=default,
-                                action=_Given, **more)
-
-
-def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
-    """The CLI parser; ``config`` maps flag dests to text from a --config file.
-
-    Config values become the defaults of every subcommand that has the flag,
-    so argparse converts and rejects them exactly like flag text, and a flag
-    given on the command line, abbreviated or not, wins. Switches read their
-    text with ``_parse_bool``; a key no subcommand has is an error.
-    """
-    parser = argparse.ArgumentParser(
-        prog="bayeslb",
-        description="Lower bounds and simulations for distributed estimation "
-                    "under communication constraints.")
-    parser.add_argument("--config", default=None,
-                        help="flat key=value file of defaults, read like flags; "
-                             "flags override")
-    sub = parser.add_subparsers(dest="cmd", required=True)
-    p_bound = sub.add_parser("bound", help="evaluate one closed-form bound")
-    p_bound.add_argument("--thm", type=int, required=True,
-                         choices=sorted(_THEOREMS),
-                         help="theorem number; theorem 2 needs a full "
-                              "information-density distribution, so call "
-                              "bounds.lb_info_density from Python")
-    p_bound.add_argument("--csv", action="store_true",
-                         help="emit key,value CSV with a manifest header")
-    p_bound.set_defaults(func=cmd_bound)
-    p_scen = sub.add_parser("scenario", help="closed-form report for one model")
-    p_scen.add_argument("tag", choices=sorted(SCENARIOS))
-    p_scen.set_defaults(func=cmd_scenario)
-    p_sim = sub.add_parser("simulate", help="Monte Carlo run of one scheme")
-    p_sim.add_argument("scheme", choices=sorted(SCHEMES))
-    p_sim.add_argument("--parallel", type=int, default=1,
-                       help="accepted, never changes the output bytes")
-    p_sim.set_defaults(func=cmd_simulate)
-    p_fig = sub.add_parser("figure", help="emit the data behind a figure")
-    p_fig.add_argument("which", choices=sorted(_FIGURES))
-    p_fig.set_defaults(func=cmd_figure)
-    for name, command in sub.choices.items():
-        # a group, unlike its parser, skips a help-formatter check per flag
-        _add_flags(command.add_argument_group("parameters"), _COMMAND_FLAGS[name])
-        command.add_argument("--out", default=None,
-                             help="write output to this file")
-        command.add_argument("--timestamp", action="store_true",
-                             help="include a timestamp line "
-                                  "(breaks byte reproducibility)")
-    for key, text in (config or {}).items():
-        owners = [(command, action) for command in sub.choices.values()
-                  for action in command._actions
-                  if action.dest == key and action.option_strings
-                  and key not in ("help", "out")]
-        if not owners:
-            raise DistributionError(f"unknown config key {key!r}")
-        for command, action in owners:
-            # a switch (nargs 0) never converts its default, so read it here
-            command.set_defaults(**{key: _parse_bool(text) if action.nargs == 0
-                                    else text})
-    return parser
-
-
-@functools.lru_cache(maxsize=1)
-def _default_parser() -> argparse.ArgumentParser:
-    """The parser without --config defaults, built once per process."""
-    return build_parser()
-
-
-@functools.lru_cache(maxsize=1)
-def _config_parser() -> argparse.ArgumentParser:
-    """The pre-parser that finds --config, built once per process."""
-    pre = argparse.ArgumentParser(add_help=False)
-    pre.add_argument("--config", default=None)
-    return pre
+            values[row[0]] = value
+    path = values.pop("config", None)
+    kinds = {row[0]: row[1] for entry in _COMMANDS.values() for row in entry[4]
+             if row[0] not in ("out", "config", "help")}
+    defaults = {row[0]: row[2] for row in rows}
+    for dest, text in (_load_config(path) if path is not None else {}).items():
+        if dest not in kinds:
+            raise DistributionError(f"unknown config key {dest!r}")
+        text = _parse_bool(text) if kinds[dest] is bool else text
+        if dest in defaults.keys() - values.keys() - {key.lstrip("-")}:
+            defaults[dest] = text if kinds[dest] is bool else _value((dest, kinds[dest]), text)
+    if key.lstrip("-") not in values:
+        raise DistributionError(f"the following arguments are required: {key}")
+    return SimpleNamespace(**{**defaults, **values}, given=set(values), func=_COMMANDS[name][1])
 
 
 def main(argv=None) -> int:
-    raw = list(sys.argv[1:]) if argv is None else list(argv)
-    pre_args, rest = _config_parser().parse_known_args(raw)
     try:
-        args = (_default_parser() if pre_args.config is None
-                else build_parser(_load_config(pre_args.config))).parse_args(rest)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
         return args.func(args)
-    except (DistributionError, UnsupportedPairError, OSError, OverflowError,
-            MemoryError) as exc:
+    except (DistributionError, UnsupportedPairError, OSError, OverflowError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -5,8 +5,11 @@ quadrature, exhaustive grids, and linear programming. The library under test
 must agree with these within stated tolerances without sharing any code path,
 but for ``info_density_exhaustive``: it refines with ``bounds``' own golden
 section, so that it checks the threshold search alone, bit for bit. ``bec``
-builds a test channel, which no command needs.
+builds a test channel, which no command needs. ``argparse_namespace`` parses
+a command line with argparse, from the CLI's own flag rows, as the CLI did
+before it parsed them itself.
 """
+import argparse
 import math
 
 import mpmath
@@ -15,8 +18,8 @@ from scipy.integrate import quad
 from scipy.optimize import linprog
 from scipy.special import betainc, betaincinv
 
-from bayeslb import bounds, sdpi
-from bayeslb.info import DiscreteChannel
+from bayeslb import bounds, cli, sdpi
+from bayeslb.info import DiscreteChannel, DistributionError
 
 mpmath.mp.dps = 50
 
@@ -566,3 +569,63 @@ def mirror_ascent(mu, K, ratio, nu) -> tuple[np.ndarray, np.ndarray]:
         if len(best) > 10 and not best[-1] > best[-11] * (1.0 + 1e-12):
             break
     return nu.copy(), f.copy()
+
+
+class _Given(argparse.Action):
+    """Stores a flag's value and adds its dest to ``namespace.given``, so a
+    value can be told apart from a --config default."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = getattr(namespace, "given", frozenset()) | {self.dest}
+
+
+def _argparse_type(kind):
+    """``kind`` as an argparse type: a refusal past the float range is a usage
+    error naming the flag, and the type reads as "int" or "float list"."""
+    def convert(text):
+        try:
+            return kind(text)
+        except OverflowError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    convert.__name__ = {cli._int: "int", cli._parse_etas: "float list"}.get(kind, kind.__name__)
+    return convert
+
+
+def argparse_namespace(argv: list) -> argparse.Namespace:
+    """``argv`` parsed by argparse from the rows of ``cli._COMMANDS``: a
+    pre-parser takes --config wherever it stands, by any prefix, and the
+    file's values become the defaults of every subcommand that has the key,
+    converted by argparse like flag text; switches read theirs with
+    ``cli._parse_bool``. Raises SystemExit(2) on a usage error, SystemExit(0)
+    after printing help, and what reading the file raises."""
+    pre = argparse.ArgumentParser(add_help=False)
+    pre.add_argument("--config", default=None)
+    pre_args, rest = pre.parse_known_args(argv)
+    parser = argparse.ArgumentParser(prog="bayeslb")
+    parser.add_argument("--config", default=None)
+    sub = parser.add_subparsers(dest="cmd", required=True)
+    for name, (about, handler, key, choices, rows) in cli._COMMANDS.items():
+        command = sub.add_parser(name, help=about)
+        if not key.startswith("-"):
+            command.add_argument(key, choices=sorted(choices))
+        for dest, kind, default, *_ in rows:
+            if dest == key.lstrip("-"):
+                command.add_argument(key, type=kind, required=True, choices=sorted(choices))
+            elif kind is bool and dest != "help":
+                command.add_argument(cli._flag(dest), action="store_true")
+            elif dest not in ("config", "help"):
+                command.add_argument(cli._flag(dest), type=_argparse_type(kind),
+                                     default=default, action=_Given)
+        command.set_defaults(func=handler)
+    config = {} if pre_args.config is None else cli._load_config(pre_args.config)
+    for key, text in config.items():
+        owners = [(command, action) for command in sub.choices.values()
+                  for action in command._actions
+                  if action.dest == key and action.option_strings and key not in ("help", "out")]
+        if not owners:
+            raise DistributionError(f"unknown config key {key!r}")
+        for command, action in owners:
+            # a switch (nargs 0) never converts its default, so read it here
+            command.set_defaults(**{key: cli._parse_bool(text) if action.nargs == 0 else text})
+    return parser.parse_args(rest)

@@ -247,7 +247,7 @@ def test_bound_thm3_floor_beyond_float_range_exits_2(capsys):
      f"size one {BLOCK}-row block of draws can address"),
 ])
 def test_integer_flag_out_of_range_exits_2_naming_it(argv, flag, reason, tmp_path, capsys):
-    """Bounds and scenarios compute in floats, so argparse refuses a larger
+    """Bounds and scenarios compute in floats, so the parser refuses a larger
     integer flag by name; a simulated run's record refuses a count past the
     samplers' 64-bit integers by field name. Both hold for a --config file
     too, and both come before any computation sees the value."""
@@ -388,7 +388,7 @@ def test_cli_and_python_intake_refuse_the_same_inputs(case, no_draws, capsys):
         assert data_rows(out)[1].startswith(f"{scheme},")
     else:
         assert (code, out) == (2, "")
-        # argparse refuses a value past the float range first, naming the flag
+        # the parser refuses a value past the float range first, naming the flag
         assert err == refusal or f"argument {flag}: lies beyond the float range" in err
 
 
@@ -879,7 +879,7 @@ def test_config_malformed_value_exits_2(argv, text, tmp_path, capsys):
 
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_malformed_etas_names_its_type(source, tmp_path, capsys):
-    """argparse names a flag's type by its parser's __name__; a private
+    """The parser names a flag's type as the user reads it; a private
     function name there reads as an internal error."""
     argv = ["figure", "fig2", "--etas", "1,,2"]
     if source == "config":

@@ -63,7 +63,7 @@ def _check(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = cli.main(argv)
-        except SystemExit as exc:  # argparse's usage errors
+        except SystemExit as exc:  # main returns 2 on a usage error and should not raise
             code = exc.code
     assert code in (0, 1, 2), (argv, code)
     assert "Traceback" not in err.getvalue(), argv

@@ -9,6 +9,10 @@ No command adds ``dataclasses`` or ``inspect`` to the modules a bare
 interpreter holds: the records are plain classes, since importing
 ``dataclasses`` (with ``inspect``, ``ast`` and ``dis``) and generating its
 methods took about three quarters of the time ``import bayeslb.cli`` took.
+Nor does any command add ``argparse``, ``gettext`` or ``locale``, since the
+CLI parses its own flag rows, and no closed-form command adds ``datetime``,
+which only ``--timestamp`` imports (numpy imports it itself, so the
+commands that build arrays are exempt from that one).
 
 Each command case runs in a fresh interpreter, since this test session has
 numpy and scipy loaded already. Wall times are not asserted; the module set
@@ -50,6 +54,17 @@ def modules_after(argv):
     return set(json.loads(proc.stdout))
 
 
+_LOADED = {}
+
+
+def loaded_by(argv):
+    """``modules_after(argv)``, run once per argv in this session."""
+    key = json.dumps(argv)
+    if key not in _LOADED:
+        _LOADED[key] = modules_after(argv)
+    return _LOADED[key]
+
+
 # (id, argv, whether the command builds arrays and so may load numpy)
 CASES = [
     ("import", [], False),
@@ -83,11 +98,20 @@ def bare_modules():
 @pytest.mark.parametrize("argv, arrays", [case[1:] for case in CASES],
                          ids=[case[0] for case in CASES])
 def test_cli_loads_no_scipy(argv, arrays, bare_modules):
-    loaded = modules_after(argv)
+    loaded = loaded_by(argv)
     assert not {name for name in loaded if name.split(".")[0] == "scipy"}
     if not arrays:
         assert "numpy" not in loaded
         assert not {"dataclasses", "inspect"} & (loaded - bare_modules)
+
+
+@pytest.mark.parametrize("argv, arrays", [case[1:] for case in CASES],
+                         ids=[case[0] for case in CASES])
+def test_cli_loads_no_argparse(argv, arrays, bare_modules):
+    added = loaded_by(argv) - bare_modules
+    assert not {"argparse", "gettext", "locale"} & added
+    if not arrays:
+        assert "datetime" not in added
 
 
 def test_numpy_handle_rebinds_to_numpy_on_first_use():
